@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .exactmath import Ref, gate_from_json, gate_refs, gate_to_json, int_from_json
+
 EXHAUSTIVE_BIT_LIMIT = 24
 
 
@@ -79,22 +81,31 @@ class BConst:
 
 @dataclass(frozen=True, slots=True)
 class BAnd:
-    a: int
-    b: int
+    a: Ref
+    b: Ref
 
 
 @dataclass(frozen=True, slots=True)
 class BOr:
-    a: int
-    b: int
+    a: Ref
+    b: Ref
 
 
 @dataclass(frozen=True, slots=True)
 class BNot:
-    a: int
+    a: Ref
 
 
 BGate = BInput | BConst | BAnd | BOr | BNot
+
+# wire op name and JSON keys of every gate, keys in field order
+BGATES = {
+    BInput: ("input", ("i",)),
+    BConst: ("const", ("v",)),
+    BAnd: ("and", ("a", "b")),
+    BOr: ("or", ("a", "b")),
+    BNot: ("not", ("a",)),
+}
 
 
 @dataclass(frozen=True)
@@ -113,9 +124,7 @@ class BoolCircuit:
                 raise ValueError(f"input gate {i} index out of range")
             if isinstance(g, BConst) and g.value not in (0, 1):
                 raise ValueError(f"const gate {i} must be 0 or 1")
-            refs = (g.a, g.b) if isinstance(g, (BAnd, BOr)) else \
-                   (g.a,) if isinstance(g, BNot) else ()
-            for ref in refs:
+            for ref in gate_refs(g):
                 if not 0 <= ref < i:
                     raise ValueError(f"gate {i} references {ref}; only earlier gates allowed")
         if len(self.outputs) != 2 * self.k:
@@ -211,18 +220,6 @@ def boundary_color(grid: Grid, p) -> int | None:
     return max(zeros) if zeros else 0
 
 
-def _boundary_color_2d_text(grid: Grid, p) -> int | None:
-    # The two-dimensional phrasing of the boundary rule, kept as a
-    # cross-check: if p2=0 take 2, else if p1=0 take 1, else 0.
-    if not grid.on_boundary(p):
-        return None
-    if p[1] == 0:
-        return 2
-    if p[0] == 0:
-        return 1
-    return 0
-
-
 def discrete_map(cb: BoolCircuit, p) -> tuple[int, ...]:
     """One step of the discrete dynamics: p plus its color's increment."""
     c = color_at(cb, p)
@@ -256,11 +253,6 @@ def validate_circuit(cb: BoolCircuit, grid: Grid | None = None,
         if expected is not None and c != expected:
             violations.append((p, f"boundary rule requires color {expected}, got {c}"))
             continue
-        if grid.k == 2:
-            text_rule = _boundary_color_2d_text(grid, p)
-            if text_rule is not None and text_rule != expected:
-                violations.append((p, "2D and kD boundary readings disagree here"))
-                continue
         q = tuple(x + d for x, d in zip(p, increment(c, grid.k)))
         if not grid.contains(q):
             violations.append((p, f"image {q} leaves the grid"))
@@ -359,36 +351,11 @@ def example_panchromatic_base(grid: Grid) -> tuple[int, ...]:
 # --- JSON wire format ---
 
 def bool_to_json(cb: BoolCircuit) -> dict:
-    gates = []
-    for g in cb.gates:
-        if isinstance(g, BInput):
-            gates.append({"op": "input", "i": g.index})
-        elif isinstance(g, BConst):
-            gates.append({"op": "const", "v": g.value})
-        elif isinstance(g, BAnd):
-            gates.append({"op": "and", "a": g.a, "b": g.b})
-        elif isinstance(g, BOr):
-            gates.append({"op": "or", "a": g.a, "b": g.b})
-        else:
-            gates.append({"op": "not", "a": g.a})
-    return {"k": cb.k, "n": cb.n, "gates": gates, "outputs": list(cb.outputs)}
+    return {"k": cb.k, "n": cb.n, "gates": [gate_to_json(g, BGATES) for g in cb.gates],
+            "outputs": list(cb.outputs)}
 
 
 def bool_from_json(doc: dict) -> BoolCircuit:
-    gates: list[BGate] = []
-    for g in doc["gates"]:
-        op = g["op"]
-        if op == "input":
-            gates.append(BInput(int(g["i"])))
-        elif op == "const":
-            gates.append(BConst(int(g["v"])))
-        elif op == "and":
-            gates.append(BAnd(int(g["a"]), int(g["b"])))
-        elif op == "or":
-            gates.append(BOr(int(g["a"]), int(g["b"])))
-        elif op == "not":
-            gates.append(BNot(int(g["a"])))
-        else:
-            raise ValueError(f"unknown gate op {op!r}")
-    return BoolCircuit(int(doc["k"]), int(doc["n"]), tuple(gates),
-                       tuple(int(o) for o in doc["outputs"]))
+    return BoolCircuit(int_from_json(doc["k"]), int_from_json(doc["n"]),
+                       tuple(gate_from_json(g, BGATES) for g in doc["gates"]),
+                       tuple(int_from_json(o) for o in doc["outputs"]))

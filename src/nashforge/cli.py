@@ -16,10 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import brouwer, compiler, lcp, lp, nash
-from .exactmath import mat_add, rank, rat_from_str, rat_to_str, vec_to_strs
+from .exactmath import (
+    int_from_json, is_upper_triangular, mat_add, rank, rat_from_str, rat_to_str,
+    vec_to_strs,
+)
 from .fixp import (
-    FixpCircuit, circuit_from_json, circuit_to_json, clamp_outputs,
-    evaluate, normalize_max_zero,
+    FixpCircuit, circuit_from_json, circuit_to_json, evaluate, evaluate_with_trace,
+    order_max_gates,
 )
 
 SCHEMA = "nashforge/v1"
@@ -34,18 +37,62 @@ class InputError(Exception):
     """Bad file, schema mismatch or malformed values: exit code 2."""
 
 
-def _load(path: str, kind: str) -> dict:
+def _compiled_meta_from_json(doc: dict) -> tuple:
+    grid = doc["source_grid"]
+    if type(doc["shrunk"]) is not bool:
+        raise TypeError("shrunk must be true or false")
+    return (brouwer.Grid(int_from_json(grid["k"]), int_from_json(grid["n"])),
+            compiler.SamplingParams(int_from_json(doc["L"]), int_from_json(doc["sample_count"])),
+            doc["shrunk"])
+
+
+# artifact kinds each command reads as its input
+_INPUT_KINDS = {"compile": ("brouwer",), "reduce": ("circuit",), "verify": ("game", "circuit"),
+                "solve": ("game",), "oracle": ("brouwer",), "eval": ("circuit",)}
+
+
+def _stages_from_json(doc: dict) -> list[dict]:
+    stages = doc["stages"]
+    if not (isinstance(stages, list) and stages):
+        raise ValueError("manifest needs a nonempty stages list")
+    for i, stage in enumerate(stages):
+        if not (isinstance(stage, dict) and stage.get("command") in _INPUT_KINDS
+                and isinstance(stage.get("input"), str)
+                and isinstance(stage.get("output", ""), str)
+                and isinstance(stage.get("args", {}), dict)):
+            raise ValueError(f"stage {i} needs a command in {sorted(_INPUT_KINDS)}, a string"
+                             " input, an optional string output and an optional args object")
+    return stages
+
+
+_DECODERS = {
+    "brouwer": brouwer.bool_from_json,
+    "circuit": circuit_from_json,
+    "game": lcp.game_from_json,
+    "compiled_meta": _compiled_meta_from_json,
+    "manifest": _stages_from_json,
+}
+
+
+def _load(path: str, *kinds: str):
+    """Read an artifact of one of `kinds` and decode it; any defect is an InputError."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InputError(f"{path}: file not found")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read file ({exc.strerror or exc})")
+    except ValueError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != SCHEMA:
         raise InputError(f"{path}: expected schema {SCHEMA!r}, got {doc.get('schema')!r}")
-    if doc.get("kind") != kind:
-        raise InputError(f"{path}: expected kind {kind!r}, got {doc.get('kind')!r}")
-    return doc
+    kind = doc.get("kind")
+    if kind not in kinds:
+        raise InputError(f"{path}: expected kind {' or '.join(map(repr, kinds))}, got {kind!r}")
+    try:
+        return _DECODERS[kind](doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed {kind} ({type(exc).__name__}: {exc})")
 
 
 def _save(path: str, kind: str, body: dict):
@@ -61,31 +108,20 @@ def _parse_point(text: str) -> list[Fraction]:
         raise InputError(f"bad point {text!r}: {exc}")
 
 
-def _load_circuit(path: str) -> FixpCircuit:
-    doc = _load(path, "circuit")
-    try:
-        return circuit_from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{path}: malformed circuit ({exc})")
-
-
-def _load_brouwer(path: str) -> brouwer.BoolCircuit:
-    doc = _load(path, "brouwer")
-    try:
-        return brouwer.bool_from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{path}: malformed mapping circuit ({exc})")
-
-
-# --- commands -------------------------------------------------------------
-
-def cmd_compile(args) -> int:
-    cb = _load_brouwer(args.input)
+def _validated(cb: brouwer.BoolCircuit) -> bool:
     report = brouwer.validate_circuit(cb)
     if not report.ok:
         print("validation: FAIL")
         for p, reason in report.violations[:10]:
             print(f"  at {p}: {reason}")
+    return report.ok
+
+
+# --- commands -------------------------------------------------------------
+
+def cmd_compile(args) -> int:
+    cb = _load(args.input, "brouwer")
+    if not _validated(cb):
         return EXIT_INVALID_INPUT
     params = None
     if args.L is not None:
@@ -108,18 +144,8 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _reduce_pipeline(circ: FixpCircuit):
-    if not circ.clamped:
-        circ = clamp_outputs(circ)
-    if not circ.normalized:
-        circ = normalize_max_zero(circ)
-    P = lp.with_cost(lp.build_constraints(circ))
-    return circ, P
-
-
 def cmd_reduce(args) -> int:
-    circ = _load_circuit(args.input)
-    prepared, P = _reduce_pipeline(circ)
+    P, _ = lp.build_param_lp(_load(args.input, "circuit"))
     lines = [f"m={P.m} k={P.k} n={P.npre}"]
     problems = lp.property_violations(P)
     lines.append("structure checks P1-P3: " + ("PASS" if not problems else "FAIL " + problems[0]))
@@ -158,7 +184,7 @@ def _check(checks: list, name: str, ok: bool, detail: str = ""):
 
 
 def _verify_circuit_lemmas(circ: FixpCircuit, seed: int, trials: int, checks: list):
-    prepared, P = _reduce_pipeline(circ)
+    P, prepared = lp.build_param_lp(circ)
     rng = random.Random(seed)
     ns = lcp.normalize(P)
     game = lcp.build_game(ns)
@@ -167,7 +193,6 @@ def _verify_circuit_lemmas(circ: FixpCircuit, seed: int, trials: int, checks: li
     _check(checks, "structure_P1_P3", not lp.property_violations(P))
 
     ok = True
-    from .fixp import evaluate_with_trace, order_max_gates
     order = order_max_gates(prepared)
     for _ in range(max(5, trials // 40)):
         lam = [Fraction(rng.randint(-12, 12), rng.randint(1, 8)) for _ in range(P.k)]
@@ -182,12 +207,7 @@ def _verify_circuit_lemmas(circ: FixpCircuit, seed: int, trials: int, checks: li
             break
     _check(checks, "lp_matches_circuit_and_kkt", ok)
 
-    tri = True
-    try:
-        tri = rank(mat_add(game.A, game.B)) <= P.k + 1
-    except lcp.LemmaFalsified:
-        tri = False
-    _check(checks, "rank_and_triangularity", tri)
+    _check(checks, "rank_and_triangularity", rank(mat_add(game.A, game.B)) <= P.k + 1)
     smm = lcp.symmetrize(game.A, game.B)
     _check(checks, "symmetrized_rank",
            rank(mat_add(smm.S, [list(r) for r in zip(*smm.S)])) <= 2 * (P.k + 1))
@@ -213,17 +233,13 @@ def _verify_circuit_lemmas(circ: FixpCircuit, seed: int, trials: int, checks: li
     ok_map = bool(res.equilibria)
     lam_set = set()
     for cert in res.equilibria:
-        try:
-            x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
-            back = lcp.lcp_to_ne(x, y)
-            if back != (cert.x, cert.y):
-                ok_map = False
-            lam = lcp.game_to_fixed_point(cert.x, game.meta)
-            lam_set.add(tuple(lam))
-            if not nash.check_fixed_point(prepared, lam):
-                ok_map = False
-        except lcp.LemmaFalsified:
-            raise
+        x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
+        if lcp.lcp_to_ne(x, y) != (cert.x, cert.y):
+            ok_map = False
+        lam = lcp.game_to_fixed_point(cert.x, game.meta)
+        lam_set.add(tuple(lam))
+        if not nash.check_fixed_point(prepared, lam):
+            ok_map = False
     _check(checks, "ne_to_lcp_roundtrip_and_fixed_points", ok_map,
            f"{len(res.equilibria)} equilibria" + (" [degenerate]" if res.degenerate else ""))
 
@@ -231,16 +247,13 @@ def _verify_circuit_lemmas(circ: FixpCircuit, seed: int, trials: int, checks: li
     sym_lams = set()
     ok_sym = bool(sres.equilibria)
     for cert in sres.equilibria:
-        try:
-            x = lcp.symne_to_lcp(P, cert.z)
-            if lcp.lcp_to_symne(x) != cert.z:
-                ok_sym = False
-            lam = lcp.game_to_fixed_point(cert.z, sym.meta)
-            sym_lams.add(tuple(lam))
-            if not nash.check_fixed_point(prepared, lam):
-                ok_sym = False
-        except lcp.LemmaFalsified:
-            raise
+        x = lcp.symne_to_lcp(P, cert.z)
+        if lcp.lcp_to_symne(x) != cert.z:
+            ok_sym = False
+        lam = lcp.game_to_fixed_point(cert.z, sym.meta)
+        sym_lams.add(tuple(lam))
+        if not nash.check_fixed_point(prepared, lam):
+            ok_sym = False
     _check(checks, "symmetric_path_fixed_points", ok_sym,
            f"{len(sres.equilibria)} symmetric equilibria")
     if not (res.degenerate or sres.degenerate):
@@ -254,7 +267,7 @@ def _verify_circuit_lemmas(circ: FixpCircuit, seed: int, trials: int, checks: li
 
 
 def _verify_roundtrip(circ: FixpCircuit, checks: list):
-    prepared, P = _reduce_pipeline(circ)
+    P, prepared = lp.build_param_lp(circ)
     ns = lcp.normalize(P)
     game = lcp.build_game(ns)
     res = nash.enumerate_ne(game.A, game.B)
@@ -269,12 +282,10 @@ def _verify_roundtrip(circ: FixpCircuit, checks: list):
                "lambda = " + ", ".join(rat_to_str(v) for v in lam))
 
 
-def _verify_game(doc_path: str, checks: list):
-    game = lcp.game_from_json(_load(doc_path, "game"))
+def _verify_game(game: lcp.BimatrixGame, checks: list):
     if game.meta.kind == "rank_k_plus_1":
         s = mat_add(game.A, game.B)
         _check(checks, "rank_bound", rank(s) <= game.meta.k + 1)
-        from .exactmath import is_upper_triangular
         _check(checks, "upper_triangular", is_upper_triangular(game.A))
     res = nash.enumerate_ne(game.A, game.B)
     _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
@@ -288,12 +299,10 @@ def _verify_game(doc_path: str, checks: list):
 def _verify_approx(args, checks: list):
     if not args.source or not args.compiled_meta:
         raise InputError("--mode approx needs --source (brouwer.json) and --compiled-meta")
-    circ = _load_circuit(args.input)
-    cb = _load_brouwer(args.source)
-    meta = _load(args.compiled_meta, "compiled_meta")
-    params = compiler.SamplingParams(int(meta["L"]), int(meta["sample_count"]))
-    grid = brouwer.Grid(int(meta["source_grid"]["k"]), int(meta["source_grid"]["n"]))
-    cf = compiler.CompiledFunction(circ, cb, grid, params, bool(meta["shrunk"]))
+    circ = _load(args.input, "circuit")
+    cb = _load(args.source, "brouwer")
+    grid, params, shrunk = _load(args.compiled_meta, "compiled_meta")
+    cf = compiler.CompiledFunction(circ, cb, grid, params, shrunk)
     if not args.points:
         raise InputError("--mode approx needs --points \"p1,p2;q1,q2;...\"")
     eps = rat_from_str(args.eps) if args.eps else Fraction(1, params.L)
@@ -320,24 +329,22 @@ def _verify_approx(args, checks: list):
 
 
 def cmd_verify(args) -> int:
+    if args.mode == "lemmas" and args.trials < 1:
+        # an empty semimonotone battery would pass vacuously
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     checks: list[dict] = []
     alarm = False
     try:
         if args.mode == "approx":
             _verify_approx(args, checks)
         else:
-            doc = json.loads(Path(args.input).read_text())
-            kind = doc.get("kind")
-            if kind == "game":
-                _verify_game(args.input, checks)
-            elif kind == "circuit":
-                circ = _load_circuit(args.input)
-                if args.mode == "roundtrip":
-                    _verify_roundtrip(circ, checks)
-                else:
-                    _verify_circuit_lemmas(circ, args.seed, args.trials, checks)
+            artifact = _load(args.input, *_INPUT_KINDS["verify"])
+            if isinstance(artifact, lcp.BimatrixGame):
+                _verify_game(artifact, checks)
+            elif args.mode == "roundtrip":
+                _verify_roundtrip(artifact, checks)
             else:
-                raise InputError(f"{args.input}: cannot verify kind {kind!r}")
+                _verify_circuit_lemmas(artifact, args.seed, args.trials, checks)
     except lcp.LemmaFalsified as exc:
         _check(checks, "lemma_falsification_alarm", False, str(exc))
         alarm = True
@@ -351,7 +358,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    game = lcp.game_from_json(_load(args.input, "game"))
+    game = _load(args.input, "game")
     entries = []
     degenerate = False
     if args.method == "lh":
@@ -388,12 +395,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cb = _load_brouwer(args.input)
-    report = brouwer.validate_circuit(cb)
-    if not report.ok:
-        print("validation: FAIL")
-        for p, reason in report.violations[:10]:
-            print(f"  at {p}: {reason}")
+    cb = _load(args.input, "brouwer")
+    if not _validated(cb):
         return EXIT_INVALID_INPUT
     cubes = brouwer.brute_force_fixtures(cb)
     body = {
@@ -413,7 +416,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    circ = _load_circuit(args.input)
+    circ = _load(args.input, "circuit")
     point = _parse_point(args.at)
     if len(point) != circ.k:
         raise InputError(f"circuit expects {circ.k} inputs")
@@ -423,28 +426,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    doc = _load(args.input, "manifest")
-    stages = doc.get("stages", [])
-    if not isinstance(stages, list) or not stages:
-        raise InputError("manifest needs a nonempty stages list")
-    expected_kind = {"compile": "brouwer", "reduce": "circuit", "verify": None,
-                     "solve": "game", "oracle": "brouwer", "eval": "circuit"}
+    stages = _load(args.input, "manifest")
     prev_output = None
     for i, stage in enumerate(stages):
-        cmd = stage.get("command")
-        if cmd not in expected_kind:
-            raise InputError(f"stage {i}: unknown command {cmd!r}")
-        inp = stage.get("input")
-        if inp is None:
-            raise InputError(f"stage {i}: missing input")
+        inp = stage["input"]
         if i > 0 and inp != prev_output:
             raise InputError(f"stage {i}: input {inp!r} does not chain from previous"
                              f" output {prev_output!r}")
-        want = expected_kind[cmd]
-        if want is not None and Path(inp).exists():
-            got = json.loads(Path(inp).read_text()).get("kind")
-            if got != want:
-                raise InputError(f"stage {i}: {cmd} expects kind {want!r}, file has {got!r}")
+        if Path(inp).exists():
+            _load(inp, *_INPUT_KINDS[stage["command"]])
         prev_output = stage.get("output", inp)
     for i, stage in enumerate(stages):
         argv = [stage["command"], stage["input"]]

@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import brouwer
 from .brouwer import BoolCircuit, Grid, bool_circuit_size
 from .exactmath import Vec, inf_norm, vec_sub
-from .fixp import Add, Builder, Const, FixpCircuit, Input, Max, MulC, circuit_size, evaluate
+from .fixp import Add, Builder, Const, FixpCircuit, Input, MulC, circuit_size, evaluate
 
 
 class NotPanchromatic(Exception):

@@ -6,31 +6,38 @@ lowest terms with a positive denominator, which the stdlib guarantees),
 vectors are lists of Fractions, and matrices are row-major lists of rows.
 
 Rationals serialize as the string "p/q" with the sign on the numerator and
-"/q" omitted when the denominator is 1.
+"/q" omitted when the denominator is 1; circuit gates serialize through
+one table per gate family (see "gate wire format" below).
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from operator import attrgetter
+from typing import NewType, get_type_hints
 
 Rat = Fraction
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+# a gate field holding the index of an earlier gate in the same circuit
+Ref = NewType("Ref", int)
 
 
 # --- scalar construction and serialization ---
 
-def rat(num, den=None) -> Fraction:
-    """Build a Fraction from ints, strings or another Fraction."""
-    if den is None:
-        return Fraction(num)
-    return Fraction(num, den)
+def int_from_json(v) -> int:
+    """A JSON integer; rejects `true`/`false`, floats and strings."""
+    if type(v) is not int:
+        raise TypeError(f"expected JSON integer, got {type(v).__name__}")
+    return v
 
 
 def rat_from_str(s) -> Fraction:
     """Parse the "p/q" wire form (also accepts a bare integer)."""
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected rational string, got {type(s).__name__}")
@@ -50,6 +57,8 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def vec_from_strs(items) -> Vec:
+    if not isinstance(items, list):
+        raise TypeError(f"expected JSON list, got {type(items).__name__}")
     return [rat_from_str(s) for s in items]
 
 
@@ -58,11 +67,64 @@ def vec_to_strs(v: Vec) -> list[str]:
 
 
 def mat_from_strs(rows) -> Mat:
+    if not isinstance(rows, list):
+        raise TypeError(f"expected JSON list, got {type(rows).__name__}")
     return [vec_from_strs(r) for r in rows]
 
 
 def mat_to_strs(m: Mat) -> list[list[str]]:
     return [vec_to_strs(r) for r in m]
+
+
+# --- gate wire format ---
+#
+# A gate family is a set of frozen dataclasses plus a table
+# {gate class: (op name, wire keys in field order)}.  Field annotations
+# decide the wire form: Fraction fields travel as rational strings, int
+# and Ref fields as JSON integers, and Ref fields are the gate's operands.
+
+
+@cache
+def _wire_fields(cls) -> tuple[tuple[str, type], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+@cache
+def _operand_getter(cls):
+    # circuits check every gate's operands on construction, so this is a
+    # bare attribute fetch rather than a walk over the fields
+    names = tuple(name for name, t in _wire_fields(cls) if t is Ref)
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda g: (get(g),)
+    return attrgetter(*names) if names else lambda g: ()
+
+
+def gate_refs(g) -> tuple[int, ...]:
+    """Indices of the earlier gates that g reads."""
+    return _operand_getter(type(g))(g)
+
+
+def gate_to_json(g, table: dict) -> dict:
+    op, keys = table[type(g)]
+    doc = {"op": op}
+    for key, (name, t) in zip(keys, _wire_fields(type(g))):
+        value = getattr(g, name)
+        doc[key] = rat_to_str(value) if t is Fraction else value
+    return doc
+
+
+def gate_from_json(doc: dict, table: dict):
+    """Decode one gate; raises KeyError, TypeError or ValueError if malformed."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"gate must be a JSON object, got {type(doc).__name__}")
+    op = doc["op"]
+    for cls, (name, keys) in table.items():
+        if name == op:
+            return cls(*(rat_from_str(doc[key]) if t is Fraction else int_from_json(doc[key])
+                         for key, (_, t) in zip(keys, _wire_fields(cls))))
+    raise ValueError(f"unknown gate op {op!r}")
 
 
 # --- shapes and constructors ---
@@ -109,10 +171,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_scale(s: Fraction, v: Vec) -> Vec:
-    return [s * x for x in v]
-
-
 def vec_dot(u: Vec, v: Vec) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
@@ -136,15 +194,6 @@ def vec_mat(v: Vec, m: Mat) -> Vec:
     if len(v) != r:
         raise ValueError("dimension mismatch")
     return [sum((v[i] * m[i][j] for i in range(r)), Fraction(0)) for j in range(c)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise ValueError("dimension mismatch")
-    bt = transpose(b)
-    return [[vec_dot(row, col) for col in bt] for row in a]
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -220,7 +269,8 @@ def rank(m: Mat) -> int:
             for j in range(col, c):
                 num = rows[i][j] * p - fi * rows[pr][j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss exact-division invariant broken"
+                if rem:
+                    raise AssertionError("Bareiss exact-division invariant broken")
                 rows[i][j] = q
         prev = p
         pr += 1

@@ -21,10 +21,10 @@ inner/outer clamp gates of each output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Vec, rat_from_str, rat_to_str
+from .exactmath import Ref, Vec, gate_from_json, gate_refs, gate_to_json, int_from_json
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,31 +39,32 @@ class Const:
 
 @dataclass(frozen=True, slots=True)
 class Add:
-    a: int
-    b: int
+    a: Ref
+    b: Ref
 
 
 @dataclass(frozen=True, slots=True)
 class MulC:
     coeff: Fraction
-    a: int
+    a: Ref
 
 
 @dataclass(frozen=True, slots=True)
 class Max:
-    a: int
-    b: int
+    a: Ref
+    b: Ref
 
 
 Gate = Input | Const | Add | MulC | Max
 
-
-def _gate_refs(g: Gate):
-    if isinstance(g, (Add, Max)):
-        return (g.a, g.b)
-    if isinstance(g, MulC):
-        return (g.a,)
-    return ()
+# wire op name and JSON keys of every gate, keys in field order
+GATES = {
+    Input: ("input", ("i",)),
+    Const: ("const", ("v",)),
+    Add: ("add", ("a", "b")),
+    MulC: ("mulc", ("c", "a")),
+    Max: ("max", ("a", "b")),
+}
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class FixpCircuit:
         if self.k < 1:
             raise ValueError("circuit needs at least one input")
         for i, g in enumerate(self.gates):
-            for ref in _gate_refs(g):
+            for ref in gate_refs(g):
                 if not 0 <= ref < i:
                     raise ValueError(f"gate {i} references {ref}; only earlier gates allowed")
             if isinstance(g, Input) and not 0 <= g.index < self.k:
@@ -323,19 +324,8 @@ class Builder:
 # --- JSON wire format ---------------------------------------------------
 
 def circuit_to_json(c: FixpCircuit) -> dict:
-    gates = []
-    for g in c.gates:
-        if isinstance(g, Input):
-            gates.append({"op": "input", "i": g.index})
-        elif isinstance(g, Const):
-            gates.append({"op": "const", "v": rat_to_str(g.value)})
-        elif isinstance(g, Add):
-            gates.append({"op": "add", "a": g.a, "b": g.b})
-        elif isinstance(g, MulC):
-            gates.append({"op": "mulc", "c": rat_to_str(g.coeff), "a": g.a})
-        else:
-            gates.append({"op": "max", "a": g.a, "b": g.b})
-    doc = {"k": c.k, "gates": gates, "outputs": list(c.outputs)}
+    doc = {"k": c.k, "gates": [gate_to_json(g, GATES) for g in c.gates],
+           "outputs": list(c.outputs)}
     if c.normalized or c.clamped:
         doc["meta"] = {
             "max_zero_normalized": c.normalized,
@@ -346,25 +336,12 @@ def circuit_to_json(c: FixpCircuit) -> dict:
 
 
 def circuit_from_json(doc: dict) -> FixpCircuit:
-    gates: list[Gate] = []
-    for g in doc["gates"]:
-        op = g["op"]
-        if op == "input":
-            gates.append(Input(int(g["i"])))
-        elif op == "const":
-            gates.append(Const(rat_from_str(g["v"])))
-        elif op == "add":
-            gates.append(Add(int(g["a"]), int(g["b"])))
-        elif op == "mulc":
-            gates.append(MulC(rat_from_str(g["c"]), int(g["a"])))
-        elif op == "max":
-            gates.append(Max(int(g["a"]), int(g["b"])))
-        else:
-            raise ValueError(f"unknown gate op {op!r}")
-    meta = doc.get("meta", {})
+    meta = {"max_zero_normalized": False, "outputs_clamped": False, "clamp_pairs": [],
+            **doc.get("meta", {})}
     return FixpCircuit(
-        int(doc["k"]), tuple(gates), tuple(int(o) for o in doc["outputs"]),
-        normalized=bool(meta.get("max_zero_normalized", False)),
-        clamped=bool(meta.get("outputs_clamped", False)),
-        clamp_pairs=tuple((int(a), int(b)) for a, b in meta.get("clamp_pairs", [])),
+        int_from_json(doc["k"]), tuple(gate_from_json(g, GATES) for g in doc["gates"]),
+        tuple(int_from_json(o) for o in doc["outputs"]),
+        normalized=bool(meta["max_zero_normalized"]),
+        clamped=bool(meta["outputs_clamped"]),
+        clamp_pairs=tuple((int_from_json(a), int_from_json(b)) for a, b in meta["clamp_pairs"]),
     )

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
-    Mat, Vec, identity, is_upper_triangular, mat_add, mat_from_strs,
+    Mat, Vec, identity, int_from_json, is_upper_triangular, mat_add, mat_from_strs,
     mat_shape, mat_sub, mat_to_strs, mat_vec, outer, rank, transpose,
-    vec_from_strs, vec_mat, vec_to_strs, zeros_mat,
+    vec_from_strs, vec_to_strs, zeros_mat,
 )
 from .lp import ParamLP
 
@@ -391,9 +391,9 @@ def game_from_json(doc: dict) -> BimatrixGame:
     meta = doc["meta"]
     return BimatrixGame(
         mat_from_strs(doc["A"]), mat_from_strs(doc["B"]),
-        GameMeta(int(meta["m"]), int(meta["k"]),
+        GameMeta(int_from_json(meta["m"]), int_from_json(meta["k"]),
                  vec_from_strs(meta["c"]) if meta.get("c") else None,
-                 tuple(int(r) for r in meta["output_rows"]),
+                 tuple(int_from_json(r) for r in meta["output_rows"]),
                  meta["kind"]),
     )
 
@@ -410,5 +410,5 @@ def lcp_to_json(lcp: LcpInstance) -> dict:
 
 def lcp_from_json(doc: dict) -> LcpInstance:
     return LcpInstance(doc["block"], mat_from_strs(doc["M"]), vec_from_strs(doc["q"]),
-                       int(doc["m"]), int(doc["k"]),
-                       tuple(int(r) for r in doc["output_rows"]))
+                       int_from_json(doc["m"]), int_from_json(doc["k"]),
+                       tuple(int_from_json(r) for r in doc["output_rows"]))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactmath import (
-    Mat, Vec, mat_from_strs, mat_to_strs, mat_vec, transpose,
+    Mat, Vec, int_from_json, mat_from_strs, mat_to_strs, mat_vec, transpose,
     vec_from_strs, vec_to_strs, zeros_vec,
 )
 from .fixp import (
@@ -309,10 +309,10 @@ def lp_to_json(lp: ParamLP) -> dict:
 
 def lp_from_json(doc: dict) -> ParamLP:
     return ParamLP(
-        int(doc["m"]), int(doc["k"]), int(doc["n"]),
+        int_from_json(doc["m"]), int_from_json(doc["k"]), int_from_json(doc["n"]),
         mat_from_strs(doc["A"]), vec_from_strs(doc["b"]),
         [vec_from_strs(col) for col in doc["U"]],
-        tuple(int(r) for r in doc["output_rows"]),
+        tuple(int_from_json(r) for r in doc["output_rows"]),
         vec_from_strs(doc["c"]) if "c" in doc else None,
         vec_from_strs(doc["beta"]) if "beta" in doc else None,
     )

@@ -198,7 +198,9 @@ def enumerate_ne(A: Mat, B: Mat, max_dim: int = 12) -> EnumerationResult:
                 key = (tuple(x), tuple(y))
                 if key not in found:
                     bad = ne_violations(A, B, x, y)
-                    assert not bad, f"support-enumeration candidate fails checker: {bad[0]}"
+                    if bad:
+                        raise AssertionError(
+                            f"support-enumeration candidate fails checker: {bad[0]}")
                     found[key] = certificate(A, B, x, y)
     return EnumerationResult(tuple(found.values()), degenerate)
 
@@ -236,7 +238,8 @@ def enumerate_symmetric_ne(S: Mat, max_dim: int = 12) -> EnumerationResult:
             key = tuple(z)
             if key not in found:
                 bad = symmetric_ne_violations(S, z)
-                assert not bad, f"symmetric candidate fails checker: {bad[0]}"
+                if bad:
+                    raise AssertionError(f"symmetric candidate fails checker: {bad[0]}")
                 found[key] = SymCertificate(z, pi, tuple(v == pi for v in sz))
     return EnumerationResult(tuple(found.values()), degenerate)
 

@@ -1,11 +1,15 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nashforge import brouwer
 from nashforge.brouwer import (
     BAnd, BConst, BInput, BNot, BOr, BoolCircuit, Grid, GridTooLarge,
     IllegalPattern, InvalidBrouwerCircuit, bool_from_json, bool_to_json,
-    brute_force_fixtures, color_at, decode_case, discrete_map, encode_case,
-    eval_bool, increment, make_example_coloring, panchromatic_cubes,
+    boundary_color, brute_force_fixtures, color_at, decode_case, discrete_map,
+    encode_case, eval_bool, increment, make_example_coloring, panchromatic_cubes,
     validate_circuit,
 )
 
@@ -141,6 +145,17 @@ class TestValidation:
         reason = dict(report.violations)[(0, 0)]
         assert "boundary" in reason
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_boundary_rule_matches_2d_reading(self, n):
+        # the two-dimensional phrasing of the rule, read independently of
+        # the k-dimensional one: if p2=0 take 2, else if p1=0 take 1, else 0
+        grid = Grid(2, n)
+        for p in grid.points():
+            text_rule = None
+            if grid.on_boundary(p):
+                text_rule = 2 if p[1] == 0 else 1 if p[0] == 0 else 0
+            assert boundary_color(grid, p) == text_rule
+
     def test_grid_too_large(self):
         cb = constant_case_circuit(2, 2, 0)
         with pytest.raises(GridTooLarge):
@@ -207,10 +222,27 @@ class TestPanchromaticGeneric:
         assert (1, 0) in bases or (1, 1) in bases
 
 
+@st.composite
+def bool_circuits(draw):
+    """Random well-formed mapping circuits over every gate type."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gates = [draw(st.one_of(st.builds(BInput, st.integers(0, k * n - 1)),
+                            st.builds(BConst, st.integers(0, 1))))]
+    for _ in range(draw(st.integers(0, 12))):
+        ref = st.integers(0, len(gates) - 1)
+        gates.append(draw(st.one_of(
+            st.builds(BInput, st.integers(0, k * n - 1)), st.builds(BConst, st.integers(0, 1)),
+            st.builds(BAnd, ref, ref), st.builds(BOr, ref, ref), st.builds(BNot, ref))))
+    outputs = draw(st.lists(st.integers(0, len(gates) - 1), min_size=2 * k, max_size=2 * k))
+    return BoolCircuit(k, n, tuple(gates), tuple(outputs))
+
+
 class TestJson:
-    def test_roundtrip(self):
-        cb = make_example_coloring(Grid(2, 2))
-        assert bool_from_json(bool_to_json(cb)) == cb
+    @settings(deadline=None)
+    @given(bool_circuits())
+    @example(make_example_coloring(Grid(2, 2)))
+    def test_roundtrip(self, cb):
+        assert bool_from_json(json.loads(json.dumps(bool_to_json(cb)))) == cb
 
     def test_gate_encodings(self):
         cb = BoolCircuit(1, 1, (BInput(0), BNot(0), BConst(1), BAnd(1, 2), BOr(0, 3)),

@@ -125,6 +125,11 @@ class TestVerify:
         assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", "60"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_lemmas_mode_rejects_empty_battery(self, circuit_file, trials, capsys):
+        assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", trials]) == 2
+        assert "--trials" in capsys.readouterr().err
+
     def test_corrupted_game_fails_with_named_condition(self, circuit_file, tmp_path, capsys):
         game_path = tmp_path / "game.json"
         main(["reduce", circuit_file, "--target", "game", "-o", str(game_path)])
@@ -212,7 +217,84 @@ class TestOracleAndEval:
         assert main(["eval", circuit_file, "--at", "1/4,1/2"]) == 2
 
 
+def _first_gate(body, gate):
+    return {**body, "gates": [gate] + body["gates"][1:]}
+
+
+def _malformed(kind, body):
+    """Malformed variants of a well-formed `kind` body; None means no file."""
+    docs = {"missing_file": None, "not_an_object": [1, 2]}
+    if kind in ("circuit", "brouwer"):
+        docs["k_true"] = {**body, "k": True}
+        docs["input_index_list"] = _first_gate(body, {"op": "input", "i": [0]})
+        docs["gates_not_a_list"] = {**body, "gates": "x"}
+        docs["unknown_op"] = _first_gate(body, {"op": "xor", "a": 0})
+    elif kind == "game":
+        docs["meta_k_true"] = {**body, "meta": {**body["meta"], "k": True}}
+        docs["without_meta"] = {key: v for key, v in body.items() if key != "meta"}
+    elif kind == "compiled_meta":
+        docs["L_true"] = {**body, "L": True}
+    else:
+        docs["stage_not_an_object"] = {"stages": ["eval"]}
+    return docs
+
+
+WELL_FORMED = {
+    "circuit": fixp.circuit_to_json(one_minus_circuit()),
+    "brouwer": brouwer.bool_to_json(brouwer.make_example_coloring(brouwer.Grid(2, 1))),
+    "game": lcp.game_to_json(lcp.build_game(lcp.normalize(
+        lp.build_param_lp(one_minus_circuit())[0]))),
+    "compiled_meta": {"source_grid": {"k": 2, "n": 1}, "L": 32, "sample_count": 16,
+                      "shrunk": False},
+    "manifest": {"stages": [{"command": "eval", "input": "x.json", "args": {"at": "0"}}]},
+}
+
+# every way a command reads an artifact: its command line, with {bad} for
+# the artifact under test, and the kind it expects there
+READERS = {
+    "compile": (["compile", "{bad}", "-o", "{out}"], "brouwer"),
+    "oracle": (["oracle", "{bad}"], "brouwer"),
+    "reduce": (["reduce", "{bad}", "--target", "game", "-o", "{out}"], "circuit"),
+    "eval": (["eval", "{bad}", "--at", "0"], "circuit"),
+    "verify_circuit": (["verify", "{bad}"], "circuit"),
+    "verify_game": (["verify", "{bad}"], "game"),
+    "verify_approx_input": (["verify", "{bad}", "--mode", "approx", "--source", "{brouwer}",
+                             "--compiled-meta", "{compiled_meta}", "--points", "0,0"],
+                            "circuit"),
+    "verify_approx_source": (["verify", "{circuit}", "--mode", "approx", "--source", "{bad}",
+                              "--compiled-meta", "{compiled_meta}", "--points", "0,0"],
+                             "brouwer"),
+    "verify_approx_meta": (["verify", "{circuit}", "--mode", "approx", "--source",
+                            "{brouwer}", "--compiled-meta", "{bad}", "--points", "0,0"],
+                           "compiled_meta"),
+    "solve": (["solve", "{bad}"], "game"),
+    "pipeline": (["pipeline", "{bad}"], "manifest"),
+    "pipeline_stage": (["pipeline", "{manifest}"], "circuit"),
+}
+
+MALFORMED_CASES = [(reader, case) for reader, (_, kind) in READERS.items()
+                   for case in _malformed(kind, WELL_FORMED[kind])]
+
+
 class TestInputValidation:
+    @pytest.mark.parametrize("reader,case", MALFORMED_CASES,
+                             ids=[f"{r}-{c}" for r, c in MALFORMED_CASES])
+    def test_malformed_artifact_exits_2(self, reader, case, tmp_path, capsys):
+        argv, kind = READERS[reader]
+        bad = tmp_path / "bad.json"
+        doc = _malformed(kind, WELL_FORMED[kind])[case]
+        if doc is not None:
+            if isinstance(doc, dict):
+                doc = {"schema": SCHEMA, "kind": kind, **doc}
+            bad.write_text(json.dumps(doc))
+        paths = {name: write_json(tmp_path / f"{name}.json", name, body)
+                 for name, body in WELL_FORMED.items() if name != "manifest"}
+        paths["manifest"] = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "eval", "input": str(bad), "args": {"at": "0"}}]})
+        paths.update(bad=str(bad), out=str(tmp_path / "out.json"))
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["eval", "/nonexistent.json", "--at", "0"]) == 2
 

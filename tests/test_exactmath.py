@@ -150,7 +150,7 @@ class TestSerialization:
         assert em.rat_to_str(F(4, 2)) == "2"
 
     def test_rejects_garbage(self):
-        for bad in ["1/0", "1/-2", "a", "1/2/3"]:
+        for bad in ["1/0", "1/-2", "a", "1/2/3", True, 1.5, [1]]:
             with pytest.raises(ValueError):
                 em.rat_from_str(bad)
 

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashforge import fixp
 from nashforge.fixp import (
@@ -176,13 +179,35 @@ class TestSize:
         assert grown == 6 + 8
 
 
+@st.composite
+def builder_circuits(draw):
+    """Random Builder circuits, sometimes clamped and max-zero normalized."""
+    k = draw(st.integers(1, 3))
+    b = Builder(k)
+    refs = [b.input(i) for i in range(k)]
+    rats = st.fractions(-8, 8, max_denominator=16)
+    for _ in range(draw(st.integers(0, 10))):
+        op = draw(st.sampled_from(["const", "add", "mulc", "max"]))
+        ref = st.sampled_from(refs)
+        if op == "const":
+            refs.append(b.const(draw(rats)))
+        elif op == "mulc":
+            refs.append(b.mulc(draw(rats), draw(ref)))
+        else:
+            refs.append((b.add if op == "add" else b.maxg)(draw(ref), draw(ref)))
+    c = b.build([draw(st.sampled_from(refs)) for _ in range(k)])
+    if draw(st.booleans()):
+        c = clamp_outputs(c)
+    if draw(st.booleans()):
+        c = normalize_max_zero(c)
+    return c
+
+
 class TestJson:
-    def test_roundtrip(self, rng):
-        for _ in range(10):
-            c = normalize_max_zero(clamp_outputs(random_raw_circuit(rng, 2, 3)))
-            doc = circuit_to_json(c)
-            back = circuit_from_json(doc)
-            assert back == c
+    @settings(deadline=None)
+    @given(builder_circuits())
+    def test_roundtrip(self, c):
+        assert circuit_from_json(json.loads(json.dumps(circuit_to_json(c)))) == c
 
     def test_wire_format_fields(self):
         c = FixpCircuit(1, (Input(0), Const(F(-1, 2)), MulC(F(2), 0), Add(1, 2), Max(1, 3)),

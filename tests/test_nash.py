@@ -1,7 +1,13 @@
+import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import nashforge
 from nashforge import lcp, lp, nash
 from nashforge.nash import (
     DimensionTooLarge, RayTermination, check_fixed_point, check_ne,
@@ -190,3 +196,45 @@ class TestSymmetrizationInvariant:
             for cert in res.equilibria:
                 z = lcp.ne_to_symmetrized(cert.x, cert.y, cert.pi1, cert.pi2)
                 assert check_symmetric_ne(sym.S, z)
+
+
+# Each guard is forced to fire: the enumerators' checkers report a
+# violation, and divmod leaves a remainder inside Bareiss elimination.
+FORCED_GUARDS = """
+from fractions import Fraction as F
+from nashforge import exactmath, nash
+nash.ne_violations = lambda *args: ["forced"]
+nash.symmetric_ne_violations = lambda *args: ["forced"]
+exactmath.divmod = lambda a, b: (0, 1)
+for call in (lambda: nash.enumerate_ne([[F(1)]], [[F(1)]]),
+             lambda: nash.enumerate_symmetric_ne([[F(1)]]),
+             lambda: exactmath.rank([[F(1), F(2)], [F(3), F(4)]])):
+    try:
+        call()
+        print("silent")
+    except AssertionError as exc:
+        print("raised:", exc)
+"""
+
+
+class TestChecksSurviveOptimize:
+    def test_guards_raise_under_python_O(self):
+        src = str(Path(nashforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-O", "-c", FORCED_GUARDS],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: support-enumeration candidate fails checker: forced",
+            "raised: symmetric candidate fails checker: forced",
+            "raised: Bareiss exact-division invariant broken",
+        ]
+
+    def test_no_assert_statements_in_package(self):
+        package = Path(nashforge.__file__).resolve().parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
