@@ -144,10 +144,6 @@ def zeros_vec(n: int) -> Vec:
     return [Fraction(0)] * n
 
 
-def zeros_mat(r: int, c: int) -> Mat:
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
 def identity(n: int) -> Mat:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
@@ -200,16 +196,6 @@ def mat_add(a: Mat, b: Mat) -> Mat:
     if mat_shape(a) != mat_shape(b):
         raise ValueError("dimension mismatch")
     return [vec_add(ra, rb) for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    if mat_shape(a) != mat_shape(b):
-        raise ValueError("dimension mismatch")
-    return [vec_sub(ra, rb) for ra, rb in zip(a, b)]
-
-
-def outer(u: Vec, v: Vec) -> Mat:
-    return [[a * b for b in v] for a in u]
 
 
 # --- structure predicates ---

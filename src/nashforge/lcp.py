@@ -9,8 +9,9 @@ routes are implemented and cross-checked:
 * via the LP and its dual: the two-sided system with matrix
   [[0, H^T], [-H', 0]], paired with the (m+1)-strategy game
   (A~, B~) = ([[H^T, 0], [0^T, 1]], [[-H'^T, 0], [b^T + 1^T, 1]]),
-  whose payoff sum has rank at most k+1 and whose first matrix is
-  upper-triangular;
+  whose first matrix is upper-triangular and whose payoff sum
+  [[sum_l e_{r_l} u^l^T, 0], [b^T + 1^T, 2]] is zero outside the k output
+  rows and the slack row, so has rank at most k+1;
 * directly from the constraints: x >= 0, A'x >= b with complementarity,
   paired with the symmetric game S = [[-A', b+1], [0^T, 1]].
 
@@ -23,13 +24,12 @@ treat it as a hard alarm rather than filtering it away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactmath import (
-    Mat, Vec, identity, int_from_json, is_upper_triangular, mat_add, mat_from_strs,
-    mat_shape, mat_sub, mat_to_strs, mat_vec, outer, rank, transpose,
-    vec_from_strs, vec_to_strs, zeros_mat,
+    Mat, Vec, identity, int_from_json, is_upper_triangular, mat_from_strs, mat_shape,
+    mat_to_strs, mat_vec, transpose, vec_add, vec_from_strs, vec_to_strs,
 )
 from .lp import ParamLP
 
@@ -41,11 +41,10 @@ class LemmaFalsified(Exception):
 
 @dataclass(frozen=True)
 class NormalizedSystem:
-    """Cost-scaled constraints: H = A diag(1/c), Hp = H - sum_l u^l v^l^T."""
+    """Cost-scaled constraints: H = A diag(1/c), Hp = H - sum_l u^l e_{r_l}^T."""
 
     H: Mat
     Hp: Mat
-    V: list[Vec]
     b: Vec
     lp: ParamLP
 
@@ -53,23 +52,26 @@ class NormalizedSystem:
 def normalize(lp: ParamLP) -> NormalizedSystem:
     if lp.c is None:
         raise ValueError("cost vector missing; call with_cost first")
-    m, k = lp.m, lp.k
     for r in lp.output_rows:
         if lp.c[r] != 1:
             raise LemmaFalsified(
                 f"cost at output row {r} is {lp.c[r]}, not 1; upstream construction bug")
-    H = [[lp.A[i][j] / lp.c[j] for j in range(m)] for i in range(m)]
-    V = []
-    for l in range(k):
-        col = [Fraction(0)] * m
-        col[lp.output_rows[l]] = Fraction(1)
-        V.append(col)
-    Hp = H
-    for l in range(k):
-        Hp = mat_sub(Hp, outer(lp.U[l], V[l]))
-    ns = NormalizedSystem(H, Hp, V, list(lp.b), lp)
+    # c_r = 1 at every output row r, so scaling the columns of
+    # A' = A - sum_l u^l e_{r_l}^T gives Hp with no separate subtraction
+    ns = NormalizedSystem(_scale_columns(lp.A, lp.c), _scale_columns(direct_matrix(lp), lp.c),
+                          list(lp.b), lp)
     _assert_scaled_structure(ns)
     return ns
+
+
+def _scale_columns(M: Mat, c: Vec) -> Mat:
+    """M diag(1/c); zero entries, nearly all of them, are kept as they are."""
+    return [[v / cj if v else v for v, cj in zip(row, c)] for row in M]
+
+
+def _negated(row) -> Vec:
+    """-row, keeping the zero entries as they are."""
+    return [-v if v else v for v in row]
 
 
 def _assert_scaled_structure(ns: NormalizedSystem):
@@ -77,7 +79,7 @@ def _assert_scaled_structure(ns: NormalizedSystem):
     # constraint there reads y_row <= 1; the primal row reads
     # x_inner/c_inner + x_row >= 1.
     lp = ns.lp
-    for l, r in enumerate(lp.output_rows):
+    for r in lp.output_rows:
         col = [ns.H[i][r] for i in range(lp.m)]
         unit = [Fraction(1 if i == r else 0) for i in range(lp.m)]
         if col != unit:
@@ -122,32 +124,26 @@ class LcpInstance:
 def build_lcp_C(ns: NormalizedSystem) -> LcpInstance:
     """Two-sided system on z = (x, y): H'x >= b, H^T y <= 1, complementary."""
     lp = ns.lp
-    m = lp.m
-    M = zeros_mat(2 * m, 2 * m)
-    ht = transpose(ns.H)
-    for i in range(m):
-        for j in range(m):
-            M[i][m + j] = ht[i][j]
-            M[m + i][j] = -ns.Hp[i][j]
-    q = [Fraction(1)] * m + [-bi for bi in ns.b]
-    return LcpInstance("lcp_c", M, q, m, lp.k, lp.output_rows)
+    zero = [Fraction(0)] * lp.m
+    M = ([zero + list(col) for col in zip(*ns.H)]
+         + [_negated(row) + zero for row in ns.Hp])
+    q = [Fraction(1)] * lp.m + [-bi for bi in ns.b]
+    return LcpInstance("lcp_c", M, q, lp.m, lp.k, lp.output_rows)
 
 
 def direct_matrix(lp: ParamLP) -> Mat:
-    """A' = A - sum_l u^l v^l^T with plain unit vectors v^l."""
-    m, k = lp.m, lp.k
+    """A' = A - sum_l u^l e_{r_l}^T, r_l the output rows."""
     Ap = [row[:] for row in lp.A]
-    for l in range(k):
-        r = lp.output_rows[l]
-        for i in range(m):
-            Ap[i][r] -= lp.U[l][i]
+    for r, u in zip(lp.output_rows, lp.U):
+        for row, ui in zip(Ap, u):
+            row[r] -= ui
     return Ap
 
 
 def build_direct_lcp(lp: ParamLP) -> LcpInstance:
     """One-sided system on x alone: x >= 0, A'x >= b, complementary."""
     Ap = direct_matrix(lp)
-    M = [[-v for v in row] for row in Ap]
+    M = [_negated(row) for row in Ap]
     q = [-bi for bi in lp.b]
     return LcpInstance("direct", M, q, lp.m, lp.k, lp.output_rows)
 
@@ -222,40 +218,58 @@ class SymmetricGame:
 
 
 def build_game(ns: NormalizedSystem) -> BimatrixGame:
-    """The (m+1)-strategy game whose equilibria carry the LCP solutions."""
+    """The (m+1)-strategy game whose equilibria carry the LCP solutions.
+
+    Certifies that A is upper-triangular and that A + B has the shape
+    which bounds its rank by k+1 (see `_certify_payoff_sum`)."""
     lp = ns.lp
-    m, k = lp.m, lp.k
-    A = zeros_mat(m + 1, m + 1)
-    B = zeros_mat(m + 1, m + 1)
-    ht = transpose(ns.H)
-    hpt = transpose(ns.Hp)
-    for i in range(m):
-        for j in range(m):
-            A[i][j] = ht[i][j]
-            B[i][j] = -hpt[i][j]
-    A[m][m] = Fraction(1)
-    B[m][m] = Fraction(1)
-    for j in range(m):
-        B[m][j] = ns.b[j] + 1
-    game = BimatrixGame(A, B, GameMeta(m, k, list(lp.c), lp.output_rows, "rank_k_plus_1"))
+    m = lp.m
+    zero, one = Fraction(0), Fraction(1)
+    A = [list(col) + [zero] for col in zip(*ns.H)] + [[zero] * m + [one]]
+    B = ([_negated(col) + [zero] for col in zip(*ns.Hp)]
+         + [[bj + 1 for bj in ns.b] + [one]])
     if not is_upper_triangular(A):
         raise LemmaFalsified("first payoff matrix is not upper-triangular")
-    if rank(mat_add(A, B)) > k + 1:
-        raise LemmaFalsified(f"payoff sum rank exceeds {k + 1}")
-    return game
+    _certify_payoff_sum(A, B, lp)
+    return BimatrixGame(A, B, GameMeta(m, lp.k, list(lp.c), lp.output_rows, "rank_k_plus_1"))
+
+
+def _certify_payoff_sum(A: Mat, B: Mat, lp: ParamLP):
+    """Check A + B = [[sum_l e_{r_l} u^l^T, 0], [b^T + 1^T, 2]] exactly.
+
+    That matrix is zero outside the k output rows and the slack row, so
+    rank(A + B) <= k + 1 follows without an elimination."""
+    zero = [Fraction(0)] * (lp.m + 1)
+    want = {}
+    for r, u in zip(lp.output_rows, lp.U):
+        want[r] = vec_add(want.get(r, zero), u + [Fraction(0)])
+    want[lp.m] = [bj + 1 for bj in lp.b] + [Fraction(2)]
+    for i, (ra, rb) in enumerate(zip(A, B)):
+        expect = want.get(i)
+        if expect is None:
+            # a row the construction leaves zero: skip the pairs of zeros
+            bad = any(a + b for a, b in zip(ra, rb) if a or b)
+        else:
+            bad = vec_add(ra, rb) != expect
+        if bad:
+            raise LemmaFalsified(
+                f"row {i} of A + B differs from [[sum_l e_r u^l^T, 0], [b^T + 1^T, 2]];"
+                f" rank(A + B) <= {lp.k + 1} is not certified")
+
+
+def payoff_sum_rows(game: BimatrixGame) -> Mat:
+    """The rows of A + B at the output rows and the slack row.
+
+    `build_game` certifies that every other row is zero, so these at most
+    k+1 rows have the rank of A + B."""
+    return [vec_add(game.A[i], game.B[i]) for i in (*game.meta.output_rows, game.meta.m)]
 
 
 def build_symmetric_game(lp: ParamLP) -> SymmetricGame:
     """S = [[-A', b+1], [0^T, 1]]; symmetric equilibria carry the direct LCP."""
-    m, k = lp.m, lp.k
-    Ap = direct_matrix(lp)
-    S = zeros_mat(m + 1, m + 1)
-    for i in range(m):
-        for j in range(m):
-            S[i][j] = -Ap[i][j]
-        S[i][m] = lp.b[i] + 1
-    S[m][m] = Fraction(1)
-    return SymmetricGame(S, GameMeta(m, k, list(lp.c) if lp.c else None,
+    S = ([_negated(row) + [bi + 1] for row, bi in zip(direct_matrix(lp), lp.b)]
+         + [[Fraction(0)] * lp.m + [Fraction(1)]])
+    return SymmetricGame(S, GameMeta(lp.m, lp.k, list(lp.c) if lp.c else None,
                                      lp.output_rows, "symmetric"))
 
 
@@ -269,15 +283,8 @@ def symmetrize(A: Mat, B: Mat) -> SymmetricGame:
     ra, ca = mat_shape(A)
     if mat_shape(B) != (ra, ca):
         raise ValueError("payoff matrices must share a shape")
-    size = ra + ca
-    S = zeros_mat(size, size)
-    bt = transpose(B)
-    for i in range(ra):
-        for j in range(ca):
-            S[i][ra + j] = A[i][j]
-    for i in range(ca):
-        for j in range(ra):
-            S[ra + i][j] = bt[i][j]
+    S = ([[Fraction(0)] * ra + row for row in A]
+         + [list(col) + [Fraction(0)] * ca for col in zip(*B)])
     return SymmetricGame(S, GameMeta(ra, 0, None, (), "symmetric"))
 
 
@@ -304,19 +311,13 @@ def ne_to_symmetrized(x: Vec, y: Vec, pi1: Fraction, pi2: Fraction) -> Vec:
     return [alpha * v for v in x] + [beta * v for v in y]
 
 
-def imitation_game(S: SymmetricGame | Mat) -> BimatrixGame:
+def imitation_game(S: SymmetricGame) -> BimatrixGame:
     """The game (S, I): its second-player equilibrium strategies are the
     symmetric equilibria of (S, S^T)."""
-    if isinstance(S, SymmetricGame):
-        mat, meta = S.S, S.meta
-    else:
-        mat, meta = S, None
-    r, c = mat_shape(mat)
+    r, c = mat_shape(S.S)
     if r != c:
         raise ValueError("matrix must be square")
-    base = meta or GameMeta(r - 1, 0, None, (), "symmetric")
-    return BimatrixGame([row[:] for row in mat], identity(r),
-                        GameMeta(base.m, base.k, base.c, base.output_rows, "imitation"))
+    return BimatrixGame([row[:] for row in S.S], identity(r), replace(S.meta, kind="imitation"))
 
 
 # --- equilibrium <-> LCP <-> fixed point mappings ------------------------
@@ -389,13 +390,17 @@ def game_to_json(game: BimatrixGame | SymmetricGame) -> dict:
 
 def game_from_json(doc: dict) -> BimatrixGame:
     meta = doc["meta"]
-    return BimatrixGame(
-        mat_from_strs(doc["A"]), mat_from_strs(doc["B"]),
-        GameMeta(int_from_json(meta["m"]), int_from_json(meta["k"]),
-                 vec_from_strs(meta["c"]) if meta.get("c") else None,
-                 tuple(int_from_json(r) for r in meta["output_rows"]),
-                 meta["kind"]),
-    )
+    A, B = mat_from_strs(doc["A"]), mat_from_strs(doc["B"])
+    shape = (int_from_json(doc["rows"]), int_from_json(doc["cols"]))
+    if mat_shape(A) != shape or mat_shape(B) != shape:
+        raise ValueError(f"A and B must both be {shape[0]}x{shape[1]} (rows x cols)")
+    output_rows = tuple(int_from_json(r) for r in meta["output_rows"])
+    last = min(shape) - 2     # the last strategy is the slack
+    if not all(0 <= r <= last for r in output_rows):
+        raise ValueError(f"output rows {list(output_rows)} must lie in 0..{last}")
+    return BimatrixGame(A, B, GameMeta(int_from_json(meta["m"]), int_from_json(meta["k"]),
+                                       vec_from_strs(meta["c"]) if meta.get("c") else None,
+                                       output_rows, meta["kind"]))
 
 
 def lcp_to_json(lcp: LcpInstance) -> dict:

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from nashforge import brouwer, fixp, lcp, lp
+import nashforge
+from nashforge import brouwer, cli, exactmath, fixp, lcp, lp
 from nashforge.cli import SCHEMA, main
 
 from conftest import one_minus_circuit
@@ -103,6 +106,20 @@ class TestReduce:
         doc = json.loads(out.read_text())
         assert doc["meta"]["kind"] == "imitation"
         assert doc["B"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+    def test_game_rank_read_off_certificate_rows(self, fixture_file, tmp_path, monkeypatch,
+                                                 capsys):
+        circuit = str(tmp_path / "circuit.json")
+        assert main(["compile", fixture_file, "-o", circuit, "--no-grid-check"]) == 0
+        calls = []
+
+        def counting_rank(m):
+            calls.append(len(m))
+            return exactmath.rank(m)
+        monkeypatch.setattr(cli, "rank", counting_rank)
+        assert main(["reduce", circuit, "--target", "game", "-o", str(tmp_path / "g.json")]) == 0
+        assert "rank(A+B) = 3 <= k+1 = 3: PASS" in capsys.readouterr().out
+        assert calls == [3]    # one elimination, on the k+1 = 3 certificate rows
 
     def test_rerun_byte_identical(self, circuit_file, tmp_path):
         out = tmp_path / "game.json"
@@ -209,6 +226,17 @@ class TestOracleAndEval:
         assert doc["validation"] == "PASS"
         assert doc["panchromatic_cubes"][0]["base"] == [0, 0]
 
+    def test_oracle_validates_once(self, fixture_file, monkeypatch, capsys):
+        calls = []
+        validate = brouwer.validate_circuit
+
+        def counting_validate(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+        monkeypatch.setattr(brouwer, "validate_circuit", counting_validate)
+        assert main(["oracle", fixture_file]) == 0
+        assert len(calls) == 1
+
     def test_eval(self, circuit_file, capsys):
         assert main(["eval", circuit_file, "--at", "1/4"]) == 0
         assert json.loads(capsys.readouterr().out) == ["3/4"]
@@ -232,6 +260,9 @@ def _malformed(kind, body):
     elif kind == "game":
         docs["meta_k_true"] = {**body, "meta": {**body["meta"], "k": True}}
         docs["without_meta"] = {key: v for key, v in body.items() if key != "meta"}
+        docs["output_row_past_end"] = {**body, "meta": {**body["meta"], "output_rows": [7]}}
+        docs["output_row_negative"] = {**body, "meta": {**body["meta"], "output_rows": [-1]}}
+        docs["rows_mismatch"] = {**body, "rows": body["rows"] + 1}
     elif kind == "compiled_meta":
         docs["L_true"] = {**body, "L": True}
     else:
@@ -328,8 +359,12 @@ class TestPipeline:
 
 class TestConsoleEntry:
     def test_module_invocation(self, circuit_file):
+        # the child imports this same package, installed or not
+        src = str(Path(nashforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run([sys.executable, "-m", "nashforge", "eval",
                                circuit_file, "--at", "1/2"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == ["1/2"]

@@ -1,6 +1,10 @@
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashforge import exactmath as em
 from nashforge import lcp, lp, nash
@@ -36,13 +40,8 @@ class TestNormalize:
         P, _, ns = worked
         assert ns.Hp == frac_mat([[F(1, 2), -1], [F(1, 2), 1]])
 
-    def test_unit_substitution_columns(self, worked):
-        P, _, ns = worked
-        assert ns.V == [[F(0), F(1)]]
-
     def test_unit_cost_at_outputs_enforced(self, worked):
         P, _, _ = worked
-        from dataclasses import replace
         broken = replace(P, c=[F(2), F(2)])
         with pytest.raises(LemmaFalsified):
             normalize(broken)
@@ -55,7 +54,6 @@ class TestScaleSolution:
 
     def test_identity_when_cost_is_ones(self, worked):
         P, _, _ = worked
-        from dataclasses import replace
         unit = replace(P, c=[F(1), F(1)])
         assert scale_solution(unit, [F(1, 3), F(2, 3)]) == [F(1, 3), F(2, 3)]
 
@@ -167,6 +165,39 @@ class TestGames:
             assert em.rank(em.mat_add(game.A, game.B)) <= k + 1
 
 
+class TestPayoffSumCertificate:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2]))
+    def test_matches_dense_formulas(self, seed, k):
+        P, _ = lp.build_param_lp(random_raw_circuit(random.Random(seed), k, 3))
+        ns = normalize(P)
+        # H = A diag(1/c), Hp = H - sum_l u^l e_{r_l}^T, entry by entry
+        H = [[a / c for a, c in zip(row, P.c)] for row in P.A]
+        Hp = H
+        for r, u in zip(P.output_rows, P.U):
+            Hp = [[h - ui * (j == r) for j, h in enumerate(row)] for row, ui in zip(Hp, u)]
+        assert ns.H == H and ns.Hp == Hp
+        game = build_game(ns)
+        rows = lcp.payoff_sum_rows(game)
+        assert len(rows) <= k + 1
+        assert em.rank(em.mat_add(game.A, game.B)) == em.rank(rows) <= k + 1
+
+    def test_nonzero_row_outside_outputs_alarms(self, worked):
+        _, _, ns = worked
+        assert ns.lp.output_rows == (1,)
+        # Hp[1][0] sits in column 0, not an output column; it reaches B[0][1]
+        # and makes row 0 of A + B nonzero
+        Hp = [row[:] for row in ns.Hp]
+        Hp[1][0] += 1
+        with pytest.raises(LemmaFalsified, match=r"row 0 of A \+ B"):
+            build_game(replace(ns, Hp=Hp))
+
+    def test_slack_row_checked(self, worked):
+        _, _, ns = worked
+        with pytest.raises(LemmaFalsified, match=r"row 2 of A \+ B"):
+            build_game(replace(ns, b=[v + 1 for v in ns.b]))
+
+
 class TestNeLcpMappings:
     def test_worked_ne_to_lcp(self, worked):
         _, _, ns = worked
@@ -233,8 +264,8 @@ class TestFixedPointExtraction:
 
 class TestSymmetrize:
     def test_zero_games(self):
-        sym = symmetrize(em.zeros_mat(2, 2), em.zeros_mat(2, 2))
-        assert sym.S == em.zeros_mat(4, 4)
+        sym = symmetrize(frac_mat([[0, 0], [0, 0]]), frac_mat([[0, 0], [0, 0]]))
+        assert sym.S == frac_mat([[0] * 4] * 4)
 
     def test_worked_rank_doubles(self, worked):
         _, _, ns = worked
