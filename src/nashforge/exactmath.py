@@ -53,7 +53,7 @@ def rat_from_str(s) -> Fraction:
 
 
 def rat_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x)
 
 
 def vec_from_strs(items) -> Vec:

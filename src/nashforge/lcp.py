@@ -133,7 +133,7 @@ def build_lcp_C(ns: NormalizedSystem) -> LcpInstance:
 
 def direct_matrix(lp: ParamLP) -> Mat:
     """A' = A - sum_l u^l e_{r_l}^T, r_l the output rows."""
-    Ap = [row[:] for row in lp.A]
+    Ap = lp.A                 # a fresh dense view, free to change in place
     for r, u in zip(lp.output_rows, lp.U):
         for row, ui in zip(Ap, u):
             row[r] -= ui
@@ -412,8 +412,3 @@ def lcp_to_json(lcp: LcpInstance) -> dict:
         "output_rows": list(lcp.output_rows),
     }
 
-
-def lcp_from_json(doc: dict) -> LcpInstance:
-    return LcpInstance(doc["block"], mat_from_strs(doc["M"]), vec_from_strs(doc["q"]),
-                       int_from_json(doc["m"]), int_from_json(doc["k"]),
-                       tuple(int_from_json(r) for r in doc["output_rows"]))

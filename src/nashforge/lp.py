@@ -8,7 +8,8 @@ means exactly
     x_i >= 0,  x_i >= L_i,  x_i * (x_i - L_i) = 0.
 
 Dropping the complementarity line leaves the linear system
-A x >= sum_l lam_l u^l + b with A lower-triangular and unit diagonal.  The
+A x >= sum_l lam_l u^l + b with A lower-triangular and unit diagonal.  It
+is stored as its sparse rows x_i >= L_i; A, b and U are dense views.  The
 cost vector built here makes the complementarity line hold automatically
 at the optimum of
 
@@ -24,11 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
-from .exactmath import (
-    Mat, Vec, int_from_json, mat_from_strs, mat_to_strs, mat_vec, transpose,
-    vec_from_strs, vec_to_strs, zeros_vec,
-)
+from .exactmath import Mat, Vec, mat_to_strs, mat_vec, transpose, vec_to_strs, zeros_vec
 from .fixp import (
     Add, Const, FixpCircuit, Input, MulC, clamp_outputs, normalize_max_zero,
     order_max_gates,
@@ -75,26 +74,48 @@ class LinExpr:
 
 @dataclass(frozen=True)
 class ParamLP:
-    """Constraint system A x >= sum_l lam_l U[:,l] + b, with cost data.
+    """Constraint rows x_i >= L_i, i.e. A x >= sum_l lam_l U[:,l] + b, with cost data.
 
     m is the max-gate count, npre = m - 2k the count before clamping; the
     outer clamp gate of output l sits at row output_rows[l] (0-based).
-    U is stored as k columns of length m.
+    rows[i] is L_i, affine in x_0..x_{i-1} and the parameters.  A, b and U
+    (k columns of length m) are built from the rows on each access.
     """
 
     m: int
     k: int
     npre: int
-    A: Mat
-    b: Vec
-    U: list[Vec]
+    rows: tuple[LinExpr, ...]
     output_rows: tuple[int, ...]
     c: Vec | None = None
     beta: Vec | None = None
 
+    @property
+    def A(self) -> Mat:
+        """Dense A, row i = e_i minus the x-coefficients of L_i.  Every zero
+        entry is one shared object, which keeps the m^2 view small enough
+        to rebuild on each access."""
+        zero = Fraction(0)
+        A = []
+        for i, L in enumerate(self.rows):
+            row = [zero] * self.m
+            row[i] = Fraction(1)
+            for j, v in L.xs.items():
+                row[j] -= v
+            A.append(row)
+        return A
+
+    @property
+    def b(self) -> Vec:
+        return [L.const for L in self.rows]
+
+    @property
+    def U(self) -> list[Vec]:
+        return [[L.lam[l] for L in self.rows] for l in range(self.k)]
+
 
 def build_constraints(circ: FixpCircuit) -> ParamLP:
-    """Extract (A, b, U) from a normalized, clamped circuit."""
+    """Extract the rows x_i >= L_i from a normalized, clamped circuit."""
     order = order_max_gates(circ)     # also enforces the normalized/clamped pre
     row_of = {g: i for i, g in enumerate(order)}
     k = circ.k
@@ -122,22 +143,8 @@ def build_constraints(circ: FixpCircuit) -> ParamLP:
             rows_L[row] = operand
             exprs[idx] = LinExpr.variable(k, row)
 
-    A = [[Fraction(0)] * m for _ in range(m)]
-    b = zeros_vec(m)
-    U = [zeros_vec(m) for _ in range(k)]
-    for i in range(m):
-        L = rows_L[i]
-        A[i][i] = Fraction(1)
-        for j, v in L.xs.items():
-            if j >= i:
-                raise ValueError(f"row {i} references a later max gate {j}")
-            A[i][j] = -v
-        for l in range(k):
-            U[l][i] = L.lam[l]
-        b[i] = L.const
-
     output_rows = tuple(row_of[outer] for _, outer in circ.clamp_pairs)
-    lp = ParamLP(m, k, npre, A, b, U, output_rows)
+    lp = ParamLP(m, k, npre, tuple(rows_L), output_rows)
     problems = property_violations(lp)
     if problems:
         raise AssertionError("constructed LP violates structure: " + "; ".join(problems))
@@ -147,32 +154,32 @@ def build_constraints(circ: FixpCircuit) -> ParamLP:
 def property_violations(lp: ParamLP) -> list[str]:
     """Structural facts the construction must deliver.
 
-    Per output l with inner row i = npre+2l and outer row o = i+1
-    (0-based): row o reads x_i + x_o >= 1 with no parameter part, and
-    column o of A is the unit vector (the outer clamp value feeds
-    nothing).  With cost present, c_o = 1 as well.
+    Every row reads only earlier rows, so A is unit lower-triangular.  Per
+    output l with inner row i = npre+2l and outer row o = i+1 (0-based):
+    row o reads x_i + x_o >= 1 with no parameter part, and column o of A
+    is the unit vector (the outer clamp value feeds nothing).  With cost
+    present, c_o = 1 as well.
     """
     out = []
     m, k = lp.m, lp.k
     if lp.output_rows != tuple(lp.npre + 2 * l + 1 for l in range(k)):
         out.append(f"output rows {lp.output_rows} are not the outer clamp rows")
-    for i in range(m):
-        if lp.A[i][i] != 1:
-            out.append(f"diagonal entry {i} is {lp.A[i][i]}, not 1")
-        for j in range(i + 1, m):
-            if lp.A[i][j] != 0:
-                out.append(f"entry ({i},{j}) above the diagonal is nonzero")
+    for i, L in enumerate(lp.rows):
+        for j in L.xs:
+            if j >= i:
+                out.append(f"row {i} reads x_{j}, not an earlier row")
+    read = set().union(*(L.xs for L in lp.rows))
     for l in range(k):
         o = lp.npre + 2 * l + 1
         inner = o - 1
-        row = lp.A[o]
-        if row[inner] != 1 or any(row[j] != 0 for j in range(m) if j not in (inner, o)):
+        L = lp.rows[o]
+        if L.xs != {inner: -1}:
             out.append(f"clamp row {o} is not x_{inner} + x_{o}")
-        if lp.b[o] != 1:
-            out.append(f"clamp row {o} has threshold {lp.b[o]}, not 1")
-        if any(lp.U[lp2][o] != 0 for lp2 in range(k)):
+        if L.const != 1:
+            out.append(f"clamp row {o} has threshold {L.const}, not 1")
+        if any(L.lam):
             out.append(f"clamp row {o} carries a parameter coefficient")
-        if any(lp.A[i][o] != 0 for i in range(m) if i != o):
+        if o in read:
             out.append(f"column {o} of A is not the unit vector")
         if lp.c is not None and lp.c[o] != 1:
             out.append(f"cost entry {o} is {lp.c[o]}, not 1")
@@ -184,26 +191,27 @@ def property_violations(lp: ParamLP) -> list[str]:
     return out
 
 
-def construct_cost(A: Mat) -> tuple[Vec, Vec]:
+def construct_cost(rows: tuple[LinExpr, ...]) -> tuple[Vec, Vec]:
     """Backward recurrence for the cost vector c and its bound beta.
 
     c_m = beta_m = 1;  c_i = sum_{j>i} |a_ji| beta_j + 1;
-    beta_i = c_i + sum_{j>i} |a_ji| beta_j.
+    beta_i = c_i + sum_{j>i} |a_ji| beta_j.  The sums are pushed down from
+    each row j once beta_j is known, so the cost is O(nnz).
     """
-    m = len(A)
+    m = len(rows)
     c = zeros_vec(m)
     beta = zeros_vec(m)
-    c[m - 1] = Fraction(1)
-    beta[m - 1] = Fraction(1)
-    for i in range(m - 2, -1, -1):
-        below = sum((abs(A[j][i]) * beta[j] for j in range(i + 1, m)), Fraction(0))
-        c[i] = below + 1
-        beta[i] = c[i] + below
+    below = zeros_vec(m)      # sum_{j>i} |a_ji| beta_j over the rows j done so far
+    for i in range(m - 1, -1, -1):
+        c[i] = below[i] + 1
+        beta[i] = c[i] + below[i]
+        for j, v in rows[i].xs.items():
+            below[j] += abs(v) * beta[i]
     return c, beta
 
 
 def with_cost(lp: ParamLP) -> ParamLP:
-    c, beta = construct_cost(lp.A)
+    c, beta = construct_cost(lp.rows)
     return replace(lp, c=c, beta=beta)
 
 
@@ -221,38 +229,34 @@ def lam_rhs(lp: ParamLP, lam: Vec) -> Vec:
     """Right-hand side sum_l lam_l u^l + b."""
     if len(lam) != lp.k:
         raise ValueError(f"expected {lp.k} parameters")
-    rhs = list(lp.b)
-    for l in range(lp.k):
-        for i in range(lp.m):
-            rhs[i] += Fraction(lam[l]) * lp.U[l][i]
-    return rhs
+    lam = [Fraction(v) for v in lam]
+    return [sum(map(mul, lam, L.lam), L.const) for L in lp.rows]
 
 
 def solve_lp(lp: ParamLP, lam: Vec) -> Vec:
     """The unique optimum, by the forward recursion x_i = max{0, L_i}."""
-    rhs = lam_rhs(lp, lam)
     x = zeros_vec(lp.m)
-    for i in range(lp.m):
-        acc = rhs[i]
-        for j in range(i):
-            if lp.A[i][j] != 0:
-                acc -= lp.A[i][j] * x[j]
+    for i, (L, acc) in enumerate(zip(lp.rows, lam_rhs(lp, lam))):
+        for j, v in L.xs.items():
+            acc += v * x[j]
         x[i] = acc if acc > 0 else Fraction(0)
     return x
 
 
 def construct_dual(lp: ParamLP, lam: Vec, x: Vec) -> Vec:
-    """Complementary dual: y_r = 0 when x_r = 0, else the tightening value."""
+    """Complementary dual: y_r = 0 when x_r = 0, else the tightening value
+    y_r = c_r - sum_{j>r} a_jr y_j, the sum pushed down from each row j
+    once y_j is known."""
     if lp.c is None:
         raise ValueError("cost vector missing; call with_cost first")
     y = zeros_vec(lp.m)
+    below = zeros_vec(lp.m)   # -sum_{j>r} a_jr y_j over the rows j done so far
     for r in range(lp.m - 1, -1, -1):
         if x[r] == 0:
             continue
-        acc = lp.c[r]
-        for j in range(r + 1, lp.m):
-            acc -= lp.A[j][r] * y[j]
-        y[r] = acc
+        y[r] = lp.c[r] + below[r]
+        for j, v in lp.rows[r].xs.items():
+            below[j] += v * y[r]
     return y
 
 
@@ -262,7 +266,8 @@ def kkt_violations(lp: ParamLP, lam: Vec, x: Vec, y: Vec) -> list[str]:
         raise ValueError("cost vector missing; call with_cost first")
     out = []
     rhs = lam_rhs(lp, lam)
-    ax = mat_vec(lp.A, x)
+    A = lp.A
+    ax = mat_vec(A, x)
     for i in range(lp.m):
         if x[i] < 0:
             out.append(f"x_{i} negative")
@@ -270,7 +275,7 @@ def kkt_violations(lp: ParamLP, lam: Vec, x: Vec, y: Vec) -> list[str]:
             out.append(f"primal row {i} infeasible")
         if y[i] * (ax[i] - rhs[i]) != 0:
             out.append(f"dual complementarity fails at row {i}")
-    aty = mat_vec(transpose(lp.A), y)
+    aty = mat_vec(transpose(A), y)
     for i in range(lp.m):
         if y[i] < 0:
             out.append(f"y_{i} negative")
@@ -306,13 +311,3 @@ def lp_to_json(lp: ParamLP) -> dict:
         doc["beta"] = vec_to_strs(lp.beta)
     return doc
 
-
-def lp_from_json(doc: dict) -> ParamLP:
-    return ParamLP(
-        int_from_json(doc["m"]), int_from_json(doc["k"]), int_from_json(doc["n"]),
-        mat_from_strs(doc["A"]), vec_from_strs(doc["b"]),
-        [vec_from_strs(col) for col in doc["U"]],
-        tuple(int_from_json(r) for r in doc["output_rows"]),
-        vec_from_strs(doc["c"]) if "c" in doc else None,
-        vec_from_strs(doc["beta"]) if "beta" in doc else None,
-    )

@@ -86,19 +86,27 @@ class TestReduce:
         assert doc["A"] == [["-1", "1", "1"], ["-1", "-1", "2"], ["0", "0", "1"]]
 
     def test_lp_and_lcp_targets(self, circuit_file, tmp_path):
+        # no command reads these artifacts back, so the documents are pinned here
+        header = {"schema": SCHEMA}
         lp_out = tmp_path / "lp.json"
         assert main(["reduce", circuit_file, "--target", "lp", "-o", str(lp_out)]) == 0
-        P = lp.lp_from_json(json.loads(lp_out.read_text()))
-        assert P.c == [F(2), F(1)]
+        assert json.loads(lp_out.read_text()) == {
+            **header, "kind": "param_lp", "m": 2, "k": 1, "n": 0,
+            "A": [["1", "0"], ["1", "1"]], "b": ["0", "1"], "U": [["1", "0"]],
+            "output_rows": [1], "c": ["2", "1"], "beta": ["3", "1"]}
         lcp_out = tmp_path / "lcp.json"
         assert main(["reduce", circuit_file, "--target", "lcp", "-o", str(lcp_out)]) == 0
-        inst = lcp.lcp_from_json(json.loads(lcp_out.read_text()))
-        assert inst.kind == "lcp_c" and len(inst.M) == 4
+        assert json.loads(lcp_out.read_text()) == {
+            **header, "kind": "lcp", "block": "lcp_c", "m": 2, "k": 1, "output_rows": [1],
+            "M": [["0", "0", "1/2", "1/2"], ["0", "0", "0", "1"],
+                  ["-1/2", "1", "0", "0"], ["-1/2", "-1", "0", "0"]],
+            "q": ["1", "1", "0", "-1"]}
         direct_out = tmp_path / "lcp2.json"
         assert main(["reduce", circuit_file, "--target", "lcp", "--variant", "direct",
                      "-o", str(direct_out)]) == 0
-        inst2 = lcp.lcp_from_json(json.loads(direct_out.read_text()))
-        assert inst2.kind == "direct" and len(inst2.M) == 2
+        assert json.loads(direct_out.read_text()) == {
+            **header, "kind": "lcp", "block": "direct", "m": 2, "k": 1, "output_rows": [1],
+            "M": [["-1", "1"], ["-1", "-1"]], "q": ["0", "-1"]}
 
     def test_imitation_target(self, circuit_file, tmp_path):
         out = tmp_path / "imi.json"

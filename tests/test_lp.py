@@ -1,12 +1,16 @@
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nashforge import fixp, lp
-from nashforge.fixp import clamp_outputs, evaluate_with_trace, normalize_max_zero, order_max_gates
+from nashforge import exactmath, fixp
+from nashforge.fixp import evaluate_with_trace, order_max_gates
 from nashforge.lp import (
-    build_constraints, build_param_lp, check_kkt, construct_cost, construct_dual,
-    eval_flp, lp_from_json, lp_to_json, property_violations, solve_lp, with_cost,
+    LinExpr, build_constraints, build_param_lp, check_kkt, construct_cost, construct_dual,
+    eval_flp, lam_rhs, lp_to_json, property_violations, solve_lp,
 )
 
 from conftest import one_minus_circuit, random_lambda, random_raw_circuit, swap_circuit
@@ -14,6 +18,45 @@ from conftest import one_minus_circuit, random_lambda, random_raw_circuit, swap_
 
 def frac_mat(rows):
     return [[F(v) for v in row] for row in rows]
+
+
+def rows_of(A):
+    """The rows x_i >= L_i of a unit lower-triangular A (no parameters, b = 0)."""
+    return tuple(LinExpr({j: -v for j, v in enumerate(row[:i]) if v}, (), F(0))
+                 for i, row in enumerate(A))
+
+
+# --- dense referees: the recurrences over all m^2 entries of A ---
+
+def dense_cost(A):
+    m = len(A)
+    c = [F(0)] * m
+    beta = [F(0)] * m
+    c[m - 1] = beta[m - 1] = F(1)
+    for i in range(m - 2, -1, -1):
+        below = sum((abs(A[j][i]) * beta[j] for j in range(i + 1, m)), F(0))
+        c[i] = below + 1
+        beta[i] = c[i] + below
+    return c, beta
+
+
+def dense_solve(A, rhs):
+    """Forward substitution x_i = max{0, rhs_i - sum_{j<i} a_ij x_j}."""
+    x = []
+    for i, row in enumerate(A):
+        acc = rhs[i] - sum((row[j] * x[j] for j in range(i)), F(0))
+        x.append(max(acc, F(0)))
+    return x
+
+
+def dense_dual(A, c, x):
+    """Backward substitution y_r = c_r - sum_{j>r} a_jr y_j where x_r > 0, else 0."""
+    m = len(A)
+    y = [F(0)] * m
+    for r in range(m - 1, -1, -1):
+        if x[r] != 0:
+            y[r] = c[r] - sum((A[j][r] * y[j] for j in range(r + 1, m)), F(0))
+    return y
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +79,6 @@ class TestBuildConstraints:
         P, _ = worked
         assert P.b[1] == 1 and P.U[0][1] == 0
 
-    def test_diagonal_always_ones(self, rng):
-        for _ in range(20):
-            k = rng.randint(1, 2)
-            circ = normalize_max_zero(clamp_outputs(random_raw_circuit(rng, k, 4)))
-            P = build_constraints(circ)
-            assert all(P.A[i][i] == 1 for i in range(P.m))
-
     def test_requires_prepared_circuit(self):
         with pytest.raises(ValueError):
             build_constraints(one_minus_circuit())
@@ -50,19 +86,45 @@ class TestBuildConstraints:
 
 class TestConstructCost:
     def test_base_case(self):
-        c, beta = construct_cost(frac_mat([[1]]))
+        a = frac_mat([[1]])
+        c, beta = construct_cost(rows_of(a))
         assert c == [F(1)] and beta == [F(1)]
+        assert dense_cost(a) == (c, beta)
 
     def test_worked_two_by_two(self):
-        c, beta = construct_cost(frac_mat([[1, 0], [1, 1]]))
+        a = frac_mat([[1, 0], [1, 1]])
+        c, beta = construct_cost(rows_of(a))
         assert c == [F(2), F(1)]
         assert beta == [F(3), F(1)]
+        assert dense_cost(a) == (c, beta)
 
     def test_hand_trace_three_by_three(self):
         a = frac_mat([[1, 0, 0], [2, 1, 0], [-1, 3, 1]])
-        c, beta = construct_cost(a)
+        c, beta = construct_cost(rows_of(a))
         assert c == [F(16), F(4), F(1)]
         assert beta == [F(31), F(7), F(1)]
+        assert dense_cost(a) == (c, beta)
+
+
+class TestSparseMatchesDense:
+    """The O(nnz) recurrences over the rows agree with the dense referees
+    run on the views A, b and U."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2]),
+           lam=st.lists(st.fractions(-3, 3, max_denominator=8), min_size=2, max_size=2))
+    def test_cost_solve_and_dual(self, seed, k, lam):
+        P, _ = build_param_lp(random_raw_circuit(random.Random(seed), k, 4))
+        lam = lam[:k]
+        A = P.A
+        assert exactmath.is_unit_lower_triangular(A)
+        assert (P.c, P.beta) == dense_cost(A)
+        rhs = [bi + sum((v * u[i] for v, u in zip(lam, P.U)), F(0))
+               for i, bi in enumerate(P.b)]
+        assert lam_rhs(P, lam) == rhs
+        x = solve_lp(P, lam)
+        assert x == dense_solve(A, rhs)
+        assert construct_dual(P, lam, x) == dense_dual(A, P.c, x)
 
 
 class TestSolveLp:
@@ -193,7 +255,71 @@ class TestProperties:
             assert total_bits <= 4 * s * s
 
 
+class TestPropertyViolations:
+    """Each structural fault, planted alone, is reported by its own message."""
+
+    @staticmethod
+    def lps():
+        return build_param_lp(one_minus_circuit())[0], build_param_lp(swap_circuit())[0]
+
+    @staticmethod
+    def with_row(P, i, L):
+        rows = list(P.rows)
+        rows[i] = L
+        return replace(P, rows=tuple(rows))
+
+    def test_row_reads_itself(self):
+        P, _ = self.lps()
+        bad = self.with_row(P, 0, LinExpr({0: F(1)}, P.rows[0].lam, P.rows[0].const))
+        assert property_violations(bad) == ["row 0 reads x_0, not an earlier row"]
+
+    def test_row_reads_later_row(self):
+        _, S = self.lps()
+        bad = self.with_row(S, 0, LinExpr({2: F(1)}, S.rows[0].lam, S.rows[0].const))
+        assert property_violations(bad) == ["row 0 reads x_2, not an earlier row"]
+
+    def test_clamp_row_shape(self):
+        P, _ = self.lps()
+        L = P.rows[1]
+        bad = self.with_row(P, 1, LinExpr({0: F(-2)}, L.lam, L.const))
+        assert property_violations(bad) == ["clamp row 1 is not x_0 + x_1"]
+
+    def test_clamp_threshold(self):
+        P, _ = self.lps()
+        L = P.rows[1]
+        bad = self.with_row(P, 1, LinExpr(L.xs, L.lam, F(2)))
+        assert property_violations(bad) == ["clamp row 1 has threshold 2, not 1"]
+
+    def test_clamp_parameter_coefficient(self):
+        P, _ = self.lps()
+        L = P.rows[1]
+        bad = self.with_row(P, 1, LinExpr(L.xs, (F(1),), L.const))
+        assert property_violations(bad) == ["clamp row 1 carries a parameter coefficient"]
+
+    def test_other_row_reads_output_column(self):
+        _, S = self.lps()
+        L = S.rows[2]
+        bad = self.with_row(S, 2, LinExpr({**L.xs, 1: F(1)}, L.lam, L.const))
+        assert property_violations(bad) == ["column 1 of A is not the unit vector"]
+
+    def test_output_cost_not_one(self):
+        _, S = self.lps()
+        c = list(S.c)
+        c[1] = F(2)
+        assert property_violations(replace(S, c=c)) == ["cost entry 1 is 2, not 1"]
+
+    def test_cost_below_one(self):
+        P, _ = self.lps()
+        c = list(P.c)
+        c[0] = F(1, 2)
+        assert property_violations(replace(P, c=c)) == ["cost entries must be >= 1"]
+
+
 class TestJson:
-    def test_roundtrip(self, worked):
+    def test_one_minus_document(self, worked):
         P, _ = worked
-        assert lp_from_json(lp_to_json(P)) == P
+        assert lp_to_json(P) == {
+            "m": 2, "k": 1, "n": 0,
+            "A": [["1", "0"], ["1", "1"]], "b": ["0", "1"], "U": [["1", "0"]],
+            "output_rows": [1], "c": ["2", "1"], "beta": ["3", "1"],
+        }
