@@ -61,10 +61,10 @@ class Grid:
     def points(self):
         return itertools.product(range(self.side), repeat=self.k)
 
-    def check_exhaustive(self, limit_bits: int = EXHAUSTIVE_BIT_LIMIT):
-        if self.k * self.n > limit_bits:
-            raise GridTooLarge(
-                f"grid has {self.k * self.n} input bits; exhaustive limit is {limit_bits}")
+    def check_exhaustive(self):
+        if self.k * self.n > EXHAUSTIVE_BIT_LIMIT:
+            raise GridTooLarge(f"grid has {self.k * self.n} input bits; "
+                               f"exhaustive limit is {EXHAUSTIVE_BIT_LIMIT}")
 
 
 # --- Boolean circuits ---
@@ -235,13 +235,10 @@ class ValidityReport:
     violations: tuple[tuple[tuple[int, ...], str], ...]
 
 
-def validate_circuit(cb: BoolCircuit, grid: Grid | None = None,
-                     limit_bits: int = EXHAUSTIVE_BIT_LIMIT) -> ValidityReport:
+def validate_circuit(cb: BoolCircuit) -> ValidityReport:
     """Exhaustively check legality and boundary rules at every grid point."""
-    grid = grid or cb.grid
-    if (grid.k, grid.n) != (cb.k, cb.n):
-        raise ValueError("grid does not match circuit dimensions")
-    grid.check_exhaustive(limit_bits)
+    grid = cb.grid
+    grid.check_exhaustive()
     violations = []
     for p in grid.points():
         try:
@@ -268,11 +265,10 @@ class PanchromaticCube:
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def panchromatic_cubes(color_fn, grid: Grid,
-                       limit_bits: int = EXHAUSTIVE_BIT_LIMIT) -> list[PanchromaticCube]:
+def panchromatic_cubes(color_fn, grid: Grid) -> list[PanchromaticCube]:
     """All unit cubes whose vertices carry all k+1 colors, with every
     panchromatic simplex (one vertex per color) inside each."""
-    grid.check_exhaustive(limit_bits)
+    grid.check_exhaustive()
     k = grid.k
     found = []
     offsets = list(itertools.product((0, 1), repeat=k))
@@ -290,15 +286,13 @@ def panchromatic_cubes(color_fn, grid: Grid,
     return found
 
 
-def brute_force_fixtures(cb: BoolCircuit, grid: Grid | None = None,
-                         limit_bits: int = EXHAUSTIVE_BIT_LIMIT) -> list[PanchromaticCube]:
+def brute_force_fixtures(cb: BoolCircuit) -> list[PanchromaticCube]:
     """Panchromatic cubes of a circuit's coloring; validates the circuit first."""
-    grid = grid or cb.grid
-    report = validate_circuit(cb, grid, limit_bits)
+    report = validate_circuit(cb)
     if not report.ok:
         p, reason = report.violations[0]
         raise InvalidBrouwerCircuit(f"invalid at {p}: {reason}")
-    return panchromatic_cubes(lambda p: color_at(cb, p), grid, limit_bits)
+    return panchromatic_cubes(lambda p: color_at(cb, p), cb.grid)
 
 
 # --- fixture generator ---

@@ -101,6 +101,14 @@ def _save(path: str, kind: str, body: dict):
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _param_lp(path: str, circ: FixpCircuit) -> tuple[lp.ParamLP, FixpCircuit]:
+    """The circuit's LP; a circuit that cannot be reduced is an InputError naming path."""
+    try:
+        return lp.build_param_lp(circ)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
+
+
 def _parse_point(text: str) -> list[Fraction]:
     try:
         return [rat_from_str(part.strip()) for part in text.split(",")]
@@ -145,7 +153,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    P, _ = lp.build_param_lp(_load(args.input, "circuit"))
+    P, _ = _param_lp(args.input, _load(args.input, "circuit"))
     lines = [f"m={P.m} k={P.k} n={P.npre}"]
     problems = lp.property_violations(P)
     lines.append("structure checks P1-P3: " + ("PASS" if not problems else "FAIL " + problems[0]))
@@ -183,8 +191,8 @@ def _check(checks: list, name: str, ok: bool, detail: str = ""):
     print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
 
 
-def _verify_circuit_lemmas(circ: FixpCircuit, seed: int, trials: int, checks: list):
-    P, prepared = lp.build_param_lp(circ)
+def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, trials: int,
+                           checks: list):
     rng = random.Random(seed)
     ns = lcp.normalize(P)
     game = lcp.build_game(ns)
@@ -266,8 +274,7 @@ def _verify_circuit_lemmas(circ: FixpCircuit, seed: int, trials: int, checks: li
     _check(checks, "imitation_second_strategies", second == sym_set)
 
 
-def _verify_roundtrip(circ: FixpCircuit, checks: list):
-    P, prepared = lp.build_param_lp(circ)
+def _verify_roundtrip(P: lp.ParamLP, prepared: FixpCircuit, checks: list):
     ns = lcp.normalize(P)
     game = lcp.build_game(ns)
     res = nash.enumerate_ne(game.A, game.B)
@@ -342,9 +349,10 @@ def cmd_verify(args) -> int:
             if isinstance(artifact, lcp.BimatrixGame):
                 _verify_game(artifact, checks)
             elif args.mode == "roundtrip":
-                _verify_roundtrip(artifact, checks)
+                _verify_roundtrip(*_param_lp(args.input, artifact), checks)
             else:
-                _verify_circuit_lemmas(artifact, args.seed, args.trials, checks)
+                _verify_circuit_lemmas(*_param_lp(args.input, artifact), args.seed, args.trials,
+                                       checks)
     except lcp.LemmaFalsified as exc:
         _check(checks, "lemma_falsification_alarm", False, str(exc))
         alarm = True

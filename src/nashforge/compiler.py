@@ -142,15 +142,12 @@ def simulate_bool(cb: BoolCircuit) -> FixpCircuit:
     return FixpCircuit(cb.k * cb.n, tuple(b.gates), tuple(outs))
 
 
-def compile_brouwer(cb: BoolCircuit, grid: Grid | None = None,
-                    params: SamplingParams | None = None,
+def compile_brouwer(cb: BoolCircuit, params: SamplingParams | None = None,
                     validate: bool = True) -> CompiledFunction:
     """Build the sampled piecewise-linear extension of the discrete map."""
-    grid = grid or cb.grid
-    if (grid.k, grid.n) != (cb.k, cb.n):
-        raise ValueError("grid does not match circuit dimensions")
+    grid = cb.grid
     if validate:
-        report = brouwer.validate_circuit(cb, grid)
+        report = brouwer.validate_circuit(cb)
         if not report.ok:
             p, reason = report.violations[0]
             raise brouwer.InvalidBrouwerCircuit(f"invalid at {p}: {reason}")
@@ -255,7 +252,7 @@ def classify_position(p: Vec, L: int) -> PositionClass:
     return PositionClass(tuple(flags))
 
 
-def sample_set(p: Vec, k: int, params: SamplingParams) -> list[list[Fraction]]:
+def sample_set(p: Vec, params: SamplingParams) -> list[list[Fraction]]:
     """The sampled points p + (j-1)/L along the all-ones diagonal."""
     return [[Fraction(x) + Fraction(j, params.L) for x in p]
             for j in range(params.sample_count)]
@@ -331,7 +328,7 @@ def extract_panchromatic_simplex(p: Vec, cf: CompiledFunction,
     eps = Fraction(eps) if eps is not None else Fraction(1, cf.params.L)
     if not check_approx_fixed_point(cf, p, eps):
         raise NotPanchromatic(f"point is not a {eps}-approximate fixed point")
-    samples = sample_set(p, cf.grid.k, cf.params)
+    samples = sample_set(p, cf.params)
     flags = [classify_position(s, cf.params.L).all_well for s in samples]
     return panchromatic_from_samples(
         samples, flags, lambda q: brouwer.color_at(cf.source, q), cf.grid)
@@ -339,8 +336,7 @@ def extract_panchromatic_simplex(p: Vec, cf: CompiledFunction,
 
 # --- exhaustive grid-restriction check -----------------------------------
 
-def grid_restriction_violations(cf: CompiledFunction,
-                                limit_bits: int = brouwer.EXHAUSTIVE_BIT_LIMIT) -> list:
+def grid_restriction_violations(cf: CompiledFunction) -> list:
     """Points where F disagrees with the discrete map (empty when correct).
 
     On an integer grid point every sample is well positioned and shares
@@ -349,7 +345,7 @@ def grid_restriction_violations(cf: CompiledFunction,
     """
     if cf.shrunk:
         raise ValueError("grid restriction applies to the unshrunk function")
-    cf.grid.check_exhaustive(limit_bits)
+    cf.grid.check_exhaustive()
     bad = []
     for p in cf.grid.points():
         expected = brouwer.discrete_map(cf.source, p)

@@ -284,6 +284,18 @@ def solve_unit_lower_triangular(a: Mat, rhs: Vec) -> Vec:
     return x
 
 
+def pivot(t: Mat, r: int, s: int) -> None:
+    """Gauss-Jordan step in place: scale row r so that t[r][s] = 1, then
+    clear column s from every other row that is nonzero there.  Zero
+    entries of row r leave the matching entries untouched."""
+    p = t[r][s]
+    row = t[r] = [x / p if x else x for x in t[r]]
+    for i, other in enumerate(t):
+        f = other[s]
+        if f and i != r:
+            t[i] = [x - f * y if y else x for x, y in zip(other, row)]
+
+
 def solve_linear_system(a: Mat, b: Vec) -> tuple[str, Vec | None]:
     """Solve A·x = b exactly.
 
@@ -302,12 +314,7 @@ def solve_linear_system(a: Mat, b: Vec) -> tuple[str, Vec | None]:
         if piv is None:
             continue
         aug[pr], aug[piv] = aug[piv], aug[pr]
-        pv = aug[pr][col]
-        aug[pr] = [x / pv for x in aug[pr]]
-        for i in range(r):
-            if i != pr and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[pr])]
+        pivot(aug, pr, col)
         piv_cols.append(col)
         pr += 1
         if pr == r:

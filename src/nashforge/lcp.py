@@ -398,7 +398,11 @@ def game_from_json(doc: dict) -> BimatrixGame:
     last = min(shape) - 2     # the last strategy is the slack
     if not all(0 <= r <= last for r in output_rows):
         raise ValueError(f"output rows {list(output_rows)} must lie in 0..{last}")
-    return BimatrixGame(A, B, GameMeta(int_from_json(meta["m"]), int_from_json(meta["k"]),
+    k = int_from_json(meta["k"])
+    if len(output_rows) != k:
+        # the rank bound k + 1 is read from meta.k, so it must be the game's own
+        raise ValueError(f"meta.k is {k}, but output_rows has {len(output_rows)} entries")
+    return BimatrixGame(A, B, GameMeta(int_from_json(meta["m"]), k,
                                        vec_from_strs(meta["c"]) if meta.get("c") else None,
                                        output_rows, meta["kind"]))
 

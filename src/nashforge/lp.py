@@ -216,13 +216,22 @@ def with_cost(lp: ParamLP) -> ParamLP:
 
 
 def build_param_lp(circ: FixpCircuit) -> tuple[ParamLP, FixpCircuit]:
-    """Clamp, normalize and reduce a raw circuit; returns (LP, prepared circuit)."""
-    prepared = circ
-    if not prepared.clamped:
-        prepared = clamp_outputs(prepared)
+    """Clamp, normalize and reduce a raw circuit; returns (LP, prepared circuit).
+
+    A circuit that arrives clamped names its own clamp pairs, so an LP
+    that then violates the structure is bad input (ValueError); on a
+    circuit clamped here it stays a construction fault (AssertionError).
+    """
+    prepared = circ if circ.clamped else clamp_outputs(circ)
     if not prepared.normalized:
         prepared = normalize_max_zero(prepared)
-    return with_cost(build_constraints(prepared)), prepared
+    try:
+        lp = build_constraints(prepared)
+    except AssertionError as exc:
+        if not circ.clamped:
+            raise
+        raise ValueError(f"circuit claims clamped outputs, but its {exc}") from None
+    return with_cost(lp), prepared
 
 
 def lam_rhs(lp: ParamLP, lam: Vec) -> Vec:

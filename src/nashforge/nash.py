@@ -20,7 +20,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Mat, Vec, mat_shape, mat_vec, solve_linear_system, vec_mat
+from .exactmath import (
+    Mat, Vec, mat_shape, mat_vec, pivot, solve_linear_system, transpose, vec_dot, vec_mat,
+)
 from .fixp import FixpCircuit, evaluate
 
 
@@ -32,21 +34,22 @@ class RayTermination(Exception):
     """Complementary pivoting left the polytope along a ray."""
 
 
+# enumeration is exponential in the dimension; larger games are refused
+MAX_DIM = 12
+
+
 @dataclass(frozen=True)
 class NeCertificate:
     x: Vec
     y: Vec
     pi1: Fraction
     pi2: Fraction
-    tight_rows: tuple[bool, ...]
-    tight_cols: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
 class SymCertificate:
     z: Vec
     pi: Fraction
-    tight: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -57,12 +60,19 @@ class EnumerationResult:
 
 # --- checkers ------------------------------------------------------------
 
-def _simplex_violations(v: Vec, name: str) -> list[str]:
+def _best_response_violations(w: Vec, payoffs: Vec, name: str) -> list[str]:
+    """w is a mixed strategy, and only best responses to `payoffs` carry weight."""
+    if any(v < 0 for v in w):
+        return [f"{name} weights include a negative one"]
+    if sum(w) != 1:
+        return [f"{name} weights sum to {sum(w)}, not 1"]
+    pi = vec_dot(w, payoffs)
     out = []
-    if any(p < 0 for p in v):
-        out.append(f"{name} has a negative weight")
-    if sum(v) != 1:
-        out.append(f"{name} weights sum to {sum(v)}, not 1")
+    for i, (wi, v) in enumerate(zip(w, payoffs)):
+        if v > pi:
+            out.append(f"{name} {i} pays {v} > {pi}: profitable deviation")
+        if wi * (v - pi) != 0:
+            out.append(f"{name} complementarity fails at {i}")
     return out
 
 
@@ -73,24 +83,8 @@ def ne_violations(A: Mat, B: Mat, x: Vec, y: Vec) -> list[str]:
         raise ValueError("payoff matrices must share a shape")
     if len(x) != r or len(y) != c:
         raise ValueError("profile dimensions do not match the game")
-    out = _simplex_violations(x, "row strategy") + _simplex_violations(y, "column strategy")
-    if out:
-        return out
-    ay = mat_vec(A, y)
-    xb = vec_mat(x, B)
-    pi1 = sum((xi * v for xi, v in zip(x, ay)), Fraction(0))
-    pi2 = sum((yj * v for yj, v in zip(y, xb)), Fraction(0))
-    for i in range(r):
-        if ay[i] > pi1:
-            out.append(f"row {i} pays {ay[i]} > {pi1}: profitable deviation")
-        if x[i] * (ay[i] - pi1) != 0:
-            out.append(f"row complementarity fails at {i}")
-    for j in range(c):
-        if xb[j] > pi2:
-            out.append(f"column {j} pays {xb[j]} > {pi2}: profitable deviation")
-        if y[j] * (xb[j] - pi2) != 0:
-            out.append(f"column complementarity fails at {j}")
-    return out
+    return (_best_response_violations(x, mat_vec(A, y), "row")
+            + _best_response_violations(y, vec_mat(x, B), "column"))
 
 
 def check_ne(A: Mat, B: Mat, x: Vec, y: Vec) -> bool:
@@ -103,49 +97,51 @@ def symmetric_ne_violations(S: Mat, z: Vec) -> list[str]:
         raise ValueError("matrix must be square")
     if len(z) != r:
         raise ValueError("profile dimension does not match the game")
-    out = _simplex_violations(z, "strategy")
-    if out:
-        return out
-    sz = mat_vec(S, z)
-    pi = sum((zi * v for zi, v in zip(z, sz)), Fraction(0))
-    for i in range(r):
-        if sz[i] > pi:
-            out.append(f"strategy {i} pays {sz[i]} > {pi}: profitable deviation")
-        if z[i] * (sz[i] - pi) != 0:
-            out.append(f"complementarity fails at {i}")
-    return out
+    return _best_response_violations(z, mat_vec(S, z), "strategy")
 
 
 def check_symmetric_ne(S: Mat, z: Vec) -> bool:
     return not symmetric_ne_violations(S, z)
 
 
-def certificate(A: Mat, B: Mat, x: Vec, y: Vec) -> NeCertificate:
-    ay = mat_vec(A, y)
-    xb = vec_mat(x, B)
-    pi1 = sum((xi * v for xi, v in zip(x, ay)), Fraction(0))
-    pi2 = sum((yj * v for yj, v in zip(y, xb)), Fraction(0))
-    return NeCertificate(list(x), list(y), pi1, pi2,
-                         tuple(v == pi1 for v in ay), tuple(v == pi2 for v in xb))
-
-
 # --- support enumeration --------------------------------------------------
 
-def _support_system(payoffs: list[Vec], support: tuple[int, ...]) -> tuple[str, Vec | None]:
-    """Solve for opponent weights w on `support` and payoff p with
-    payoffs[i] . w = p for each listed row, sum w = 1."""
-    s = len(support)
-    rows: Mat = []
-    rhs: Vec = []
-    for vec in payoffs:
-        rows.append([vec[j] for j in support] + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * s + [Fraction(0)])
-    rhs.append(Fraction(1))
-    return solve_linear_system(rows, rhs)
+def _on_support(payoff_rows: list[Vec], support: tuple[int, ...],
+                n: int) -> tuple[str, Vec | None, Fraction | None]:
+    """Weights w on `support` and payoff p with row . w = p for every
+    payoff row and sum w = 1.  Returns the solver status and, when it is
+    "unique", w padded with zeros to n entries, and p."""
+    rows = [[row[j] for j in support] + [Fraction(-1)] for row in payoff_rows]
+    rows.append([Fraction(1)] * len(support) + [Fraction(0)])
+    status, sol = solve_linear_system(rows, [Fraction(0)] * len(payoff_rows) + [Fraction(1)])
+    if status != "unique":
+        return status, None, None
+    w = [Fraction(0)] * n
+    for pos, j in enumerate(support):
+        w[j] = sol[pos]
+    return status, w, sol[-1]
 
 
-def enumerate_ne(A: Mat, B: Mat, max_dim: int = 12) -> EnumerationResult:
+def _screen(sides) -> bool | None:
+    """Screen a solution given per player as (payoffs, p, w, support).
+
+    None when some strategy pays more than p; otherwise whether the
+    solution is degenerate: a zero weight inside a support, or a strategy
+    outside it that also pays p.
+    """
+    if any(v > p for payoffs, p, _, _ in sides for v in payoffs):
+        return None
+    return any(any(w[i] == 0 for i in support)
+               or any(v == p for i, v in enumerate(payoffs) if i not in support)
+               for payoffs, p, w, support in sides)
+
+
+def _checked(violations: list[str], what: str) -> None:
+    if violations:
+        raise AssertionError(f"{what} fails checker: {violations[0]}")
+
+
+def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
     """All equilibria that are unique on their (equal-sized) support pair.
 
     For a nondegenerate game this is the complete equilibrium list; when
@@ -155,92 +151,55 @@ def enumerate_ne(A: Mat, B: Mat, max_dim: int = 12) -> EnumerationResult:
     r, c = mat_shape(A)
     if mat_shape(B) != (r, c):
         raise ValueError("payoff matrices must share a shape")
-    if max(r, c) > max_dim:
-        raise DimensionTooLarge(f"game is {r}x{c}; cap is {max_dim}")
-    bt = [[B[i][j] for i in range(r)] for j in range(c)]
+    if max(r, c) > MAX_DIM:
+        raise DimensionTooLarge(f"game is {r}x{c}; cap is {MAX_DIM}")
+    bt = transpose(B)
     found: dict[tuple, NeCertificate] = {}
     degenerate = False
     for size in range(1, min(r, c) + 1):
         for sx in itertools.combinations(range(r), size):
             a_rows = [A[i] for i in sx]
             for sy in itertools.combinations(range(c), size):
-                status_y, sol_y = _support_system(a_rows, sy)
-                if status_y == "many":
-                    degenerate = True
+                status, y, pi1 = _on_support(a_rows, sy, c)
+                if status == "unique":
+                    status, x, pi2 = _on_support([bt[j] for j in sy], sx, r)
+                degenerate |= status == "many"
+                if status != "unique" or any(v < 0 for v in x) or any(v < 0 for v in y):
                     continue
-                if status_y == "none":
+                screened = _screen([(mat_vec(A, y), pi1, x, sx), (vec_mat(x, B), pi2, y, sy)])
+                if screened is None:
                     continue
-                status_x, sol_x = _support_system([bt[j] for j in sy], sx)
-                if status_x == "many":
-                    degenerate = True
-                    continue
-                if status_x == "none":
-                    continue
-                y = [Fraction(0)] * c
-                for pos, j in enumerate(sy):
-                    y[j] = sol_y[pos]
-                pi1 = sol_y[-1]
-                x = [Fraction(0)] * r
-                for pos, i in enumerate(sx):
-                    x[i] = sol_x[pos]
-                pi2 = sol_x[-1]
-                if any(v < 0 for v in x) or any(v < 0 for v in y):
-                    continue
-                ay = mat_vec(A, y)
-                xb = vec_mat(x, B)
-                if any(ay[i] > pi1 for i in range(r)) or any(xb[j] > pi2 for j in range(c)):
-                    continue
-                if any(x[i] == 0 for i in sx) or any(y[j] == 0 for j in sy):
-                    degenerate = True
-                if any(ay[i] == pi1 for i in range(r) if i not in sx) or \
-                        any(xb[j] == pi2 for j in range(c) if j not in sy):
-                    degenerate = True
+                degenerate |= screened
                 key = (tuple(x), tuple(y))
                 if key not in found:
-                    bad = ne_violations(A, B, x, y)
-                    if bad:
-                        raise AssertionError(
-                            f"support-enumeration candidate fails checker: {bad[0]}")
-                    found[key] = certificate(A, B, x, y)
+                    _checked(ne_violations(A, B, x, y), "support-enumeration candidate")
+                    found[key] = NeCertificate(x, y, pi1, pi2)
     return EnumerationResult(tuple(found.values()), degenerate)
 
 
-def enumerate_symmetric_ne(S: Mat, max_dim: int = 12) -> EnumerationResult:
+def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
     """Symmetric equilibria unique on their support, with degeneracy flag."""
     r, c = mat_shape(S)
     if r != c:
         raise ValueError("matrix must be square")
-    if r > max_dim:
-        raise DimensionTooLarge(f"game is {r}x{r}; cap is {max_dim}")
+    if r > MAX_DIM:
+        raise DimensionTooLarge(f"game is {r}x{r}; cap is {MAX_DIM}")
     found: dict[tuple, SymCertificate] = {}
     degenerate = False
     for size in range(1, r + 1):
         for supp in itertools.combinations(range(r), size):
-            status, sol = _support_system([S[i] for i in supp], supp)
-            if status == "many":
-                degenerate = True
+            status, z, pi = _on_support([S[i] for i in supp], supp, r)
+            degenerate |= status == "many"
+            if status != "unique" or any(v < 0 for v in z):
                 continue
-            if status == "none":
+            screened = _screen([(mat_vec(S, z), pi, z, supp)])
+            if screened is None:
                 continue
-            z = [Fraction(0)] * r
-            for pos, i in enumerate(supp):
-                z[i] = sol[pos]
-            pi = sol[-1]
-            if any(v < 0 for v in z):
-                continue
-            sz = mat_vec(S, z)
-            if any(sz[i] > pi for i in range(r)):
-                continue
-            if any(z[i] == 0 for i in supp):
-                degenerate = True
-            if any(sz[i] == pi for i in range(r) if i not in supp):
-                degenerate = True
+            degenerate |= screened
             key = tuple(z)
             if key not in found:
-                bad = symmetric_ne_violations(S, z)
-                if bad:
-                    raise AssertionError(f"symmetric candidate fails checker: {bad[0]}")
-                found[key] = SymCertificate(z, pi, tuple(v == pi for v in sz))
+                _checked(symmetric_ne_violations(S, z), "symmetric candidate")
+                found[key] = SymCertificate(z, pi)
     return EnumerationResult(tuple(found.values()), degenerate)
 
 
@@ -253,28 +212,31 @@ def _shift_positive(M: Mat) -> Mat:
 
 
 def _lex_pivot(T: Mat, basis: list[int], col: int) -> int:
-    """Pivot on column `col`; lexicographic min-ratio row wins. Returns the
-    leaving variable."""
-    n_cols = len(T[0])
-    candidates = [r for r in range(len(T)) if T[r][col] > 0]
-    if not candidates:
+    """Pivot on column `col`; the lexicographically least ratio row wins.
+    Returns the leaving variable.
+
+    The ratio vectors (rhs first, then columns 0..n-2, over the pivot
+    entry) are compared one column at a time, dividing only the rows
+    still tied, which picks the row that a full-tuple minimum picks.
+    """
+    rows = [i for i, row in enumerate(T) if row[col] > 0]
+    if not rows:
         raise RayTermination("no positive pivot entry; the path is unbounded")
-    def key(r):
-        piv = T[r][col]
-        return tuple(T[r][c] / piv for c in [n_cols - 1] + list(range(n_cols - 1)))
-    best = min(candidates, key=key)
-    piv = T[best][col]
-    T[best] = [v / piv for v in T[best]]
-    for r in range(len(T)):
-        if r != best and T[r][col] != 0:
-            f = T[r][col]
-            T[r] = [v - f * w for v, w in zip(T[r], T[best])]
+    n_cols = len(T[0])
+    for j in (n_cols - 1, *range(n_cols - 1)):
+        if len(rows) == 1:
+            break
+        ratios = [T[i][j] / T[i][col] for i in rows]
+        least = min(ratios)
+        rows = [i for i, q in zip(rows, ratios) if q == least]
+    best = rows[0]
+    pivot(T, best, col)
     leaving = basis[best]
     basis[best] = col
     return leaving
 
 
-def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int = 12) -> NeCertificate:
+def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int = MAX_DIM) -> NeCertificate:
     """One equilibrium by complementary pivoting on the dropped label.
 
     Labels 0..rows-1 are first-player strategies, rows..rows+cols-1 second
@@ -344,7 +306,7 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int = 12) -> N
     bad = ne_violations(A, B, x, y)
     if bad:
         raise RayTermination("pivoting result fails the equilibrium checker: " + bad[0])
-    return certificate(A, B, x, y)
+    return NeCertificate(x, y, vec_dot(x, mat_vec(A, y)), vec_dot(vec_mat(x, B), y))
 
 
 # --- fixed points -----------------------------------------------------------

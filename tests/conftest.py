@@ -18,6 +18,15 @@ def swap_circuit():
     return b.build([b.input(1), b.input(0)])
 
 
+def false_clamp_claim_circuit():
+    """Normalized and claiming clamped outputs, but its "clamp pair" (2, 3)
+    is max{0, x} and max{0, max{0, x}}, not the clamp gadget: it decodes
+    and evaluates, and only its LP (row 1 reads x_0 alone) shows the lie."""
+    return fixp.FixpCircuit(
+        1, (fixp.Input(0), fixp.Const(F(0)), fixp.Max(1, 0), fixp.Max(1, 2)), (3,),
+        normalized=True, clamped=True, clamp_pairs=((2, 3),))
+
+
 def random_raw_circuit(rng: random.Random, k: int, max_max_gates: int,
                        const_bits: int = 8) -> fixp.FixpCircuit:
     """Random DAG circuit over the full basis with bounded max-gate count."""

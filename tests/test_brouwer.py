@@ -157,9 +157,10 @@ class TestValidation:
             assert boundary_color(grid, p) == text_rule
 
     def test_grid_too_large(self):
-        cb = constant_case_circuit(2, 2, 0)
+        # 25 input bits: the limit is checked before any point is evaluated
+        cb = make_example_coloring(Grid(1, 25))
         with pytest.raises(GridTooLarge):
-            validate_circuit(cb, limit_bits=3)
+            validate_circuit(cb)
 
 
 class TestBruteForce:

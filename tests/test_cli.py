@@ -11,7 +11,7 @@ import nashforge
 from nashforge import brouwer, cli, exactmath, fixp, lcp, lp
 from nashforge.cli import SCHEMA, main
 
-from conftest import one_minus_circuit
+from conftest import false_clamp_claim_circuit, one_minus_circuit
 
 
 def write_json(path, kind, body):
@@ -164,6 +164,23 @@ class TestVerify:
         code = main(["verify", str(game_path)])
         assert code != 0
 
+    @pytest.mark.parametrize("k,output_rows,message", [(1, [0], "FAIL  rank_bound"),
+                                                      (2, [0], "meta.k is 2")])
+    def test_rank_bound_reads_the_games_own_k(self, k, output_rows, message, tmp_path, capsys):
+        # rank(I + 0) = 3 breaks the bound k + 1 = 2; with meta.k = 2 it would
+        # hold, so a k that disagrees with the output rows is refused
+        body = {"rows": 3, "cols": 3,
+                "A": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                "B": [["0"] * 3 for _ in range(3)],
+                "meta": {"m": 2, "k": k, "c": None, "output_rows": output_rows,
+                         "kind": "rank_k_plus_1"}}
+        game = write_json(tmp_path / "game.json", "game", body)
+        assert main(["verify", game]) == 2
+        out, err = capsys.readouterr()
+        assert message in out + err
+        if k == 2:
+            assert game in err and "rank_bound" not in out
+
     def test_approx_mode_on_compiled_instance(self, fixture_file, tmp_path, capsys):
         circ = tmp_path / "compiled.json"
         main(["compile", fixture_file, "-o", str(circ), "--no-grid-check"])
@@ -265,12 +282,15 @@ def _malformed(kind, body):
         docs["input_index_list"] = _first_gate(body, {"op": "input", "i": [0]})
         docs["gates_not_a_list"] = {**body, "gates": "x"}
         docs["unknown_op"] = _first_gate(body, {"op": "xor", "a": 0})
+        if kind == "circuit":
+            docs["false_clamp_claim"] = fixp.circuit_to_json(false_clamp_claim_circuit())
     elif kind == "game":
         docs["meta_k_true"] = {**body, "meta": {**body["meta"], "k": True}}
         docs["without_meta"] = {key: v for key, v in body.items() if key != "meta"}
         docs["output_row_past_end"] = {**body, "meta": {**body["meta"], "output_rows": [7]}}
         docs["output_row_negative"] = {**body, "meta": {**body["meta"], "output_rows": [-1]}}
         docs["rows_mismatch"] = {**body, "rows": body["rows"] + 1}
+        docs["k_not_output_count"] = {**body, "meta": {**body["meta"], "k": body["meta"]["k"] + 1}}
     elif kind == "compiled_meta":
         docs["L_true"] = {**body, "L": True}
     else:
@@ -296,6 +316,7 @@ READERS = {
     "reduce": (["reduce", "{bad}", "--target", "game", "-o", "{out}"], "circuit"),
     "eval": (["eval", "{bad}", "--at", "0"], "circuit"),
     "verify_circuit": (["verify", "{bad}"], "circuit"),
+    "verify_roundtrip": (["verify", "{bad}", "--mode", "roundtrip"], "circuit"),
     "verify_game": (["verify", "{bad}"], "game"),
     "verify_approx_input": (["verify", "{bad}", "--mode", "approx", "--source", "{brouwer}",
                              "--compiled-meta", "{compiled_meta}", "--points", "0,0"],
@@ -311,8 +332,12 @@ READERS = {
     "pipeline_stage": (["pipeline", "{manifest}"], "circuit"),
 }
 
+# a circuit that decodes but cannot be reduced is bad input only to the
+# commands that reduce it to an LP (`eval`, for one, evaluates it fine)
+REDUCING_READERS = {"reduce", "verify_circuit", "verify_roundtrip"}
 MALFORMED_CASES = [(reader, case) for reader, (_, kind) in READERS.items()
-                   for case in _malformed(kind, WELL_FORMED[kind])]
+                   for case in _malformed(kind, WELL_FORMED[kind])
+                   if case != "false_clamp_claim" or reader in REDUCING_READERS]
 
 
 class TestInputValidation:

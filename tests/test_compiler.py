@@ -204,7 +204,7 @@ class TestSimplexExtraction:
     def test_single_color_neighborhood_rejected(self, fixture_2d):
         # deep in the interior every sample shares one color; bypass the
         # fixed-point gate to exercise the counting check directly
-        samples = compiler.sample_set([F(5, 2), F(5, 2)], 2, fixture_2d.params)
+        samples = compiler.sample_set([F(5, 2), F(5, 2)], fixture_2d.params)
         flags = [True] * len(samples)
         with pytest.raises(NotPanchromatic):
             compiler.panchromatic_from_samples(
@@ -231,7 +231,7 @@ class TestSamplingLemma:
             assert trial.chain[0] in {c.base for c in cubes}
 
     def test_poor_count_bound_enforced(self, fixture_2d):
-        samples = compiler.sample_set([F(1, 2), F(1, 2)], 2, fixture_2d.params)
+        samples = compiler.sample_set([F(1, 2), F(1, 2)], fixture_2d.params)
         flags = [False] * 3 + [True] * (len(samples) - 3)
         with pytest.raises(NotPanchromatic):
             compiler.panchromatic_from_samples(
@@ -265,7 +265,7 @@ class TestCompiledSemanticsOracle:
         checked = 0
         for _ in range(40):
             p = [F(rng.randint(0, 3 * 64), 64) + F(1, 256) for _ in range(2)]
-            samples = compiler.sample_set(p, 2, params)
+            samples = compiler.sample_set(p, params)
             if not all(classify_position(s, L).all_well for s in samples):
                 continue
             total = [F(0), F(0)]

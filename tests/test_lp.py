@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashforge import exactmath, fixp
+from nashforge import exactmath, fixp, lp
 from nashforge.fixp import evaluate_with_trace, order_max_gates
 from nashforge.lp import (
     LinExpr, build_constraints, build_param_lp, check_kkt, construct_cost, construct_dual,
     eval_flp, lam_rhs, lp_to_json, property_violations, solve_lp,
 )
 
-from conftest import one_minus_circuit, random_lambda, random_raw_circuit, swap_circuit
+from conftest import (
+    false_clamp_claim_circuit, one_minus_circuit, random_lambda, random_raw_circuit, swap_circuit,
+)
 
 
 def frac_mat(rows):
@@ -82,6 +84,18 @@ class TestBuildConstraints:
     def test_requires_prepared_circuit(self):
         with pytest.raises(ValueError):
             build_constraints(one_minus_circuit())
+
+
+class TestClampClaim:
+    def test_false_claim_is_bad_input(self):
+        with pytest.raises(ValueError, match=r"claims clamped outputs.*clamp row 1 is not x_0"):
+            build_param_lp(false_clamp_claim_circuit())
+
+    def test_own_clamp_stays_a_construction_fault(self, monkeypatch):
+        # a clamp that build_param_lp applied itself is not the input's fault
+        monkeypatch.setattr(lp, "clamp_outputs", lambda circ: false_clamp_claim_circuit())
+        with pytest.raises(AssertionError, match="clamp row 1 is not x_0"):
+            build_param_lp(one_minus_circuit())
 
 
 class TestConstructCost:

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nashforge
 from nashforge import lcp, lp, nash
@@ -14,6 +16,7 @@ from nashforge.nash import (
     check_symmetric_ne, enumerate_ne, enumerate_symmetric_ne, lemke_howson,
     ne_violations, symmetric_ne_violations,
 )
+from nashforge.nash import _lex_pivot
 
 from conftest import one_minus_circuit, random_raw_circuit, swap_circuit
 
@@ -108,6 +111,58 @@ class TestEnumerate:
             enumerate_ne(big, big)
 
 
+class TestDegeneracyTriggers:
+    """Each game fires one trigger of the enumerators' degeneracy screen."""
+
+    def test_singular_support_system(self):
+        # rows 0 and 2 of A are equal, so on the supports ({0, 2}, {0, 1})
+        # the y-system leaves y undetermined; the one equilibrium is strict
+        A = frac_mat([[0, 0], [1, 1], [0, 0]])
+        B = frac_mat([[0, 0], [0, 1], [1, 0]])
+        res = enumerate_ne(A, B)
+        assert [(c.x, c.y) for c in res.equilibria] == [([0, 1, 0], [0, 1])]
+        assert res.degenerate
+
+    def test_zero_weight_inside_support(self):
+        # B's row 2 is constant, so x = e_2 is an equilibrium with every y that
+        # keeps row 2 a best response; it is reached only from the supports
+        # ({0, 2}, {0, 1}) and ({1, 2}, {0, 1}), whose solved x puts weight 0
+        # on row 0 or row 1, and no unused strategy is tight
+        A = frac_mat([[3, 1], [0, 3], [2, 2]])
+        B = frac_mat([[0, 3], [2, 3], [3, 3]])
+        res = enumerate_ne(A, B)
+        assert [(c.x, c.y) for c in res.equilibria] == [
+            ([0, 1, 0], [0, 1]), ([0, 0, 1], [F(1, 2), F(1, 2)]),
+            ([0, 0, 1], [F(1, 3), F(2, 3)])]
+        assert res.degenerate
+
+    def test_tight_unused_strategy(self):
+        # row 0 dominates, and against it both columns pay 1: each pure
+        # equilibrium leaves a column unused that pays as much as the used one
+        A = frac_mat([[1, 1], [0, 0]])
+        B = frac_mat([[1, 1], [0, 0]])
+        res = enumerate_ne(A, B)
+        assert [(c.x, c.y) for c in res.equilibria] == [([1, 0], [1, 0]), ([1, 0], [0, 1])]
+        assert res.degenerate
+
+    def test_symmetric_singular_support_system(self):
+        # strategies 0 and 1 pay 0 against everything, so support {0, 1}
+        # leaves z undetermined; the one equilibrium, e_2, is strict
+        S = frac_mat([[0, 0, 0], [0, 0, 0], [1, 1, 1]])
+        res = enumerate_symmetric_ne(S)
+        assert [c.z for c in res.equilibria] == [[0, 0, 1]]
+        assert res.degenerate
+
+    def test_symmetric_zero_weight_and_tight_unused(self):
+        # in a symmetric game these two triggers are one solution seen from
+        # two supports: z = e_0 leaves strategy 1 unused and paying 0 = pi on
+        # support {0}, and puts weight 0 on it on support {0, 1}
+        S = frac_mat([[0, 0], [0, 1]])
+        res = enumerate_symmetric_ne(S)
+        assert [c.z for c in res.equilibria] == [[1, 0], [0, 1]]
+        assert res.degenerate
+
+
 class TestEnumerateSymmetric:
     def test_rock_paper_scissors_uniform(self):
         res = enumerate_symmetric_ne(RPS)
@@ -170,6 +225,65 @@ class TestLemkeHowson:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             lemke_howson(PENNIES_A, PENNIES_B, 9)
+
+
+def referee_lex_pivot(T, basis, col):
+    """The ratio test as a minimum over full ratio tuples, with the
+    Gauss-Jordan step written out."""
+    n_cols = len(T[0])
+    candidates = [r for r in range(len(T)) if T[r][col] > 0]
+    if not candidates:
+        raise RayTermination("no positive pivot entry; the path is unbounded")
+
+    def key(r):
+        piv = T[r][col]
+        return tuple(T[r][c] / piv for c in [n_cols - 1] + list(range(n_cols - 1)))
+    best = min(candidates, key=key)
+    piv = T[best][col]
+    T[best] = [v / piv for v in T[best]]
+    for r in range(len(T)):
+        if r != best and T[r][col] != 0:
+            f = T[r][col]
+            T[r] = [v - f * w for v, w in zip(T[r], T[best])]
+    leaving = basis[best]
+    basis[best] = col
+    return leaving
+
+
+ENTRIES = st.sampled_from([F(v) for v in (-1, 0, 0, 1, 1, 2)] + [F(1, 2)])
+
+
+@st.composite
+def tied_tableaux(draw):
+    """Small tableaux (last column the rhs) and a pivot column.  Entries come
+    from a handful of values, so ratios tie often; positive multiples of
+    other rows tie on every ratio."""
+    n_cols = draw(st.integers(2, 5))
+    T = draw(st.lists(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols),
+                      min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(T))
+        scale = draw(st.sampled_from([F(1), F(2), F(1, 3)]))
+        T.insert(draw(st.integers(0, len(T))), [scale * v for v in row])
+    return T, draw(st.integers(0, n_cols - 2))
+
+
+class TestLexPivot:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_tableaux())
+    def test_matches_full_tuple_minimum(self, case):
+        T, col = case
+        basis = [100 + i for i in range(len(T))]
+        got_T, got_basis = [row[:] for row in T], basis[:]
+        want_T, want_basis = [row[:] for row in T], basis[:]
+        try:
+            want = referee_lex_pivot(want_T, want_basis, col)
+        except RayTermination:
+            with pytest.raises(RayTermination):
+                _lex_pivot(got_T, got_basis, col)
+            return
+        assert _lex_pivot(got_T, got_basis, col) == want
+        assert got_T == want_T and got_basis == want_basis
 
 
 class TestFixedPointCheck:
