@@ -366,11 +366,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.max_pivots < 1:
+        raise InputError(f"--max-pivots must be at least 1, got {args.max_pivots}")
     game = _load(args.input, "game")
     entries = []
     degenerate = False
     if args.method == "lh":
-        certs = [nash.lemke_howson(game.A, game.B, args.label)]
+        certs = [nash.lemke_howson(game.A, game.B, args.label, max_pivots=args.max_pivots)]
     else:
         res = nash.enumerate_ne(game.A, game.B)
         certs = list(res.equilibria)
@@ -502,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("input")
     s.add_argument("--method", choices=["enumerate", "lh"], default="enumerate")
     s.add_argument("--label", type=int, default=0)
+    s.add_argument("--max-pivots", type=int, default=nash.MAX_PIVOTS,
+                   help="Lemke-Howson pivot bound (default %(default)s)")
     s.add_argument("-o", "--output")
     s.set_defaults(func=cmd_solve)
 
@@ -530,7 +534,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (brouwer.GridTooLarge, brouwer.InvalidBrouwerCircuit,
-            nash.DimensionTooLarge, ValueError) as exc:
+            nash.DimensionTooLarge, nash.PivotLimitReached, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except lcp.LemmaFalsified as exc:

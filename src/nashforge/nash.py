@@ -1,7 +1,7 @@
 """Exact equilibrium checking and enumeration for small bimatrix games.
 
-Everything here runs over Fractions, so "equilibrium" always means the
-complementarity characterization holding with exact equality: row payoffs
+Everything here is exact rational arithmetic, so "equilibrium" always means
+the complementarity characterization holding with exact equality: row payoffs
 (Ay)_i never exceed the first player's payoff and are equal wherever x_i
 is positive, and symmetrically for columns.
 
@@ -11,7 +11,8 @@ inequalities; a game whose support systems are consistent but singular is
 flagged degenerate and only the solutions unique on their support pair are
 returned.  Lemke-Howson complementary pivoting (with a lexicographic ratio
 test, so degenerate ties cannot cycle) serves as an independent second
-solver.
+solver and the one that scales to compiled games; its tableau rows are
+sparse integers over one reduced denominator each.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exactmath import (
-    Mat, Vec, mat_shape, mat_vec, pivot, solve_linear_system, transpose, vec_dot, vec_mat,
+    Mat, Vec, mat_shape, mat_vec, solve_linear_system, transpose, vec_dot, vec_mat,
 )
 from .fixp import FixpCircuit, evaluate
 
@@ -34,8 +36,15 @@ class RayTermination(Exception):
     """Complementary pivoting left the polytope along a ray."""
 
 
+class PivotLimitReached(Exception):
+    """Complementary pivoting ran into its pivot bound."""
+
+
 # enumeration is exponential in the dimension; larger games are refused
 MAX_DIM = 12
+# Lemke-Howson paths can be exponentially long; the default bound sits far
+# above the 1 281 pivots that k=2, n=1's 169x169 game takes from label 0
+MAX_PIVOTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,6 @@ def symmetric_ne_violations(S: Mat, z: Vec) -> list[str]:
     if len(z) != r:
         raise ValueError("profile dimension does not match the game")
     return _best_response_violations(z, mat_vec(S, z), "strategy")
-
-
-def check_symmetric_ne(S: Mat, z: Vec) -> bool:
-    return not symmetric_ne_violations(S, z)
 
 
 # --- support enumeration --------------------------------------------------
@@ -211,56 +216,108 @@ def _shift_positive(M: Mat) -> Mat:
     return [[v + shift for v in row] for row in M]
 
 
-def _lex_pivot(T: Mat, basis: list[int], col: int) -> int:
+# A tableau row is N/d: N maps column -> nonzero integer, d > 0, and
+# gcd(d, all of N) = 1, so every entry is held in lowest terms without a
+# Fraction per entry.
+Row = tuple[dict[int, int], int]
+
+
+def _int_row(entries: dict[int, Fraction]) -> Row:
+    """The row with these rational entries, denominators cleared by their lcm.
+
+    For every prime power dividing the lcm, the entry whose denominator
+    carries it keeps a numerator prime to it, so the row comes out reduced.
+    """
+    d = lcm(*(v.denominator for v in entries.values()))
+    return {j: v.numerator * (d // v.denominator) for j, v in entries.items() if v}, d
+
+
+def _pivot(rows: list[Row], r: int, s: int) -> None:
+    """Gauss-Jordan step on (r, s), which needs N_r[s] > 0.  Row r becomes
+    N_r / N_r[s]; a row i nonzero in column s becomes (p N_i - f N_r) /
+    (d_i p) with p, N_r the new pivot row and f = N_i[s].  Rows zero in
+    column s are untouched, and every row written is divided by its gcd."""
+    Nr = rows[r][0]
+    g = gcd(*Nr.values())
+    if g != 1:
+        Nr = {j: v // g for j, v in Nr.items()}
+    p = Nr[s]
+    rows[r] = Nr, p
+    for i, (Ni, di) in enumerate(rows):
+        f = Ni.get(s)
+        if f is None or i == r:
+            continue
+        N = Ni if p == 1 else {j: p * v for j, v in Ni.items()}
+        for j, w in Nr.items():
+            v = N.get(j, 0) - f * w
+            if v:
+                N[j] = v
+            else:
+                del N[j]
+        d = di * p
+        g = gcd(d, *N.values())
+        if g != 1:
+            N = {j: v // g for j, v in N.items()}
+            d //= g
+        rows[i] = N, d
+
+
+def _lex_pivot(rows: list[Row], basis: list[int], col: int, rhs: int) -> int:
     """Pivot on column `col`; the lexicographically least ratio row wins.
     Returns the leaving variable.
 
-    The ratio vectors (rhs first, then columns 0..n-2, over the pivot
-    entry) are compared one column at a time, dividing only the rows
-    still tied, which picks the row that a full-tuple minimum picks.
+    The ratio vectors (column `rhs` first, then columns 0..rhs-1, over the
+    entry in `col`) are compared one column at a time, keeping only the
+    rows still tied, which picks the row that a full-tuple minimum picks.
+    A ratio N_i[j] / N_i[col] does not depend on the row's denominator, so
+    two rows compare by cross-multiplying their numerators.
     """
-    rows = [i for i, row in enumerate(T) if row[col] > 0]
-    if not rows:
+    tied = [(i, N, N[col]) for i, (N, _) in enumerate(rows) if N.get(col, 0) > 0]
+    if not tied:
         raise RayTermination("no positive pivot entry; the path is unbounded")
-    n_cols = len(T[0])
-    for j in (n_cols - 1, *range(n_cols - 1)):
-        if len(rows) == 1:
+    for j in (rhs, *range(rhs)):
+        if len(tied) == 1:
             break
-        ratios = [T[i][j] / T[i][col] for i in rows]
-        least = min(ratios)
-        rows = [i for i, q in zip(rows, ratios) if q == least]
-    best = rows[0]
-    pivot(T, best, col)
+        a, q = tied[0][1].get(j, 0), tied[0][2]
+        for _, N, q2 in tied:
+            a2 = N.get(j, 0)
+            if a2 * q < a * q2:
+                a, q = a2, q2
+        tied = [t for t in tied if t[1].get(j, 0) * q == a * t[2]]
+    best = tied[0][0]
+    _pivot(rows, best, col)
     leaving = basis[best]
     basis[best] = col
     return leaving
 
 
-def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int = MAX_DIM) -> NeCertificate:
+def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = None,
+                 max_pivots: int = MAX_PIVOTS) -> NeCertificate:
     """One equilibrium by complementary pivoting on the dropped label.
 
     Labels 0..rows-1 are first-player strategies, rows..rows+cols-1 second
-    player's.  Ray termination is reported, never silently retried.
+    player's.  Ray termination is reported, never silently retried; a path
+    longer than `max_pivots` raises PivotLimitReached.  `max_dim`, when
+    given, refuses games with more rows or columns.
     """
     r, c = mat_shape(A)
     if mat_shape(B) != (r, c):
         raise ValueError("payoff matrices must share a shape")
-    if max(r, c) > max_dim:
+    if max_dim is not None and max(r, c) > max_dim:
         raise DimensionTooLarge(f"game is {r}x{c}; cap is {max_dim}")
     if not 0 <= dropped_label < r + c:
         raise ValueError(f"label must lie in 0..{r + c - 1}")
     A1 = _shift_positive(A)
     B1 = _shift_positive(B)
+    one = Fraction(1)
+    rhs = r + c
 
     # Tableau P over x/v: B1^T x + v = 1 (c rows); var t<r is x_t, else v_{t-r}.
-    TP: Mat = [[B1[i][j] for i in range(r)]
-               + [Fraction(1 if jj == j else 0) for jj in range(c)]
-               + [Fraction(1)] for j in range(c)]
+    rows_p = [_int_row({**{i: B1[i][j] for i in range(r)}, r + j: one, rhs: one})
+              for j in range(c)]
     basis_p = [r + j for j in range(c)]
     # Tableau Q over y/u: A1 y + u = 1 (r rows); var t<c is y_t, else u_{t-c}.
-    TQ: Mat = [[A1[i][j] for j in range(c)]
-               + [Fraction(1 if ii == i else 0) for ii in range(r)]
-               + [Fraction(1)] for i in range(r)]
+    rows_q = [_int_row({**dict(enumerate(A1[i])), c + i: one, rhs: one}) for i in range(r)]
     basis_q = [c + i for i in range(r)]
 
     def label_p(var: int) -> int:
@@ -271,16 +328,16 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int = MAX_DIM)
 
     in_p = dropped_label < r
     entering = dropped_label if in_p else dropped_label - r
-    for _ in range(4 ** (r + c)):
+    for _ in range(max_pivots):
         if in_p:
-            leaving = _lex_pivot(TP, basis_p, entering)
+            leaving = _lex_pivot(rows_p, basis_p, entering, rhs)
             lab = label_p(leaving)
             if lab == dropped_label:
                 break
             # complement of x_i is u_i (at c+i in Q); of v_j it is y_j (at j)
             entering = c + leaving if leaving < r else leaving - r
         else:
-            leaving = _lex_pivot(TQ, basis_q, entering)
+            leaving = _lex_pivot(rows_q, basis_q, entering, rhs)
             lab = label_q(leaving)
             if lab == dropped_label:
                 break
@@ -288,16 +345,18 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int = MAX_DIM)
             entering = r + leaving if leaving < c else leaving - c
         in_p = not in_p
     else:
-        raise RayTermination("pivoting failed to terminate")
+        raise PivotLimitReached(f"Lemke-Howson found no equilibrium within its bound of"
+                                f" {max_pivots} pivots on the {r}x{c} game from label"
+                                f" {dropped_label}")
 
     x = [Fraction(0)] * r
-    for row, var in enumerate(basis_p):
+    for (N, d), var in zip(rows_p, basis_p):
         if var < r:
-            x[var] = TP[row][-1]
+            x[var] = Fraction(N.get(rhs, 0), d)
     y = [Fraction(0)] * c
-    for row, var in enumerate(basis_q):
+    for (N, d), var in zip(rows_q, basis_q):
         if var < c:
-            y[var] = TQ[row][-1]
+            y[var] = Fraction(N.get(rhs, 0), d)
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise RayTermination("pivoting terminated at the artificial equilibrium")

@@ -226,6 +226,24 @@ class TestSolve:
         entries = json.loads(capsys.readouterr().out)
         assert entries[0]["lambda"] == ["1/2"]
 
+    def test_lemke_howson_on_compiled_game(self, tmp_path, capsys):
+        # the whole 1-D chain through the CLI: a 69x69 game, far beyond the
+        # enumeration cap, solved under the pivot bound
+        cb = brouwer.make_example_coloring(brouwer.Grid(1, 1))
+        source = write_json(tmp_path / "brouwer.json", "brouwer", brouwer.bool_to_json(cb))
+        compiled, game = str(tmp_path / "compiled.json"), str(tmp_path / "game.json")
+        assert main(["compile", source, "-o", compiled, "--shrink"]) == 0
+        assert main(["reduce", compiled, "--target", "game", "-o", game]) == 0
+        capsys.readouterr()
+        assert main(["solve", game, "--method", "lh"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [e["lambda"] for e in entries] == [["799/1024"]]
+        assert main(["solve", game, "--method", "lh", "--max-pivots", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bound of 10 pivots" in err
+        assert main(["solve", game, "--method", "lh", "--max-pivots", "0"]) == 2
+        assert "--max-pivots must be at least 1" in capsys.readouterr().err
+
     def test_lambda_carrier_per_game_kind(self, circuit_file, tmp_path, capsys):
         # symmetric games carry the fixed point on symmetric profiles,
         # imitation games on the second player's strategy

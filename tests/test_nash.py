@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 import nashforge
 from nashforge import lcp, lp, nash
+from nashforge.exactmath import mat_shape, mat_vec, vec_dot, vec_mat
 from nashforge.nash import (
-    DimensionTooLarge, RayTermination, check_fixed_point, check_ne,
-    check_symmetric_ne, enumerate_ne, enumerate_symmetric_ne, lemke_howson,
-    ne_violations, symmetric_ne_violations,
+    DimensionTooLarge, NeCertificate, PivotLimitReached, RayTermination, check_fixed_point,
+    check_ne, enumerate_ne, enumerate_symmetric_ne, lemke_howson, ne_violations,
+    symmetric_ne_violations,
 )
-from nashforge.nash import _lex_pivot
+from nashforge.nash import _int_row, _lex_pivot, _shift_positive
 
 from conftest import one_minus_circuit, random_raw_circuit, swap_circuit
 
@@ -62,11 +64,11 @@ class TestCheckNe:
 
 class TestCheckSymmetricNe:
     def test_zero_matrix_everything_equilibrium(self):
-        assert check_symmetric_ne(frac_mat([[0, 0], [0, 0]]), [F(1, 3), F(2, 3)])
+        assert not symmetric_ne_violations(frac_mat([[0, 0], [0, 0]]), [F(1, 3), F(2, 3)])
 
     def test_worked_symmetric(self):
         S = frac_mat([[-1, 1, 1], [-1, -1, 2], [0, 0, 1]])
-        assert check_symmetric_ne(S, [F(1, 4), F(1, 4), F(1, 2)])
+        assert not symmetric_ne_violations(S, [F(1, 4), F(1, 4), F(1, 2)])
 
     def test_worked_pure_rejected(self):
         S = frac_mat([[-1, 1, 1], [-1, -1, 2], [0, 0, 1]])
@@ -183,7 +185,7 @@ class TestEnumerateSymmetric:
             n = rng.randint(2, 4)
             S = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
             for cert in enumerate_symmetric_ne(S).equilibria:
-                assert check_symmetric_ne(S, cert.z)
+                assert not symmetric_ne_violations(S, cert.z)
 
 
 class TestLemkeHowson:
@@ -226,6 +228,25 @@ class TestLemkeHowson:
         with pytest.raises(ValueError):
             lemke_howson(PENNIES_A, PENNIES_B, 9)
 
+    def test_no_dimension_cap_unless_asked(self):
+        # a 13x13 coordination game lies beyond the enumeration cap
+        eye = [[F(int(i == j)) for j in range(13)] for i in range(13)]
+        cert = lemke_howson(eye, eye, 0)
+        assert cert.x == cert.y == [F(1)] + [F(0)] * 12
+        with pytest.raises(DimensionTooLarge):
+            lemke_howson(eye, eye, 0, max_dim=12)
+
+    def test_pivot_bound(self):
+        # the referee's path from label 0 has `needed` pivots
+        A = frac_mat([[3, 3], [2, 5], [0, 6]])
+        B = frac_mat([[3, 2], [2, 6], [3, 1]])
+        needed = len(referee_path(A, B, 0)[0])
+        assert needed > 1
+        assert lemke_howson(A, B, 0, max_pivots=needed) == referee_lemke_howson(A, B, 0)
+        with pytest.raises(PivotLimitReached,
+                           match=f"bound of {needed - 1} pivots on the 3x2 game from label 0"):
+            lemke_howson(A, B, 0, max_pivots=needed - 1)
+
 
 def referee_lex_pivot(T, basis, col):
     """The ratio test as a minimum over full ratio tuples, with the
@@ -248,6 +269,68 @@ def referee_lex_pivot(T, basis, col):
     leaving = basis[best]
     basis[best] = col
     return leaving
+
+
+def referee_path(A, B, dropped_label):
+    """Dense Fraction Lemke-Howson: the (entering, leaving) variables of
+    every pivot, and the final P and Q tableaux with their bases."""
+    r, c = mat_shape(A)
+    A1 = _shift_positive(A)
+    B1 = _shift_positive(B)
+    # Tableau P over x/v: B1^T x + v = 1 (c rows); var t<r is x_t, else v_{t-r}.
+    TP = [[B1[i][j] for i in range(r)] + [F(int(jj == j)) for jj in range(c)] + [F(1)]
+          for j in range(c)]
+    basis_p = [r + j for j in range(c)]
+    # Tableau Q over y/u: A1 y + u = 1 (r rows); var t<c is y_t, else u_{t-c}.
+    TQ = [[A1[i][j] for j in range(c)] + [F(int(ii == i)) for ii in range(r)] + [F(1)]
+          for i in range(r)]
+    basis_q = [c + i for i in range(r)]
+    path = []
+    in_p = dropped_label < r
+    entering = dropped_label if in_p else dropped_label - r
+    for _ in range(4 ** (r + c)):
+        if in_p:
+            leaving = referee_lex_pivot(TP, basis_p, entering)
+            path.append((entering, leaving))
+            if leaving == dropped_label:
+                break
+            # complement of x_i is u_i (at c+i in Q); of v_j it is y_j (at j)
+            entering = c + leaving if leaving < r else leaving - r
+        else:
+            leaving = referee_lex_pivot(TQ, basis_q, entering)
+            path.append((entering, leaving))
+            if (r + leaving if leaving < c else leaving - c) == dropped_label:
+                break
+            # complement of y_j is v_j (at r+j in P); of u_i it is x_i (at i)
+            entering = r + leaving if leaving < c else leaving - c
+        in_p = not in_p
+    else:
+        raise RayTermination("pivoting failed to terminate")
+    return path, (TP, basis_p), (TQ, basis_q)
+
+
+def referee_lemke_howson(A, B, dropped_label=0):
+    """Lemke-Howson over dense Fraction tableaux, pivoting by
+    `referee_lex_pivot`."""
+    r, c = mat_shape(A)
+    _, (TP, basis_p), (TQ, basis_q) = referee_path(A, B, dropped_label)
+    x = [F(0)] * r
+    for row, var in enumerate(basis_p):
+        if var < r:
+            x[var] = TP[row][-1]
+    y = [F(0)] * c
+    for row, var in enumerate(basis_q):
+        if var < c:
+            y[var] = TQ[row][-1]
+    sx, sy = sum(x), sum(y)
+    if sx == 0 or sy == 0:
+        raise RayTermination("pivoting terminated at the artificial equilibrium")
+    x = [v / sx for v in x]
+    y = [v / sy for v in y]
+    bad = ne_violations(A, B, x, y)
+    if bad:
+        raise RayTermination("pivoting result fails the equilibrium checker: " + bad[0])
+    return NeCertificate(x, y, vec_dot(x, mat_vec(A, y)), vec_dot(vec_mat(x, B), y))
 
 
 ENTRIES = st.sampled_from([F(v) for v in (-1, 0, 0, 1, 1, 2)] + [F(1, 2)])
@@ -273,17 +356,50 @@ class TestLexPivot:
     @given(tied_tableaux())
     def test_matches_full_tuple_minimum(self, case):
         T, col = case
+        rhs = len(T[0]) - 1
         basis = [100 + i for i in range(len(T))]
-        got_T, got_basis = [row[:] for row in T], basis[:]
+        rows, got_basis = [_int_row(dict(enumerate(row))) for row in T], basis[:]
         want_T, want_basis = [row[:] for row in T], basis[:]
         try:
             want = referee_lex_pivot(want_T, want_basis, col)
         except RayTermination:
             with pytest.raises(RayTermination):
-                _lex_pivot(got_T, got_basis, col)
+                _lex_pivot(rows, got_basis, col, rhs)
             return
-        assert _lex_pivot(got_T, got_basis, col) == want
-        assert got_T == want_T and got_basis == want_basis
+        assert _lex_pivot(rows, got_basis, col, rhs) == want
+        assert got_basis == want_basis
+        assert [[F(N.get(j, 0), d) for j in range(rhs + 1)] for N, d in rows] == want_T
+        for N, d in rows:
+            assert d > 0 and 0 not in N.values() and gcd(d, *N.values()) == 1
+
+
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def small_games(draw):
+    """2-6 x 2-6 games, entries either from the tie-prone ENTRIES alphabet
+    or general rationals."""
+    r, c = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    entries = draw(st.sampled_from([ENTRIES, RATIONALS]))
+    mat = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    return draw(mat), draw(mat)
+
+
+def outcome(solve, A, B, label):
+    try:
+        return solve(A, B, label)
+    except Exception as exc:  # noqa: BLE001 - the exception class is the outcome
+        return type(exc)
+
+
+class TestLemkeHowsonReferee:
+    @settings(max_examples=150, deadline=None)
+    @given(small_games())
+    def test_every_label_matches_dense_fraction_tableau(self, game):
+        A, B = game
+        for label in range(len(A) + len(A[0])):
+            assert outcome(lemke_howson, A, B, label) == outcome(referee_lemke_howson, A, B, label)
 
 
 class TestFixedPointCheck:
@@ -309,7 +425,7 @@ class TestSymmetrizationInvariant:
             sym = lcp.symmetrize(A, B)
             for cert in res.equilibria:
                 z = lcp.ne_to_symmetrized(cert.x, cert.y, cert.pi1, cert.pi2)
-                assert check_symmetric_ne(sym.S, z)
+                assert not symmetric_ne_violations(sym.S, z)
 
 
 # Each guard is forced to fire: the enumerators' checkers report a
