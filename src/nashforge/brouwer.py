@@ -187,18 +187,6 @@ def decode_case(bits) -> int:
     raise IllegalPattern(f"bits {tuple(bits)} match no color case")
 
 
-def encode_case(k: int, color: int) -> list[int]:
-    """Inverse of decode_case for a legal color value."""
-    if not 0 <= color <= k:
-        raise ValueError(f"color {color} outside 0..{k}")
-    bits = []
-    for i in range(1, k + 1):
-        up = 1 if color == i else 0
-        down = 1 if color == 0 else 0
-        bits.extend((up, down))
-    return bits
-
-
 def increment(color: int, k: int) -> tuple[int, ...]:
     """Incremental vector of a color: all -1 for color 0, unit e_i else."""
     if not 0 <= color <= k:
@@ -335,11 +323,6 @@ def make_example_coloring(grid: Grid) -> BoolCircuit:
     for i in range(1, k + 1):
         outputs.extend((case[i], case[0]))
     return BoolCircuit(k, n, tuple(gates), tuple(outputs))
-
-
-def example_panchromatic_base(grid: Grid) -> tuple[int, ...]:
-    """Known panchromatic cube of make_example_coloring."""
-    return (0,) * grid.k
 
 
 # --- JSON wire format ---

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import brouwer, compiler, lcp, lp, nash
 from .exactmath import (
-    int_from_json, is_upper_triangular, mat_add, rank, rat_from_str, rat_to_str,
+    flag_from_json, int_from_json, is_upper_triangular, mat_add, rank, rat_from_str, rat_to_str,
     vec_to_strs,
 )
 from .fixp import (
@@ -39,11 +39,9 @@ class InputError(Exception):
 
 def _compiled_meta_from_json(doc: dict) -> tuple:
     grid = doc["source_grid"]
-    if type(doc["shrunk"]) is not bool:
-        raise TypeError("shrunk must be true or false")
     return (brouwer.Grid(int_from_json(grid["k"]), int_from_json(grid["n"])),
             compiler.SamplingParams(int_from_json(doc["L"]), int_from_json(doc["sample_count"])),
-            doc["shrunk"])
+            flag_from_json(doc["shrunk"]))
 
 
 # artifact kinds each command reads as its input
@@ -193,6 +191,10 @@ def _check(checks: list, name: str, ok: bool, detail: str = ""):
 
 def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, trials: int,
                            checks: list):
+    # the battery ends in enumerating the (m+1)x(m+1) games; refuse before
+    # the rank and semimonotone checks rather than after them
+    if P.m + 1 > nash.MAX_DIM:
+        raise nash.DimensionTooLarge(f"game is {P.m + 1}x{P.m + 1}; cap is {nash.MAX_DIM}")
     rng = random.Random(seed)
     ns = lcp.normalize(P)
     game = lcp.build_game(ns)
@@ -210,7 +212,7 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
             ok = False
             break
         y = lp.construct_dual(P, lam, x)
-        if not lp.check_kkt(P, lam, x, y) or any(a > b for a, b in zip(y, P.beta)):
+        if lp.kkt_violations(P, lam, x, y) or any(a > b for a, b in zip(y, P.beta)):
             ok = False
             break
     _check(checks, "lp_matches_circuit_and_kkt", ok)
@@ -283,7 +285,8 @@ def _verify_roundtrip(P: lp.ParamLP, prepared: FixpCircuit, checks: list):
         s, t = cert.x[-1], cert.y[-1]
         _check(checks, f"ne_{idx}_slack_positive", s > 0 and t > 0)
         x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
-        _check(checks, f"ne_{idx}_lcp_conditions", lcp.check_lcp(lcp.build_lcp_C(ns), x + y))
+        _check(checks, f"ne_{idx}_lcp_conditions",
+               not lcp.lcp_violations(lcp.build_lcp_C(ns), x + y))
         lam = lcp.game_to_fixed_point(cert.x, game.meta)
         _check(checks, f"ne_{idx}_fixed_point", nash.check_fixed_point(prepared, lam),
                "lambda = " + ", ".join(rat_to_str(v) for v in lam))

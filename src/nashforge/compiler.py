@@ -73,10 +73,6 @@ class CompiledFunction:
     params: SamplingParams
     shrunk: bool = False
 
-    @property
-    def domain_max(self) -> Fraction:
-        return Fraction(1) if self.shrunk else Fraction(self.grid.side - 1)
-
 
 # --- gadget emission ----------------------------------------------------
 
@@ -102,17 +98,6 @@ def _emit_extract_bits(b: Builder, x_ref: int, n: int, L: int) -> list[int]:
     return bits
 
 
-def extract_bits_gadget(n: int, L: int) -> FixpCircuit:
-    """Standalone bit-extraction fragment: one real input, n outputs."""
-    if n < 1:
-        raise ValueError("need at least one bit")
-    if L <= 16 or L & (L - 1) != 0:
-        raise ValueError("L must be a power of two exceeding 16")
-    b = Builder(1)
-    bits = _emit_extract_bits(b, b.input(0), n, L)
-    return FixpCircuit(1, tuple(b.gates), tuple(bits))
-
-
 def _emit_bool_sim(b: Builder, cb: BoolCircuit, input_refs: list[int]) -> list[int]:
     """Arithmetic simulation of the Boolean circuit on [0,1]-valued wires."""
     values: list[int] = []
@@ -128,18 +113,6 @@ def _emit_bool_sim(b: Builder, cb: BoolCircuit, input_refs: list[int]) -> list[i
         else:
             values.append(b.one_minus(values[g.a]))
     return [values[o] for o in cb.outputs]
-
-
-def simulate_bool(cb: BoolCircuit) -> FixpCircuit:
-    """Boolean circuit as an arithmetic fragment: k*n inputs, 2k outputs.
-
-    On 0/1 inputs it reproduces eval_bool exactly; on [0,1] inputs every
-    output stays in [0,1].
-    """
-    b = Builder(cb.k * cb.n)
-    inputs = [b.input(i) for i in range(cb.k * cb.n)]
-    outs = _emit_bool_sim(b, cb, inputs)
-    return FixpCircuit(cb.k * cb.n, tuple(b.gates), tuple(outs))
 
 
 def compile_brouwer(cb: BoolCircuit, params: SamplingParams | None = None,
@@ -275,24 +248,6 @@ def check_approx_fixed_point(cf: CompiledFunction, p: Vec, eps) -> bool:
     """Exact test of ||p - F(p)||_inf <= eps."""
     p = [Fraction(x) for x in p]
     return inf_norm(vec_sub(p, eval_compiled(cf, p))) <= Fraction(eps)
-
-
-def sampled_increment_sum(samples, well_flags, color_fn, grid: Grid,
-                          poor_increments=None) -> Vec:
-    """Sum of sampled increments: colors decide well samples, the given
-    vectors (default zero) stand in for poor ones."""
-    k = grid.k
-    total = [Fraction(0)] * k
-    poor_seen = 0
-    for j, (s, well) in enumerate(zip(samples, well_flags)):
-        if well:
-            inc = brouwer.increment(color_fn(floor_point(s, grid)), k)
-        else:
-            inc = poor_increments[poor_seen] if poor_increments else [0] * k
-            poor_seen += 1
-        for i in range(k):
-            total[i] += Fraction(inc[i])
-    return total
 
 
 def panchromatic_from_samples(samples, well_flags, color_fn, grid: Grid) -> tuple[tuple[int, ...], ...]:

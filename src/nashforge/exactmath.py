@@ -19,7 +19,6 @@ from math import lcm
 from operator import attrgetter
 from typing import NewType, get_type_hints
 
-Rat = Fraction
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 # a gate field holding the index of an earlier gate in the same circuit
@@ -32,6 +31,13 @@ def int_from_json(v) -> int:
     """A JSON integer; rejects `true`/`false`, floats and strings."""
     if type(v) is not int:
         raise TypeError(f"expected JSON integer, got {type(v).__name__}")
+    return v
+
+
+def flag_from_json(v) -> bool:
+    """A JSON boolean; rejects 0/1 and strings such as "false"."""
+    if type(v) is not bool:
+        raise TypeError(f"expected JSON true or false, got {type(v).__name__}")
     return v
 
 
@@ -211,19 +217,6 @@ def is_upper_triangular(m: Mat) -> bool:
     return all(m[i][j] == 0 for i in range(r) for j in range(i))
 
 
-def is_unit_lower_triangular(m: Mat) -> bool:
-    r, c = mat_shape(m)
-    if r != c:
-        return False
-    for i in range(r):
-        if m[i][i] != 1:
-            return False
-        for j in range(i + 1, c):
-            if m[i][j] != 0:
-                return False
-    return True
-
-
 # --- elimination ---
 
 def rank(m: Mat) -> int:
@@ -264,24 +257,6 @@ def rank(m: Mat) -> int:
         if pr == r:
             break
     return rk
-
-
-def solve_unit_lower_triangular(a: Mat, rhs: Vec) -> Vec:
-    """Forward substitution for A·x = rhs with A unit lower-triangular."""
-    r, c = mat_shape(a)
-    if r != c:
-        raise ValueError("matrix must be square")
-    if len(rhs) != r:
-        raise ValueError("dimension mismatch")
-    if not is_unit_lower_triangular(a):
-        raise ValueError("matrix must be lower-triangular with unit diagonal")
-    x = zeros_vec(r)
-    for i in range(r):
-        acc = rhs[i]
-        for j in range(i):
-            acc -= a[i][j] * x[j]
-        x[i] = acc
-    return x
 
 
 def pivot(t: Mat, r: int, s: int) -> None:

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Ref, Vec, gate_from_json, gate_refs, gate_to_json, int_from_json
+from .exactmath import (
+    Ref, Vec, flag_from_json, gate_from_json, gate_refs, gate_to_json, int_from_json,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,7 +343,7 @@ def circuit_from_json(doc: dict) -> FixpCircuit:
     return FixpCircuit(
         int_from_json(doc["k"]), tuple(gate_from_json(g, GATES) for g in doc["gates"]),
         tuple(int_from_json(o) for o in doc["outputs"]),
-        normalized=bool(meta["max_zero_normalized"]),
-        clamped=bool(meta["outputs_clamped"]),
+        normalized=flag_from_json(meta["max_zero_normalized"]),
+        clamped=flag_from_json(meta["outputs_clamped"]),
         clamp_pairs=tuple((int_from_json(a), int_from_json(b)) for a, b in meta["clamp_pairs"]),
     )

@@ -101,14 +101,6 @@ def scale_solution(lp: ParamLP, x: Vec) -> Vec:
     return [xi * ci for xi, ci in zip(x, lp.c)]
 
 
-def unscale_solution(lp: ParamLP, xp: Vec) -> Vec:
-    if lp.c is None:
-        raise ValueError("cost vector missing")
-    if len(xp) != lp.m:
-        raise ValueError("dimension mismatch")
-    return [xi / ci for xi, ci in zip(xp, lp.c)]
-
-
 @dataclass(frozen=True)
 class LcpInstance:
     """Conditions z >= 0, M z <= q, z_i (M z - q)_i = 0, componentwise."""
@@ -164,10 +156,6 @@ def lcp_violations(lcp: LcpInstance, z: Vec) -> list[str]:
     return out
 
 
-def check_lcp(lcp: LcpInstance, z: Vec) -> bool:
-    return not lcp_violations(lcp, z)
-
-
 def semimonotone_witness(ns: NormalizedSystem, z: Vec, q: Vec) -> str:
     """Name a violated LCP condition for nonzero z >= 0 against q > 0.
 
@@ -194,6 +182,11 @@ def semimonotone_witness(ns: NormalizedSystem, z: Vec, q: Vec) -> str:
 
 
 # --- games ---------------------------------------------------------------
+
+# the constructions a game can come from; `verify` picks its checks and
+# `solve` the strategy that carries the fixed point by this kind
+GAME_KINDS = ("rank_k_plus_1", "symmetric", "imitation")
+
 
 @dataclass(frozen=True)
 class GameMeta:
@@ -288,29 +281,6 @@ def symmetrize(A: Mat, B: Mat) -> SymmetricGame:
     return SymmetricGame(S, GameMeta(ra, 0, None, (), "symmetric"))
 
 
-def symmetrized_to_ne(z: Vec, rows: int) -> tuple[Vec, Vec]:
-    """Split a symmetric equilibrium of a symmetrized game back into a
-    profile of the original game; rejects degenerate all-zero halves."""
-    zx, zy = z[:rows], z[rows:]
-    sx, sy = sum(zx), sum(zy)
-    if sx == 0 or sy == 0:
-        raise ValueError("degenerate split: one half of the strategy is zero")
-    return [v / sx for v in zx], [v / sy for v in zy]
-
-
-def ne_to_symmetrized(x: Vec, y: Vec, pi1: Fraction, pi2: Fraction) -> Vec:
-    """Embed an equilibrium of (A, B) into the symmetrized game.
-
-    Halves are weighted by the opposite player's payoff, which requires
-    both payoffs positive (shift the game first otherwise).
-    """
-    if pi1 <= 0 or pi2 <= 0:
-        raise ValueError("embedding needs strictly positive payoffs")
-    alpha = pi1 / (pi1 + pi2)
-    beta = pi2 / (pi1 + pi2)
-    return [alpha * v for v in x] + [beta * v for v in y]
-
-
 def imitation_game(S: SymmetricGame) -> BimatrixGame:
     """The game (S, I): its second-player equilibrium strategies are the
     symmetric equilibria of (S, S^T)."""
@@ -402,9 +372,12 @@ def game_from_json(doc: dict) -> BimatrixGame:
     if len(output_rows) != k:
         # the rank bound k + 1 is read from meta.k, so it must be the game's own
         raise ValueError(f"meta.k is {k}, but output_rows has {len(output_rows)} entries")
+    kind = meta["kind"]
+    if kind not in GAME_KINDS:
+        raise ValueError(f"meta.kind is {kind!r}, not one of {', '.join(GAME_KINDS)}")
     return BimatrixGame(A, B, GameMeta(int_from_json(meta["m"]), k,
                                        vec_from_strs(meta["c"]) if meta.get("c") else None,
-                                       output_rows, meta["kind"]))
+                                       output_rows, kind))
 
 
 def lcp_to_json(lcp: LcpInstance) -> dict:

@@ -295,16 +295,6 @@ def kkt_violations(lp: ParamLP, lam: Vec, x: Vec, y: Vec) -> list[str]:
     return out
 
 
-def check_kkt(lp: ParamLP, lam: Vec, x: Vec, y: Vec) -> bool:
-    return not kkt_violations(lp, lam, x, y)
-
-
-def eval_flp(lp: ParamLP, lam: Vec) -> Vec:
-    """Output rows of the LP solution; lands in [0,1]^k for every lam."""
-    x = solve_lp(lp, lam)
-    return [x[r] for r in lp.output_rows]
-
-
 # --- JSON wire format ---
 
 def lp_to_json(lp: ParamLP) -> dict:

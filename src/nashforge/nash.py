@@ -58,7 +58,6 @@ class NeCertificate:
 @dataclass(frozen=True)
 class SymCertificate:
     z: Vec
-    pi: Fraction
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
             key = tuple(z)
             if key not in found:
                 _checked(symmetric_ne_violations(S, z), "symmetric candidate")
-                found[key] = SymCertificate(z, pi)
+                found[key] = SymCertificate(z)
     return EnumerationResult(tuple(found.values()), degenerate)
 
 
@@ -320,30 +319,20 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     rows_q = [_int_row({**dict(enumerate(A1[i])), c + i: one, rhs: one}) for i in range(r)]
     basis_q = [c + i for i in range(r)]
 
-    def label_p(var: int) -> int:
-        return var            # x_i -> i, v_j (at r+j) -> r+j
-
-    def label_q(var: int) -> int:
-        return r + var if var < c else var - c
-
-    in_p = dropped_label < r
-    entering = dropped_label if in_p else dropped_label - r
+    # Each side is (rows, basis, variable -> label, label -> variable).  The
+    # label that leaves one side enters the other as the variable carrying
+    # it there, its complement; P's variables carry their own index.
+    sides = ((rows_p, basis_p, lambda var: var, lambda lab: lab),
+             (rows_q, basis_q, lambda var: r + var if var < c else var - c,
+              lambda lab: c + lab if lab < r else lab - r))
+    side = int(dropped_label >= r)
+    label = dropped_label
     for _ in range(max_pivots):
-        if in_p:
-            leaving = _lex_pivot(rows_p, basis_p, entering, rhs)
-            lab = label_p(leaving)
-            if lab == dropped_label:
-                break
-            # complement of x_i is u_i (at c+i in Q); of v_j it is y_j (at j)
-            entering = c + leaving if leaving < r else leaving - r
-        else:
-            leaving = _lex_pivot(rows_q, basis_q, entering, rhs)
-            lab = label_q(leaving)
-            if lab == dropped_label:
-                break
-            # complement of y_j is v_j (at r+j in P); of u_i it is x_i (at i)
-            entering = r + leaving if leaving < c else leaving - c
-        in_p = not in_p
+        rows, basis, label_of, var_of = sides[side]
+        label = label_of(_lex_pivot(rows, basis, var_of(label), rhs))
+        if label == dropped_label:
+            break
+        side = 1 - side
     else:
         raise PivotLimitReached(f"Lemke-Howson found no equilibrium within its bound of"
                                 f" {max_pivots} pivots on the {r}x{c} game from label"

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nashforge import brouwer, compiler, fixp
+from nashforge.exactmath import mat_shape
 
 
 def one_minus_circuit():
@@ -25,6 +26,85 @@ def false_clamp_claim_circuit():
     return fixp.FixpCircuit(
         1, (fixp.Input(0), fixp.Const(F(0)), fixp.Max(1, 0), fixp.Max(1, 2)), (3,),
         normalized=True, clamped=True, clamp_pairs=((2, 3),))
+
+
+def encode_case(k: int, color: int) -> list[int]:
+    """Inverse of brouwer.decode_case for a legal color value."""
+    if not 0 <= color <= k:
+        raise ValueError(f"color {color} outside 0..{k}")
+    bits = []
+    for i in range(1, k + 1):
+        up = 1 if color == i else 0
+        down = 1 if color == 0 else 0
+        bits.extend((up, down))
+    return bits
+
+
+def extract_bits_gadget(n: int, L: int) -> fixp.FixpCircuit:
+    """The bit extraction compile_brouwer emits, alone: one real input, n outputs."""
+    b = fixp.Builder(1)
+    bits = compiler._emit_extract_bits(b, b.input(0), n, L)
+    return fixp.FixpCircuit(1, tuple(b.gates), tuple(bits))
+
+
+def simulate_bool(cb: brouwer.BoolCircuit) -> fixp.FixpCircuit:
+    """The Boolean simulation compile_brouwer emits, alone: k*n inputs, 2k outputs."""
+    b = fixp.Builder(cb.k * cb.n)
+    outs = compiler._emit_bool_sim(b, cb, [b.input(i) for i in range(cb.k * cb.n)])
+    return fixp.FixpCircuit(cb.k * cb.n, tuple(b.gates), tuple(outs))
+
+
+def sampled_increment_sum(samples, well_flags, color_fn, grid, poor_increments=None) -> list:
+    """Sum of sampled increments: colors decide well samples, the given
+    vectors (default zero) stand in for poor ones."""
+    k = grid.k
+    total = [F(0)] * k
+    poor_seen = 0
+    for s, well in zip(samples, well_flags):
+        if well:
+            inc = brouwer.increment(color_fn(compiler.floor_point(s, grid)), k)
+        else:
+            inc = poor_increments[poor_seen] if poor_increments else [0] * k
+            poor_seen += 1
+        for i in range(k):
+            total[i] += F(inc[i])
+    return total
+
+
+def is_unit_lower_triangular(m) -> bool:
+    r, c = mat_shape(m)
+    if r != c:
+        return False
+    for i in range(r):
+        if m[i][i] != 1:
+            return False
+        for j in range(i + 1, c):
+            if m[i][j] != 0:
+                return False
+    return True
+
+
+def ne_to_symmetrized(x, y, pi1, pi2) -> list:
+    """Embed an equilibrium of (A, B) into lcp.symmetrize(A, B).
+
+    x's half weighs pi1 / (pi1 + pi2) and y's half pi2 / (pi1 + pi2), so
+    every strategy in either support earns pi1 pi2 / (pi1 + pi2); both
+    payoffs must be positive (shift the game first otherwise).
+    """
+    if pi1 <= 0 or pi2 <= 0:
+        raise ValueError("embedding needs strictly positive payoffs")
+    alpha, beta = pi1 / (pi1 + pi2), pi2 / (pi1 + pi2)
+    return [alpha * v for v in x] + [beta * v for v in y]
+
+
+def symmetrized_to_ne(z, rows: int) -> tuple[list, list]:
+    """Split a symmetric equilibrium of lcp.symmetrize(A, B) back into a
+    profile of (A, B); an all-zero half does not split."""
+    zx, zy = z[:rows], z[rows:]
+    sx, sy = sum(zx), sum(zy)
+    if sx == 0 or sy == 0:
+        raise ValueError("degenerate split: one half of the strategy is zero")
+    return [v / sx for v in zx], [v / sy for v in zy]
 
 
 def random_raw_circuit(rng: random.Random, k: int, max_max_gates: int,
@@ -111,7 +191,7 @@ def make_synthetic_trial(rng: random.Random, k: int, exact_zero: bool) -> Synthe
         poor = {m - 1 for m in crossings}
         flags = [j not in poor for j in range(count)]
         trial = SyntheticTrial(grid, samples, flags, chain, color_of, None)
-        well_sum = compiler.sampled_increment_sum(
+        well_sum = sampled_increment_sum(
             samples, flags, trial.color_fn, grid)
         if max(abs(v) for v in well_sum) > k:
             continue

@@ -15,8 +15,8 @@ from nashforge import brouwer, compiler, exactmath as em, fixp, lcp, lp, nash
 from nashforge.cli import SCHEMA, main
 
 from conftest import (
-    make_synthetic_trial, one_minus_circuit, random_lambda, random_raw_circuit,
-    swap_circuit,
+    extract_bits_gadget, make_synthetic_trial, one_minus_circuit, random_lambda,
+    random_raw_circuit, sampled_increment_sum, swap_circuit,
 )
 
 
@@ -65,7 +65,7 @@ def test_criterion_1_extract_bits_exactness(capsys):
     """Gadget output equals the binary digits of floor(a) on every
     well-positioned point of the sweep a = t + j/(4 L^2), n=4, L=32."""
     n, L = 4, 32
-    gadget = compiler.extract_bits_gadget(n, L)
+    gadget = extract_bits_gadget(n, L)
     step = F(1, 4 * L * L)
     checked = 0
     for t in range(2 ** n):
@@ -99,7 +99,7 @@ def test_criterion_2_lp_equals_circuit(capsys):
             _, trace = fixp.evaluate_with_trace(prepared, lam)
             assert x == [trace[g] for g in order]
             y = lp.construct_dual(P, lam, x)
-            assert lp.check_kkt(P, lam, x, y)
+            assert not lp.kkt_violations(P, lam, x, y)
             assert all(yi <= bi for yi, bi in zip(y, P.beta))
             draws += 1
         circuits += 1
@@ -131,7 +131,7 @@ def test_criterion_4_game_correspondence(capsys):
         for cert in res.equilibria:
             assert cert.x[-1] > 0 and cert.y[-1] > 0, f"{name}: slack weight zero"
             x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
-            assert lcp.check_lcp(lcp.build_lcp_C(ns), x + y), name
+            assert not lcp.lcp_violations(lcp.build_lcp_C(ns), x + y), name
             lam = lcp.game_to_fixed_point(cert.x, game.meta)
             assert nash.check_fixed_point(prepared, lam), f"{name}: lambda not fixed"
             lams.add(tuple(lam))
@@ -157,7 +157,7 @@ def test_criterion_5_symmetric_path_agreement(capsys):
         for cert in sres.equilibria:
             assert cert.z[-1] > 0, f"{name}: symmetric slack weight zero"
             x = lcp.symne_to_lcp(P, cert.z)
-            assert lcp.check_lcp(lcp.build_direct_lcp(P), x), name
+            assert not lcp.lcp_violations(lcp.build_direct_lcp(P), x), name
             lam = lcp.game_to_fixed_point(cert.z, sym.meta)
             assert nash.check_fixed_point(prepared, lam), name
             sym_lams.add(tuple(lam))
@@ -217,7 +217,7 @@ def test_criterion_8_sampling_lemma_extraction(capsys):
         k = 2 if trial_idx % 2 == 0 else 3
         exact_zero = trial_idx % 4 < 2
         trial = make_synthetic_trial(rng, k, exact_zero)
-        total = compiler.sampled_increment_sum(
+        total = sampled_increment_sum(
             trial.samples, trial.well_flags, trial.color_fn, trial.grid,
             trial.poor_incs)
         drift = max(abs(v) for v in total)
@@ -279,12 +279,12 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
         elif mode == 3:    # corrupt an LCP coordinate
             zz = x + y
             zz[rng.randrange(len(zz))] += abs(delta)
-            assert not lcp.check_lcp(lcp.build_lcp_C(ns), zz)
+            assert lcp.lcp_violations(lcp.build_lcp_C(ns), zz)
         else:              # corrupt the dual certificate
             xs = lp.solve_lp(P, lam)
             ys = lp.construct_dual(P, lam, xs)
             ys[rng.randrange(len(ys))] += delta
-            assert not lp.check_kkt(P, lam, xs, ys)
+            assert lp.kkt_violations(P, lam, xs, ys)
         rejected += 1
     assert rejected == 50
 

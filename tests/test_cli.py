@@ -11,7 +11,7 @@ import nashforge
 from nashforge import brouwer, cli, exactmath, fixp, lcp, lp
 from nashforge.cli import SCHEMA, main
 
-from conftest import false_clamp_claim_circuit, one_minus_circuit
+from conftest import encode_case, false_clamp_claim_circuit, one_minus_circuit
 
 
 def write_json(path, kind, body):
@@ -33,6 +33,17 @@ def circuit_file(tmp_path):
                       fixp.circuit_to_json(one_minus_circuit()))
 
 
+@pytest.fixture(scope="module")
+def compiled_1d(tmp_path_factory):
+    """make_example_coloring(Grid(1, 1)) compiled with --shrink; its game is 69x69."""
+    tmp = tmp_path_factory.mktemp("compiled_1d")
+    cb = brouwer.make_example_coloring(brouwer.Grid(1, 1))
+    source = write_json(tmp / "brouwer.json", "brouwer", brouwer.bool_to_json(cb))
+    compiled = str(tmp / "compiled.json")
+    assert main(["compile", source, "-o", compiled, "--shrink"]) == 0
+    return compiled
+
+
 class TestCompile:
     def test_fixture_compiles_with_grid_check(self, fixture_file, tmp_path, capsys):
         out = tmp_path / "circuit.json"
@@ -45,7 +56,7 @@ class TestCompile:
         assert meta["L"] == 32 and meta["sample_count"] == 16 and meta["shrunk"] is False
 
     def test_invalid_circuit_exits_2(self, tmp_path, capsys):
-        bits = brouwer.encode_case(2, 0)
+        bits = encode_case(2, 0)
         cb = brouwer.BoolCircuit(2, 2, tuple(brouwer.BConst(v) for v in bits), (0, 1, 2, 3))
         bad = write_json(tmp_path / "bad.json", "brouwer", brouwer.bool_to_json(cb))
         assert main(["compile", bad, "-o", str(tmp_path / "c.json")]) == 2
@@ -181,6 +192,23 @@ class TestVerify:
         if k == 2:
             assert game in err and "rank_bound" not in out
 
+    def test_lemmas_mode_refuses_game_past_cap_before_any_check(self, compiled_1d,
+                                                                monkeypatch, capsys):
+        # each check records its call and stops the run
+        calls = []
+
+        def counted(name):
+            def stub(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} ran before the dimension cap")
+            return stub
+        for module in (cli, exactmath):
+            monkeypatch.setattr(module, "rank", counted("rank"))
+        monkeypatch.setattr(lcp, "semimonotone_witness", counted("semimonotone_witness"))
+        assert main(["verify", compiled_1d, "--mode", "lemmas"]) == 2
+        assert "game is 69x69; cap is 12" in capsys.readouterr().err
+        assert calls == []
+
     def test_approx_mode_on_compiled_instance(self, fixture_file, tmp_path, capsys):
         circ = tmp_path / "compiled.json"
         main(["compile", fixture_file, "-o", str(circ), "--no-grid-check"])
@@ -226,14 +254,11 @@ class TestSolve:
         entries = json.loads(capsys.readouterr().out)
         assert entries[0]["lambda"] == ["1/2"]
 
-    def test_lemke_howson_on_compiled_game(self, tmp_path, capsys):
+    def test_lemke_howson_on_compiled_game(self, compiled_1d, tmp_path, capsys):
         # the whole 1-D chain through the CLI: a 69x69 game, far beyond the
         # enumeration cap, solved under the pivot bound
-        cb = brouwer.make_example_coloring(brouwer.Grid(1, 1))
-        source = write_json(tmp_path / "brouwer.json", "brouwer", brouwer.bool_to_json(cb))
-        compiled, game = str(tmp_path / "compiled.json"), str(tmp_path / "game.json")
-        assert main(["compile", source, "-o", compiled, "--shrink"]) == 0
-        assert main(["reduce", compiled, "--target", "game", "-o", game]) == 0
+        game = str(tmp_path / "game.json")
+        assert main(["reduce", compiled_1d, "--target", "game", "-o", game]) == 0
         capsys.readouterr()
         assert main(["solve", game, "--method", "lh"]) == 0
         entries = json.loads(capsys.readouterr().out)
@@ -302,6 +327,9 @@ def _malformed(kind, body):
         docs["unknown_op"] = _first_gate(body, {"op": "xor", "a": 0})
         if kind == "circuit":
             docs["false_clamp_claim"] = fixp.circuit_to_json(false_clamp_claim_circuit())
+            clamped = fixp.circuit_to_json(fixp.clamp_outputs(one_minus_circuit()))
+            docs["string_flag"] = {**clamped,
+                                   "meta": {**clamped["meta"], "max_zero_normalized": "false"}}
     elif kind == "game":
         docs["meta_k_true"] = {**body, "meta": {**body["meta"], "k": True}}
         docs["without_meta"] = {key: v for key, v in body.items() if key != "meta"}
@@ -309,6 +337,7 @@ def _malformed(kind, body):
         docs["output_row_negative"] = {**body, "meta": {**body["meta"], "output_rows": [-1]}}
         docs["rows_mismatch"] = {**body, "rows": body["rows"] + 1}
         docs["k_not_output_count"] = {**body, "meta": {**body["meta"], "k": body["meta"]["k"] + 1}}
+        docs["unknown_kind"] = {**body, "meta": {**body["meta"], "kind": "foo"}}
     elif kind == "compiled_meta":
         docs["L_true"] = {**body, "L": True}
     else:

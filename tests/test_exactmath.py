@@ -81,39 +81,6 @@ class TestRank:
             assert em.rank(m) <= target
 
 
-class TestTriangularSolve:
-    def test_identity(self):
-        assert em.solve_unit_lower_triangular(em.identity(2), [F(3), F(7)]) == [F(3), F(7)]
-
-    def test_by_hand(self):
-        a = frac_mat([[1, 0], [1, 1]])
-        assert em.solve_unit_lower_triangular(a, [F(0), F(1)]) == [F(0), F(1)]
-
-    def test_negative_coefficient(self):
-        a = frac_mat([[1, 0], [-2, 1]])
-        x = em.solve_unit_lower_triangular(a, [F(1), F(0)])
-        assert x == [F(1), F(2)]
-        assert em.mat_vec(a, x) == [F(1), F(0)]
-
-    def test_solution_satisfies_system_exactly(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            n = rng.randint(1, 6)
-            a = [[F(1) if i == j else (F(rng.randint(-5, 5), rng.randint(1, 4)) if j < i else F(0))
-                  for j in range(n)] for i in range(n)]
-            rhs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-            x = em.solve_unit_lower_triangular(a, rhs)
-            assert em.mat_vec(a, x) == rhs
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            em.solve_unit_lower_triangular(frac_mat([[1, 0], [1, 1]]), [F(1)])
-        with pytest.raises(ValueError):
-            em.solve_unit_lower_triangular(frac_mat([[2, 0], [1, 1]]), [F(1), F(1)])
-        with pytest.raises(ValueError):
-            em.solve_unit_lower_triangular(frac_mat([[1, 5], [1, 1]]), [F(1), F(1)])
-
-
 class TestTriangularPredicate:
     def test_identity(self):
         assert em.is_upper_triangular(em.identity(4))

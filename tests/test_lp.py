@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashforge import exactmath, fixp, lp
+from nashforge import fixp, lp
 from nashforge.fixp import evaluate_with_trace, order_max_gates
 from nashforge.lp import (
-    LinExpr, build_constraints, build_param_lp, check_kkt, construct_cost, construct_dual,
-    eval_flp, lam_rhs, lp_to_json, property_violations, solve_lp,
+    LinExpr, build_constraints, build_param_lp, construct_cost, construct_dual,
+    kkt_violations, lam_rhs, lp_to_json, property_violations, solve_lp,
 )
 
 from conftest import (
-    false_clamp_claim_circuit, one_minus_circuit, random_lambda, random_raw_circuit, swap_circuit,
+    false_clamp_claim_circuit, is_unit_lower_triangular, one_minus_circuit, random_lambda,
+    random_raw_circuit, swap_circuit,
 )
 
 
@@ -131,7 +132,7 @@ class TestSparseMatchesDense:
         P, _ = build_param_lp(random_raw_circuit(random.Random(seed), k, 4))
         lam = lam[:k]
         A = P.A
-        assert exactmath.is_unit_lower_triangular(A)
+        assert is_unit_lower_triangular(A)
         assert (P.c, P.beta) == dense_cost(A)
         rhs = [bi + sum((v * u[i] for v, u in zip(lam, P.U)), F(0))
                for i, bi in enumerate(P.b)]
@@ -188,7 +189,7 @@ class TestKkt:
         P, _ = worked
         lam = [F(1, 3)]
         x = solve_lp(P, lam)
-        assert check_kkt(P, lam, x, construct_dual(P, lam, x))
+        assert not kkt_violations(P, lam, x, construct_dual(P, lam, x))
 
     def test_perturbed_primal_rejected(self, worked):
         P, _ = worked
@@ -197,35 +198,41 @@ class TestKkt:
         y = construct_dual(P, lam, x)
         x2 = list(x)
         x2[0] += 1
-        assert not check_kkt(P, lam, x2, y)
+        assert kkt_violations(P, lam, x2, y)
 
     def test_zero_dual_with_positive_primal_rejected(self, worked):
         P, _ = worked
         lam = [F(1, 2)]
         x = solve_lp(P, lam)
-        assert not check_kkt(P, lam, x, [F(0), F(0)])
+        assert kkt_violations(P, lam, x, [F(0), F(0)])
+
+
+def lp_outputs(P, lam):
+    """The output rows of the LP's solution at lam."""
+    x = solve_lp(P, lam)
+    return [x[r] for r in P.output_rows]
 
 
 class TestFlp:
     def test_worked_fixed_point(self, worked):
         P, _ = worked
-        assert eval_flp(P, [F(1, 2)]) == [F(1, 2)]
+        assert lp_outputs(P, [F(1, 2)]) == [F(1, 2)]
 
     def test_out_of_box_parameter_still_lands_inside(self, worked):
         P, _ = worked
-        out = eval_flp(P, [F(2)])
+        out = lp_outputs(P, [F(2)])
         assert all(F(0) <= v <= F(1) for v in out)
 
     def test_agrees_with_circuit_on_unit_box(self, rng, worked):
         P, prepared = worked
         for _ in range(20):
             lam = [F(rng.randint(0, 16), 16)]
-            assert eval_flp(P, lam) == fixp.evaluate(prepared, lam)
+            assert lp_outputs(P, lam) == fixp.evaluate(prepared, lam)
 
     def test_swap_fixed_points_on_diagonal(self):
         P, prepared = build_param_lp(swap_circuit())
-        assert eval_flp(P, [F(1, 3), F(1, 3)]) == [F(1, 3), F(1, 3)]
-        assert eval_flp(P, [F(1, 4), F(3, 4)]) == [F(3, 4), F(1, 4)]
+        assert lp_outputs(P, [F(1, 3), F(1, 3)]) == [F(1, 3), F(1, 3)]
+        assert lp_outputs(P, [F(1, 4), F(3, 4)]) == [F(3, 4), F(1, 4)]
 
 
 class TestRandomizedEquivalence:
@@ -240,7 +247,7 @@ class TestRandomizedEquivalence:
                 _, trace = evaluate_with_trace(prepared, lam)
                 assert x == [trace[g] for g in order]
                 y = construct_dual(P, lam, x)
-                assert check_kkt(P, lam, x, y)
+                assert not kkt_violations(P, lam, x, y)
 
 
 class TestProperties:

@@ -20,7 +20,7 @@ from nashforge.nash import (
 )
 from nashforge.nash import _int_row, _lex_pivot, _shift_positive
 
-from conftest import one_minus_circuit, random_raw_circuit, swap_circuit
+from conftest import ne_to_symmetrized, one_minus_circuit, swap_circuit
 
 
 def frac_mat(rows):
@@ -424,7 +424,7 @@ class TestSymmetrizationInvariant:
             res = enumerate_ne(A, B)
             sym = lcp.symmetrize(A, B)
             for cert in res.equilibria:
-                z = lcp.ne_to_symmetrized(cert.x, cert.y, cert.pi1, cert.pi2)
+                z = ne_to_symmetrized(cert.x, cert.y, cert.pi1, cert.pi2)
                 assert not symmetric_ne_violations(sym.S, z)
 
 
@@ -445,6 +445,13 @@ for call in (lambda: nash.enumerate_ne([[F(1)]], [[F(1)]]),
     except AssertionError as exc:
         print("raised:", exc)
 """
+
+
+# public names that nothing in src/ or perfbench/ references, with the reason each stays
+UNCALLED_BUT_KEPT = {
+    "bool_to_json": "the brouwer wire writer, the one way to produce what `compile` reads",
+    "scale_solution": "the change of variables that the fixed point -> equilibrium lift needs",
+}
 
 
 class TestChecksSurviveOptimize:
@@ -468,3 +475,38 @@ class TestChecksSurviveOptimize:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Assert)]
         assert found == []
+
+    def test_every_public_name_has_a_caller(self):
+        package = Path(nashforge.__file__).resolve().parent
+        bench = package.parents[1] / "perfbench"
+        # per top-level statement of each file, the names it references
+        statements = []
+        for path in sorted(package.parent.rglob("*.py")) + sorted(bench.glob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                refs = set()
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        refs.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        refs.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        refs.add(node.name.split(".")[-1])
+                statements.append((path, stmt, refs))
+        uncalled = []
+        for path, stmt, _ in statements:
+            if path.parent != package:
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") or name in UNCALLED_BUT_KEPT:
+                    continue
+                if not any(name in refs for _, other, refs in statements if other is not stmt):
+                    uncalled.append(f"{path.name}:{name}")
+        assert uncalled == []
+
