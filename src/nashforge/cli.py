@@ -129,9 +129,11 @@ def cmd_compile(args) -> int:
     cb = _load(args.input, "brouwer")
     if not _validated(cb):
         return EXIT_INVALID_INPUT
-    params = None
-    if args.L is not None:
-        params = compiler.SamplingParams(args.L, max(16, cb.k ** 4))
+    try:
+        params = (compiler.default_params(cb) if args.L is None
+                  else compiler.SamplingParams(args.L, max(16, cb.k ** 4)))
+    except ValueError as exc:
+        raise InputError(f"{args.input}: no admissible sampling density ({exc})")
     cf = compiler.compile_brouwer(cb, params=params, validate=False)
     print(f"validation: PASS ({cb.k}D, n={cb.n}, L={cf.params.L}, "
           f"samples={cf.params.sample_count})")
@@ -193,8 +195,7 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
                            checks: list):
     # the battery ends in enumerating the (m+1)x(m+1) games; refuse before
     # the rank and semimonotone checks rather than after them
-    if P.m + 1 > nash.MAX_DIM:
-        raise nash.DimensionTooLarge(f"game is {P.m + 1}x{P.m + 1}; cap is {nash.MAX_DIM}")
+    nash.check_dimension(P.m + 1, P.m + 1)
     rng = random.Random(seed)
     ns = lcp.normalize(P)
     game = lcp.build_game(ns)
@@ -239,32 +240,21 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
     if alarm:
         raise lcp.LemmaFalsified("semimonotone battery found a nonzero solution")
 
+    # each route must find equilibria, map them to the LCP and back, and
+    # carry fixed points of the circuit
     res = nash.enumerate_ne(game.A, game.B)
-    ok_map = bool(res.equilibria)
-    lam_set = set()
-    for cert in res.equilibria:
-        x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
-        if lcp.lcp_to_ne(x, y) != (cert.x, cert.y):
-            ok_map = False
-        lam = lcp.game_to_fixed_point(cert.x, game.meta)
-        lam_set.add(tuple(lam))
-        if not nash.check_fixed_point(prepared, lam):
-            ok_map = False
-    _check(checks, "ne_to_lcp_roundtrip_and_fixed_points", ok_map,
+    lam_set = {tuple(lcp.game_to_fixed_point(c.x, game.meta)) for c in res.equilibria}
+    _check(checks, "ne_to_lcp_roundtrip_and_fixed_points",
+           bool(res.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in lam_set)
+           and all(lcp.lcp_to_ne(*lcp.ne_to_lcp(ns, c.x, c.y)) == (c.x, c.y)
+                   for c in res.equilibria),
            f"{len(res.equilibria)} equilibria" + (" [degenerate]" if res.degenerate else ""))
 
     sres = nash.enumerate_symmetric_ne(sym.S)
-    sym_lams = set()
-    ok_sym = bool(sres.equilibria)
-    for cert in sres.equilibria:
-        x = lcp.symne_to_lcp(P, cert.z)
-        if lcp.lcp_to_symne(x) != cert.z:
-            ok_sym = False
-        lam = lcp.game_to_fixed_point(cert.z, sym.meta)
-        sym_lams.add(tuple(lam))
-        if not nash.check_fixed_point(prepared, lam):
-            ok_sym = False
-    _check(checks, "symmetric_path_fixed_points", ok_sym,
+    sym_lams = {tuple(lcp.game_to_fixed_point(c.z, sym.meta)) for c in sres.equilibria}
+    _check(checks, "symmetric_path_fixed_points",
+           bool(sres.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in sym_lams)
+           and all(lcp.lcp_to_symne(lcp.symne_to_lcp(P, c.z)) == c.z for c in sres.equilibria),
            f"{len(sres.equilibria)} symmetric equilibria")
     if not (res.degenerate or sres.degenerate):
         _check(checks, "paths_agree_on_lambda", lam_set == sym_lams)
@@ -282,8 +272,7 @@ def _verify_roundtrip(P: lp.ParamLP, prepared: FixpCircuit, checks: list):
     res = nash.enumerate_ne(game.A, game.B)
     _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
     for idx, cert in enumerate(res.equilibria):
-        s, t = cert.x[-1], cert.y[-1]
-        _check(checks, f"ne_{idx}_slack_positive", s > 0 and t > 0)
+        _check(checks, f"ne_{idx}_slack_positive", cert.x[-1] > 0 and cert.y[-1] > 0)
         x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
         _check(checks, f"ne_{idx}_lcp_conditions",
                not lcp.lcp_violations(lcp.build_lcp_C(ns), x + y))
@@ -293,16 +282,16 @@ def _verify_roundtrip(P: lp.ParamLP, prepared: FixpCircuit, checks: list):
 
 
 def _verify_game(game: lcp.BimatrixGame, checks: list):
+    # refuse a game past the enumeration cap before the rank checks pass it
+    nash.check_dimension(len(game.A), len(game.A[0]))
     if game.meta.kind == "rank_k_plus_1":
-        s = mat_add(game.A, game.B)
-        _check(checks, "rank_bound", rank(s) <= game.meta.k + 1)
+        _check(checks, "rank_bound", rank(mat_add(game.A, game.B)) <= game.meta.k + 1)
         _check(checks, "upper_triangular", is_upper_triangular(game.A))
     res = nash.enumerate_ne(game.A, game.B)
     _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
     for idx, cert in enumerate(res.equilibria):
-        ok = not nash.ne_violations(game.A, game.B, cert.x, cert.y)
-        _check(checks, f"ne_{idx}_checker", ok)
-        if game.meta.kind in ("rank_k_plus_1",) and game.meta.output_rows:
+        _check(checks, f"ne_{idx}_checker", not nash.ne_violations(game.A, game.B, cert.x, cert.y))
+        if game.meta.kind == "rank_k_plus_1" and game.meta.output_rows:
             _check(checks, f"ne_{idx}_slack_positive", cert.x[-1] > 0 and cert.y[-1] > 0)
 
 
@@ -312,19 +301,25 @@ def _verify_approx(args, checks: list):
     circ = _load(args.input, "circuit")
     cb = _load(args.source, "brouwer")
     grid, params, shrunk = _load(args.compiled_meta, "compiled_meta")
+    if (circ.k, cb.k, cb.n) != (grid.k, grid.k, grid.n):
+        raise InputError(f"{args.compiled_meta} is for k={grid.k}, n={grid.n}, but {args.input}"
+                         f" has {circ.k} inputs and {args.source} k={cb.k}, n={cb.n}")
     cf = compiler.CompiledFunction(circ, cb, grid, params, shrunk)
     if not args.points:
         raise InputError("--mode approx needs --points \"p1,p2;q1,q2;...\"")
-    eps = rat_from_str(args.eps) if args.eps else Fraction(1, params.L)
+    eps = Fraction(1, params.L) if args.eps is None else args.eps
     fixtures = None
     for text in args.points.split(";"):
         p = _parse_point(text)
-        if len(p) != grid.k:
-            raise InputError(f"point {text!r} has wrong dimension")
+        if len(p) != grid.k or min(p) < 0:
+            raise InputError(f"point {text!r} needs {grid.k} nonnegative coordinates")
         is_fp = compiler.check_approx_fixed_point(cf, p, eps)
         _check(checks, f"approx_fixed_point[{text}]", is_fp, f"eps={rat_to_str(eps)}")
         if not is_fp:
             continue
+        if shrunk:
+            raise InputError(f"{args.compiled_meta}: simplices are extracted from the"
+                             " unshrunk compiled circuit")
         try:
             simplex = compiler.extract_panchromatic_simplex(p, cf, eps)
         except compiler.NotPanchromatic as exc:
@@ -375,6 +370,9 @@ def cmd_solve(args) -> int:
     entries = []
     degenerate = False
     if args.method == "lh":
+        labels = len(game.A) + len(game.A[0])
+        if not 0 <= args.label < labels:
+            raise InputError(f"--label must lie in 0..{labels - 1}, got {args.label}")
         certs = [nash.lemke_howson(game.A, game.B, args.label, max_pivots=args.max_pivots)]
     else:
         res = nash.enumerate_ne(game.A, game.B)
@@ -391,12 +389,8 @@ def cmd_solve(args) -> int:
         # the shared strategy of symmetric profiles for (S, S^T)
         carrier = None
         if game.meta.output_rows:
-            if game.meta.kind == "rank_k_plus_1":
-                carrier = cert.x
-            elif game.meta.kind == "imitation":
-                carrier = cert.y
-            elif cert.x == cert.y:
-                carrier = cert.x
+            carrier = {"rank_k_plus_1": cert.x, "imitation": cert.y}.get(
+                game.meta.kind, cert.x if cert.x == cert.y else None)
         if carrier is not None and carrier[-1] > 0:
             entry["lambda"] = vec_to_strs(lcp.game_to_fixed_point(carrier, game.meta))
         entries.append(entry)
@@ -499,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--source", help="brouwer.json for --mode approx")
     v.add_argument("--compiled-meta", help="compiled sidecar for --mode approx")
     v.add_argument("--points", help="semicolon-separated candidate points")
-    v.add_argument("--eps", help="approximation tolerance (default 1/L)")
+    v.add_argument("--eps", type=rat_from_str, help="approximation tolerance (default 1/L)")
     v.add_argument("-o", "--output")
     v.set_defaults(func=cmd_verify)
 
@@ -537,7 +531,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (brouwer.GridTooLarge, brouwer.InvalidBrouwerCircuit,
-            nash.DimensionTooLarge, nash.PivotLimitReached, ValueError) as exc:
+            nash.DimensionTooLarge, nash.PivotLimitReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except lcp.LemmaFalsified as exc:

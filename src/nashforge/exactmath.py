@@ -257,49 +257,3 @@ def rank(m: Mat) -> int:
         if pr == r:
             break
     return rk
-
-
-def pivot(t: Mat, r: int, s: int) -> None:
-    """Gauss-Jordan step in place: scale row r so that t[r][s] = 1, then
-    clear column s from every other row that is nonzero there.  Zero
-    entries of row r leave the matching entries untouched."""
-    p = t[r][s]
-    row = t[r] = [x / p if x else x for x in t[r]]
-    for i, other in enumerate(t):
-        f = other[s]
-        if f and i != r:
-            t[i] = [x - f * y if y else x for x, y in zip(other, row)]
-
-
-def solve_linear_system(a: Mat, b: Vec) -> tuple[str, Vec | None]:
-    """Solve A·x = b exactly.
-
-    Returns ("unique", x), ("none", None) for an inconsistent system, or
-    ("many", None) when the solution set is a positive-dimensional affine
-    space.  A is allowed to be rectangular.
-    """
-    r, c = mat_shape(a)
-    if len(b) != r:
-        raise ValueError("dimension mismatch")
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    piv_cols: list[int] = []
-    pr = 0
-    for col in range(c):
-        piv = next((i for i in range(pr, r) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[pr], aug[piv] = aug[piv], aug[pr]
-        pivot(aug, pr, col)
-        piv_cols.append(col)
-        pr += 1
-        if pr == r:
-            break
-    for i in range(pr, r):
-        if aug[i][-1] != 0:
-            return "none", None
-    if pr < c:
-        return "many", None
-    x = zeros_vec(c)
-    for row_i, col in enumerate(piv_cols):
-        x[col] = aug[row_i][-1]
-    return "unique", x

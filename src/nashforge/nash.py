@@ -9,10 +9,13 @@ Support enumeration solves, per equal-sized support pair, the linear
 system pinning the opponent's weights and the payoff, then filters by the
 inequalities; a game whose support systems are consistent but singular is
 flagged degenerate and only the solutions unique on their support pair are
-returned.  Lemke-Howson complementary pivoting (with a lexicographic ratio
-test, so degenerate ties cannot cycle) serves as an independent second
-solver and the one that scales to compiled games; its tableau rows are
-sparse integers over one reduced denominator each.
+returned.  It runs on integers: each payoff matrix is scaled by the lcm of
+its denominators, support systems are solved by fraction-free Gauss-Jordan
+elimination, and Fractions are built only for the accepted equilibria.
+Lemke-Howson complementary pivoting (with a lexicographic ratio test, so
+degenerate ties cannot cycle) serves as an independent second solver and
+the one that scales to compiled games; its tableau rows are sparse
+integers over one reduced denominator each.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exactmath import (
-    Mat, Vec, mat_shape, mat_vec, solve_linear_system, transpose, vec_dot, vec_mat,
+    Mat, Vec, mat_shape, mat_vec, transpose, vec_dot, vec_mat,
 )
 from .fixp import FixpCircuit, evaluate
 
@@ -110,34 +113,83 @@ def symmetric_ne_violations(S: Mat, z: Vec) -> list[str]:
 
 # --- support enumeration --------------------------------------------------
 
-def _on_support(payoff_rows: list[Vec], support: tuple[int, ...],
-                n: int) -> tuple[str, Vec | None, Fraction | None]:
+def check_dimension(r: int, c: int, cap: int = MAX_DIM) -> None:
+    """Refuse an r x c game with more than `cap` rows or columns."""
+    if max(r, c) > cap:
+        raise DimensionTooLarge(f"game is {r}x{c}; cap is {cap}")
+
+
+def _int_matrix(M: Mat) -> tuple[list[list[int]], int]:
+    """M times the lcm of its denominators, and that lcm.  A positive
+    factor on a whole payoff matrix leaves every best response alone."""
+    d = lcm(*(v.denominator for row in M for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in M], d
+
+
+def _on_support(payoff_rows: list[list[int]],
+                support: tuple[int, ...]) -> tuple[str, list[int] | None, int, int]:
     """Weights w on `support` and payoff p with row . w = p for every
-    payoff row and sum w = 1.  Returns the solver status and, when it is
-    "unique", w padded with zeros to n entries, and p."""
-    rows = [[row[j] for j in support] + [Fraction(-1)] for row in payoff_rows]
-    rows.append([Fraction(1)] * len(support) + [Fraction(0)])
-    status, sol = solve_linear_system(rows, [Fraction(0)] * len(payoff_rows) + [Fraction(1)])
-    if status != "unique":
-        return status, None, None
-    w = [Fraction(0)] * n
-    for pos, j in enumerate(support):
-        w[j] = sol[pos]
-    return status, w, sol[-1]
+    integer payoff row and sum w = 1, by fraction-free Gauss-Jordan
+    elimination.  Returns ("unique", W, P, D) with w = W / D in support
+    order, p = P / D and D > 0, else "none" (inconsistent) or "many"
+    (singular) with None, 0, 0.  A step on pivot q rewrites every other
+    row as (q row - f pivot_row) / q_prev, an exact division by Sylvester's
+    identity.  Unknowns are ordered (p, w) and rows (first payoff row,
+    sum w, other payoff rows), so the first two pivots are 1.
+    """
+    first, *rest = [[1] + [-row[j] for j in support] + [0] for row in payoff_rows]
+    rows = [first, [0] + [1] * len(support) + [1], *rest]
+    n = len(rows)
+    prev = 1
+    pr = 0
+    for col in range(n):
+        piv = next((i for i in range(pr, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        prow = rows[pr]
+        q = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != pr and (f or q != prev):
+                new = [q * a - f * b for a, b in zip(row, prow)]
+                if prev != 1:
+                    new = [divmod(v, prev) for v in new]
+                    if any(rem for _, rem in new):
+                        raise AssertionError("fraction-free support solve left a remainder")
+                    new = [v for v, _ in new]
+                rows[i] = new
+        prev = q
+        pr += 1
+    if pr < n:
+        return ("none" if any(row[n] for row in rows[pr:]) else "many"), None, 0, 0
+    sign = 1 if prev > 0 else -1    # each row now reads prev * unknown = row[n]
+    return "unique", [sign * row[n] for row in rows[1:]], sign * rows[0][n], sign * prev
 
 
 def _screen(sides) -> bool | None:
-    """Screen a solution given per player as (payoffs, p, w, support).
-
-    None when some strategy pays more than p; otherwise whether the
-    solution is degenerate: a zero weight inside a support, or a strategy
-    outside it that also pays p.
+    """Screen a solution given per player as (integer payoff rows, support,
+    weights W, payoff P, opponent support, opponent weights), W and P over
+    one positive denominator.  None when some strategy pays more than P;
+    otherwise whether the solution is degenerate: a zero weight inside a
+    support, or a strategy outside it that also pays P.
     """
-    if any(v > p for payoffs, p, _, _ in sides for v in payoffs):
-        return None
-    return any(any(w[i] == 0 for i in support)
-               or any(v == p for i, v in enumerate(payoffs) if i not in support)
-               for payoffs, p, w, support in sides)
+    degenerate = False
+    for rows, support, w, p, opp_support, opp_w in sides:
+        degenerate = degenerate or 0 in w
+        for i, row in enumerate(rows):
+            if i in support:
+                continue
+            v = sum(row[j] * u for j, u in zip(opp_support, opp_w))
+            if v > p:
+                return None
+            degenerate = degenerate or v == p
+    return degenerate
+
+
+def _spread(entries: dict[int, Fraction], n: int) -> Vec:
+    """The length-n vector with these entries and zeros elsewhere."""
+    return [entries.get(j, Fraction(0)) for j in range(n)]
 
 
 def _checked(violations: list[str], what: str) -> None:
@@ -155,29 +207,32 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
     r, c = mat_shape(A)
     if mat_shape(B) != (r, c):
         raise ValueError("payoff matrices must share a shape")
-    if max(r, c) > MAX_DIM:
-        raise DimensionTooLarge(f"game is {r}x{c}; cap is {MAX_DIM}")
-    bt = transpose(B)
+    check_dimension(r, c)
+    a, la = _int_matrix(A)
+    bt, lb = _int_matrix(transpose(B))
     found: dict[tuple, NeCertificate] = {}
     degenerate = False
     for size in range(1, min(r, c) + 1):
         for sx in itertools.combinations(range(r), size):
-            a_rows = [A[i] for i in sx]
+            a_rows = [a[i] for i in sx]
             for sy in itertools.combinations(range(c), size):
-                status, y, pi1 = _on_support(a_rows, sy, c)
+                status, y, p1, dy = _on_support(a_rows, sy)
                 if status == "unique":
-                    status, x, pi2 = _on_support([bt[j] for j in sy], sx, r)
+                    status, x, p2, dx = _on_support([bt[j] for j in sy], sx)
                 degenerate |= status == "many"
                 if status != "unique" or any(v < 0 for v in x) or any(v < 0 for v in y):
                     continue
-                screened = _screen([(mat_vec(A, y), pi1, x, sx), (vec_mat(x, B), pi2, y, sy)])
+                screened = _screen([(a, sx, x, p1, sy, y), (bt, sy, y, p2, sx, x)])
                 if screened is None:
                     continue
                 degenerate |= screened
-                key = (tuple(x), tuple(y))
+                xf = _spread({i: Fraction(v, dx) for i, v in zip(sx, x)}, r)
+                yf = _spread({j: Fraction(v, dy) for j, v in zip(sy, y)}, c)
+                key = (tuple(xf), tuple(yf))
                 if key not in found:
-                    _checked(ne_violations(A, B, x, y), "support-enumeration candidate")
-                    found[key] = NeCertificate(x, y, pi1, pi2)
+                    _checked(ne_violations(A, B, xf, yf), "support-enumeration candidate")
+                    found[key] = NeCertificate(xf, yf, Fraction(p1, dy * la),
+                                               Fraction(p2, dx * lb))
     return EnumerationResult(tuple(found.values()), degenerate)
 
 
@@ -186,24 +241,25 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
     r, c = mat_shape(S)
     if r != c:
         raise ValueError("matrix must be square")
-    if r > MAX_DIM:
-        raise DimensionTooLarge(f"game is {r}x{r}; cap is {MAX_DIM}")
+    check_dimension(r, r)
+    s, _ = _int_matrix(S)
     found: dict[tuple, SymCertificate] = {}
     degenerate = False
     for size in range(1, r + 1):
         for supp in itertools.combinations(range(r), size):
-            status, z, pi = _on_support([S[i] for i in supp], supp, r)
+            status, z, p, d = _on_support([s[i] for i in supp], supp)
             degenerate |= status == "many"
             if status != "unique" or any(v < 0 for v in z):
                 continue
-            screened = _screen([(mat_vec(S, z), pi, z, supp)])
+            screened = _screen([(s, supp, z, p, supp, z)])
             if screened is None:
                 continue
             degenerate |= screened
-            key = tuple(z)
+            zf = _spread({i: Fraction(v, d) for i, v in zip(supp, z)}, r)
+            key = tuple(zf)
             if key not in found:
-                _checked(symmetric_ne_violations(S, z), "symmetric candidate")
-                found[key] = SymCertificate(z)
+                _checked(symmetric_ne_violations(S, zf), "symmetric candidate")
+                found[key] = SymCertificate(zf)
     return EnumerationResult(tuple(found.values()), degenerate)
 
 
@@ -302,8 +358,8 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     r, c = mat_shape(A)
     if mat_shape(B) != (r, c):
         raise ValueError("payoff matrices must share a shape")
-    if max_dim is not None and max(r, c) > max_dim:
-        raise DimensionTooLarge(f"game is {r}x{c}; cap is {max_dim}")
+    if max_dim is not None:
+        check_dimension(r, c, max_dim)
     if not 0 <= dropped_label < r + c:
         raise ValueError(f"label must lie in 0..{r + c - 1}")
     A1 = _shift_positive(A)
@@ -338,14 +394,10 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
                                 f" {max_pivots} pivots on the {r}x{c} game from label"
                                 f" {dropped_label}")
 
-    x = [Fraction(0)] * r
-    for (N, d), var in zip(rows_p, basis_p):
-        if var < r:
-            x[var] = Fraction(N.get(rhs, 0), d)
-    y = [Fraction(0)] * c
-    for (N, d), var in zip(rows_q, basis_q):
-        if var < c:
-            y[var] = Fraction(N.get(rhs, 0), d)
+    x = _spread({var: Fraction(N.get(rhs, 0), d)
+                 for (N, d), var in zip(rows_p, basis_p) if var < r}, r)
+    y = _spread({var: Fraction(N.get(rhs, 0), d)
+                 for (N, d), var in zip(rows_q, basis_q) if var < c}, c)
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise RayTermination("pivoting terminated at the artificial equilibrium")

@@ -84,6 +84,50 @@ def is_unit_lower_triangular(m) -> bool:
     return True
 
 
+def referee_pivot(t, r: int, s: int) -> None:
+    """Gauss-Jordan step in place on a Fraction matrix: scale row r so that
+    t[r][s] = 1, then clear column s from every other row nonzero there."""
+    p = t[r][s]
+    row = t[r] = [x / p if x else x for x in t[r]]
+    for i, other in enumerate(t):
+        f = other[s]
+        if f and i != r:
+            t[i] = [x - f * y if y else x for x, y in zip(other, row)]
+
+
+def referee_solve_linear_system(a, b) -> tuple:
+    """Solve A x = b over Fractions by Gauss-Jordan elimination.
+
+    Returns ("unique", x), ("none", None) for an inconsistent system, or
+    ("many", None) when the solution set is a positive-dimensional affine
+    space.  A may be rectangular.
+    """
+    r, c = mat_shape(a)
+    if len(b) != r:
+        raise ValueError("dimension mismatch")
+    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
+    piv_cols = []
+    pr = 0
+    for col in range(c):
+        piv = next((i for i in range(pr, r) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[pr], aug[piv] = aug[piv], aug[pr]
+        referee_pivot(aug, pr, col)
+        piv_cols.append(col)
+        pr += 1
+        if pr == r:
+            break
+    if any(aug[i][-1] != 0 for i in range(pr, r)):
+        return "none", None
+    if pr < c:
+        return "many", None
+    x = [F(0)] * c
+    for row_i, col in enumerate(piv_cols):
+        x[col] = aug[row_i][-1]
+    return "unique", x
+
+
 def ne_to_symmetrized(x, y, pi1, pi2) -> list:
     """Embed an equilibrium of (A, B) into lcp.symmetrize(A, B).
 

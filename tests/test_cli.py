@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nashforge
-from nashforge import brouwer, cli, exactmath, fixp, lcp, lp
+from nashforge import brouwer, cli, exactmath, fixp, lcp, lp, nash
 from nashforge.cli import SCHEMA, main
 
 from conftest import encode_case, false_clamp_claim_circuit, one_minus_circuit
@@ -209,6 +209,20 @@ class TestVerify:
         assert "game is 69x69; cap is 12" in capsys.readouterr().err
         assert calls == []
 
+    def test_game_past_cap_refused_before_any_check(self, compiled_1d, tmp_path,
+                                                    monkeypatch, capsys):
+        game = str(tmp_path / "game.json")
+        assert main(["reduce", compiled_1d, "--target", "game", "-o", game]) == 0
+        capsys.readouterr()
+        calls = []
+        for module in (cli, exactmath):
+            monkeypatch.setattr(module, "rank", lambda *args: calls.append("rank"))
+        report = tmp_path / "report.json"
+        assert main(["verify", game, "-o", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert "game is 69x69; cap is 12" in err
+        assert calls == [] and "PASS" not in out and not report.exists()
+
     def test_approx_mode_on_compiled_instance(self, fixture_file, tmp_path, capsys):
         circ = tmp_path / "compiled.json"
         main(["compile", fixture_file, "-o", str(circ), "--no-grid-check"])
@@ -269,6 +283,26 @@ class TestSolve:
         assert main(["solve", game, "--method", "lh", "--max-pivots", "0"]) == 2
         assert "--max-pivots must be at least 1" in capsys.readouterr().err
 
+    def test_label_out_of_range_exits_2(self, circuit_file, tmp_path, capsys):
+        game_path = str(tmp_path / "game.json")
+        main(["reduce", circuit_file, "--target", "game", "-o", game_path])
+        capsys.readouterr()
+        for label in ("6", "-1"):
+            assert main(["solve", game_path, "--method", "lh", "--label", label]) == 2
+            assert f"--label must lie in 0..5, got {label}" in capsys.readouterr().err
+
+    def test_stray_value_error_is_internal(self, circuit_file, tmp_path, monkeypatch, capsys):
+        # a ValueError from inside the package is a bug, not bad input
+        game_path = str(tmp_path / "game.json")
+        main(["reduce", circuit_file, "--target", "game", "-o", game_path])
+        capsys.readouterr()
+
+        def broken(A, B):
+            raise ValueError("dimension mismatch")
+        monkeypatch.setattr(nash, "enumerate_ne", broken)
+        assert main(["solve", game_path]) == 1
+        assert "internal error: ValueError: dimension mismatch" in capsys.readouterr().err
+
     def test_lambda_carrier_per_game_kind(self, circuit_file, tmp_path, capsys):
         # symmetric games carry the fixed point on symmetric profiles,
         # imitation games on the second player's strategy
@@ -311,6 +345,39 @@ class TestOracleAndEval:
 
     def test_eval_bad_point_exits_2(self, circuit_file, capsys):
         assert main(["eval", circuit_file, "--at", "1/4,1/2"]) == 2
+
+
+class TestBadArguments:
+    """Command-line values that the package refuses exit 2 with the value named."""
+
+    def test_compile_density_not_a_power_of_two(self, fixture_file, tmp_path, capsys):
+        assert main(["compile", fixture_file, "-o", str(tmp_path / "c.json"), "--L", "100"]) == 2
+        assert "L must be a power of two" in capsys.readouterr().err
+
+    def test_eps_not_rational(self, circuit_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", circuit_file, "--mode", "approx", "--eps", "x"])
+        assert exc.value.code == 2 and "argument --eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shrink,source_grid,points,message", [
+        (False, None, "-1,0", "point '-1,0' needs 2 nonnegative coordinates"),
+        (False, (1, 2), "0", "is for k=2, n=2, but"),
+        (False, (2, 1), "0,0", "is for k=2, n=2, but"),
+        # the fixed point 1055/1536, 2591/3072 of the unshrunk function, over 2^n - 1
+        (True, None, "1055/4608,2591/9216", "extracted from the unshrunk"),
+    ])
+    def test_approx_mode(self, fixture_file, tmp_path, capsys, shrink, source_grid, points,
+                         message):
+        circ = str(tmp_path / "compiled.json")
+        main(["compile", fixture_file, "-o", circ, "--no-grid-check"] + ["--shrink"] * shrink)
+        source = fixture_file
+        if source_grid:
+            cb = brouwer.make_example_coloring(brouwer.Grid(*source_grid))
+            source = write_json(tmp_path / "other.json", "brouwer", brouwer.bool_to_json(cb))
+        capsys.readouterr()
+        assert main(["verify", circ, "--mode", "approx", "--source", source,
+                     "--compiled-meta", circ + ".meta.json", f"--points={points}"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def _first_gate(body, gate):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -14,13 +15,15 @@ import nashforge
 from nashforge import lcp, lp, nash
 from nashforge.exactmath import mat_shape, mat_vec, vec_dot, vec_mat
 from nashforge.nash import (
-    DimensionTooLarge, NeCertificate, PivotLimitReached, RayTermination, check_fixed_point,
-    check_ne, enumerate_ne, enumerate_symmetric_ne, lemke_howson, ne_violations,
-    symmetric_ne_violations,
+    DimensionTooLarge, EnumerationResult, NeCertificate, PivotLimitReached, RayTermination,
+    SymCertificate, check_fixed_point, check_ne, enumerate_ne, enumerate_symmetric_ne,
+    lemke_howson, ne_violations, symmetric_ne_violations,
 )
-from nashforge.nash import _int_row, _lex_pivot, _shift_positive
+from nashforge.nash import _int_row, _lex_pivot, _on_support, _shift_positive
 
-from conftest import ne_to_symmetrized, one_minus_circuit, swap_circuit
+from conftest import (
+    ne_to_symmetrized, one_minus_circuit, referee_solve_linear_system, swap_circuit,
+)
 
 
 def frac_mat(rows):
@@ -163,6 +166,61 @@ class TestDegeneracyTriggers:
         res = enumerate_symmetric_ne(S)
         assert [c.z for c in res.equilibria] == [[1, 0], [0, 1]]
         assert res.degenerate
+
+
+class TestSupportSolver:
+    """The fraction-free solve of one support system: weights w on the
+    support and payoff p with row . w = p for each payoff row, sum w = 1."""
+
+    def test_unique(self):
+        # matching pennies: w = (1/2, 1/2), p = 0; D comes out positive
+        status, W, P, D = _on_support([[1, -1], [-1, 1]], (0, 1))
+        assert status == "unique" and D > 0
+        assert [F(v, D) for v in W] == [F(1, 2), F(1, 2)] and F(P, D) == 0
+
+    def test_unique_on_a_sub_support(self):
+        # columns 0 and 2 of two rows: 3 w0 + w2 = p = w0 + 2 w2
+        status, W, P, D = _on_support([[3, 9, 1], [1, -7, 2]], (0, 2))
+        assert status == "unique"
+        assert [F(v, D) for v in W] == [F(1, 3), F(2, 3)] and F(P, D) == F(5, 3)
+
+    def test_none(self):
+        # p = w0 + w1 = 1 and p = 2 (w0 + w1) = 2 cannot both hold
+        assert _on_support([[1, 1], [2, 2]], (0, 1)) == ("none", None, 0, 0)
+
+    def test_many(self):
+        # two equal rows leave w0 + w1 = 1 with one degree of freedom
+        assert _on_support([[1, 1], [1, 1]], (0, 1)) == ("many", None, 0, 0)
+
+    def test_singular_x_system_behind_negative_y_flags_degenerate(self):
+        # on supports ({0, 1}, {0, 1}) the y-system is unique with y = (2, -1),
+        # and B's columns 0 and 1 agree on rows 0 and 1, so the x-system is
+        # singular; no other support system or screen is degenerate
+        A = frac_mat([[2, 0, 1], [3, 2, 3], [3, 3, 2]])
+        B = frac_mat([[1, 1, 0], [2, 2, 3], [0, 2, 1]])
+        status, W, _, D = _on_support([[2, 0, 1], [3, 2, 3]], (0, 1))
+        assert status == "unique" and [F(v, D) for v in W] == [2, -1]
+        assert _on_support([[1, 2, 0], [1, 2, 2]], (0, 1))[0] == "many"
+        res = enumerate_ne(A, B)
+        assert res.degenerate
+        assert [(c.x, c.y) for c in res.equilibria] == [
+            ([0, 1, 0], [0, 0, 1]), ([0, 0, 1], [0, 1, 0]),
+            ([0, F(1, 2), F(1, 2)], [0, F(1, 2), F(1, 2)])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda s: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=s + 2, max_size=s + 2),
+                 min_size=s, max_size=s),
+        st.lists(st.integers(0, s + 1), min_size=s, max_size=s, unique=True)
+        .map(lambda cols: tuple(sorted(cols))))))
+    def test_matches_fraction_solver(self, case):
+        rows, support = case
+        status, W, P, D = _on_support(rows, support)
+        want, w, p = referee_on_support([[F(v) for v in row] for row in rows], support,
+                                        len(rows[0]))
+        assert status == want
+        if want == "unique":
+            assert D > 0 and [F(v, D) for v in W] == [w[j] for j in support] and F(P, D) == p
 
 
 class TestEnumerateSymmetric:
@@ -402,6 +460,114 @@ class TestLemkeHowsonReferee:
             assert outcome(lemke_howson, A, B, label) == outcome(referee_lemke_howson, A, B, label)
 
 
+class TestLemkeHowsonAgreesWithEnumeration:
+    @settings(max_examples=100, deadline=None)
+    @given(small_games())
+    def test_every_label_finds_an_enumerated_equilibrium(self, game):
+        # enumeration lists every equilibrium of a nondegenerate game
+        A, B = game
+        res = enumerate_ne(A, B)
+        if res.degenerate:
+            return
+        for label in range(len(A) + len(A[0])):
+            assert lemke_howson(A, B, label) in res.equilibria
+
+
+# --- reference support enumeration over Fractions --------------------------
+
+def referee_on_support(payoff_rows, support, n):
+    rows = [[row[j] for j in support] + [F(-1)] for row in payoff_rows]
+    rows.append([F(1)] * len(support) + [F(0)])
+    status, sol = referee_solve_linear_system(rows, [F(0)] * len(payoff_rows) + [F(1)])
+    if status != "unique":
+        return status, None, None
+    w = [F(0)] * n
+    for pos, j in enumerate(support):
+        w[j] = sol[pos]
+    return status, w, sol[-1]
+
+
+def referee_screen(sides):
+    """None on a profitable deviation, else whether the solution is degenerate;
+    each side is (dense payoffs, p, w, support)."""
+    if any(v > p for payoffs, p, _, _ in sides for v in payoffs):
+        return None
+    return any(any(w[i] == 0 for i in support)
+               or any(v == p for i, v in enumerate(payoffs) if i not in support)
+               for payoffs, p, w, support in sides)
+
+
+def referee_enumerate_ne(A, B):
+    """Support enumeration on Fractions: Gauss-Jordan per support pair and
+    dense payoff vectors per candidate."""
+    r, c = mat_shape(A)
+    bt = [list(col) for col in zip(*B)]
+    found = {}
+    degenerate = False
+    for size in range(1, min(r, c) + 1):
+        for sx in itertools.combinations(range(r), size):
+            for sy in itertools.combinations(range(c), size):
+                status, y, pi1 = referee_on_support([A[i] for i in sx], sy, c)
+                if status == "unique":
+                    status, x, pi2 = referee_on_support([bt[j] for j in sy], sx, r)
+                degenerate |= status == "many"
+                if status != "unique" or min(x) < 0 or min(y) < 0:
+                    continue
+                screened = referee_screen([(mat_vec(A, y), pi1, x, sx),
+                                           (vec_mat(x, B), pi2, y, sy)])
+                if screened is None:
+                    continue
+                degenerate |= screened
+                found.setdefault((tuple(x), tuple(y)), NeCertificate(x, y, pi1, pi2))
+    return EnumerationResult(tuple(found.values()), degenerate)
+
+
+def referee_enumerate_symmetric_ne(S):
+    r = len(S)
+    found = {}
+    degenerate = False
+    for size in range(1, r + 1):
+        for supp in itertools.combinations(range(r), size):
+            status, z, pi = referee_on_support([S[i] for i in supp], supp, r)
+            degenerate |= status == "many"
+            if status != "unique" or min(z) < 0:
+                continue
+            screened = referee_screen([(mat_vec(S, z), pi, z, supp)])
+            if screened is None:
+                continue
+            degenerate |= screened
+            found.setdefault(tuple(z), SymCertificate(z))
+    return EnumerationResult(tuple(found.values()), degenerate)
+
+
+# tie-prone alphabets make degenerate games common; RATIONALS mixes in
+# denominators, so each matrix is scaled by a nontrivial lcm
+ALPHABETS = [st.sampled_from([F(0), F(1)]), ENTRIES, RATIONALS]
+
+
+@st.composite
+def enumeration_games(draw, square=False):
+    r = draw(st.integers(1, 6))
+    c = r if square else draw(st.integers(1, 6))
+    entries = draw(st.sampled_from(ALPHABETS))
+    mat = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    return draw(mat), draw(mat)
+
+
+class TestEnumerationReferee:
+    @settings(max_examples=120, deadline=None)
+    @given(enumeration_games())
+    def test_bimatrix_matches_fraction_enumerator(self, game):
+        A, B = game
+        assert enumerate_ne(A, B) == referee_enumerate_ne(A, B)
+
+    @settings(max_examples=150, deadline=None)
+    @given(enumeration_games(square=True))
+    def test_symmetric_matches_fraction_enumerator(self, game):
+        S, _ = game
+        assert enumerate_symmetric_ne(S) == referee_enumerate_symmetric_ne(S)
+
+
 class TestFixedPointCheck:
     def test_one_minus_half(self):
         circ = one_minus_circuit()
@@ -429,16 +595,26 @@ class TestSymmetrizationInvariant:
 
 
 # Each guard is forced to fire: the enumerators' checkers report a
-# violation, and divmod leaves a remainder inside Bareiss elimination.
+# violation, and divmod leaves a remainder inside Bareiss elimination and
+# inside a support solve.  Rock-paper-scissors has no equilibrium on the
+# supports of sizes 1 and 2, so the first division, in the 4x4 system of
+# the full support, comes before any candidate reaches the checker.
 FORCED_GUARDS = """
 from fractions import Fraction as F
 from nashforge import exactmath, nash
 nash.ne_violations = lambda *args: ["forced"]
 nash.symmetric_ne_violations = lambda *args: ["forced"]
 exactmath.divmod = lambda a, b: (0, 1)
+
+def support_solve_remainder():
+    nash.divmod = lambda a, b: (0, 1)
+    nash.enumerate_symmetric_ne([[F(v) for v in row]
+                                 for row in ((0, -1, 1), (1, 0, -1), (-1, 1, 0))])
+
 for call in (lambda: nash.enumerate_ne([[F(1)]], [[F(1)]]),
              lambda: nash.enumerate_symmetric_ne([[F(1)]]),
-             lambda: exactmath.rank([[F(1), F(2)], [F(3), F(4)]])):
+             lambda: exactmath.rank([[F(1), F(2)], [F(3), F(4)]]),
+             support_solve_remainder):
     try:
         call()
         print("silent")
@@ -466,6 +642,7 @@ class TestChecksSurviveOptimize:
             "raised: support-enumeration candidate fails checker: forced",
             "raised: symmetric candidate fails checker: forced",
             "raised: Bareiss exact-division invariant broken",
+            "raised: fraction-free support solve left a remainder",
         ]
 
     def test_no_assert_statements_in_package(self):
