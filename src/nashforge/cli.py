@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import brouwer, compiler, lcp, lp, nash
 from .exactmath import (
-    flag_from_json, int_from_json, is_upper_triangular, mat_add, rank, rat_from_str, rat_to_str,
-    vec_to_strs,
+    flag_from_json, identity, int_from_json, is_upper_triangular, mat_add, rank, rat_from_str,
+    rat_to_str, transpose, vec_to_strs,
 )
 from .fixp import (
     FixpCircuit, circuit_from_json, circuit_to_json, evaluate, evaluate_with_trace,
@@ -157,8 +157,6 @@ def cmd_reduce(args) -> int:
     lines = [f"m={P.m} k={P.k} n={P.npre}"]
     problems = lp.property_violations(P)
     lines.append("structure checks P1-P3: " + ("PASS" if not problems else "FAIL " + problems[0]))
-    artifact_kind = None
-    body = None
     if args.target == "lp":
         artifact_kind, body = "param_lp", lp.lp_to_json(P)
     elif args.target == "lcp":
@@ -174,7 +172,7 @@ def cmd_reduce(args) -> int:
         artifact_kind, body = "game", lcp.game_to_json(game)
     elif args.target == "symmetric":
         artifact_kind, body = "game", lcp.game_to_json(lcp.build_symmetric_game(P))
-    elif args.target == "imitation":
+    else:
         artifact_kind, body = "game", lcp.game_to_json(
             lcp.imitation_game(lcp.build_symmetric_game(P)))
     _save(args.output, artifact_kind, body)
@@ -218,10 +216,11 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
             break
     _check(checks, "lp_matches_circuit_and_kkt", ok)
 
-    _check(checks, "rank_and_triangularity", rank(mat_add(game.A, game.B)) <= P.k + 1)
+    _check(checks, "rank_and_triangularity",
+           rank(mat_add(game.A, game.B)) <= P.k + 1 and is_upper_triangular(game.A))
     smm = lcp.symmetrize(game.A, game.B)
     _check(checks, "symmetrized_rank",
-           rank(mat_add(smm.S, [list(r) for r in zip(*smm.S)])) <= 2 * (P.k + 1))
+           rank(mat_add(smm.S, transpose(smm.S))) <= 2 * (P.k + 1))
 
     alarm = False
     violated = 0
@@ -287,6 +286,10 @@ def _verify_game(game: lcp.BimatrixGame, checks: list):
     if game.meta.kind == "rank_k_plus_1":
         _check(checks, "rank_bound", rank(mat_add(game.A, game.B)) <= game.meta.k + 1)
         _check(checks, "upper_triangular", is_upper_triangular(game.A))
+    elif game.meta.kind == "symmetric":
+        _check(checks, "symmetric_structure", game.B == transpose(game.A), "B = A^T")
+    else:
+        _check(checks, "imitation_structure", game.B == identity(len(game.A)), "B = I")
     res = nash.enumerate_ne(game.A, game.B)
     _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
     for idx, cert in enumerate(res.equilibria):
@@ -527,10 +530,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (brouwer.GridTooLarge, brouwer.InvalidBrouwerCircuit,
+    except (InputError, brouwer.GridTooLarge, brouwer.InvalidBrouwerCircuit,
             nash.DimensionTooLarge, nash.PivotLimitReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

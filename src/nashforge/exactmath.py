@@ -21,6 +21,9 @@ from typing import NewType, get_type_hints
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+# a sparse row, column -> nonzero entry; a list of them is the one sparse
+# matrix form the LP, the LCPs and the game builders share
+Row = dict[int, Fraction]
 # a gate field holding the index of an earlier gate in the same circuit
 Ref = NewType("Ref", int)
 
@@ -202,6 +205,43 @@ def mat_add(a: Mat, b: Mat) -> Mat:
     if mat_shape(a) != mat_shape(b):
         raise ValueError("dimension mismatch")
     return [vec_add(ra, rb) for ra, rb in zip(a, b)]
+
+
+# --- sparse rows ---
+
+def row_add(a: Row, b: Row) -> Row:
+    """a + b, dropping the entries that cancel."""
+    out = dict(a)
+    for j, v in b.items():
+        s = out.get(j, 0) + v
+        if s:
+            out[j] = s
+        else:
+            out.pop(j, None)
+    return out
+
+
+def sparse_transpose(rows: list[Row], n: int) -> list[Row]:
+    """The n columns of a sparse matrix, as sparse rows."""
+    cols: list[Row] = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+def spread(row: Row, n: int) -> Vec:
+    """The length-n vector with these entries and zeros elsewhere."""
+    dense = zeros_vec(n)
+    for j, v in row.items():
+        dense[j] = v
+    return dense
+
+
+def densify(rows: list[Row], n: int) -> Mat:
+    """Dense n-column view; each row's zero entries share one object, which
+    keeps an m^2 view small."""
+    return [spread(row, n) for row in rows]
 
 
 # --- structure predicates ---

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactmath import (
-    Mat, Vec, identity, int_from_json, is_upper_triangular, mat_from_strs, mat_shape,
-    mat_to_strs, mat_vec, transpose, vec_add, vec_from_strs, vec_to_strs,
+    Mat, Row, Vec, densify, identity, int_from_json, mat_from_strs, mat_shape, mat_to_strs,
+    row_add, sparse_transpose, transpose, vec_add, vec_from_strs, vec_to_strs,
 )
 from .lp import ParamLP
 
@@ -41,10 +41,10 @@ class LemmaFalsified(Exception):
 
 @dataclass(frozen=True)
 class NormalizedSystem:
-    """Cost-scaled constraints: H = A diag(1/c), Hp = H - sum_l u^l e_{r_l}^T."""
+    """Cost-scaled sparse rows: H = A diag(1/c), Hp = H - sum_l u^l e_{r_l}^T."""
 
-    H: Mat
-    Hp: Mat
+    H: list[Row]
+    Hp: list[Row]
     b: Vec
     lp: ParamLP
 
@@ -58,20 +58,17 @@ def normalize(lp: ParamLP) -> NormalizedSystem:
                 f"cost at output row {r} is {lp.c[r]}, not 1; upstream construction bug")
     # c_r = 1 at every output row r, so scaling the columns of
     # A' = A - sum_l u^l e_{r_l}^T gives Hp with no separate subtraction
-    ns = NormalizedSystem(_scale_columns(lp.A, lp.c), _scale_columns(direct_matrix(lp), lp.c),
-                          list(lp.b), lp)
+    H, Hp = ([{j: v / lp.c[j] for j, v in row.items()} for row in rows]
+             for rows in (lp.A_rows, _direct_rows(lp)))
+    ns = NormalizedSystem(H, Hp, list(lp.b), lp)
     _assert_scaled_structure(ns)
     return ns
 
 
-def _scale_columns(M: Mat, c: Vec) -> Mat:
-    """M diag(1/c); zero entries, nearly all of them, are kept as they are."""
-    return [[v / cj if v else v for v, cj in zip(row, c)] for row in M]
-
-
-def _negated(row) -> Vec:
-    """-row, keeping the zero entries as they are."""
-    return [-v if v else v for v in row]
+def _direct_rows(lp: ParamLP) -> list[Row]:
+    """A' = A - sum_l u^l e_{r_l}^T, r_l the output rows."""
+    return [row_add(row, {r: -u for r, u in zip(lp.output_rows, L.lam) if u})
+            for row, L in zip(lp.A_rows, lp.rows)]
 
 
 def _assert_scaled_structure(ns: NormalizedSystem):
@@ -80,15 +77,9 @@ def _assert_scaled_structure(ns: NormalizedSystem):
     # x_inner/c_inner + x_row >= 1.
     lp = ns.lp
     for r in lp.output_rows:
-        col = [ns.H[i][r] for i in range(lp.m)]
-        unit = [Fraction(1 if i == r else 0) for i in range(lp.m)]
-        if col != unit:
+        if {i: row[r] for i, row in enumerate(ns.H) if r in row} != {r: 1}:
             raise LemmaFalsified(f"H column {r} is not the unit vector")
-        inner = r - 1
-        expect = [Fraction(0)] * lp.m
-        expect[inner] = 1 / lp.c[inner]
-        expect[r] = Fraction(1)
-        if ns.Hp[r] != expect:
+        if ns.Hp[r] != {r - 1: 1 / lp.c[r - 1], r: 1}:
             raise LemmaFalsified(f"scaled clamp row {r} has unexpected shape")
 
 
@@ -103,10 +94,10 @@ def scale_solution(lp: ParamLP, x: Vec) -> Vec:
 
 @dataclass(frozen=True)
 class LcpInstance:
-    """Conditions z >= 0, M z <= q, z_i (M z - q)_i = 0, componentwise."""
+    """Conditions z >= 0, M z <= q, z_i (M z - q)_i = 0, M as sparse rows."""
 
-    kind: str                     # "lcp_c" | "direct" | "generic"
-    M: Mat
+    kind: str                     # "lcp_c" | "direct"
+    M: list[Row]
     q: Vec
     m: int
     k: int
@@ -116,26 +107,15 @@ class LcpInstance:
 def build_lcp_C(ns: NormalizedSystem) -> LcpInstance:
     """Two-sided system on z = (x, y): H'x >= b, H^T y <= 1, complementary."""
     lp = ns.lp
-    zero = [Fraction(0)] * lp.m
-    M = ([zero + list(col) for col in zip(*ns.H)]
-         + [_negated(row) + zero for row in ns.Hp])
+    M = ([{lp.m + i: v for i, v in col.items()} for col in sparse_transpose(ns.H, lp.m)]
+         + [{j: -v for j, v in row.items()} for row in ns.Hp])
     q = [Fraction(1)] * lp.m + [-bi for bi in ns.b]
     return LcpInstance("lcp_c", M, q, lp.m, lp.k, lp.output_rows)
 
 
-def direct_matrix(lp: ParamLP) -> Mat:
-    """A' = A - sum_l u^l e_{r_l}^T, r_l the output rows."""
-    Ap = lp.A                 # a fresh dense view, free to change in place
-    for r, u in zip(lp.output_rows, lp.U):
-        for row, ui in zip(Ap, u):
-            row[r] -= ui
-    return Ap
-
-
 def build_direct_lcp(lp: ParamLP) -> LcpInstance:
     """One-sided system on x alone: x >= 0, A'x >= b, complementary."""
-    Ap = direct_matrix(lp)
-    M = [_negated(row) for row in Ap]
+    M = [{j: -v for j, v in row.items()} for row in _direct_rows(lp)]
     q = [-bi for bi in lp.b]
     return LcpInstance("direct", M, q, lp.m, lp.k, lp.output_rows)
 
@@ -145,7 +125,7 @@ def lcp_violations(lcp: LcpInstance, z: Vec) -> list[str]:
     if len(z) != n:
         raise ValueError(f"expected solution of length {n}")
     out = []
-    mz = mat_vec(lcp.M, z)
+    mz = [sum((v * z[j] for j, v in row.items()), Fraction(0)) for row in lcp.M]
     for i in range(n):
         if z[i] < 0:
             out.append(f"z_{i} negative")
@@ -163,22 +143,17 @@ def semimonotone_witness(ns: NormalizedSystem, z: Vec, q: Vec) -> str:
     when q is strictly positive, so some condition must fail; finding none
     is a construction-bug alarm.
     """
-    lcp = build_lcp_C(ns)
-    n = len(lcp.M)
+    n = 2 * ns.lp.m
     if len(z) != n or len(q) != n:
         raise ValueError(f"expected vectors of length {n}")
     if any(zi < 0 for zi in z) or all(zi == 0 for zi in z):
         raise ValueError("z must be nonnegative and nonzero")
     if any(qi <= 0 for qi in q):
         raise ValueError("q must be strictly positive")
-    mz = mat_vec(lcp.M, z)
-    for i in range(n):
-        if mz[i] > q[i]:
-            return f"row {i} infeasible: (Mz)_{i} = {mz[i]} > q_{i} = {q[i]}"
-    for i in range(n):
-        if z[i] * (mz[i] - q[i]) != 0:
-            return f"complementarity fails at row {i}: z_{i} = {z[i]}, slack {mz[i] - q[i]}"
-    raise LemmaFalsified("nonzero z solves the LCP against positive q")
+    bad = lcp_violations(replace(build_lcp_C(ns), q=q), z)
+    if not bad:
+        raise LemmaFalsified("nonzero z solves the LCP against positive q")
+    return bad[0]
 
 
 # --- games ---------------------------------------------------------------
@@ -213,38 +188,30 @@ class SymmetricGame:
 def build_game(ns: NormalizedSystem) -> BimatrixGame:
     """The (m+1)-strategy game whose equilibria carry the LCP solutions.
 
-    Certifies that A is upper-triangular and that A + B has the shape
-    which bounds its rank by k+1 (see `_certify_payoff_sum`)."""
+    Certifies on sparse rows that A is upper-triangular and that A + B has
+    the shape which bounds its rank by k+1 (see `_certify_payoff_sum`)."""
     lp = ns.lp
     m = lp.m
-    zero, one = Fraction(0), Fraction(1)
-    A = [list(col) + [zero] for col in zip(*ns.H)] + [[zero] * m + [one]]
-    B = ([_negated(col) + [zero] for col in zip(*ns.Hp)]
-         + [[bj + 1 for bj in ns.b] + [one]])
-    if not is_upper_triangular(A):
+    A = sparse_transpose(ns.H, m) + [{m: Fraction(1)}]
+    B = ([{i: -v for i, v in col.items()} for col in sparse_transpose(ns.Hp, m)]
+         + [{**{j: bj + 1 for j, bj in enumerate(ns.b) if bj != -1}, m: Fraction(1)}])
+    if any(j < i for i, row in enumerate(A) for j in row):
         raise LemmaFalsified("first payoff matrix is not upper-triangular")
     _certify_payoff_sum(A, B, lp)
-    return BimatrixGame(A, B, GameMeta(m, lp.k, list(lp.c), lp.output_rows, "rank_k_plus_1"))
+    return BimatrixGame(densify(A, m + 1), densify(B, m + 1),
+                        GameMeta(m, lp.k, list(lp.c), lp.output_rows, "rank_k_plus_1"))
 
 
-def _certify_payoff_sum(A: Mat, B: Mat, lp: ParamLP):
+def _certify_payoff_sum(A: list[Row], B: list[Row], lp: ParamLP):
     """Check A + B = [[sum_l e_{r_l} u^l^T, 0], [b^T + 1^T, 2]] exactly.
 
     That matrix is zero outside the k output rows and the slack row, so
     rank(A + B) <= k + 1 follows without an elimination."""
-    zero = [Fraction(0)] * (lp.m + 1)
-    want = {}
-    for r, u in zip(lp.output_rows, lp.U):
-        want[r] = vec_add(want.get(r, zero), u + [Fraction(0)])
-    want[lp.m] = [bj + 1 for bj in lp.b] + [Fraction(2)]
+    want = {r: {j: L.lam[l] for j, L in enumerate(lp.rows) if L.lam[l]}
+            for l, r in enumerate(lp.output_rows)}
+    want[lp.m] = {**{j: bj + 1 for j, bj in enumerate(lp.b) if bj != -1}, lp.m: Fraction(2)}
     for i, (ra, rb) in enumerate(zip(A, B)):
-        expect = want.get(i)
-        if expect is None:
-            # a row the construction leaves zero: skip the pairs of zeros
-            bad = any(a + b for a, b in zip(ra, rb) if a or b)
-        else:
-            bad = vec_add(ra, rb) != expect
-        if bad:
+        if row_add(ra, rb) != want.get(i, {}):
             raise LemmaFalsified(
                 f"row {i} of A + B differs from [[sum_l e_r u^l^T, 0], [b^T + 1^T, 2]];"
                 f" rank(A + B) <= {lp.k + 1} is not certified")
@@ -259,11 +226,13 @@ def payoff_sum_rows(game: BimatrixGame) -> Mat:
 
 
 def build_symmetric_game(lp: ParamLP) -> SymmetricGame:
-    """S = [[-A', b+1], [0^T, 1]]; symmetric equilibria carry the direct LCP."""
-    S = ([_negated(row) + [bi + 1] for row, bi in zip(direct_matrix(lp), lp.b)]
-         + [[Fraction(0)] * lp.m + [Fraction(1)]])
-    return SymmetricGame(S, GameMeta(lp.m, lp.k, list(lp.c) if lp.c else None,
-                                     lp.output_rows, "symmetric"))
+    """S = [[-A', b+1], [0^T, 1]], -A' the direct LCP's matrix; symmetric
+    equilibria carry the direct LCP."""
+    S = ([{**row, lp.m: bi + 1} for row, bi in zip(build_direct_lcp(lp).M, lp.b)]
+         + [{lp.m: Fraction(1)}])
+    return SymmetricGame(densify(S, lp.m + 1),
+                         GameMeta(lp.m, lp.k, list(lp.c) if lp.c else None,
+                                  lp.output_rows, "symmetric"))
 
 
 def symmetrize(A: Mat, B: Mat) -> SymmetricGame:
@@ -292,14 +261,20 @@ def imitation_game(S: SymmetricGame) -> BimatrixGame:
 
 # --- equilibrium <-> LCP <-> fixed point mappings ------------------------
 
+def _without_slack(z_full: Vec, who: str) -> Vec:
+    """Divide the strategy weights by the slack weight, the last entry;
+    zero slack weight is a falsification alarm."""
+    t = z_full[-1]
+    if t == 0:
+        raise LemmaFalsified(f"{who} has zero slack weight")
+    return [v / t for v in z_full[:-1]]
+
+
 def ne_to_lcp(ns: NormalizedSystem, x_full: Vec, y_full: Vec) -> tuple[Vec, Vec]:
     """Divide out the slack strategy weights; verifies the result solves
-    the two-sided system.  Zero slack weight is a falsification alarm."""
-    s, t = x_full[-1], y_full[-1]
-    if s == 0 or t == 0:
-        raise LemmaFalsified(f"equilibrium has slack weights s={s}, t={t}; both must be positive")
-    x = [v / s for v in x_full[:-1]]
-    y = [v / t for v in y_full[:-1]]
+    the two-sided system."""
+    x = _without_slack(x_full, "equilibrium's first strategy")
+    y = _without_slack(y_full, "equilibrium's second strategy")
     bad = lcp_violations(build_lcp_C(ns), x + y)
     if bad:
         raise LemmaFalsified("mapped equilibrium violates the LCP: " + bad[0])
@@ -308,17 +283,11 @@ def ne_to_lcp(ns: NormalizedSystem, x_full: Vec, y_full: Vec) -> tuple[Vec, Vec]
 
 def lcp_to_ne(x: Vec, y: Vec) -> tuple[Vec, Vec]:
     """Append the slack strategy and renormalize both sides."""
-    sx = 1 + sum(x)
-    sy = 1 + sum(y)
-    return ([v / sx for v in x] + [Fraction(1) / sx],
-            [v / sy for v in y] + [Fraction(1) / sy])
+    return lcp_to_symne(x), lcp_to_symne(y)
 
 
 def symne_to_lcp(lp: ParamLP, z_full: Vec) -> Vec:
-    t = z_full[-1]
-    if t == 0:
-        raise LemmaFalsified("symmetric equilibrium has zero slack weight")
-    x = [v / t for v in z_full[:-1]]
+    x = _without_slack(z_full, "symmetric equilibrium")
     bad = lcp_violations(build_direct_lcp(lp), x)
     if bad:
         raise LemmaFalsified("mapped symmetric equilibrium violates the LCP: " + bad[0])
@@ -332,10 +301,8 @@ def lcp_to_symne(x: Vec) -> Vec:
 
 def game_to_fixed_point(x_full: Vec, meta: GameMeta) -> Vec:
     """Fixed point carried by a first-player (or symmetric) strategy."""
-    s = x_full[-1]
-    if s == 0:
-        raise LemmaFalsified("strategy puts no weight on the slack row")
-    return [x_full[r] / s for r in meta.output_rows]
+    x = _without_slack(x_full, "strategy")
+    return [x[r] for r in meta.output_rows]
 
 
 # --- JSON wire format ---
@@ -383,7 +350,7 @@ def game_from_json(doc: dict) -> BimatrixGame:
 def lcp_to_json(lcp: LcpInstance) -> dict:
     return {
         "block": lcp.kind,
-        "M": mat_to_strs(lcp.M),
+        "M": mat_to_strs(densify(lcp.M, len(lcp.M))),
         "q": vec_to_strs(lcp.q),
         "m": lcp.m, "k": lcp.k,
         "output_rows": list(lcp.output_rows),

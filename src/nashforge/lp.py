@@ -9,7 +9,8 @@ means exactly
 
 Dropping the complementarity line leaves the linear system
 A x >= sum_l lam_l u^l + b with A lower-triangular and unit diagonal.  It
-is stored as its sparse rows x_i >= L_i; A, b and U are dense views.  The
+is stored as its sparse rows x_i >= L_i; A, b and U are dense views, and
+A_rows is A in the sparse row form that the LCP layer reads.  The
 cost vector built here makes the complementarity line hold automatically
 at the optimum of
 
@@ -27,7 +28,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
-from .exactmath import Mat, Vec, mat_to_strs, mat_vec, transpose, vec_to_strs, zeros_vec
+from .exactmath import (
+    Mat, Row, Vec, densify, mat_to_strs, mat_vec, row_add, transpose, vec_to_strs, zeros_vec,
+)
 from .fixp import (
     Add, Const, FixpCircuit, Input, MulC, clamp_outputs, normalize_max_zero,
     order_max_gates,
@@ -61,11 +64,8 @@ class LinExpr:
         return LinExpr({row: Fraction(1)}, (Fraction(0),) * k, Fraction(0))
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
-        xs = dict(self.xs)
-        for r, v in other.xs.items():
-            xs[r] = xs.get(r, Fraction(0)) + v
         lam = tuple(a + b for a, b in zip(self.lam, other.lam))
-        return LinExpr({r: v for r, v in xs.items() if v != 0}, lam, self.const + other.const)
+        return LinExpr(row_add(self.xs, other.xs), lam, self.const + other.const)
 
     def scale(self, s: Fraction) -> "LinExpr":
         return LinExpr({r: s * v for r, v in self.xs.items() if s * v != 0},
@@ -78,8 +78,8 @@ class ParamLP:
 
     m is the max-gate count, npre = m - 2k the count before clamping; the
     outer clamp gate of output l sits at row output_rows[l] (0-based).
-    rows[i] is L_i, affine in x_0..x_{i-1} and the parameters.  A, b and U
-    (k columns of length m) are built from the rows on each access.
+    rows[i] is L_i, affine in x_0..x_{i-1} and the parameters.  A_rows, A,
+    b and U (k columns of length m) are built from the rows on each access.
     """
 
     m: int
@@ -91,19 +91,15 @@ class ParamLP:
     beta: Vec | None = None
 
     @property
+    def A_rows(self) -> list[Row]:
+        """A as sparse rows: row i is e_i minus the x-coefficients of L_i."""
+        return [{**{j: -v for j, v in L.xs.items()}, i: Fraction(1)}
+                for i, L in enumerate(self.rows)]
+
+    @property
     def A(self) -> Mat:
-        """Dense A, row i = e_i minus the x-coefficients of L_i.  Every zero
-        entry is one shared object, which keeps the m^2 view small enough
-        to rebuild on each access."""
-        zero = Fraction(0)
-        A = []
-        for i, L in enumerate(self.rows):
-            row = [zero] * self.m
-            row[i] = Fraction(1)
-            for j, v in L.xs.items():
-                row[j] -= v
-            A.append(row)
-        return A
+        """Dense A, for the JSON writer, the KKT referee and the benchmark."""
+        return densify(self.A_rows, self.m)
 
     @property
     def b(self) -> Vec:

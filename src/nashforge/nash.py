@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exactmath import (
-    Mat, Vec, mat_shape, mat_vec, transpose, vec_dot, vec_mat,
+    Mat, Vec, mat_shape, mat_vec, spread, transpose, vec_dot, vec_mat,
 )
 from .fixp import FixpCircuit, evaluate
 
@@ -187,11 +187,6 @@ def _screen(sides) -> bool | None:
     return degenerate
 
 
-def _spread(entries: dict[int, Fraction], n: int) -> Vec:
-    """The length-n vector with these entries and zeros elsewhere."""
-    return [entries.get(j, Fraction(0)) for j in range(n)]
-
-
 def _checked(violations: list[str], what: str) -> None:
     if violations:
         raise AssertionError(f"{what} fails checker: {violations[0]}")
@@ -226,8 +221,8 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
                 if screened is None:
                     continue
                 degenerate |= screened
-                xf = _spread({i: Fraction(v, dx) for i, v in zip(sx, x)}, r)
-                yf = _spread({j: Fraction(v, dy) for j, v in zip(sy, y)}, c)
+                xf = spread({i: Fraction(v, dx) for i, v in zip(sx, x)}, r)
+                yf = spread({j: Fraction(v, dy) for j, v in zip(sy, y)}, c)
                 key = (tuple(xf), tuple(yf))
                 if key not in found:
                     _checked(ne_violations(A, B, xf, yf), "support-enumeration candidate")
@@ -255,7 +250,7 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
             if screened is None:
                 continue
             degenerate |= screened
-            zf = _spread({i: Fraction(v, d) for i, v in zip(supp, z)}, r)
+            zf = spread({i: Fraction(v, d) for i, v in zip(supp, z)}, r)
             key = tuple(zf)
             if key not in found:
                 _checked(symmetric_ne_violations(S, zf), "symmetric candidate")
@@ -394,10 +389,10 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
                                 f" {max_pivots} pivots on the {r}x{c} game from label"
                                 f" {dropped_label}")
 
-    x = _spread({var: Fraction(N.get(rhs, 0), d)
-                 for (N, d), var in zip(rows_p, basis_p) if var < r}, r)
-    y = _spread({var: Fraction(N.get(rhs, 0), d)
-                 for (N, d), var in zip(rows_q, basis_q) if var < c}, c)
+    x = spread({var: Fraction(N.get(rhs, 0), d)
+                for (N, d), var in zip(rows_p, basis_p) if var < r}, r)
+    y = spread({var: Fraction(N.get(rhs, 0), d)
+                for (N, d), var in zip(rows_q, basis_q) if var < c}, c)
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise RayTermination("pivoting terminated at the artificial equilibrium")

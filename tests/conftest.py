@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from nashforge import brouwer, compiler, fixp
-from nashforge.exactmath import mat_shape
+from nashforge import brouwer, compiler, fixp, lcp
+from nashforge.exactmath import is_upper_triangular, mat_shape, mat_vec, rank, vec_add
 
 
 def one_minus_circuit():
@@ -149,6 +149,74 @@ def symmetrized_to_ne(z, rows: int) -> tuple[list, list]:
     if sx == 0 or sy == 0:
         raise ValueError("degenerate split: one half of the strategy is zero")
     return [v / sx for v in zx], [v / sy for v in zy]
+
+
+# --- dense LCP and game builders, the referees of the sparse ones in lcp.py ---
+
+def referee_normalize(P) -> "lcp.NormalizedSystem":
+    """H = A diag(1/c) and Hp = H - sum_l u^l e_{r_l}^T as dense matrices,
+    entry by entry from the dense view of A."""
+    H = [[a / c for a, c in zip(row, P.c)] for row in P.A]
+    Hp = H
+    for r, u in zip(P.output_rows, P.U):
+        Hp = [[h - ui * (j == r) for j, h in enumerate(row)] for row, ui in zip(Hp, u)]
+    return lcp.NormalizedSystem(H, Hp, list(P.b), P)
+
+
+def referee_direct_matrix(P) -> list:
+    """A' = A - sum_l u^l e_{r_l}^T, dense."""
+    Ap = P.A
+    for r, u in zip(P.output_rows, P.U):
+        for row, ui in zip(Ap, u):
+            row[r] -= ui
+    return Ap
+
+
+def referee_build_lcp_C(dense) -> tuple[list, list]:
+    """(M, q) of the two-sided system [[0, H^T], [-H', 0]] from referee_normalize."""
+    m = dense.lp.m
+    zero = [F(0)] * m
+    M = ([zero + list(col) for col in zip(*dense.H)]
+         + [[-v for v in row] + zero for row in dense.Hp])
+    return M, [F(1)] * m + [-bi for bi in dense.b]
+
+
+def referee_build_direct_lcp(P) -> tuple[list, list]:
+    return [[-v for v in row] for row in referee_direct_matrix(P)], [-bi for bi in P.b]
+
+
+def referee_lcp_violations(M, q, z) -> list[str]:
+    out = []
+    mz = mat_vec(M, z)
+    for i in range(len(M)):
+        if z[i] < 0:
+            out.append(f"z_{i} negative")
+        if mz[i] > q[i]:
+            out.append(f"row {i} infeasible: (Mz)_{i} > q_{i}")
+        if z[i] * (mz[i] - q[i]) != 0:
+            out.append(f"complementarity fails at row {i}")
+    return out
+
+
+def referee_build_game(dense) -> "lcp.BimatrixGame":
+    """The dense (m+1)-strategy game, certified by the dense triangularity
+    test and the Bareiss rank of A + B."""
+    P = dense.lp
+    m = P.m
+    A = [list(col) + [F(0)] for col in zip(*dense.H)] + [[F(0)] * m + [F(1)]]
+    B = ([[-v for v in col] + [F(0)] for col in zip(*dense.Hp)]
+         + [[bj + 1 for bj in dense.b] + [F(1)]])
+    assert is_upper_triangular(A)
+    assert rank([vec_add(ra, rb) for ra, rb in zip(A, B)]) <= P.k + 1
+    return lcp.BimatrixGame(A, B, lcp.GameMeta(m, P.k, list(P.c), P.output_rows,
+                                               "rank_k_plus_1"))
+
+
+def referee_build_symmetric_game(P) -> "lcp.SymmetricGame":
+    S = ([[-v for v in row] + [bi + 1] for row, bi in zip(referee_direct_matrix(P), P.b)]
+         + [[F(0)] * P.m + [F(1)]])
+    return lcp.SymmetricGame(S, lcp.GameMeta(P.m, P.k, list(P.c) if P.c else None,
+                                             P.output_rows, "symmetric"))
 
 
 def random_raw_circuit(rng: random.Random, k: int, max_max_gates: int,

@@ -175,6 +175,38 @@ class TestVerify:
         code = main(["verify", str(game_path)])
         assert code != 0
 
+    @pytest.mark.parametrize("target", ["symmetric", "imitation"])
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_game_kind_structure_checked(self, target, tampered, circuit_file, tmp_path,
+                                         capsys):
+        game_path = tmp_path / "game.json"
+        assert main(["reduce", circuit_file, "--target", target, "-o", str(game_path)]) == 0
+        if tampered:
+            # the battery past the structure check still passes this game
+            doc = json.loads(game_path.read_text())
+            doc["B"][0][0] = doc["B"][2][1] = "3"
+            game_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(game_path)]) == (2 if tampered else 0)
+        out = capsys.readouterr().out
+        assert f"{'FAIL' if tampered else 'PASS'}  {target}_structure" in out
+        assert out.count("FAIL") == tampered
+
+    def test_lemmas_mode_checks_triangularity_apart_from_rank(self, circuit_file,
+                                                             monkeypatch, capsys):
+        build_game = lcp.build_game
+
+        def moved(ns):
+            # moving B[1][0] into A[1][0] leaves A + B, and so its rank, alone
+            game = build_game(ns)
+            A, B = [row[:] for row in game.A], [row[:] for row in game.B]
+            assert A[1][0] == 0 and B[1][0] != 0
+            A[1][0], B[1][0] = B[1][0], F(0)
+            return lcp.BimatrixGame(A, B, game.meta)
+        monkeypatch.setattr(lcp, "build_game", moved)
+        assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", "20"]) != 0
+        assert "FAIL  rank_and_triangularity" in capsys.readouterr().out
+
     @pytest.mark.parametrize("k,output_rows,message", [(1, [0], "FAIL  rank_bound"),
                                                       (2, [0], "meta.k is 2")])
     def test_rank_bound_reads_the_games_own_k(self, k, output_rows, message, tmp_path, capsys):

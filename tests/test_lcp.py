@@ -10,13 +10,15 @@ from nashforge import exactmath as em
 from nashforge import lcp, lp, nash
 from nashforge.lcp import (
     LemmaFalsified, build_direct_lcp, build_game, build_lcp_C,
-    build_symmetric_game, direct_matrix, game_from_json, game_to_fixed_point,
+    build_symmetric_game, game_from_json, game_to_fixed_point,
     game_to_json, imitation_game, lcp_to_ne, lcp_to_symne, lcp_violations, ne_to_lcp,
     normalize, scale_solution, semimonotone_witness, symmetrize, symne_to_lcp,
 )
 
 from conftest import (
-    ne_to_symmetrized, one_minus_circuit, random_raw_circuit, symmetrized_to_ne,
+    ne_to_symmetrized, one_minus_circuit, random_raw_circuit, referee_build_direct_lcp,
+    referee_build_game, referee_build_lcp_C, referee_build_symmetric_game,
+    referee_lcp_violations, referee_normalize, symmetrized_to_ne,
 )
 
 
@@ -34,11 +36,11 @@ def worked():
 class TestNormalize:
     def test_scaled_matrix(self, worked):
         P, _, ns = worked
-        assert ns.H == frac_mat([[F(1, 2), 0], [F(1, 2), 1]])
+        assert em.densify(ns.H, P.m) == frac_mat([[F(1, 2), 0], [F(1, 2), 1]])
 
     def test_substituted_matrix(self, worked):
         P, _, ns = worked
-        assert ns.Hp == frac_mat([[F(1, 2), -1], [F(1, 2), 1]])
+        assert em.densify(ns.Hp, P.m) == frac_mat([[F(1, 2), -1], [F(1, 2), 1]])
 
     def test_unit_cost_at_outputs_enforced(self, worked):
         P, _, _ = worked
@@ -81,7 +83,7 @@ class TestLcpC:
 class TestDirectLcp:
     def test_worked_matrix(self, worked):
         P, _, _ = worked
-        assert direct_matrix(P) == frac_mat([[1, -1], [1, 1]])
+        assert em.densify(lcp._direct_rows(P), P.m) == frac_mat([[1, -1], [1, 1]])
 
     def test_worked_solution(self, worked):
         P, _, _ = worked
@@ -171,7 +173,7 @@ class TestPayoffSumCertificate:
         Hp = H
         for r, u in zip(P.output_rows, P.U):
             Hp = [[h - ui * (j == r) for j, h in enumerate(row)] for row, ui in zip(Hp, u)]
-        assert ns.H == H and ns.Hp == Hp
+        assert em.densify(ns.H, P.m) == H and em.densify(ns.Hp, P.m) == Hp
         game = build_game(ns)
         rows = lcp.payoff_sum_rows(game)
         assert len(rows) <= k + 1
@@ -182,7 +184,7 @@ class TestPayoffSumCertificate:
         assert ns.lp.output_rows == (1,)
         # Hp[1][0] sits in column 0, not an output column; it reaches B[0][1]
         # and makes row 0 of A + B nonzero
-        Hp = [row[:] for row in ns.Hp]
+        Hp = [dict(row) for row in ns.Hp]
         Hp[1][0] += 1
         with pytest.raises(LemmaFalsified, match=r"row 0 of A \+ B"):
             build_game(replace(ns, Hp=Hp))
@@ -191,6 +193,54 @@ class TestPayoffSumCertificate:
         _, _, ns = worked
         with pytest.raises(LemmaFalsified, match=r"row 2 of A \+ B"):
             build_game(replace(ns, b=[v + 1 for v in ns.b]))
+
+
+class TestSparseRowsMatchDenseReferees:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2]))
+    def test_builders_and_checkers(self, seed, k):
+        rng = random.Random(seed)
+        P, _ = lp.build_param_lp(random_raw_circuit(rng, k, 3))
+        ns, dense = normalize(P), referee_normalize(P)
+        for inst, (M, q) in ((build_lcp_C(ns), referee_build_lcp_C(dense)),
+                             (build_direct_lcp(P), referee_build_direct_lcp(P))):
+            assert em.densify(inst.M, len(M)) == M and inst.q == q
+            for _ in range(5):
+                z = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in M]
+                assert lcp_violations(inst, z) == referee_lcp_violations(M, q, z)
+        assert build_game(ns) == referee_build_game(dense)
+        assert build_symmetric_game(P) == referee_build_symmetric_game(P)
+        M, _ = referee_build_lcp_C(dense)
+        for _ in range(10):
+            z = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in M]
+            z[rng.randrange(len(z))] = F(1)
+            q = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in M]
+            try:
+                witness = semimonotone_witness(ns, z, q)
+            except LemmaFalsified:
+                witness = None
+            assert bool(witness) == bool(referee_lcp_violations(M, q, z))
+
+
+def test_lcp_layer_never_reads_dense_A(monkeypatch, rng):
+    reads = []
+    dense_view = lp.ParamLP.A
+    monkeypatch.setattr(lp.ParamLP, "A",
+                        property(lambda P: reads.append(P.m) or dense_view.fget(P)))
+    for circ in (one_minus_circuit(), random_raw_circuit(rng, 2, 3)):
+        P, _ = lp.build_param_lp(circ)
+        ns = normalize(P)
+        build_lcp_C(ns)
+        build_direct_lcp(P)
+        game = build_game(ns)
+        sym = build_symmetric_game(P)
+        n = 2 * P.m
+        assert semimonotone_witness(ns, [F(1)] + [F(0)] * (n - 1), [F(1)] * n)
+        cert = nash.lemke_howson(game.A, game.B)
+        ne_to_lcp(ns, cert.x, cert.y)
+        imi = imitation_game(sym)
+        symne_to_lcp(P, nash.lemke_howson(imi.A, imi.B).y)
+    assert reads == []
 
 
 class TestNeLcpMappings:
