@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactmath import Ref, gate_from_json, gate_refs, gate_to_json, int_from_json
+from .exactmath import Ref, check_dag, gate_from_json, gate_to_json, int_from_json, walk
 
 EXHAUSTIVE_BIT_LIMIT = 24
 
@@ -118,20 +118,15 @@ class BoolCircuit:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        nbits = self.k * self.n
+        Grid(self.k, self.n)    # rejects k < 1 and n < 1
+        check_dag(self.gates, self.outputs)
         for i, g in enumerate(self.gates):
-            if isinstance(g, BInput) and not 0 <= g.index < nbits:
+            if isinstance(g, BInput) and not 0 <= g.index < self.k * self.n:
                 raise ValueError(f"input gate {i} index out of range")
             if isinstance(g, BConst) and g.value not in (0, 1):
                 raise ValueError(f"const gate {i} must be 0 or 1")
-            for ref in gate_refs(g):
-                if not 0 <= ref < i:
-                    raise ValueError(f"gate {i} references {ref}; only earlier gates allowed")
         if len(self.outputs) != 2 * self.k:
             raise ValueError(f"expected {2 * self.k} outputs, got {len(self.outputs)}")
-        for ref in self.outputs:
-            if not 0 <= ref < len(self.gates):
-                raise ValueError(f"output ref {ref} out of range")
 
     @property
     def grid(self) -> Grid:
@@ -156,18 +151,13 @@ def encode_point(grid: Grid, p) -> list[int]:
 def eval_bool(cb: BoolCircuit, p) -> list[int]:
     """Evaluate the circuit at a grid point; returns the 2k output bits."""
     bits = encode_point(cb.grid, p)
-    values: list[int] = []
-    for g in cb.gates:
-        if isinstance(g, BInput):
-            values.append(bits[g.index])
-        elif isinstance(g, BConst):
-            values.append(g.value)
-        elif isinstance(g, BAnd):
-            values.append(values[g.a] & values[g.b])
-        elif isinstance(g, BOr):
-            values.append(values[g.a] | values[g.b])
-        else:
-            values.append(1 - values[g.a])
+    values = walk(cb.gates, {
+        BInput: lambda g, v: bits[g.index],
+        BConst: lambda g, v: g.value,
+        BAnd: lambda g, v: v[g.a] & v[g.b],
+        BOr: lambda g, v: v[g.a] | v[g.b],
+        BNot: lambda g, v: 1 - v[g.a],
+    })
     return [values[o] for o in cb.outputs]
 
 

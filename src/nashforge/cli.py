@@ -272,9 +272,12 @@ def _verify_roundtrip(P: lp.ParamLP, prepared: FixpCircuit, checks: list):
     _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
     for idx, cert in enumerate(res.equilibria):
         _check(checks, f"ne_{idx}_slack_positive", cert.x[-1] > 0 and cert.y[-1] > 0)
-        x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
-        _check(checks, f"ne_{idx}_lcp_conditions",
-               not lcp.lcp_violations(lcp.build_lcp_C(ns), x + y))
+        try:
+            lcp.ne_to_lcp(ns, cert.x, cert.y)     # checks the LCP conditions
+        except lcp.LemmaFalsified as exc:
+            _check(checks, f"ne_{idx}_lcp_conditions", False, str(exc))
+            raise
+        _check(checks, f"ne_{idx}_lcp_conditions", True)
         lam = lcp.game_to_fixed_point(cert.x, game.meta)
         _check(checks, f"ne_{idx}_fixed_point", nash.check_fixed_point(prepared, lam),
                "lambda = " + ", ".join(rat_to_str(v) for v in lam))
@@ -307,6 +310,8 @@ def _verify_approx(args, checks: list):
     if (circ.k, cb.k, cb.n) != (grid.k, grid.k, grid.n):
         raise InputError(f"{args.compiled_meta} is for k={grid.k}, n={grid.n}, but {args.input}"
                          f" has {circ.k} inputs and {args.source} k={cb.k}, n={cb.n}")
+    if len(circ.outputs) != circ.k:
+        raise InputError(f"{args.input}: {circ.k} inputs but {len(circ.outputs)} outputs")
     cf = compiler.CompiledFunction(circ, cb, grid, params, shrunk)
     if not args.points:
         raise InputError("--mode approx needs --points \"p1,p2;q1,q2;...\"")
@@ -348,6 +353,8 @@ def cmd_verify(args) -> int:
         else:
             artifact = _load(args.input, *_INPUT_KINDS["verify"])
             if isinstance(artifact, lcp.BimatrixGame):
+                if args.mode == "roundtrip":
+                    raise InputError(f"{args.input}: --mode roundtrip needs a circuit, got a game")
                 _verify_game(artifact, checks)
             elif args.mode == "roundtrip":
                 _verify_roundtrip(*_param_lp(args.input, artifact), checks)
@@ -438,7 +445,9 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline(args) -> int:
     stages = _load(args.input, "manifest")
+    argvs = []
     prev_output = None
+    # every stage is checked before the first one runs and writes its files
     for i, stage in enumerate(stages):
         inp = stage["input"]
         if i > 0 and inp != prev_output:
@@ -447,15 +456,24 @@ def cmd_pipeline(args) -> int:
         if Path(inp).exists():
             _load(inp, *_INPUT_KINDS[stage["command"]])
         prev_output = stage.get("output", inp)
-    for i, stage in enumerate(stages):
-        argv = [stage["command"], stage["input"]]
-        for flag, value in sorted(stage.get("args", {}).items()):
+        argv = [stage["command"], inp]
+        flags = sorted(stage.get("args", {}).items())
+        for flag, value in flags:
             if value is True:
                 argv.append(f"--{flag}")
             elif value is not False:
                 argv.extend([f"--{flag}", str(value)])
         if "output" in stage and stage["command"] not in ("eval",):
             argv.extend(["-o", stage["output"]])
+        try:
+            parsed = build_parser().parse_args(argv)
+        except SystemExit:
+            raise InputError(f"stage {i}: nashforge rejects {' '.join(argv)!r}") from None
+        for flag, value in flags:
+            if value is False and getattr(parsed, flag.replace("-", "_"), None) is not False:
+                raise InputError(f"stage {i}: \"{flag}\": false does not turn --{flag} off")
+        argvs.append(argv)
+    for i, argv in enumerate(argvs):
         print(f"[stage {i}] nashforge " + " ".join(argv))
         code = main(argv)
         if code != EXIT_OK:

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from . import brouwer
 from .brouwer import BoolCircuit, Grid, bool_circuit_size
-from .exactmath import Vec, inf_norm, vec_sub
-from .fixp import Add, Builder, Const, FixpCircuit, Input, MulC, circuit_size, evaluate
+from .exactmath import Vec, inf_norm, vec_sub, walk
+from .fixp import Add, Builder, Const, FixpCircuit, Input, Max, MulC, circuit_size, evaluate
 
 
 class NotPanchromatic(Exception):
@@ -100,18 +100,13 @@ def _emit_extract_bits(b: Builder, x_ref: int, n: int, L: int) -> list[int]:
 
 def _emit_bool_sim(b: Builder, cb: BoolCircuit, input_refs: list[int]) -> list[int]:
     """Arithmetic simulation of the Boolean circuit on [0,1]-valued wires."""
-    values: list[int] = []
-    for g in cb.gates:
-        if isinstance(g, brouwer.BInput):
-            values.append(input_refs[g.index])
-        elif isinstance(g, brouwer.BConst):
-            values.append(b.const(g.value))
-        elif isinstance(g, brouwer.BAnd):
-            values.append(b.ming(values[g.a], values[g.b]))
-        elif isinstance(g, brouwer.BOr):
-            values.append(b.maxg(values[g.a], values[g.b]))
-        else:
-            values.append(b.one_minus(values[g.a]))
+    values = walk(cb.gates, {
+        brouwer.BInput: lambda g, v: input_refs[g.index],
+        brouwer.BConst: lambda g, v: b.const(g.value),
+        brouwer.BAnd: lambda g, v: b.ming(v[g.a], v[g.b]),
+        brouwer.BOr: lambda g, v: b.maxg(v[g.a], v[g.b]),
+        brouwer.BNot: lambda g, v: b.one_minus(v[g.a]),
+    })
     return [values[o] for o in cb.outputs]
 
 
@@ -183,18 +178,13 @@ def shrink_range(cf: CompiledFunction) -> CompiledFunction:
     b = Builder(cf.circuit.k)
     inputs = [b.input(i) for i in range(cf.circuit.k)]
     scaled_in = [b.mulc(scale, r) for r in inputs]
-    values: list[int] = []
-    for g in cf.circuit.gates:
-        if isinstance(g, Input):
-            values.append(scaled_in[g.index])
-        elif isinstance(g, Const):
-            values.append(b.const(g.value))
-        elif isinstance(g, Add):
-            values.append(b.add(values[g.a], values[g.b]))
-        elif isinstance(g, MulC):
-            values.append(b.mulc(g.coeff, values[g.a]))
-        else:
-            values.append(b.maxg(values[g.a], values[g.b]))
+    values = walk(cf.circuit.gates, {
+        Input: lambda g, v: scaled_in[g.index],
+        Const: lambda g, v: b.const(g.value),
+        Add: lambda g, v: b.add(v[g.a], v[g.b]),
+        MulC: lambda g, v: b.mulc(g.coeff, v[g.a]),
+        Max: lambda g, v: b.maxg(v[g.a], v[g.b]),
+    })
     outs = [b.mulc(Fraction(1, scale), values[o]) for o in cf.circuit.outputs]
     return replace(cf, circuit=b.build(outs), shrunk=True)
 

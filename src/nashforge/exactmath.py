@@ -7,7 +7,7 @@ vectors are lists of Fractions, and matrices are row-major lists of rows.
 
 Rationals serialize as the string "p/q" with the sign on the numerator and
 "/q" omitted when the denominator is 1; circuit gates serialize through
-one table per gate family (see "gate wire format" below).
+one table per gate family (see "circuit gates" below).
 """
 
 from __future__ import annotations
@@ -85,12 +85,14 @@ def mat_to_strs(m: Mat) -> list[list[str]]:
     return [vec_to_strs(r) for r in m]
 
 
-# --- gate wire format ---
+# --- circuit gates ---
 #
 # A gate family is a set of frozen dataclasses plus a table
 # {gate class: (op name, wire keys in field order)}.  Field annotations
 # decide the wire form: Fraction fields travel as rational strings, int
 # and Ref fields as JSON integers, and Ref fields are the gate's operands.
+# Every gate reads only earlier gates, so each interpreter of a family is
+# one table {gate class: semantics} run by `walk` in list order.
 
 
 @cache
@@ -113,6 +115,26 @@ def _operand_getter(cls):
 def gate_refs(g) -> tuple[int, ...]:
     """Indices of the earlier gates that g reads."""
     return _operand_getter(type(g))(g)
+
+
+def check_dag(gates, outputs) -> None:
+    """ValueError unless every gate reads earlier gates and every output names a gate."""
+    for i, g in enumerate(gates):
+        for ref in gate_refs(g):
+            if not 0 <= ref < i:
+                raise ValueError(f"gate {i} references {ref}; only earlier gates allowed")
+    for ref in outputs:
+        if not 0 <= ref < len(gates):
+            raise ValueError(f"output ref {ref} out of range")
+
+
+def walk(gates, ops: dict) -> list:
+    """The value of every gate in list order; `ops[type(g)](g, values)`
+    gives g's value from the values of the gates before it."""
+    values: list = []
+    for g in gates:
+        values.append(ops[type(g)](g, values))
+    return values
 
 
 def gate_to_json(g, table: dict) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
-    Ref, Vec, flag_from_json, gate_from_json, gate_refs, gate_to_json, int_from_json,
+    Ref, Vec, check_dag, flag_from_json, gate_from_json, gate_to_json, int_from_json, walk,
 )
 
 
@@ -58,6 +58,8 @@ class Max:
 
 
 Gate = Input | Const | Add | MulC | Max
+# the literal zero operand of a normalized max gate
+ZERO = Const(Fraction(0))
 
 # wire op name and JSON keys of every gate, keys in field order
 GATES = {
@@ -89,17 +91,12 @@ class FixpCircuit:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("circuit needs at least one input")
+        check_dag(self.gates, self.outputs)
         for i, g in enumerate(self.gates):
-            for ref in gate_refs(g):
-                if not 0 <= ref < i:
-                    raise ValueError(f"gate {i} references {ref}; only earlier gates allowed")
             if isinstance(g, Input) and not 0 <= g.index < self.k:
                 raise ValueError(f"input gate {i} has index {g.index} outside 0..{self.k - 1}")
         if not self.outputs:
             raise ValueError("circuit needs at least one output")
-        for ref in self.outputs:
-            if not 0 <= ref < len(self.gates):
-                raise ValueError(f"output ref {ref} out of range")
         if self.clamped:
             if len(self.outputs) != self.k:
                 raise ValueError("clamped circuit must have k outputs")
@@ -116,20 +113,13 @@ def evaluate_with_trace(c: FixpCircuit, point: Vec) -> tuple[Vec, Vec]:
     """Evaluate gate by gate; returns (outputs, value of every gate)."""
     if len(point) != c.k:
         raise ValueError(f"expected {c.k} inputs, got {len(point)}")
-    values: list[Fraction] = []
-    for g in c.gates:
-        if isinstance(g, Input):
-            v = Fraction(point[g.index])
-        elif isinstance(g, Const):
-            v = g.value
-        elif isinstance(g, Add):
-            v = values[g.a] + values[g.b]
-        elif isinstance(g, MulC):
-            v = g.coeff * values[g.a]
-        else:
-            va, vb = values[g.a], values[g.b]
-            v = va if va >= vb else vb
-        values.append(v)
+    values = walk(c.gates, {
+        Input: lambda g, v: Fraction(point[g.index]),
+        Const: lambda g, v: g.value,
+        Add: lambda g, v: v[g.a] + v[g.b],
+        MulC: lambda g, v: g.coeff * v[g.a],
+        Max: lambda g, v: v[g.a] if v[g.a] >= v[g.b] else v[g.b],
+    })
     return [values[o] for o in c.outputs], values
 
 
@@ -175,57 +165,35 @@ def normalize_max_zero(c: FixpCircuit) -> FixpCircuit:
 
     max{a, b} becomes max{0, b-a} + a, costing at most three extra gates
     per rewritten max (one MulC(-1), two Add) plus a single shared zero
-    constant.  Evaluation is unchanged for every input.
+    constant; equal constants and repeated inputs are merged, as Builder
+    merges them.  Evaluation is unchanged for every input.
     """
-    gates: list[Gate] = []
-    value_of: dict[int, int] = {}   # old index -> gate holding its value
+    b = Builder(c.k)
     max_of: dict[int, int] = {}     # old max index -> max gate in new list
-    zero_ref: int | None = None
 
-    def emit(g: Gate) -> int:
-        gates.append(g)
-        return len(gates) - 1
-
-    def ensure_zero() -> int:
-        nonlocal zero_ref
-        if zero_ref is None:
-            zero_ref = emit(Const(Fraction(0)))
-        return zero_ref
-
-    for i, g in enumerate(c.gates):
-        if isinstance(g, Input):
-            value_of[i] = emit(g)
-        elif isinstance(g, Const):
-            new = emit(g)
-            value_of[i] = new
-            if g.value == 0 and zero_ref is None:
-                zero_ref = new
-        elif isinstance(g, Add):
-            value_of[i] = emit(Add(value_of[g.a], value_of[g.b]))
-        elif isinstance(g, MulC):
-            value_of[i] = emit(MulC(g.coeff, value_of[g.a]))
+    def rewrite_max(g: Max, v) -> int:
+        na, nb = v[g.a], v[g.b]
+        if c.gates[g.a] == ZERO or c.gates[g.b] == ZERO:
+            mx = out = b.maxg(na, nb)
         else:
-            na, nb = value_of[g.a], value_of[g.b]
-            if _is_zero_const(gates, na) or _is_zero_const(gates, nb):
-                new = emit(Max(na, nb))
-                value_of[i] = new
-                max_of[i] = new
-            else:
-                neg_a = emit(MulC(Fraction(-1), na))
-                diff = emit(Add(nb, neg_a))
-                mx = emit(Max(ensure_zero(), diff))
-                value_of[i] = emit(Add(mx, na))
-                max_of[i] = mx
+            diff = b.sub(nb, na)
+            mx = b.maxg(b.const(0), diff)
+            out = b.add(mx, na)
+        max_of[len(v)] = mx
+        return out
 
+    # each gate's value is the new gate holding it
+    value_of = walk(c.gates, {
+        Input: lambda g, v: b.input(g.index),
+        Const: lambda g, v: b.const(g.value),
+        Add: lambda g, v: b.add(v[g.a], v[g.b]),
+        MulC: lambda g, v: b.mulc(g.coeff, v[g.a]),
+        Max: rewrite_max,
+    })
     outputs = tuple(value_of[o] for o in c.outputs)
     pairs = tuple((max_of[i], max_of[o]) for i, o in c.clamp_pairs)
-    return FixpCircuit(c.k, tuple(gates), outputs,
+    return FixpCircuit(c.k, tuple(b.gates), outputs,
                        normalized=True, clamped=c.clamped, clamp_pairs=pairs)
-
-
-def _is_zero_const(gates: list[Gate], ref: int) -> bool:
-    g = gates[ref]
-    return isinstance(g, Const) and g.value == 0
 
 
 def order_max_gates(c: FixpCircuit) -> list[int]:

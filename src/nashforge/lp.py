@@ -29,10 +29,11 @@ from fractions import Fraction
 from operator import mul
 
 from .exactmath import (
-    Mat, Row, Vec, densify, mat_to_strs, mat_vec, row_add, transpose, vec_to_strs, zeros_vec,
+    Mat, Row, Vec, densify, mat_to_strs, mat_vec, row_add, transpose, vec_to_strs, walk,
+    zeros_vec,
 )
 from .fixp import (
-    Add, Const, FixpCircuit, Input, MulC, clamp_outputs, normalize_max_zero,
+    ZERO, Add, Const, FixpCircuit, Input, Max, MulC, clamp_outputs, normalize_max_zero,
     order_max_gates,
 )
 
@@ -44,24 +45,6 @@ class LinExpr:
     xs: dict[int, Fraction]       # keyed by max-gate row index
     lam: tuple[Fraction, ...]
     const: Fraction
-
-    @staticmethod
-    def zero(k: int) -> "LinExpr":
-        return LinExpr({}, (Fraction(0),) * k, Fraction(0))
-
-    @staticmethod
-    def parameter(k: int, l: int) -> "LinExpr":
-        lam = [Fraction(0)] * k
-        lam[l] = Fraction(1)
-        return LinExpr({}, tuple(lam), Fraction(0))
-
-    @staticmethod
-    def constant(k: int, v: Fraction) -> "LinExpr":
-        return LinExpr({}, (Fraction(0),) * k, Fraction(v))
-
-    @staticmethod
-    def variable(k: int, row: int) -> "LinExpr":
-        return LinExpr({row: Fraction(1)}, (Fraction(0),) * k, Fraction(0))
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
         lam = tuple(a + b for a, b in zip(self.lam, other.lam))
@@ -113,33 +96,31 @@ class ParamLP:
 def build_constraints(circ: FixpCircuit) -> ParamLP:
     """Extract the rows x_i >= L_i from a normalized, clamped circuit."""
     order = order_max_gates(circ)     # also enforces the normalized/clamped pre
-    row_of = {g: i for i, g in enumerate(order)}
     k = circ.k
     m = len(order)
     npre = m - 2 * k
 
-    exprs: list[LinExpr | None] = [None] * len(circ.gates)
-    rows_L: list[LinExpr] = [LinExpr.zero(k)] * m
-    for idx, g in enumerate(circ.gates):
-        if isinstance(g, Input):
-            exprs[idx] = LinExpr.parameter(k, g.index)
-        elif isinstance(g, Const):
-            exprs[idx] = LinExpr.constant(k, g.value)
-        elif isinstance(g, Add):
-            exprs[idx] = exprs[g.a] + exprs[g.b]
-        elif isinstance(g, MulC):
-            exprs[idx] = exprs[g.a].scale(g.coeff)
-        else:
-            a_zero = isinstance(circ.gates[g.a], Const) and circ.gates[g.a].value == 0
-            b_zero = isinstance(circ.gates[g.b], Const) and circ.gates[g.b].value == 0
-            if not (a_zero or b_zero):
-                raise ValueError(f"max gate {idx} has no zero operand; normalize first")
-            operand = exprs[g.b] if a_zero else exprs[g.a]
-            row = row_of[idx]
-            rows_L[row] = operand
-            exprs[idx] = LinExpr.variable(k, row)
+    no_lam = (Fraction(0),) * k
+    unit_lam = [tuple(Fraction(int(l == j)) for l in range(k)) for j in range(k)]
+    rows_L: list[LinExpr] = []
 
-    output_rows = tuple(row_of[outer] for _, outer in circ.clamp_pairs)
+    def max_row(g: Max, v) -> LinExpr:
+        a_zero = circ.gates[g.a] == ZERO
+        if not (a_zero or circ.gates[g.b] == ZERO):
+            raise ValueError(f"max gate {len(v)} has no zero operand; normalize first")
+        rows_L.append(v[g.b] if a_zero else v[g.a])     # max gates arrive in row order
+        return LinExpr({len(rows_L) - 1: Fraction(1)}, no_lam, Fraction(0))
+
+    # each gate's value is an affine expression in the rows and the parameters
+    walk(circ.gates, {
+        Input: lambda g, v: LinExpr({}, unit_lam[g.index], Fraction(0)),
+        Const: lambda g, v: LinExpr({}, no_lam, g.value),
+        Add: lambda g, v: v[g.a] + v[g.b],
+        MulC: lambda g, v: v[g.a].scale(g.coeff),
+        Max: max_row,
+    })
+
+    output_rows = tuple(order.index(outer) for _, outer in circ.clamp_pairs)
     lp = ParamLP(m, k, npre, tuple(rows_L), output_rows)
     problems = property_violations(lp)
     if problems:

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nashforge
 from nashforge import brouwer, cli, exactmath, fixp, lcp, lp, nash
@@ -156,6 +158,31 @@ class TestVerify:
         assert "lambda = 1/2" in text
         doc = json.loads(report.read_text())
         assert doc["ok"] is True
+
+    def test_roundtrip_builds_the_lcp_once_per_equilibrium(self, circuit_file, tmp_path,
+                                                           monkeypatch, capsys):
+        calls = []
+        build_lcp_C = lcp.build_lcp_C
+        monkeypatch.setattr(lcp, "build_lcp_C", lambda ns: calls.append(ns) or build_lcp_C(ns))
+        report = tmp_path / "report.json"
+        assert main(["verify", circuit_file, "--mode", "roundtrip", "-o", str(report)]) == 0
+        lines = [c["name"] for c in json.loads(report.read_text())["checks"]]
+        assert len(calls) == sum(name.endswith("_lcp_conditions") for name in lines) == 1
+
+    def test_roundtrip_reports_an_lcp_violation_on_its_line(self, circuit_file, monkeypatch,
+                                                            capsys):
+        monkeypatch.setattr(lcp, "lcp_violations", lambda inst, z: ["row 0 infeasible"])
+        assert main(["verify", circuit_file, "--mode", "roundtrip"]) == 3
+        assert ("FAIL  ne_0_lcp_conditions  (mapped equilibrium violates the LCP: row 0"
+                " infeasible)") in capsys.readouterr().out
+
+    def test_roundtrip_needs_a_circuit(self, circuit_file, tmp_path, capsys):
+        game, report = str(tmp_path / "game.json"), tmp_path / "report.json"
+        assert main(["reduce", circuit_file, "--target", "game", "-o", game]) == 0
+        capsys.readouterr()
+        assert main(["verify", game, "--mode", "roundtrip", "-o", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert "roundtrip needs a circuit" in err and "PASS" not in out and not report.exists()
 
     def test_lemmas_mode_all_pass(self, circuit_file, capsys):
         assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", "60"]) == 0
@@ -411,6 +438,16 @@ class TestBadArguments:
                      "--compiled-meta", circ + ".meta.json", f"--points={points}"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_approx_mode_needs_one_output_per_input(self, fixture_file, tmp_path, capsys):
+        circ = tmp_path / "compiled.json"
+        main(["compile", fixture_file, "-o", str(circ), "--no-grid-check"])
+        doc = json.loads(circ.read_text())
+        circ.write_text(json.dumps({**doc, "outputs": doc["outputs"][:1]}))
+        capsys.readouterr()
+        assert main(["verify", str(circ), "--mode", "approx", "--source", fixture_file,
+                     "--compiled-meta", f"{circ}.meta.json", "--points", "0,0"]) == 2
+        assert f"{circ}: 2 inputs but 1 outputs" in capsys.readouterr().err
+
 
 def _first_gate(body, gate):
     return {**body, "gates": [gate] + body["gates"][1:]}
@@ -424,6 +461,11 @@ def _malformed(kind, body):
         docs["input_index_list"] = _first_gate(body, {"op": "input", "i": [0]})
         docs["gates_not_a_list"] = {**body, "gates": "x"}
         docs["unknown_op"] = _first_gate(body, {"op": "xor", "a": 0})
+        if kind == "brouwer":
+            # each decodes into a circuit over an empty grid
+            docs["k_zero"] = {**body, "k": 0, "gates": [{"op": "const", "v": 0}], "outputs": []}
+            docs["n_zero"] = {**body, "n": 0, "gates": [{"op": "const", "v": 0}],
+                              "outputs": [0] * len(body["outputs"])}
         if kind == "circuit":
             docs["false_clamp_claim"] = fixp.circuit_to_json(false_clamp_claim_circuit())
             clamped = fixp.circuit_to_json(fixp.clamp_outputs(one_minus_circuit()))
@@ -486,24 +528,31 @@ MALFORMED_CASES = [(reader, case) for reader, (_, kind) in READERS.items()
                    if case != "false_clamp_claim" or reader in REDUCING_READERS]
 
 
+def _run_reader(reader, doc, tmp_path) -> int:
+    """Exit code of `reader` with `doc` as its {bad} file (no file for None)
+    and well-formed artifacts everywhere else."""
+    argv, _ = READERS[reader]
+    bad = tmp_path / "bad.json"
+    if doc is not None:
+        bad.write_text(json.dumps(doc))
+    paths = {name: write_json(tmp_path / f"{name}.json", name, body)
+             for name, body in WELL_FORMED.items() if name != "manifest"}
+    paths["manifest"] = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+        {"command": "eval", "input": str(bad), "args": {"at": "0"}}]})
+    paths.update(bad=str(bad), out=str(tmp_path / "out.json"))
+    return main([arg.format(**paths) for arg in argv])
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("reader,case", MALFORMED_CASES,
                              ids=[f"{r}-{c}" for r, c in MALFORMED_CASES])
     def test_malformed_artifact_exits_2(self, reader, case, tmp_path, capsys):
-        argv, kind = READERS[reader]
-        bad = tmp_path / "bad.json"
+        kind = READERS[reader][1]
         doc = _malformed(kind, WELL_FORMED[kind])[case]
-        if doc is not None:
-            if isinstance(doc, dict):
-                doc = {"schema": SCHEMA, "kind": kind, **doc}
-            bad.write_text(json.dumps(doc))
-        paths = {name: write_json(tmp_path / f"{name}.json", name, body)
-                 for name, body in WELL_FORMED.items() if name != "manifest"}
-        paths["manifest"] = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
-            {"command": "eval", "input": str(bad), "args": {"at": "0"}}]})
-        paths.update(bad=str(bad), out=str(tmp_path / "out.json"))
-        assert main([arg.format(**paths) for arg in argv]) == 2
-        assert str(bad) in capsys.readouterr().err
+        if isinstance(doc, dict):
+            doc = {"schema": SCHEMA, "kind": kind, **doc}
+        assert _run_reader(reader, doc, tmp_path) == 2
+        assert str(tmp_path / "bad.json") in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["eval", "/nonexistent.json", "--at", "0"]) == 2
@@ -515,6 +564,42 @@ class TestInputValidation:
         p = tmp_path / "x.json"
         p.write_text(json.dumps({"schema": "other/v9", "kind": "circuit"}))
         assert main(["eval", str(p), "--at", "0"]) == 2
+
+
+# what a fuzzed field may become: wrong types, edge integers and odd strings
+FUZZ_VALUES = [None, True, False, -1, 0, 1, 2, 3, 1.5, "", "x", "1/2", "-1/0", [], [0], {}]
+
+
+def _json_paths(doc, path=()):
+    """Every path of keys and indices into a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _json_paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+class TestCliFuzz:
+    """Every reader reads a mutated artifact or refuses it: exit 0 or 2."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_artifact_exits_0_or_2(self, reader, data, tmp_path, capsys):
+        kind = READERS[reader][1]
+        doc = {"schema": SCHEMA, "kind": kind, **WELL_FORMED[kind]}
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+            doc = _replaced(doc, path, data.draw(st.sampled_from(FUZZ_VALUES), label="value"))
+        assert _run_reader(reader, doc, tmp_path) in (0, 2)
 
 
 class TestPipeline:
@@ -534,6 +619,34 @@ class TestPipeline:
             {"command": "solve", "input": str(tmp_path / "other.json")},
         ]})
         assert main(["pipeline", manifest]) == 2
+
+    def test_rejected_stage_flags_stop_the_run_before_any_stage(self, circuit_file, tmp_path,
+                                                                capsys):
+        game = tmp_path / "game.json"
+        manifest = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "reduce", "input": circuit_file,
+             "output": str(game), "args": {"target": "game"}},
+            {"command": "solve", "input": str(game), "args": {"method": "lh", "max_pivots": 5}},
+        ]})
+        assert main(["pipeline", manifest]) == 2
+        out, err = capsys.readouterr()
+        assert "stage 1: nashforge rejects" in err and "[stage 0]" not in out
+        assert not game.exists()
+
+    @pytest.mark.parametrize("args,code", [({"grid-check": False}, 2),
+                                           ({"no-grid-check": True, "shrink": False}, 0)])
+    def test_false_flag_must_turn_its_flag_off(self, fixture_file, tmp_path, args, code,
+                                               capsys):
+        out = tmp_path / "compiled.json"
+        manifest = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "compile", "input": fixture_file, "output": str(out), "args": args}]})
+        assert main(["pipeline", manifest]) == code
+        if code:
+            assert '"grid-check": false does not turn --grid-check off' in capsys.readouterr().err
+        else:
+            meta = json.loads(Path(str(out) + ".meta.json").read_text())
+            assert meta["shrunk"] is False
+        assert out.exists() == (code == 0)
 
 
 class TestConsoleEntry:
