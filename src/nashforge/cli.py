@@ -126,6 +126,9 @@ def _validated(cb: brouwer.BoolCircuit) -> bool:
 # --- commands -------------------------------------------------------------
 
 def cmd_compile(args) -> int:
+    meta_path = args.meta or args.output + ".meta.json"
+    if Path(meta_path).resolve() == Path(args.output).resolve():
+        raise InputError(f"--meta {meta_path} is the output path; it would overwrite the circuit")
     cb = _load(args.input, "brouwer")
     if not _validated(cb):
         return EXIT_INVALID_INPUT
@@ -146,7 +149,6 @@ def cmd_compile(args) -> int:
     if args.shrink:
         cf = compiler.shrink_range(cf)
     _save(args.output, "circuit", circuit_to_json(cf.circuit))
-    meta_path = args.meta or args.output + ".meta.json"
     _save(meta_path, "compiled_meta", compiler.compiled_meta_json(cf))
     print(f"wrote {args.output} and {meta_path}")
     return EXIT_OK

@@ -281,41 +281,51 @@ def is_upper_triangular(m: Mat) -> bool:
 
 # --- elimination ---
 
-def rank(m: Mat) -> int:
-    """Exact rank over the rationals.
+def int_matrix(M: Mat) -> tuple[list[list[int]], int]:
+    """M times the lcm of its denominators, and that lcm.  A positive
+    factor on a whole matrix leaves its rank, and every best response of a
+    payoff matrix, alone."""
+    d = lcm(*(v.denominator for row in M for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in M], d
 
-    Uses fraction-free (Bareiss) elimination after clearing denominators
-    row-wise, with partial pivoting by first nonzero entry.  Intermediate
-    values stay integral, so pivots never blow up into huge fractions.
+
+def eliminate(rows: list[list[int]], cols: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in
+    place, on their first `cols` columns; returns (rank, last pivot).
+
+    Pivots are taken in column order, from the first row at or below the
+    pivot row that is nonzero there.  A step on pivot q rewrites every
+    other row as (q row - f pivot_row) / q_prev, an exact division by
+    Sylvester's identity, so entries stay integral and never blow up into
+    huge fractions.  Afterwards the pivot rows carry the last pivot on
+    their diagonal and zeros elsewhere in the pivot columns.
     """
-    r, c = mat_shape(m)
-    rows: list[list[int]] = []
-    for row in m:
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
-        rows.append([int(x * mult) for x in row])
-
-    rk = 0
+    n = len(rows)
     prev = 1
     pr = 0
-    for col in range(c):
-        piv = next((i for i in range(pr, r) if rows[i][col] != 0), None)
+    for col in range(cols):
+        piv = next((i for i in range(pr, n) if rows[i][col]), None)
         if piv is None:
             continue
         rows[pr], rows[piv] = rows[piv], rows[pr]
-        p = rows[pr][col]
-        for i in range(pr + 1, r):
-            fi = rows[i][col]
-            for j in range(col, c):
-                num = rows[i][j] * p - fi * rows[pr][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("Bareiss exact-division invariant broken")
-                rows[i][j] = q
-        prev = p
+        prow = rows[pr]
+        q = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != pr and (f or q != prev):
+                new = [q * a - f * b for a, b in zip(row, prow)]
+                if prev != 1:
+                    new = [divmod(v, prev) for v in new]
+                    if any(rem for _, rem in new):
+                        raise AssertionError("fraction-free elimination left a remainder")
+                    new = [v for v, _ in new]
+                rows[i] = new
+        prev = q
         pr += 1
-        rk += 1
-        if pr == r:
-            break
-    return rk
+    return pr, prev
+
+
+def rank(m: Mat) -> int:
+    """Exact rank over the rationals: `eliminate` on m, denominators cleared."""
+    _, c = mat_shape(m)
+    return eliminate(int_matrix(m)[0], c)[0]

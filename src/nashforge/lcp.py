@@ -331,8 +331,10 @@ def game_from_json(doc: dict) -> BimatrixGame:
     shape = (int_from_json(doc["rows"]), int_from_json(doc["cols"]))
     if mat_shape(A) != shape or mat_shape(B) != shape:
         raise ValueError(f"A and B must both be {shape[0]}x{shape[1]} (rows x cols)")
+    if shape[0] != shape[1]:
+        raise ValueError(f"game is {shape[0]}x{shape[1]}; every game kind is square")
     output_rows = tuple(int_from_json(r) for r in meta["output_rows"])
-    last = min(shape) - 2     # the last strategy is the slack
+    last = shape[0] - 2   # the last strategy is the slack
     if not all(0 <= r <= last for r in output_rows):
         raise ValueError(f"output rows {list(output_rows)} must lie in 0..{last}")
     k = int_from_json(meta["k"])

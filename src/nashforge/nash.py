@@ -10,8 +10,9 @@ system pinning the opponent's weights and the payoff, then filters by the
 inequalities; a game whose support systems are consistent but singular is
 flagged degenerate and only the solutions unique on their support pair are
 returned.  It runs on integers: each payoff matrix is scaled by the lcm of
-its denominators, support systems are solved by fraction-free Gauss-Jordan
-elimination, and Fractions are built only for the accepted equilibria.
+its denominators, support systems are solved by the fraction-free
+Gauss-Jordan elimination `exactmath.eliminate`, and Fractions are built
+only for the accepted equilibria.
 Lemke-Howson complementary pivoting (with a lexicographic ratio test, so
 degenerate ties cannot cycle) serves as an independent second solver and
 the one that scales to compiled games; its tableau rows are sparse
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exactmath import (
-    Mat, Vec, mat_shape, mat_vec, spread, transpose, vec_dot, vec_mat,
+    Mat, Vec, eliminate, int_matrix, mat_shape, mat_vec, spread, transpose, vec_dot, vec_mat,
 )
 from .fixp import FixpCircuit, evaluate
 
@@ -119,48 +120,19 @@ def check_dimension(r: int, c: int, cap: int = MAX_DIM) -> None:
         raise DimensionTooLarge(f"game is {r}x{c}; cap is {cap}")
 
 
-def _int_matrix(M: Mat) -> tuple[list[list[int]], int]:
-    """M times the lcm of its denominators, and that lcm.  A positive
-    factor on a whole payoff matrix leaves every best response alone."""
-    d = lcm(*(v.denominator for row in M for v in row))
-    return [[v.numerator * (d // v.denominator) for v in row] for row in M], d
-
-
 def _on_support(payoff_rows: list[list[int]],
                 support: tuple[int, ...]) -> tuple[str, list[int] | None, int, int]:
     """Weights w on `support` and payoff p with row . w = p for every
-    integer payoff row and sum w = 1, by fraction-free Gauss-Jordan
-    elimination.  Returns ("unique", W, P, D) with w = W / D in support
-    order, p = P / D and D > 0, else "none" (inconsistent) or "many"
-    (singular) with None, 0, 0.  A step on pivot q rewrites every other
-    row as (q row - f pivot_row) / q_prev, an exact division by Sylvester's
-    identity.  Unknowns are ordered (p, w) and rows (first payoff row,
-    sum w, other payoff rows), so the first two pivots are 1.
+    integer payoff row and sum w = 1, by `eliminate`.  Returns ("unique",
+    W, P, D) with w = W / D in support order, p = P / D and D > 0, else
+    "none" (inconsistent) or "many" (singular) with None, 0, 0.  Unknowns
+    are ordered (p, w) and rows (first payoff row, sum w, other payoff
+    rows), so the first two pivots are 1.
     """
     first, *rest = [[1] + [-row[j] for j in support] + [0] for row in payoff_rows]
     rows = [first, [0] + [1] * len(support) + [1], *rest]
     n = len(rows)
-    prev = 1
-    pr = 0
-    for col in range(n):
-        piv = next((i for i in range(pr, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        prow = rows[pr]
-        q = prow[col]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != pr and (f or q != prev):
-                new = [q * a - f * b for a, b in zip(row, prow)]
-                if prev != 1:
-                    new = [divmod(v, prev) for v in new]
-                    if any(rem for _, rem in new):
-                        raise AssertionError("fraction-free support solve left a remainder")
-                    new = [v for v, _ in new]
-                rows[i] = new
-        prev = q
-        pr += 1
+    pr, prev = eliminate(rows, n)
     if pr < n:
         return ("none" if any(row[n] for row in rows[pr:]) else "many"), None, 0, 0
     sign = 1 if prev > 0 else -1    # each row now reads prev * unknown = row[n]
@@ -203,8 +175,8 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
     if mat_shape(B) != (r, c):
         raise ValueError("payoff matrices must share a shape")
     check_dimension(r, c)
-    a, la = _int_matrix(A)
-    bt, lb = _int_matrix(transpose(B))
+    a, la = int_matrix(A)
+    bt, lb = int_matrix(transpose(B))
     found: dict[tuple, NeCertificate] = {}
     degenerate = False
     for size in range(1, min(r, c) + 1):
@@ -237,7 +209,7 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
     if r != c:
         raise ValueError("matrix must be square")
     check_dimension(r, r)
-    s, _ = _int_matrix(S)
+    s, _ = int_matrix(S)
     found: dict[tuple, SymCertificate] = {}
     degenerate = False
     for size in range(1, r + 1):

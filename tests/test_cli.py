@@ -74,6 +74,15 @@ class TestCompile:
         val = fixp.evaluate(circ, [F(0), F(0)])
         assert val == [F(0), F(1, 3)]   # (0,1)/(2^n-1)
 
+    @pytest.mark.parametrize("spelling", [["c.json"], ["sub", "..", "c.json"]])
+    def test_meta_on_the_output_path_refused_before_any_write(self, spelling, fixture_file,
+                                                              tmp_path, capsys):
+        out = tmp_path / "c.json"
+        meta = os.path.join(tmp_path, *spelling)
+        assert main(["compile", fixture_file, "-o", str(out), "--meta", meta]) == 2
+        assert "is the output path" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["fixture.json"]
+
     def test_rerun_byte_identical(self, fixture_file, tmp_path):
         out = tmp_path / "circuit.json"
         main(["compile", fixture_file, "-o", str(out), "--no-grid-check"])
@@ -553,6 +562,22 @@ class TestInputValidation:
             doc = {"schema": SCHEMA, "kind": kind, **doc}
         assert _run_reader(reader, doc, tmp_path) == 2
         assert str(tmp_path / "bad.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["game", "symmetric", "imitation"])
+    @pytest.mark.parametrize("command", [["verify"], ["solve"], ["solve", "--method", "lh"]])
+    def test_non_square_game_exits_2(self, target, command, circuit_file, tmp_path, capsys):
+        # every game kind is (m+1)x(m+1); an extra column of zeros leaves the
+        # output rows in range, so only the shape is wrong
+        path = tmp_path / "game.json"
+        assert main(["reduce", circuit_file, "--target", target, "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc.update(A=[row + ["0"] for row in doc["A"]], B=[row + ["0"] for row in doc["B"]],
+                   cols=doc["cols"] + 1)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: malformed game" in err and "every game kind is square" in err
 
     def test_missing_file(self, capsys):
         assert main(["eval", "/nonexistent.json", "--at", "0"]) == 2

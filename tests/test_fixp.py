@@ -180,8 +180,8 @@ class TestSize:
 
 
 @st.composite
-def builder_circuits(draw):
-    """Random Builder circuits, sometimes clamped and max-zero normalized."""
+def raw_builder_circuits(draw):
+    """Random Builder circuits over the full basis, neither clamped nor normalized."""
     k = draw(st.integers(1, 3))
     b = Builder(k)
     refs = [b.input(i) for i in range(k)]
@@ -195,12 +195,39 @@ def builder_circuits(draw):
             refs.append(b.mulc(draw(rats), draw(ref)))
         else:
             refs.append((b.add if op == "add" else b.maxg)(draw(ref), draw(ref)))
-    c = b.build([draw(st.sampled_from(refs)) for _ in range(k)])
+    return b.build([draw(st.sampled_from(refs)) for _ in range(k)])
+
+
+@st.composite
+def builder_circuits(draw):
+    """Random Builder circuits, sometimes clamped and max-zero normalized."""
+    c = draw(raw_builder_circuits())
     if draw(st.booleans()):
         c = clamp_outputs(c)
     if draw(st.booleans()):
         c = normalize_max_zero(c)
     return c
+
+
+def points(k):
+    """Random rational points, inside and outside the unit box."""
+    return st.lists(st.fractions(-4, 4, max_denominator=16), min_size=k, max_size=k)
+
+
+class TestRewriteProperties:
+    @settings(deadline=None)
+    @given(builder_circuits(), st.data())
+    def test_normalize_preserves_evaluation(self, c, data):
+        lam = data.draw(points(c.k))
+        assert evaluate(normalize_max_zero(c), lam) == evaluate(c, lam)
+
+    @settings(deadline=None)
+    @given(raw_builder_circuits(), st.data())
+    def test_clamp_then_normalize_is_the_clamp(self, c, data):
+        # each output t becomes max{0, min{1, t}}
+        lam = data.draw(points(c.k))
+        want = [max(F(0), min(F(1), t)) for t in evaluate(c, lam)]
+        assert evaluate(normalize_max_zero(clamp_outputs(c)), lam) == want
 
 
 class TestJson:
