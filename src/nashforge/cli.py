@@ -155,6 +155,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.report and Path(args.report).resolve() == Path(args.output).resolve():
+        raise InputError(f"--report {args.report} is the output path; "
+                         "it would overwrite the artifact")
     P, _ = _param_lp(args.input, _load(args.input, "circuit"))
     lines = [f"m={P.m} k={P.k} n={P.npre}"]
     problems = lp.property_violations(P)

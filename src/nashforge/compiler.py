@@ -25,11 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 from . import brouwer
 from .brouwer import BoolCircuit, Grid, bool_circuit_size
 from .exactmath import Vec, inf_norm, vec_sub, walk
-from .fixp import Add, Builder, Const, FixpCircuit, Input, Max, MulC, circuit_size, evaluate
+from .fixp import (
+    Add, Builder, Const, FixpCircuit, Input, Max, MulC, circuit_size, evaluate, evaluate_points,
+)
 
 
 class NotPanchromatic(Exception):
@@ -281,6 +284,11 @@ def extract_panchromatic_simplex(p: Vec, cf: CompiledFunction,
 
 # --- exhaustive grid-restriction check -----------------------------------
 
+# grid points per batched evaluation: the batch keeps gates x GRID_CHUNK
+# integers alive, however large the grid
+GRID_CHUNK = 64
+
+
 def grid_restriction_violations(cf: CompiledFunction) -> list:
     """Points where F disagrees with the discrete map (empty when correct).
 
@@ -292,11 +300,12 @@ def grid_restriction_violations(cf: CompiledFunction) -> list:
         raise ValueError("grid restriction applies to the unshrunk function")
     cf.grid.check_exhaustive()
     bad = []
-    for p in cf.grid.points():
-        expected = brouwer.discrete_map(cf.source, p)
-        got = eval_compiled(cf, [Fraction(x) for x in p])
-        if got != [Fraction(x) for x in expected]:
-            bad.append((p, expected, got))
+    points = cf.grid.points()
+    while chunk := list(islice(points, GRID_CHUNK)):
+        for p, got in zip(chunk, evaluate_points(cf.circuit, chunk)):
+            expected = brouwer.discrete_map(cf.source, p)
+            if got != [Fraction(x) for x in expected]:
+                bad.append((p, expected, got))
     return bad
 
 

@@ -76,9 +76,25 @@ def vec_to_strs(v: Vec) -> list[str]:
 
 
 def mat_from_strs(rows) -> Mat:
+    """Parse a matrix of wire rationals.  Each distinct string is parsed
+    once, and entries with equal text share one Fraction, as `densify`
+    shares zeros; any other value is parsed (or refused) entry by entry."""
     if not isinstance(rows, list):
         raise TypeError(f"expected JSON list, got {type(rows).__name__}")
-    return [vec_from_strs(r) for r in rows]
+    memo: dict[str, Fraction] = {}
+
+    def parse(s) -> Fraction:
+        if type(s) is not str:
+            return rat_from_str(s)
+        x = memo[s] = rat_from_str(s)
+        return x
+
+    out = []
+    for r in rows:
+        if not isinstance(r, list):
+            raise TypeError(f"expected JSON list, got {type(r).__name__}")
+        out.append([memo[s] if type(s) is str and s in memo else parse(s) for s in r])
+    return out
 
 
 def mat_to_strs(m: Mat) -> list[list[str]]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactmath import (
     Ref, Vec, check_dag, flag_from_json, gate_from_json, gate_to_json, int_from_json, walk,
@@ -123,8 +124,61 @@ def evaluate_with_trace(c: FixpCircuit, point: Vec) -> tuple[Vec, Vec]:
     return [values[o] for o in c.outputs], values
 
 
+def _aligned(va, vb):
+    """Two (denominator, numerators) values over their common denominator."""
+    (da, a), (db, b) = va, vb
+    if da == db:
+        return da, a, b
+    d = lcm(da, db)
+    return d, [x * (d // da) for x in a], [y * (d // db) for y in b]
+
+
+def evaluate_points(c: FixpCircuit, points) -> list[Vec]:
+    """The outputs at each of a list of points, from one walk over the gates.
+
+    A gate's value is a common denominator D and its integer numerators
+    at all points.  D is fixed by the gate type: the lcm of an input
+    coordinate's denominators, a constant's denominator, the lcm of the
+    operands' D for add and max, and D_a times the coefficient's
+    denominator for mulc.  Only integers move inside the walk; Fractions
+    are built at the outputs alone.
+    """
+    for point in points:
+        if len(point) != c.k:
+            raise ValueError(f"expected {c.k} inputs, got {len(point)}")
+    n = len(points)
+
+    def input_(g, v):
+        xs = [Fraction(point[g.index]) for point in points]
+        d = lcm(*(x.denominator for x in xs))
+        return d, [x.numerator * (d // x.denominator) for x in xs]
+
+    def add(g, v):
+        d, a, b = _aligned(v[g.a], v[g.b])
+        return d, [x + y for x, y in zip(a, b)]
+
+    def mulc(g, v):
+        da, a = v[g.a]
+        q = g.coeff.numerator
+        return da * g.coeff.denominator, [q * x for x in a]
+
+    def max_(g, v):
+        d, a, b = _aligned(v[g.a], v[g.b])
+        return d, [x if x >= y else y for x, y in zip(a, b)]
+
+    values = walk(c.gates, {
+        Input: input_,
+        Const: lambda g, v: (g.value.denominator, [g.value.numerator] * n),
+        Add: add,
+        MulC: mulc,
+        Max: max_,
+    })
+    outs = [values[o] for o in c.outputs]
+    return [[Fraction(nums[i], d) for d, nums in outs] for i in range(n)]
+
+
 def evaluate(c: FixpCircuit, point: Vec) -> Vec:
-    return evaluate_with_trace(c, point)[0]
+    return evaluate_points(c, [point])[0]
 
 
 def clamp_outputs(c: FixpCircuit) -> FixpCircuit:

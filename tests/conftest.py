@@ -71,6 +71,18 @@ def sampled_increment_sum(samples, well_flags, color_fn, grid, poor_increments=N
     return total
 
 
+def referee_grid_restriction_violations(cf) -> list:
+    """The grid check point by point on the Fraction interpreter: the
+    referee of the batched integer evaluation in grid_restriction_violations."""
+    bad = []
+    for p in cf.grid.points():
+        expected = brouwer.discrete_map(cf.source, p)
+        got = fixp.evaluate_with_trace(cf.circuit, [F(x) for x in p])[0]
+        if got != [F(x) for x in expected]:
+            bad.append((p, expected, got))
+    return bad
+
+
 def is_unit_lower_triangular(m) -> bool:
     r, c = mat_shape(m)
     if r != c:

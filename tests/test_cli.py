@@ -158,6 +158,23 @@ class TestReduce:
         main(["reduce", circuit_file, "--target", "game", "-o", str(out)])
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("spelling", [["g.json"], ["sub", "..", "g.json"]])
+    def test_report_on_the_output_path_refused_before_any_write(self, spelling, circuit_file,
+                                                                tmp_path, capsys):
+        out = tmp_path / "g.json"
+        report = os.path.join(tmp_path, *spelling)
+        assert main(["reduce", circuit_file, "--target", "game", "-o", str(out),
+                     "--report", report]) == 2
+        assert "is the output path" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["oneminus.json"]
+
+    def test_report_beside_the_artifact(self, circuit_file, tmp_path):
+        out, report = tmp_path / "g.json", tmp_path / "r.json"
+        assert main(["reduce", circuit_file, "--target", "game", "-o", str(out),
+                     "--report", str(report)]) == 0
+        assert json.loads(out.read_text())["kind"] == "game"
+        assert json.loads(report.read_text())["kind"] == "reduce_report"
+
 
 class TestVerify:
     def test_roundtrip_recovers_fixed_point(self, circuit_file, tmp_path, capsys):
@@ -488,6 +505,10 @@ def _malformed(kind, body):
         docs["rows_mismatch"] = {**body, "rows": body["rows"] + 1}
         docs["k_not_output_count"] = {**body, "meta": {**body["meta"], "k": body["meta"]["k"] + 1}}
         docs["unknown_kind"] = {**body, "meta": {**body["meta"], "kind": "foo"}}
+        # "1" is already parsed when the reader meets these entries
+        last = body["A"][-1]
+        docs["entry_true_after_1"] = {**body, "A": body["A"][:-1] + [last[:-1] + [True]]}
+        docs["entry_float_after_1"] = {**body, "A": body["A"][:-1] + [last[:-1] + [1.0]]}
     elif kind == "compiled_meta":
         docs["L_true"] = {**body, "L": True}
     else:

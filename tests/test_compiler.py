@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,8 @@ from nashforge.compiler import (
 )
 
 from conftest import (
-    encode_case, extract_bits_gadget, make_synthetic_trial, sampled_increment_sum, simulate_bool,
+    encode_case, extract_bits_gadget, make_synthetic_trial, referee_grid_restriction_violations,
+    sampled_increment_sum, simulate_bool,
 )
 
 
@@ -276,6 +278,45 @@ class TestCompiledSemanticsOracle:
             assert compiler.eval_compiled(fixture_2d, p) == expected
             checked += 1
         assert checked >= 25
+
+
+def lowered_top(cf):
+    """cf with one gate corrupted: the last output's upper clamp reads
+    2^n - 2 instead of 2^n - 1, so exactly the grid points the discrete
+    map sends to the top of the last coordinate disagree."""
+    top = cf.grid.side - 1
+    gates = list(cf.circuit.gates)
+    neg_top = fixp.MulC(F(-1), gates.index(fixp.Const(F(top))))
+    last = max(i for i, g in enumerate(gates) if g == neg_top)
+    gates[last] = fixp.MulC(F(-(top - 1), top), neg_top.a)
+    return replace(cf, circuit=replace(cf.circuit, gates=tuple(gates)))
+
+
+class TestGridCheckAgainstReferee:
+    """The batched grid check reports what the per-point Fraction loop reports."""
+
+    def test_correct_circuit_passes_both(self, fixture_2d):
+        assert compiler.grid_restriction_violations(fixture_2d) == []
+        assert referee_grid_restriction_violations(fixture_2d) == []
+
+    # 2 and 16 points fit in one chunk; 256 points span four
+    @pytest.mark.parametrize("k,n", [(1, 1), (2, 2), (2, 4)])
+    def test_corrupt_gate_reports_the_same_points_in_order(self, k, n):
+        cf = lowered_top(compile_brouwer(make_example_coloring(Grid(k, n))))
+        bad = compiler.grid_restriction_violations(cf)
+        assert bad == referee_grid_restriction_violations(cf)
+        top = cf.grid.side - 1
+        assert [p for p, _, _ in bad] == [
+            p for p in cf.grid.points() if brouwer.discrete_map(cf.source, p)[-1] == top]
+        assert 0 < len(bad) < cf.grid.side ** k
+        for _, expected, got in bad:
+            assert expected[-1] == top and got[-1] == top - 1
+
+    def test_last_chunk_shorter_than_the_rest(self, fixture_2d, monkeypatch):
+        cf = lowered_top(fixture_2d)
+        want = referee_grid_restriction_violations(cf)
+        monkeypatch.setattr(compiler, "GRID_CHUNK", 7)   # 16 points: chunks of 7, 7, 2
+        assert compiler.grid_restriction_violations(cf) == want != []
 
 
 class TestSamplingParams:

@@ -128,6 +128,42 @@ class TestSerialization:
                 em.rat_from_str(bad)
 
 
+class TestMatrixReader:
+    """mat_from_strs parses each distinct string once; the result and every
+    refusal are those of rat_from_str entry by entry."""
+
+    def test_equals_per_entry_parse_on_repeated_strings(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            texts = [em.rat_to_str(F(rng.randint(-9, 9), rng.randint(1, 6)))
+                     for _ in range(rng.randint(1, 5))]
+            rows = [[rng.choice(texts) for _ in range(rng.randint(0, 6))]
+                    for _ in range(rng.randint(0, 6))]
+            got = em.mat_from_strs(rows)
+            assert got == [[em.rat_from_str(s) for s in r] for r in rows]
+            shared = {}
+            for r, row in zip(rows, got):
+                for text, x in zip(r, row):
+                    assert shared.setdefault(text, x) is x
+
+    def test_bare_integers_are_read_too(self):
+        assert em.mat_from_strs([["1", 1, "1"]]) == [[F(1)] * 3]
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1/0", "2/-3", "a", [1], ["1"]])
+    def test_refusals_survive_a_cached_value(self, bad):
+        with pytest.raises(ValueError):
+            em.mat_from_strs([["1", "2/3", "1"], ["1", bad]])
+        with pytest.raises(ValueError):
+            em.mat_from_strs([["1"], ["1", bad, "1"]])
+        with pytest.raises(ValueError):   # True == 1 == 1.0, but only text is cached
+            em.mat_from_strs([[1, "1"], [bad]])
+
+    @pytest.mark.parametrize("row", ["1", {"0": "1"}, None, 1])
+    def test_row_not_a_list_is_a_type_error(self, row):
+        with pytest.raises(TypeError):
+            em.mat_from_strs([["1"], row])
+
+
 class TestLinearSystem:
     """The Fraction solver that the reference support enumerators run on."""
 

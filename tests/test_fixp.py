@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nashforge import fixp
 from nashforge.fixp import (
     Add, Builder, Const, FixpCircuit, Input, Max, MulC, circuit_from_json,
-    circuit_size, circuit_to_json, clamp_outputs, evaluate, evaluate_with_trace,
+    circuit_size, circuit_to_json, clamp_outputs, evaluate, evaluate_points, evaluate_with_trace,
     normalize_max_zero, order_max_gates,
 )
 
@@ -228,6 +228,38 @@ class TestRewriteProperties:
         lam = data.draw(points(c.k))
         want = [max(F(0), min(F(1), t)) for t in evaluate(c, lam)]
         assert evaluate(normalize_max_zero(clamp_outputs(c)), lam) == want
+
+
+class TestEvaluatePoints:
+    """The batched integer evaluator against the Fraction trace, its referee."""
+
+    @settings(deadline=None)
+    @given(raw_builder_circuits(), st.data())
+    def test_matches_the_trace_on_raw_clamped_and_normalized_forms(self, c, data):
+        pts = data.draw(st.lists(points(c.k), max_size=6))
+        clamped = clamp_outputs(c)
+        for form in (c, clamped, normalize_max_zero(c), normalize_max_zero(clamped)):
+            assert evaluate_points(form, pts) == [evaluate_with_trace(form, p)[0] for p in pts]
+
+    def test_mixed_signs_and_denominators_share_one_walk(self):
+        b = Builder(2)
+        x, y = b.input(0), b.input(1)
+        c = b.build([b.maxg(b.mulc(F(3, 7), x), b.add(y, b.const(F(-5, 6)))),
+                     b.mulc(F(-2, 9), b.add(x, y))])
+        pts = [[F(1, 2), F(-3, 4)], [F(-7, 5), F(2)], [F(0), F(11, 13)], [3, F(-1, 6)]]
+        assert evaluate_points(c, pts) == [evaluate_with_trace(c, p)[0] for p in pts]
+
+    def test_no_points_no_outputs(self):
+        assert evaluate_points(one_minus_circuit(), []) == []
+
+    @pytest.mark.parametrize("pts", [[[F(1)]], [[F(0), F(1)], [F(1)]], [[F(0), F(1)], []]])
+    def test_wrong_arity_raises_like_the_trace(self, pts):
+        c = FixpCircuit(2, (Input(0), Input(1)), (0, 1))
+        bad = next(p for p in pts if len(p) != 2)
+        with pytest.raises(ValueError) as want:
+            evaluate_with_trace(c, bad)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            evaluate_points(c, pts)
 
 
 class TestJson:
