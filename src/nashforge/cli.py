@@ -17,8 +17,7 @@ from pathlib import Path
 
 from . import brouwer, compiler, lcp, lp, nash
 from .exactmath import (
-    flag_from_json, identity, int_from_json, is_upper_triangular, mat_add, rank, rat_from_str,
-    rat_to_str, transpose, vec_to_strs,
+    identity, is_upper_triangular, mat_add, rank, rat_from_str, rat_to_str, transpose, vec_to_strs,
 )
 from .fixp import (
     FixpCircuit, circuit_from_json, circuit_to_json, evaluate, evaluate_with_trace,
@@ -37,16 +36,8 @@ class InputError(Exception):
     """Bad file, schema mismatch or malformed values: exit code 2."""
 
 
-def _compiled_meta_from_json(doc: dict) -> tuple:
-    grid = doc["source_grid"]
-    return (brouwer.Grid(int_from_json(grid["k"]), int_from_json(grid["n"])),
-            compiler.SamplingParams(int_from_json(doc["L"]), int_from_json(doc["sample_count"])),
-            flag_from_json(doc["shrunk"]))
-
-
-# artifact kinds each command reads as its input
-_INPUT_KINDS = {"compile": ("brouwer",), "reduce": ("circuit",), "verify": ("game", "circuit"),
-                "solve": ("game",), "oracle": ("brouwer",), "eval": ("circuit",)}
+# the commands a pipeline stage may run
+_STAGE_COMMANDS = ("compile", "reduce", "verify", "solve", "oracle", "eval")
 
 
 def _stages_from_json(doc: dict) -> list[dict]:
@@ -54,11 +45,11 @@ def _stages_from_json(doc: dict) -> list[dict]:
     if not (isinstance(stages, list) and stages):
         raise ValueError("manifest needs a nonempty stages list")
     for i, stage in enumerate(stages):
-        if not (isinstance(stage, dict) and stage.get("command") in _INPUT_KINDS
+        if not (isinstance(stage, dict) and stage.get("command") in _STAGE_COMMANDS
                 and isinstance(stage.get("input"), str)
                 and isinstance(stage.get("output", ""), str)
                 and isinstance(stage.get("args", {}), dict)):
-            raise ValueError(f"stage {i} needs a command in {sorted(_INPUT_KINDS)}, a string"
+            raise ValueError(f"stage {i} needs a command in {sorted(_STAGE_COMMANDS)}, a string"
                              " input, an optional string output and an optional args object")
     return stages
 
@@ -67,7 +58,7 @@ _DECODERS = {
     "brouwer": brouwer.bool_from_json,
     "circuit": circuit_from_json,
     "game": lcp.game_from_json,
-    "compiled_meta": _compiled_meta_from_json,
+    "compiled_meta": compiler.compiled_meta_from_json,
     "manifest": _stages_from_json,
 }
 
@@ -123,12 +114,30 @@ def _validated(cb: brouwer.BoolCircuit) -> bool:
     return report.ok
 
 
+def _check_args(args):
+    """The refusals that need only the command line: `main` runs them before
+    the command, `pipeline` for every stage before the first stage runs."""
+    # compile --meta and reduce --report name a second file beside -o
+    for flag, what in (("meta", "circuit"), ("report", "artifact")):
+        path = getattr(args, flag, None)
+        if path and Path(path).resolve() == Path(args.output).resolve():
+            raise InputError(f"--{flag} {path} is the output path; it would overwrite the {what}")
+    if args.command == "verify":
+        if args.mode == "lemmas" and args.trials < 1:
+            # an empty semimonotone battery would pass vacuously
+            raise InputError(f"--trials must be at least 1, got {args.trials}")
+        if args.mode == "approx" and not (args.source and args.compiled_meta):
+            raise InputError("--mode approx needs --source (brouwer.json) and --compiled-meta")
+        if args.mode == "approx" and not args.points:
+            raise InputError("--mode approx needs --points \"p1,p2;q1,q2;...\"")
+    if args.command == "solve" and args.max_pivots < 1:
+        raise InputError(f"--max-pivots must be at least 1, got {args.max_pivots}")
+
+
 # --- commands -------------------------------------------------------------
 
 def cmd_compile(args) -> int:
     meta_path = args.meta or args.output + ".meta.json"
-    if Path(meta_path).resolve() == Path(args.output).resolve():
-        raise InputError(f"--meta {meta_path} is the output path; it would overwrite the circuit")
     cb = _load(args.input, "brouwer")
     if not _validated(cb):
         return EXIT_INVALID_INPUT
@@ -155,9 +164,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.report and Path(args.report).resolve() == Path(args.output).resolve():
-        raise InputError(f"--report {args.report} is the output path; "
-                         "it would overwrite the artifact")
     P, _ = _param_lp(args.input, _load(args.input, "circuit"))
     lines = [f"m={P.m} k={P.k} n={P.npre}"]
     problems = lp.property_violations(P)
@@ -307,8 +313,6 @@ def _verify_game(game: lcp.BimatrixGame, checks: list):
 
 
 def _verify_approx(args, checks: list):
-    if not args.source or not args.compiled_meta:
-        raise InputError("--mode approx needs --source (brouwer.json) and --compiled-meta")
     circ = _load(args.input, "circuit")
     cb = _load(args.source, "brouwer")
     grid, params, shrunk = _load(args.compiled_meta, "compiled_meta")
@@ -318,8 +322,6 @@ def _verify_approx(args, checks: list):
     if len(circ.outputs) != circ.k:
         raise InputError(f"{args.input}: {circ.k} inputs but {len(circ.outputs)} outputs")
     cf = compiler.CompiledFunction(circ, cb, grid, params, shrunk)
-    if not args.points:
-        raise InputError("--mode approx needs --points \"p1,p2;q1,q2;...\"")
     eps = Fraction(1, params.L) if args.eps is None else args.eps
     fixtures = None
     for text in args.points.split(";"):
@@ -347,16 +349,13 @@ def _verify_approx(args, checks: list):
 
 
 def cmd_verify(args) -> int:
-    if args.mode == "lemmas" and args.trials < 1:
-        # an empty semimonotone battery would pass vacuously
-        raise InputError(f"--trials must be at least 1, got {args.trials}")
     checks: list[dict] = []
     alarm = False
     try:
         if args.mode == "approx":
             _verify_approx(args, checks)
         else:
-            artifact = _load(args.input, *_INPUT_KINDS["verify"])
+            artifact = _load(args.input, "game", "circuit")
             if isinstance(artifact, lcp.BimatrixGame):
                 if args.mode == "roundtrip":
                     raise InputError(f"{args.input}: --mode roundtrip needs a circuit, got a game")
@@ -379,8 +378,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.max_pivots < 1:
-        raise InputError(f"--max-pivots must be at least 1, got {args.max_pivots}")
     game = _load(args.input, "game")
     entries = []
     degenerate = False
@@ -450,16 +447,15 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline(args) -> int:
     stages = _load(args.input, "manifest")
-    argvs = []
+    runs = []
     prev_output = None
-    # every stage is checked before the first one runs and writes its files
+    # every stage is parsed and checked before the first one writes its files;
+    # no artifact is read, as a later stage's input is an earlier one's output
     for i, stage in enumerate(stages):
         inp = stage["input"]
         if i > 0 and inp != prev_output:
             raise InputError(f"stage {i}: input {inp!r} does not chain from previous"
                              f" output {prev_output!r}")
-        if Path(inp).exists():
-            _load(inp, *_INPUT_KINDS[stage["command"]])
         prev_output = stage.get("output", inp)
         argv = [stage["command"], inp]
         flags = sorted(stage.get("args", {}).items())
@@ -477,10 +473,14 @@ def cmd_pipeline(args) -> int:
         for flag, value in flags:
             if value is False and getattr(parsed, flag.replace("-", "_"), None) is not False:
                 raise InputError(f"stage {i}: \"{flag}\": false does not turn --{flag} off")
-        argvs.append(argv)
-    for i, argv in enumerate(argvs):
+        try:
+            _check_args(parsed)
+        except InputError as exc:
+            raise InputError(f"stage {i}: {exc}") from None
+        runs.append((argv, parsed))
+    for i, (argv, parsed) in enumerate(runs):
         print(f"[stage {i}] nashforge " + " ".join(argv))
-        code = main(argv)
+        code = parsed.func(parsed)
         if code != EXIT_OK:
             return code
     return EXIT_OK
@@ -552,6 +552,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except (InputError, brouwer.GridTooLarge, brouwer.InvalidBrouwerCircuit,
             nash.DimensionTooLarge, nash.PivotLimitReached) as exc:

@@ -29,7 +29,7 @@ from itertools import islice
 
 from . import brouwer
 from .brouwer import BoolCircuit, Grid, bool_circuit_size
-from .exactmath import Vec, inf_norm, vec_sub, walk
+from .exactmath import Vec, flag_from_json, inf_norm, int_from_json, vec_sub, walk
 from .fixp import (
     Add, Builder, Const, FixpCircuit, Input, Max, MulC, circuit_size, evaluate, evaluate_points,
 )
@@ -233,14 +233,10 @@ def floor_point(p: Vec, grid: Grid) -> tuple[int, ...]:
     return tuple(out)
 
 
-def eval_compiled(cf: CompiledFunction, p: Vec) -> Vec:
-    return evaluate(cf.circuit, [Fraction(x) for x in p])
-
-
 def check_approx_fixed_point(cf: CompiledFunction, p: Vec, eps) -> bool:
     """Exact test of ||p - F(p)||_inf <= eps."""
     p = [Fraction(x) for x in p]
-    return inf_norm(vec_sub(p, eval_compiled(cf, p))) <= Fraction(eps)
+    return inf_norm(vec_sub(p, evaluate(cf.circuit, p))) <= Fraction(eps)
 
 
 def panchromatic_from_samples(samples, well_flags, color_fn, grid: Grid) -> tuple[tuple[int, ...], ...]:
@@ -316,3 +312,10 @@ def compiled_meta_json(cf: CompiledFunction) -> dict:
         "sample_count": cf.params.sample_count,
         "shrunk": cf.shrunk,
     }
+
+
+def compiled_meta_from_json(doc: dict) -> tuple[Grid, SamplingParams, bool]:
+    grid = doc["source_grid"]
+    return (Grid(int_from_json(grid["k"]), int_from_json(grid["n"])),
+            SamplingParams(int_from_json(doc["L"]), int_from_json(doc["sample_count"])),
+            flag_from_json(doc["shrunk"]))

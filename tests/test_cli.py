@@ -694,6 +694,76 @@ class TestPipeline:
             assert meta["shrunk"] is False
         assert out.exists() == (code == 0)
 
+    def test_stale_artifact_at_a_later_input_is_rewritten(self, circuit_file, tmp_path):
+        game = tmp_path / "g.json"
+        game.write_text(Path(circuit_file).read_text())   # an old circuit where the game goes
+        manifest = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "reduce", "input": circuit_file, "output": str(game),
+             "args": {"target": "game"}},
+            {"command": "solve", "input": str(game)},
+        ]})
+        assert main(["pipeline", manifest]) == 0
+        assert json.loads(game.read_text())["kind"] == "game"
+
+    def test_bad_first_input_is_read_by_its_stage(self, circuit_file, tmp_path, capsys):
+        manifest = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "solve", "input": circuit_file}]})
+        assert main(["pipeline", manifest]) == 2
+        out, err = capsys.readouterr()
+        assert "[stage 0]" in out and "expected kind 'game', got 'circuit'" in err
+
+    # (stage before, refused stage, message): each refusal needs only the
+    # command line, so it stops a command and a whole pipeline before any write
+    REFUSALS = [
+        ({"command": "oracle", "input": "fixture.json"},
+         {"command": "compile", "input": "fixture.json", "output": "c.json",
+          "args": {"meta": "c.json"}},
+         "--meta c.json is the output path"),
+        *(({"command": "reduce", "input": "om.json", "output": "g2.json",
+            "args": {"target": "game"}},
+           {"command": "reduce", "input": "g2.json", "output": "x.json",
+            "args": {"target": "lp", "report": report}},
+           f"--report {report} is the output path") for report in ("x.json", "./x.json")),
+        ({"command": "eval", "input": "om.json", "args": {"at": "1/2"}},
+         {"command": "verify", "input": "om.json", "output": "v.json", "args": {"trials": 0}},
+         "--trials must be at least 1, got 0"),
+        ({"command": "eval", "input": "om.json", "args": {"at": "1/2"}},
+         {"command": "verify", "input": "om.json", "output": "v.json",
+          "args": {"mode": "approx", "points": "0", "compiled-meta": "c.json.meta.json"}},
+         "--mode approx needs --source"),
+        ({"command": "eval", "input": "om.json", "args": {"at": "1/2"}},
+         {"command": "verify", "input": "om.json", "output": "v.json",
+          "args": {"mode": "approx", "source": "fixture.json",
+                   "compiled-meta": "c.json.meta.json"}},
+         "--mode approx needs --points"),
+        ({"command": "reduce", "input": "om.json", "output": "g.json", "args": {"target": "game"}},
+         {"command": "solve", "input": "g.json", "output": "ne.json", "args": {"max-pivots": 0}},
+         "--max-pivots must be at least 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("as_stage", [False, True], ids=["command", "stage"])
+    @pytest.mark.parametrize("before,stage,message", REFUSALS,
+                             ids=["meta", "report", "report-spelled", "trials", "source", "points",
+                                  "max-pivots"])
+    def test_command_line_refusal_writes_nothing(self, before, stage, message, as_stage,
+                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "om.json", "circuit", fixp.circuit_to_json(one_minus_circuit()))
+        write_json(tmp_path / "fixture.json", "brouwer", brouwer.bool_to_json(
+            brouwer.make_example_coloring(brouwer.Grid(1, 1))))
+        if as_stage:
+            write_json(tmp_path / "manifest.json", "manifest", {"stages": [before, stage]})
+            argv, message = ["pipeline", "manifest.json"], "stage 1: " + message
+        else:
+            argv = [stage["command"], stage["input"], "-o", stage["output"]]
+            for flag, value in stage["args"].items():
+                argv += [f"--{flag}", str(value)]
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert message in err and "[stage 0]" not in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, circuit_file):

@@ -97,13 +97,13 @@ class TestCompile:
         assert compiler.grid_restriction_violations(fixture_2d) == []
 
     def test_boundary_point_moves_up(self, fixture_2d):
-        assert compiler.eval_compiled(fixture_2d, [F(0), F(0)]) == [F(0), F(1)]
+        assert fixp.evaluate(fixture_2d.circuit, [F(0), F(0)]) == [F(0), F(1)]
 
     def test_outputs_stay_in_box_on_random_reals(self, fixture_2d):
         rng = random.Random(12)
         for _ in range(25):
             p = [F(rng.randint(0, 3 * 64), 64) for _ in range(2)]
-            out = compiler.eval_compiled(fixture_2d, p)
+            out = fixp.evaluate(fixture_2d.circuit, p)
             assert all(F(0) <= v <= F(3) for v in out)
 
     def test_invalid_source_rejected(self):
@@ -134,15 +134,15 @@ class TestShrink:
         sh = compiler.shrink_range(fixture_2d)
         p = [F(1055, 1536), F(2591, 3072)]   # exact fixed point of the 2D fixture
         scaled = [v / 3 for v in p]
-        assert compiler.eval_compiled(sh, scaled) == scaled
+        assert fixp.evaluate(sh.circuit, scaled) == scaled
 
     def test_pointwise_equivalence(self, fixture_2d):
         sh = compiler.shrink_range(fixture_2d)
         rng = random.Random(3)
         for _ in range(10):
             lam = [F(rng.randint(0, 64), 64) for _ in range(2)]
-            lhs = compiler.eval_compiled(sh, lam)
-            rhs = [v / 3 for v in compiler.eval_compiled(fixture_2d, [3 * x for x in lam])]
+            lhs = fixp.evaluate(sh.circuit, lam)
+            rhs = [v / 3 for v in fixp.evaluate(fixture_2d.circuit, [3 * x for x in lam])]
             assert lhs == rhs
 
     def test_double_shrink_rejected(self, fixture_2d):
@@ -275,7 +275,7 @@ class TestCompiledSemanticsOracle:
             for i in range(2):
                 moved = p[i] + total[i] / params.sample_count
                 expected.append(min(max(moved, F(0)), F(3)))
-            assert compiler.eval_compiled(fixture_2d, p) == expected
+            assert fixp.evaluate(fixture_2d.circuit, p) == expected
             checked += 1
         assert checked >= 25
 
