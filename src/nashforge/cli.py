@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -85,9 +87,31 @@ def _load(path: str, *kinds: str):
 
 
 def _save(path: str, kind: str, body: dict):
+    """Stream the artifact to `path`.  A regular file (a symlink's target, if
+    `path` is a link) is written beside it and then moved there, keeping an
+    existing file's mode, so a failed encode leaves it as it was and no
+    temporary file; anything else, such as a device, is written in place."""
     doc = {"schema": SCHEMA, "kind": kind}
     doc.update(body)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    target = Path(path).resolve()
+    if target.exists() and not target.is_file():
+        with target.open("w") as f:
+            _dump(doc, f)
+        return
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as f:
+            _dump(doc, f)
+        if target.exists():
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _dump(doc: dict, f):
+    json.dump(doc, f, indent=2, sort_keys=True)
+    f.write("\n")
 
 
 def _param_lp(path: str, circ: FixpCircuit) -> tuple[lp.ParamLP, FixpCircuit]:
@@ -227,11 +251,11 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
             break
     _check(checks, "lp_matches_circuit_and_kkt", ok)
 
+    A, B = game.A, game.B
     _check(checks, "rank_and_triangularity",
-           rank(mat_add(game.A, game.B)) <= P.k + 1 and is_upper_triangular(game.A))
-    smm = lcp.symmetrize(game.A, game.B)
-    _check(checks, "symmetrized_rank",
-           rank(mat_add(smm.S, transpose(smm.S))) <= 2 * (P.k + 1))
+           rank(mat_add(A, B)) <= P.k + 1 and is_upper_triangular(A))
+    S = lcp.symmetrize(game.A_rows, game.B_rows, P.m + 1).S
+    _check(checks, "symmetrized_rank", rank(mat_add(S, transpose(S))) <= 2 * (P.k + 1))
 
     alarm = False
     violated = 0
@@ -252,7 +276,7 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
 
     # each route must find equilibria, map them to the LCP and back, and
     # carry fixed points of the circuit
-    res = nash.enumerate_ne(game.A, game.B)
+    res = nash.enumerate_ne(A, B)
     lam_set = {tuple(lcp.game_to_fixed_point(c.x, game.meta)) for c in res.equilibria}
     _check(checks, "ne_to_lcp_roundtrip_and_fixed_points",
            bool(res.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in lam_set)
@@ -296,18 +320,20 @@ def _verify_roundtrip(P: lp.ParamLP, prepared: FixpCircuit, checks: list):
 
 def _verify_game(game: lcp.BimatrixGame, checks: list):
     # refuse a game past the enumeration cap before the rank checks pass it
-    nash.check_dimension(len(game.A), len(game.A[0]))
+    n = len(game.A_rows)
+    nash.check_dimension(n, n)
+    A, B = game.A, game.B
     if game.meta.kind == "rank_k_plus_1":
-        _check(checks, "rank_bound", rank(mat_add(game.A, game.B)) <= game.meta.k + 1)
-        _check(checks, "upper_triangular", is_upper_triangular(game.A))
+        _check(checks, "rank_bound", rank(mat_add(A, B)) <= game.meta.k + 1)
+        _check(checks, "upper_triangular", is_upper_triangular(A))
     elif game.meta.kind == "symmetric":
-        _check(checks, "symmetric_structure", game.B == transpose(game.A), "B = A^T")
+        _check(checks, "symmetric_structure", B == transpose(A), "B = A^T")
     else:
-        _check(checks, "imitation_structure", game.B == identity(len(game.A)), "B = I")
-    res = nash.enumerate_ne(game.A, game.B)
+        _check(checks, "imitation_structure", B == identity(n), "B = I")
+    res = nash.enumerate_ne(A, B)
     _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
     for idx, cert in enumerate(res.equilibria):
-        _check(checks, f"ne_{idx}_checker", not nash.ne_violations(game.A, game.B, cert.x, cert.y))
+        _check(checks, f"ne_{idx}_checker", not nash.ne_violations(A, B, cert.x, cert.y))
         if game.meta.kind == "rank_k_plus_1" and game.meta.output_rows:
             _check(checks, f"ne_{idx}_slack_positive", cert.x[-1] > 0 and cert.y[-1] > 0)
 
@@ -382,7 +408,7 @@ def cmd_solve(args) -> int:
     entries = []
     degenerate = False
     if args.method == "lh":
-        labels = len(game.A) + len(game.A[0])
+        labels = 2 * len(game.A_rows)     # every game is square
         if not 0 <= args.label < labels:
             raise InputError(f"--label must lie in 0..{labels - 1}, got {args.label}")
         certs = [nash.lemke_howson(game.A, game.B, args.label, max_pivots=args.max_pivots)]
@@ -464,7 +490,8 @@ def cmd_pipeline(args) -> int:
                 argv.append(f"--{flag}")
             elif value is not False:
                 argv.extend([f"--{flag}", str(value)])
-        if "output" in stage and stage["command"] not in ("eval",):
+        if "output" in stage:
+            # eval takes no -o, so its parse refuses an output nothing would write
             argv.extend(["-o", stage["output"]])
         try:
             parsed = build_parser().parse_args(argv)

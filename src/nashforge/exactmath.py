@@ -3,7 +3,8 @@
 Every computation in this package runs over arbitrary-precision rationals;
 floating point never appears.  Scalars are `fractions.Fraction` (stored in
 lowest terms with a positive denominator, which the stdlib guarantees),
-vectors are lists of Fractions, and matrices are row-major lists of rows.
+vectors are lists of Fractions, and matrices are row-major lists of rows,
+dense (`Mat`) or sparse (`Row`, no stored zeros).
 
 Rationals serialize as the string "p/q" with the sign on the numerator and
 "/q" omitted when the denominator is 1; circuit gates serialize through
@@ -22,7 +23,7 @@ from typing import NewType, get_type_hints
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 # a sparse row, column -> nonzero entry; a list of them is the one sparse
-# matrix form the LP, the LCPs and the game builders share
+# matrix form the LP, the LCPs and the games share
 Row = dict[int, Fraction]
 # a gate field holding the index of an earlier gate in the same circuit
 Ref = NewType("Ref", int)
@@ -75,10 +76,12 @@ def vec_to_strs(v: Vec) -> list[str]:
     return [rat_to_str(x) for x in v]
 
 
-def mat_from_strs(rows) -> Mat:
-    """Parse a matrix of wire rationals.  Each distinct string is parsed
-    once, and entries with equal text share one Fraction, as `densify`
-    shares zeros; any other value is parsed (or refused) entry by entry."""
+def rows_from_strs(rows) -> tuple[list[Row], int]:
+    """Parse a matrix of wire rationals into sparse rows, and its column
+    count.  Each distinct string is parsed once, and entries with equal text
+    share one Fraction; any other value is parsed (or refused) entry by
+    entry.  Zeros, however spelled, are dropped.  Raises like `mat_shape`
+    on an empty or ragged matrix, after every entry has been parsed."""
     if not isinstance(rows, list):
         raise TypeError(f"expected JSON list, got {type(rows).__name__}")
     memo: dict[str, Fraction] = {}
@@ -93,12 +96,23 @@ def mat_from_strs(rows) -> Mat:
     for r in rows:
         if not isinstance(r, list):
             raise TypeError(f"expected JSON list, got {type(r).__name__}")
-        out.append([memo[s] if type(s) is str and s in memo else parse(s) for s in r])
+        # "0" is most of a payoff matrix; other spellings of zero are parsed
+        out.append({j: x for j, s in enumerate(r) if s != "0"
+                    and (x := memo[s] if type(s) is str and s in memo else parse(s))})
+    return out, mat_shape(rows)[1]
+
+
+def rows_to_strs(rows: list[Row], n: int) -> list[list[str]]:
+    """The n-column wire form of sparse rows; every absent entry is one
+    shared "0" string."""
+    zero = rat_to_str(Fraction(0))
+    out = []
+    for row in rows:
+        strs = [zero] * n
+        for j, v in row.items():
+            strs[j] = rat_to_str(v)
+        out.append(strs)
     return out
-
-
-def mat_to_strs(m: Mat) -> list[list[str]]:
-    return [vec_to_strs(r) for r in m]
 
 
 # --- circuit gates ---

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactmath import (
-    Mat, Row, Vec, densify, identity, int_from_json, mat_from_strs, mat_shape, mat_to_strs,
-    row_add, sparse_transpose, transpose, vec_add, vec_from_strs, vec_to_strs,
+    Mat, Row, Vec, densify, int_from_json, row_add, rows_from_strs, rows_to_strs,
+    sparse_transpose, spread, vec_from_strs, vec_to_strs,
 )
 from .lp import ParamLP
 
@@ -174,15 +174,32 @@ class GameMeta:
 
 @dataclass(frozen=True)
 class BimatrixGame:
-    A: Mat
-    B: Mat
+    """A square game as sparse rows; A and B are dense views built on each
+    access, for the solvers and the referees."""
+
+    A_rows: list[Row]
+    B_rows: list[Row]
     meta: GameMeta
+
+    @property
+    def A(self) -> Mat:
+        return densify(self.A_rows, len(self.A_rows))
+
+    @property
+    def B(self) -> Mat:
+        return densify(self.B_rows, len(self.B_rows))
 
 
 @dataclass(frozen=True)
 class SymmetricGame:
-    S: Mat
+    """The game (S, S^T) as the sparse rows of S; S is a dense view."""
+
+    S_rows: list[Row]
     meta: GameMeta
+
+    @property
+    def S(self) -> Mat:
+        return densify(self.S_rows, len(self.S_rows))
 
 
 def build_game(ns: NormalizedSystem) -> BimatrixGame:
@@ -198,8 +215,7 @@ def build_game(ns: NormalizedSystem) -> BimatrixGame:
     if any(j < i for i, row in enumerate(A) for j in row):
         raise LemmaFalsified("first payoff matrix is not upper-triangular")
     _certify_payoff_sum(A, B, lp)
-    return BimatrixGame(densify(A, m + 1), densify(B, m + 1),
-                        GameMeta(m, lp.k, list(lp.c), lp.output_rows, "rank_k_plus_1"))
+    return BimatrixGame(A, B, GameMeta(m, lp.k, list(lp.c), lp.output_rows, "rank_k_plus_1"))
 
 
 def _certify_payoff_sum(A: list[Row], B: list[Row], lp: ParamLP):
@@ -218,45 +234,44 @@ def _certify_payoff_sum(A: list[Row], B: list[Row], lp: ParamLP):
 
 
 def payoff_sum_rows(game: BimatrixGame) -> Mat:
-    """The rows of A + B at the output rows and the slack row.
+    """The rows of A + B at the output rows and the slack row, dense.
 
     `build_game` certifies that every other row is zero, so these at most
     k+1 rows have the rank of A + B."""
-    return [vec_add(game.A[i], game.B[i]) for i in (*game.meta.output_rows, game.meta.m)]
+    return [spread(row_add(game.A_rows[i], game.B_rows[i]), len(game.A_rows))
+            for i in (*game.meta.output_rows, game.meta.m)]
 
 
 def build_symmetric_game(lp: ParamLP) -> SymmetricGame:
     """S = [[-A', b+1], [0^T, 1]], -A' the direct LCP's matrix; symmetric
     equilibria carry the direct LCP."""
-    S = ([{**row, lp.m: bi + 1} for row, bi in zip(build_direct_lcp(lp).M, lp.b)]
+    S = ([row_add(row, {lp.m: bi + 1}) for row, bi in zip(build_direct_lcp(lp).M, lp.b)]
          + [{lp.m: Fraction(1)}])
-    return SymmetricGame(densify(S, lp.m + 1),
-                         GameMeta(lp.m, lp.k, list(lp.c) if lp.c else None,
-                                  lp.output_rows, "symmetric"))
+    return SymmetricGame(S, GameMeta(lp.m, lp.k, list(lp.c) if lp.c else None,
+                                     lp.output_rows, "symmetric"))
 
 
-def symmetrize(A: Mat, B: Mat) -> SymmetricGame:
-    """Block symmetrization [[0, A], [B^T, 0]].
+def symmetrize(A: list[Row], B: list[Row], cols: int) -> SymmetricGame:
+    """Block symmetrization [[0, A], [B^T, 0]] of the game with these sparse
+    rows and `cols` columns.
 
     The payoff sum of the result has twice the rank of A + B.  The
     classical equilibrium correspondence additionally needs positive
     payoffs; splits with an all-zero half do not map back.
     """
-    ra, ca = mat_shape(A)
-    if mat_shape(B) != (ra, ca):
+    ra = len(A)
+    if len(B) != ra:
         raise ValueError("payoff matrices must share a shape")
-    S = ([[Fraction(0)] * ra + row for row in A]
-         + [list(col) + [Fraction(0)] * ca for col in zip(*B)])
+    S = [{ra + j: v for j, v in row.items()} for row in A] + sparse_transpose(B, cols)
     return SymmetricGame(S, GameMeta(ra, 0, None, (), "symmetric"))
 
 
 def imitation_game(S: SymmetricGame) -> BimatrixGame:
     """The game (S, I): its second-player equilibrium strategies are the
     symmetric equilibria of (S, S^T)."""
-    r, c = mat_shape(S.S)
-    if r != c:
-        raise ValueError("matrix must be square")
-    return BimatrixGame([row[:] for row in S.S], identity(r), replace(S.meta, kind="imitation"))
+    one = Fraction(1)
+    return BimatrixGame(S.S_rows, [{i: one} for i in range(len(S.S_rows))],
+                        replace(S.meta, kind="imitation"))
 
 
 # --- equilibrium <-> LCP <-> fixed point mappings ------------------------
@@ -309,13 +324,14 @@ def game_to_fixed_point(x_full: Vec, meta: GameMeta) -> Vec:
 
 def game_to_json(game: BimatrixGame | SymmetricGame) -> dict:
     if isinstance(game, SymmetricGame):
-        A, B, meta = game.S, transpose(game.S), game.meta
+        A, meta = game.S_rows, game.meta
+        B = sparse_transpose(A, len(A))
     else:
-        A, B, meta = game.A, game.B, game.meta
-    r, c = mat_shape(A)
+        A, B, meta = game.A_rows, game.B_rows, game.meta
+    n = len(A)
     return {
-        "rows": r, "cols": c,
-        "A": mat_to_strs(A), "B": mat_to_strs(B),
+        "rows": n, "cols": n,
+        "A": rows_to_strs(A, n), "B": rows_to_strs(B, n),
         "meta": {
             "m": meta.m, "k": meta.k,
             "c": vec_to_strs(meta.c) if meta.c is not None else None,
@@ -327,9 +343,9 @@ def game_to_json(game: BimatrixGame | SymmetricGame) -> dict:
 
 def game_from_json(doc: dict) -> BimatrixGame:
     meta = doc["meta"]
-    A, B = mat_from_strs(doc["A"]), mat_from_strs(doc["B"])
+    (A, ca), (B, cb) = rows_from_strs(doc["A"]), rows_from_strs(doc["B"])
     shape = (int_from_json(doc["rows"]), int_from_json(doc["cols"]))
-    if mat_shape(A) != shape or mat_shape(B) != shape:
+    if (len(A), ca) != shape or (len(B), cb) != shape:
         raise ValueError(f"A and B must both be {shape[0]}x{shape[1]} (rows x cols)")
     if shape[0] != shape[1]:
         raise ValueError(f"game is {shape[0]}x{shape[1]}; every game kind is square")
@@ -352,9 +368,8 @@ def game_from_json(doc: dict) -> BimatrixGame:
 def lcp_to_json(lcp: LcpInstance) -> dict:
     return {
         "block": lcp.kind,
-        "M": mat_to_strs(densify(lcp.M, len(lcp.M))),
+        "M": rows_to_strs(lcp.M, len(lcp.M)),
         "q": vec_to_strs(lcp.q),
         "m": lcp.m, "k": lcp.k,
         "output_rows": list(lcp.output_rows),
     }
-

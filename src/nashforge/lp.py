@@ -10,9 +10,9 @@ means exactly
 Dropping the complementarity line leaves the linear system
 A x >= sum_l lam_l u^l + b with A lower-triangular and unit diagonal.  It
 is stored as its sparse rows x_i >= L_i; A, b and U are dense views, and
-A_rows is A in the sparse row form that the LCP layer reads.  The
-cost vector built here makes the complementarity line hold automatically
-at the optimum of
+A_rows is A in the sparse row form that the LCP layer and the JSON writer
+read.  The cost vector built here makes the complementarity line hold
+automatically at the optimum of
 
     min c.x  s.t.  A x >= sum_l lam_l u^l + b,  x >= 0,
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exactmath import (
-    Mat, Row, Vec, densify, mat_to_strs, mat_vec, row_add, transpose, vec_to_strs, walk,
+    Mat, Row, Vec, densify, mat_vec, row_add, rows_to_strs, transpose, vec_to_strs, walk,
     zeros_vec,
 )
 from .fixp import (
@@ -81,7 +81,7 @@ class ParamLP:
 
     @property
     def A(self) -> Mat:
-        """Dense A, for the JSON writer, the KKT referee and the benchmark."""
+        """Dense A, for the KKT referee and the benchmark."""
         return densify(self.A_rows, self.m)
 
     @property
@@ -277,7 +277,7 @@ def kkt_violations(lp: ParamLP, lam: Vec, x: Vec, y: Vec) -> list[str]:
 def lp_to_json(lp: ParamLP) -> dict:
     doc = {
         "m": lp.m, "k": lp.k, "n": lp.npre,
-        "A": mat_to_strs(lp.A),
+        "A": rows_to_strs(lp.A_rows, lp.m),
         "b": vec_to_strs(lp.b),
         "U": [vec_to_strs(col) for col in lp.U],
         "output_rows": list(lp.output_rows),

@@ -210,9 +210,9 @@ def referee_lcp_violations(M, q, z) -> list[str]:
     return out
 
 
-def referee_build_game(dense) -> "lcp.BimatrixGame":
-    """The dense (m+1)-strategy game, certified by the dense triangularity
-    test and the Bareiss rank of A + B."""
+def referee_build_game(dense) -> tuple:
+    """(A, B, meta) of the dense (m+1)-strategy game, certified by the dense
+    triangularity test and the Bareiss rank of A + B."""
     P = dense.lp
     m = P.m
     A = [list(col) + [F(0)] for col in zip(*dense.H)] + [[F(0)] * m + [F(1)]]
@@ -220,15 +220,19 @@ def referee_build_game(dense) -> "lcp.BimatrixGame":
          + [[bj + 1 for bj in dense.b] + [F(1)]])
     assert is_upper_triangular(A)
     assert rank([vec_add(ra, rb) for ra, rb in zip(A, B)]) <= P.k + 1
-    return lcp.BimatrixGame(A, B, lcp.GameMeta(m, P.k, list(P.c), P.output_rows,
-                                               "rank_k_plus_1"))
+    return A, B, lcp.GameMeta(m, P.k, list(P.c), P.output_rows, "rank_k_plus_1")
 
 
-def referee_build_symmetric_game(P) -> "lcp.SymmetricGame":
+def referee_build_symmetric_game(P) -> tuple:
+    """(S, meta) of the dense symmetric game."""
     S = ([[-v for v in row] + [bi + 1] for row, bi in zip(referee_direct_matrix(P), P.b)]
          + [[F(0)] * P.m + [F(1)]])
-    return lcp.SymmetricGame(S, lcp.GameMeta(P.m, P.k, list(P.c) if P.c else None,
-                                             P.output_rows, "symmetric"))
+    return S, lcp.GameMeta(P.m, P.k, list(P.c) if P.c else None, P.output_rows, "symmetric")
+
+
+def sparse_rows(m) -> list[dict]:
+    """The sparse rows of a dense matrix."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
 
 
 def random_raw_circuit(rng: random.Random, k: int, max_max_gates: int,

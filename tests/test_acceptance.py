@@ -182,7 +182,7 @@ def test_criterion_6_rank_and_triangularity(capsys):
         _, P, ns, game, _ = build_chain(raw)
         assert em.is_upper_triangular(game.A), name
         assert em.rank(em.mat_add(game.A, game.B)) <= P.k + 1, name
-        sym = lcp.symmetrize(game.A, game.B)
+        sym = lcp.symmetrize(game.A_rows, game.B_rows, P.m + 1)
         st = em.mat_add(sym.S, em.transpose(sym.S))
         assert em.rank(st) <= 2 * (P.k + 1), name
     announce(capsys, f"ACCEPTANCE 6 PASS: rank and triangularity bounds on"

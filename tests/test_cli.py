@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -89,6 +90,50 @@ class TestCompile:
         first = out.read_bytes()
         main(["compile", fixture_file, "-o", str(out), "--no-grid-check"])
         assert out.read_bytes() == first
+
+
+class TestSave:
+    def test_writes_the_indented_sorted_document(self, tmp_path):
+        target = tmp_path / "out.json"
+        body = {"b": ["1/2", "0"], "a": {"z": 1, "y": None}}
+        cli._save(str(target), "game", body)
+        doc = {"schema": SCHEMA, "kind": "game", **body}
+        assert target.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_encode_leaves_no_partial_file(self, tmp_path, existing):
+        target = tmp_path / "out.json"
+        if existing:
+            target.write_text("kept")
+        # the list is half written when the encoder meets the object
+        with pytest.raises(TypeError):
+            cli._save(str(target), "game", {"A": [["0"] * 1000, object()]})
+        assert [p.name for p in tmp_path.iterdir()] == (["out.json"] if existing else [])
+        if existing:
+            assert target.read_text() == "kept"
+
+    def test_symlink_target_is_updated_through_the_link(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        cli._save(str(link), "game", {"A": [["1"]]})
+        assert link.is_symlink() and link.resolve() == real
+        assert json.loads(real.read_text())["A"] == [["1"]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old")
+        target.chmod(0o640)
+        cli._save(str(target), "game", {"A": [["1"]]})
+        assert json.loads(target.read_text())["A"] == [["1"]]
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_device_target_is_written_in_place(self):
+        cli._save(os.devnull, "game", {"A": [["1"]]})
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestReduce:
@@ -252,9 +297,9 @@ class TestVerify:
         def moved(ns):
             # moving B[1][0] into A[1][0] leaves A + B, and so its rank, alone
             game = build_game(ns)
-            A, B = [row[:] for row in game.A], [row[:] for row in game.B]
-            assert A[1][0] == 0 and B[1][0] != 0
-            A[1][0], B[1][0] = B[1][0], F(0)
+            A, B = [dict(row) for row in game.A_rows], [dict(row) for row in game.B_rows]
+            assert 0 not in A[1] and 0 in B[1]
+            A[1][0] = B[1].pop(0)
             return lcp.BimatrixGame(A, B, game.meta)
         monkeypatch.setattr(lcp, "build_game", moved)
         assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", "20"]) != 0
@@ -693,6 +738,22 @@ class TestPipeline:
             meta = json.loads(Path(str(out) + ".meta.json").read_text())
             assert meta["shrunk"] is False
         assert out.exists() == (code == 0)
+
+    def test_output_on_eval_stage_refused_before_any_stage(self, circuit_file, tmp_path,
+                                                           capsys):
+        # eval writes no file, so the next stage would read a leftover at its output
+        leftover, game = tmp_path / "e.json", tmp_path / "g.json"
+        leftover.write_text(Path(circuit_file).read_text())
+        manifest = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "eval", "input": circuit_file, "output": str(leftover),
+             "args": {"at": "1/2"}},
+            {"command": "reduce", "input": str(leftover), "output": str(game),
+             "args": {"target": "game"}},
+        ]})
+        assert main(["pipeline", manifest]) == 2
+        out, err = capsys.readouterr()
+        assert "stage 0: nashforge rejects" in err and "[stage 0]" not in out
+        assert not game.exists()
 
     def test_stale_artifact_at_a_later_input_is_rewritten(self, circuit_file, tmp_path):
         game = tmp_path / "g.json"

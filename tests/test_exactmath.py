@@ -129,8 +129,9 @@ class TestSerialization:
 
 
 class TestMatrixReader:
-    """mat_from_strs parses each distinct string once; the result and every
-    refusal are those of rat_from_str entry by entry."""
+    """rows_from_strs parses each distinct string once; the result and every
+    refusal are those of rat_from_str entry by entry, with zeros dropped, and
+    an empty or ragged matrix is refused as mat_shape refuses it."""
 
     def test_equals_per_entry_parse_on_repeated_strings(self):
         rng = random.Random(11)
@@ -139,29 +140,46 @@ class TestMatrixReader:
                      for _ in range(rng.randint(1, 5))]
             rows = [[rng.choice(texts) for _ in range(rng.randint(0, 6))]
                     for _ in range(rng.randint(0, 6))]
-            got = em.mat_from_strs(rows)
-            assert got == [[em.rat_from_str(s) for s in r] for r in rows]
+            dense = [[em.rat_from_str(s) for s in r] for r in rows]
+            try:
+                shape = em.mat_shape(dense)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    em.rows_from_strs(rows)
+                continue
+            got, cols = em.rows_from_strs(rows)
+            assert (len(got), cols) == shape and em.densify(got, cols) == dense
+            assert all(x != 0 for row in got for x in row.values())
+            assert em.rows_to_strs(got, cols) == [[em.rat_to_str(x) for x in r] for r in dense]
             shared = {}
             for r, row in zip(rows, got):
-                for text, x in zip(r, row):
-                    assert shared.setdefault(text, x) is x
+                for j, x in row.items():
+                    assert shared.setdefault(r[j], x) is x
 
     def test_bare_integers_are_read_too(self):
-        assert em.mat_from_strs([["1", 1, "1"]]) == [[F(1)] * 3]
+        assert em.rows_from_strs([["1", 1, "1"]]) == ([{0: F(1), 1: F(1), 2: F(1)}], 3)
+
+    def test_zeros_however_spelled_are_dropped(self):
+        assert em.rows_from_strs([["0", "0/7", "-0", 0, "-1/2"]]) == ([{4: F(-1, 2)}], 5)
+
+    def test_writer_shares_one_zero_string(self):
+        strs = em.rows_to_strs([{1: F(2, 3)}, {}], 3)
+        assert strs == [["0", "2/3", "0"], ["0", "0", "0"]]
+        assert len({id(s) for row in strs for s in row if s == "0"}) == 1
 
     @pytest.mark.parametrize("bad", [True, 1.0, "1/0", "2/-3", "a", [1], ["1"]])
     def test_refusals_survive_a_cached_value(self, bad):
-        with pytest.raises(ValueError):
-            em.mat_from_strs([["1", "2/3", "1"], ["1", bad]])
-        with pytest.raises(ValueError):
-            em.mat_from_strs([["1"], ["1", bad, "1"]])
-        with pytest.raises(ValueError):   # True == 1 == 1.0, but only text is cached
-            em.mat_from_strs([[1, "1"], [bad]])
+        # each matrix is also ragged; the entry is refused before the shape
+        for rows in ([["1", "2/3", "1"], ["1", bad]], [["1"], ["1", bad, "1"]],
+                     [[1, "1"], [bad]]):   # True == 1 == 1.0, but only text is cached
+            with pytest.raises(ValueError) as exc:
+                em.rows_from_strs(rows)
+            assert "ragged" not in str(exc.value)
 
     @pytest.mark.parametrize("row", ["1", {"0": "1"}, None, 1])
     def test_row_not_a_list_is_a_type_error(self, row):
         with pytest.raises(TypeError):
-            em.mat_from_strs([["1"], row])
+            em.rows_from_strs([["1"], row])
 
 
 class TestLinearSystem:

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from conftest import (
     referee_build_game, referee_build_lcp_C, referee_build_symmetric_game,
     referee_lcp_violations, referee_normalize, symmetrized_to_ne,
 )
+from test_fixp import raw_builder_circuits
 
 
 def frac_mat(rows):
@@ -208,8 +210,9 @@ class TestSparseRowsMatchDenseReferees:
             for _ in range(5):
                 z = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in M]
                 assert lcp_violations(inst, z) == referee_lcp_violations(M, q, z)
-        assert build_game(ns) == referee_build_game(dense)
-        assert build_symmetric_game(P) == referee_build_symmetric_game(P)
+        game, sym = build_game(ns), build_symmetric_game(P)
+        assert (game.A, game.B, game.meta) == referee_build_game(dense)
+        assert (sym.S, sym.meta) == referee_build_symmetric_game(P)
         M, _ = referee_build_lcp_C(dense)
         for _ in range(10):
             z = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in M]
@@ -241,6 +244,50 @@ def test_lcp_layer_never_reads_dense_A(monkeypatch, rng):
         imi = imitation_game(sym)
         symne_to_lcp(P, nash.lemke_howson(imi.A, imi.B).y)
     assert reads == []
+
+
+class TestGamesAsSparseRows:
+    """The games hold sparse rows with no stored zero; their dense views are
+    the referees' games, and the wire gives back equal games."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw_builder_circuits(), st.sampled_from(["0", "0/7", "-0", 0]))
+    def test_views_rows_and_wire(self, circ, zero):
+        P, _ = lp.build_param_lp(circ)
+        n = P.m + 1
+        game, sym = build_game(normalize(P)), build_symmetric_game(P)
+        imi = imitation_game(sym)
+        smm = symmetrize(game.A_rows, game.B_rows, n)
+        A, B, meta = referee_build_game(referee_normalize(P))
+        S, sym_meta = referee_build_symmetric_game(P)
+        blank = [F(0)] * n
+        assert (game.A, game.B, game.meta) == (A, B, meta)
+        assert (sym.S, sym.meta) == (S, sym_meta)
+        assert (imi.A, imi.B, imi.meta) == (S, em.identity(n), replace(sym_meta, kind="imitation"))
+        assert smm.S == [blank + row for row in A] + [list(col) + blank for col in zip(*B)]
+        for rows in (game.A_rows, game.B_rows, sym.S_rows, imi.A_rows, imi.B_rows, smm.S_rows):
+            assert all(v != 0 for row in rows for v in row.values())
+        as_read = lcp.BimatrixGame(sym.S_rows, em.sparse_transpose(sym.S_rows, n), sym.meta)
+        for written, want in ((game, game), (sym, as_read), (imi, imi)):
+            doc = json.loads(json.dumps(game_to_json(written)))
+            for key in ("A", "B"):
+                doc[key] = [[zero if s == "0" else s for s in row] for row in doc[key]]
+            assert game_from_json(doc) == want
+
+
+def test_game_layer_never_reads_dense_views(monkeypatch, rng):
+    def refuse(game):
+        raise AssertionError("dense game view read")
+    for cls, view in ((lcp.BimatrixGame, "A"), (lcp.BimatrixGame, "B"),
+                      (lcp.SymmetricGame, "S")):
+        monkeypatch.setattr(cls, view, property(refuse))
+    for circ in (one_minus_circuit(), random_raw_circuit(rng, 2, 3)):
+        P, _ = lp.build_param_lp(circ)
+        game = build_game(normalize(P))
+        sym = build_symmetric_game(P)
+        lcp.payoff_sum_rows(game)
+        for g in (game, sym, imitation_game(sym), symmetrize(game.A_rows, game.B_rows, P.m + 1)):
+            game_from_json(game_to_json(g))
 
 
 class TestNeLcpMappings:
@@ -309,13 +356,13 @@ class TestFixedPointExtraction:
 
 class TestSymmetrize:
     def test_zero_games(self):
-        sym = symmetrize(frac_mat([[0, 0], [0, 0]]), frac_mat([[0, 0], [0, 0]]))
+        sym = symmetrize([{}, {}], [{}, {}], 2)
         assert sym.S == frac_mat([[0] * 4] * 4)
 
     def test_worked_rank_doubles(self, worked):
         _, _, ns = worked
         game = build_game(ns)
-        sym = symmetrize(game.A, game.B)
+        sym = symmetrize(game.A_rows, game.B_rows, 3)
         assert len(sym.S) == 6
         st = em.mat_add(sym.S, em.transpose(sym.S))
         assert em.rank(st) == 2 * em.rank(em.mat_add(game.A, game.B))
@@ -324,7 +371,7 @@ class TestSymmetrize:
         _, _, ns = worked
         game = build_game(ns)
         cert = nash.enumerate_ne(game.A, game.B).equilibria[0]
-        sym = symmetrize(game.A, game.B)
+        sym = symmetrize(game.A_rows, game.B_rows, 3)
         z = ne_to_symmetrized(cert.x, cert.y, cert.pi1, cert.pi2)
         assert not nash.symmetric_ne_violations(sym.S, z)
         x, y = symmetrized_to_ne(z, 3)
@@ -333,7 +380,7 @@ class TestSymmetrize:
     def test_solver_found_symmetric_ne_maps_back(self, worked):
         _, _, ns = worked
         game = build_game(ns)
-        sym = symmetrize(game.A, game.B)
+        sym = symmetrize(game.A_rows, game.B_rows, 3)
         res = nash.enumerate_symmetric_ne(sym.S)
         mapped = 0
         for cert in res.equilibria:
@@ -379,4 +426,4 @@ class TestJson:
         P, _, _ = worked
         sym = build_symmetric_game(P)
         doc = game_to_json(sym)
-        assert doc["B"] == em.mat_to_strs(em.transpose(sym.S))
+        assert doc["B"] == [[em.rat_to_str(v) for v in col] for col in zip(*sym.S)]

@@ -22,7 +22,7 @@ from nashforge.nash import (
 from nashforge.nash import _int_row, _lex_pivot, _on_support, _shift_positive
 
 from conftest import (
-    ne_to_symmetrized, one_minus_circuit, referee_solve_linear_system, swap_circuit,
+    ne_to_symmetrized, one_minus_circuit, referee_solve_linear_system, sparse_rows, swap_circuit,
 )
 
 
@@ -588,7 +588,7 @@ class TestSymmetrizationInvariant:
             A = [[F(rng.randint(1, 5)) for _ in range(c)] for _ in range(r)]
             B = [[F(rng.randint(1, 5)) for _ in range(c)] for _ in range(r)]
             res = enumerate_ne(A, B)
-            sym = lcp.symmetrize(A, B)
+            sym = lcp.symmetrize(sparse_rows(A), sparse_rows(B), c)
             for cert in res.equilibria:
                 z = ne_to_symmetrized(cert.x, cert.y, cert.pi1, cert.pi2)
                 assert not symmetric_ne_violations(sym.S, z)
