@@ -360,8 +360,9 @@ def game_from_json(doc: dict) -> BimatrixGame:
     kind = meta["kind"]
     if kind not in GAME_KINDS:
         raise ValueError(f"meta.kind is {kind!r}, not one of {', '.join(GAME_KINDS)}")
+    c = meta.get("c")
     return BimatrixGame(A, B, GameMeta(int_from_json(meta["m"]), k,
-                                       vec_from_strs(meta["c"]) if meta.get("c") else None,
+                                       None if c is None else vec_from_strs(c),
                                        output_rows, kind))
 
 

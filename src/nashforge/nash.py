@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .exactmath import (
     Mat, Vec, eliminate, int_matrix, mat_shape, mat_vec, spread, transpose, vec_dot, vec_mat,
@@ -88,11 +88,16 @@ def _best_response_violations(w: Vec, payoffs: Vec, name: str) -> list[str]:
     return out
 
 
+def _game_shape(A: Mat, B: Mat) -> tuple[int, int]:
+    shape = mat_shape(A)
+    if mat_shape(B) != shape:
+        raise ValueError("payoff matrices must share a shape")
+    return shape
+
+
 def ne_violations(A: Mat, B: Mat, x: Vec, y: Vec) -> list[str]:
     """Exact best-response and complementarity conditions for (x, y)."""
-    r, c = mat_shape(A)
-    if mat_shape(B) != (r, c):
-        raise ValueError("payoff matrices must share a shape")
+    r, c = _game_shape(A, B)
     if len(x) != r or len(y) != c:
         raise ValueError("profile dimensions do not match the game")
     return (_best_response_violations(x, mat_vec(A, y), "row")
@@ -171,9 +176,7 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
     some support system is consistent but singular, or an equilibrium
     carries extra tight strategies, the result is flagged degenerate.
     """
-    r, c = mat_shape(A)
-    if mat_shape(B) != (r, c):
-        raise ValueError("payoff matrices must share a shape")
+    r, c = _game_shape(A, B)
     check_dimension(r, c)
     a, la = int_matrix(A)
     bt, lb = int_matrix(transpose(B))
@@ -232,26 +235,32 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
 
 # --- Lemke-Howson ----------------------------------------------------------
 
-def _shift_positive(M: Mat) -> Mat:
-    low = min(min(row) for row in M)
-    shift = 1 - low
-    return [[v + shift for v in row] for row in M]
-
-
 # A tableau row is N/d: N maps column -> nonzero integer, d > 0, and
 # gcd(d, all of N) = 1, so every entry is held in lowest terms without a
-# Fraction per entry.
+# Fraction per entry.  That form is unique, so equal rows are equal tuples.
 Row = tuple[dict[int, int], int]
 
 
-def _int_row(entries: dict[int, Fraction]) -> Row:
-    """The row with these rational entries, denominators cleared by their lcm.
+def _reduced(N: dict[int, int], d: int) -> Row:
+    """The row N / d (d > 0) in lowest terms."""
+    g = gcd(d, *N.values())
+    if g == 1:
+        return N, d
+    return {j: v // g for j, v in N.items()}, d // g
 
-    For every prime power dividing the lcm, the entry whose denominator
-    carries it keeps a numerator prime to it, so the row comes out reduced.
+
+def _tableau(M: Mat) -> list[Row]:
+    """Rows of M1 z + s = 1 over variables z (one per column of M), then
+    the slacks s, then the rhs, where M1 = M + (1 - min M) has every entry
+    positive.  With M = m / l for `int_matrix`'s m and l, row i is
+    (m_i + l - min m, the slack's l, l) / l.
     """
-    d = lcm(*(v.denominator for v in entries.values()))
-    return {j: v.numerator * (d // v.denominator) for j, v in entries.items() if v}, d
+    m, l = int_matrix(M)
+    n = len(m[0])
+    rhs = len(m) + n
+    shift = l - min(min(row) for row in m)
+    return [_reduced({**{j: v + shift for j, v in enumerate(row)}, n + i: l, rhs: l}, l)
+            for i, row in enumerate(m)]
 
 
 def _pivot(rows: list[Row], r: int, s: int) -> None:
@@ -259,12 +268,8 @@ def _pivot(rows: list[Row], r: int, s: int) -> None:
     N_r / N_r[s]; a row i nonzero in column s becomes (p N_i - f N_r) /
     (d_i p) with p, N_r the new pivot row and f = N_i[s].  Rows zero in
     column s are untouched, and every row written is divided by its gcd."""
-    Nr = rows[r][0]
-    g = gcd(*Nr.values())
-    if g != 1:
-        Nr = {j: v // g for j, v in Nr.items()}
-    p = Nr[s]
-    rows[r] = Nr, p
+    N = rows[r][0]
+    rows[r] = Nr, p = _reduced(N, N[s])
     for i, (Ni, di) in enumerate(rows):
         f = Ni.get(s)
         if f is None or i == r:
@@ -276,12 +281,7 @@ def _pivot(rows: list[Row], r: int, s: int) -> None:
                 N[j] = v
             else:
                 del N[j]
-        d = di * p
-        g = gcd(d, *N.values())
-        if g != 1:
-            N = {j: v // g for j, v in N.items()}
-            d //= g
-        rows[i] = N, d
+        rows[i] = _reduced(N, di * p)
 
 
 def _lex_pivot(rows: list[Row], basis: list[int], col: int, rhs: int) -> int:
@@ -322,24 +322,19 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     longer than `max_pivots` raises PivotLimitReached.  `max_dim`, when
     given, refuses games with more rows or columns.
     """
-    r, c = mat_shape(A)
-    if mat_shape(B) != (r, c):
-        raise ValueError("payoff matrices must share a shape")
+    r, c = _game_shape(A, B)
     if max_dim is not None:
         check_dimension(r, c, max_dim)
     if not 0 <= dropped_label < r + c:
         raise ValueError(f"label must lie in 0..{r + c - 1}")
-    A1 = _shift_positive(A)
-    B1 = _shift_positive(B)
-    one = Fraction(1)
     rhs = r + c
 
+    # B1 and A1 are B and A shifted to positive entries (see `_tableau`).
     # Tableau P over x/v: B1^T x + v = 1 (c rows); var t<r is x_t, else v_{t-r}.
-    rows_p = [_int_row({**{i: B1[i][j] for i in range(r)}, r + j: one, rhs: one})
-              for j in range(c)]
+    rows_p = _tableau(transpose(B))
     basis_p = [r + j for j in range(c)]
     # Tableau Q over y/u: A1 y + u = 1 (r rows); var t<c is y_t, else u_{t-c}.
-    rows_q = [_int_row({**dict(enumerate(A1[i])), c + i: one, rhs: one}) for i in range(r)]
+    rows_q = _tableau(A)
     basis_q = [c + i for i in range(r)]
 
     # Each side is (rows, basis, variable -> label, label -> variable).  The
@@ -370,10 +365,12 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
         raise RayTermination("pivoting terminated at the artificial equilibrium")
     x = [v / sx for v in x]
     y = [v / sy for v in y]
-    bad = ne_violations(A, B, x, y)
+    Ay, xB = mat_vec(A, y), vec_mat(x, B)
+    bad = (_best_response_violations(x, Ay, "row")
+           + _best_response_violations(y, xB, "column"))
     if bad:
         raise RayTermination("pivoting result fails the equilibrium checker: " + bad[0])
-    return NeCertificate(x, y, vec_dot(x, mat_vec(A, y)), vec_dot(vec_mat(x, B), y))
+    return NeCertificate(x, y, vec_dot(x, Ay), vec_dot(xB, y))
 
 
 # --- fixed points -----------------------------------------------------------

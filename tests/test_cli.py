@@ -550,6 +550,9 @@ def _malformed(kind, body):
         docs["rows_mismatch"] = {**body, "rows": body["rows"] + 1}
         docs["k_not_output_count"] = {**body, "meta": {**body["meta"], "k": body["meta"]["k"] + 1}}
         docs["unknown_kind"] = {**body, "meta": {**body["meta"], "kind": "foo"}}
+        # meta.c is null or a list of rationals; a falsy value of another type is neither
+        for name, c in [("false", False), ("zero", 0), ("empty_string", ""), ("object", {})]:
+            docs[f"c_{name}"] = {**body, "meta": {**body["meta"], "c": c}}
         # "1" is already parsed when the reader meets these entries
         last = body["A"][-1]
         docs["entry_true_after_1"] = {**body, "A": body["A"][:-1] + [last[:-1] + [True]]}

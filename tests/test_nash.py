@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 import nashforge
 from nashforge import lcp, lp, nash
-from nashforge.exactmath import mat_shape, mat_vec, vec_dot, vec_mat
+from nashforge.exactmath import mat_shape, mat_vec, transpose, vec_dot, vec_mat
 from nashforge.nash import (
     DimensionTooLarge, EnumerationResult, NeCertificate, PivotLimitReached, RayTermination,
     SymCertificate, check_fixed_point, check_ne, enumerate_ne, enumerate_symmetric_ne,
     lemke_howson, ne_violations, symmetric_ne_violations,
 )
-from nashforge.nash import _int_row, _lex_pivot, _on_support, _shift_positive
+from nashforge.nash import _lex_pivot, _on_support, _tableau
 
 from conftest import (
     ne_to_symmetrized, one_minus_circuit, referee_solve_linear_system, sparse_rows, swap_circuit,
@@ -306,6 +306,32 @@ class TestLemkeHowson:
             lemke_howson(A, B, 0, max_pivots=needed - 1)
 
 
+def _shift_positive(M):
+    """M + (1 - min M), every entry a Fraction."""
+    shift = 1 - min(min(row) for row in M)
+    return [[v + shift for v in row] for row in M]
+
+
+def _int_row(entries):
+    """The tableau row (N, d) with these rational entries, denominators
+    cleared by their lcm; zeros are dropped.  For every prime power
+    dividing the lcm, the entry whose denominator carries it keeps a
+    numerator prime to it, so the row comes out reduced."""
+    d = lcm(*(v.denominator for v in entries.values()))
+    return {j: v.numerator * (d // v.denominator) for j, v in entries.items() if v}, d
+
+
+def referee_tableaux(A, B):
+    """The starting P and Q tableau rows of `lemke_howson`, built from
+    Fraction payoffs shifted by `_shift_positive`."""
+    r, c = mat_shape(A)
+    A1, B1, one, rhs = _shift_positive(A), _shift_positive(B), F(1), r + c
+    rows_p = [_int_row({**{i: B1[i][j] for i in range(r)}, r + j: one, rhs: one})
+              for j in range(c)]
+    rows_q = [_int_row({**dict(enumerate(A1[i])), c + i: one, rhs: one}) for i in range(r)]
+    return rows_p, rows_q
+
+
 def referee_lex_pivot(T, basis, col):
     """The ratio test as a minimum over full ratio tuples, with the
     Gauss-Jordan step written out."""
@@ -458,6 +484,47 @@ class TestLemkeHowsonReferee:
         A, B = game
         for label in range(len(A) + len(A[0])):
             assert outcome(lemke_howson, A, B, label) == outcome(referee_lemke_howson, A, B, label)
+
+
+@st.composite
+def tableau_games(draw):
+    """1-5 x 1-5 games, including 1x1 games: entries all equal, from the
+    tie-prone alphabet (negatives and zeros), or rationals with mixed
+    denominators."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        v = draw(RATIONALS)
+        return [[v] * c for _ in range(r)], [[v] * c for _ in range(r)]
+    entries = draw(st.sampled_from([ENTRIES, RATIONALS]))
+    mat = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    return draw(mat), draw(mat)
+
+
+class TestIntegerTableau:
+    @settings(max_examples=300, deadline=None)
+    @given(tableau_games())
+    def test_rows_equal_the_fraction_referee(self, game):
+        A, B = game
+        assert (_tableau(transpose(B)), _tableau(A)) == referee_tableaux(A, B)
+
+    def test_final_check_takes_one_pair_of_products(self, monkeypatch):
+        # pi1 and pi2 are read from the products the equilibrium check takes
+        A = frac_mat([[3, 3], [2, 5], [0, 6]])
+        B = frac_mat([[3, 2], [2, 6], [3, 1]])
+        want = referee_lemke_howson(A, B, 0)
+        calls = {"mat_vec": 0, "vec_mat": 0}
+
+        def counted(name):
+            f = getattr(nash, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(nash, name, counted(name))
+        assert lemke_howson(A, B, 0) == want
+        assert calls == {"mat_vec": 1, "vec_mat": 1}
 
 
 class TestLemkeHowsonAgreesWithEnumeration:
