@@ -229,9 +229,10 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 
 def vec_dot(u: Vec, v: Vec) -> Fraction:
+    """u . v as a Fraction; zero factors are skipped, not multiplied."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 def inf_norm(v: Vec) -> Fraction:
@@ -239,18 +240,23 @@ def inf_norm(v: Vec) -> Fraction:
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
+    """m v; only the nonzero entries of v, and the nonzero entries of m
+    against them, are multiplied."""
     r, c = mat_shape(m)
     if len(v) != c:
         raise ValueError("dimension mismatch")
-    return [vec_dot(row, v) for row in m]
+    nz = [(j, b) for j, b in enumerate(v) if b]
+    return [sum((row[j] * b for j, b in nz if row[j]), Fraction(0)) for row in m]
 
 
 def vec_mat(v: Vec, m: Mat) -> Vec:
-    """Row vector times matrix."""
+    """Row vector times matrix; the rows under a zero weight are skipped
+    first, then the zero entries of the others."""
     r, c = mat_shape(m)
     if len(v) != r:
         raise ValueError("dimension mismatch")
-    return [sum((v[i] * m[i][j] for i in range(r)), Fraction(0)) for j in range(c)]
+    nz = [(a, m[i]) for i, a in enumerate(v) if a]
+    return [sum((a * row[j] for a, row in nz if row[j]), Fraction(0)) for j in range(c)]
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:

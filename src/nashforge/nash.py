@@ -10,9 +10,15 @@ system pinning the opponent's weights and the payoff, then filters by the
 inequalities; a game whose support systems are consistent but singular is
 flagged degenerate and only the solutions unique on their support pair are
 returned.  It runs on integers: each payoff matrix is scaled by the lcm of
-its denominators, support systems are solved by the fraction-free
-Gauss-Jordan elimination `exactmath.eliminate`, and Fractions are built
-only for the accepted equilibria.
+its denominators, and Fractions are built only for the accepted
+equilibria.  The system of a support pair is "sum w = 1, (first - row) . w
+= 0" over the rows of one support and the columns of the other.  All the
+pairs that share a row support share its difference rows, so their minors
+are tabulated once (`_minors`) and each nonsingular system is read off the
+table by Cramer's rule (`_table_solve`); only a singular one goes to the
+fraction-free Gauss-Jordan elimination `exactmath.eliminate`
+(`_on_support`), which tells "none" from "many", and only while that can
+still change the degeneracy flag.
 Lemke-Howson complementary pivoting (with a lexicographic ratio test, so
 degenerate ties cannot cycle) serves as an independent second solver and
 the one that scales to compiled games; its tableau rows are sparse
@@ -24,7 +30,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from operator import itemgetter, mul
 
 from .exactmath import (
     Mat, Vec, eliminate, int_matrix, mat_shape, mat_vec, spread, transpose, vec_dot, vec_mat,
@@ -130,18 +138,79 @@ def _on_support(payoff_rows: list[list[int]],
     """Weights w on `support` and payoff p with row . w = p for every
     integer payoff row and sum w = 1, by `eliminate`.  Returns ("unique",
     W, P, D) with w = W / D in support order, p = P / D and D > 0, else
-    "none" (inconsistent) or "many" (singular) with None, 0, 0.  Unknowns
-    are ordered (p, w) and rows (first payoff row, sum w, other payoff
-    rows), so the first two pivots are 1.
+    "none" (inconsistent) or "many" (singular) with None, 0, 0.  p is
+    eliminated up front: the rows are (sum w = 1, (first - row) . w = 0 for
+    every other payoff row), and P = first . W.
     """
-    first, *rest = [[1] + [-row[j] for j in support] + [0] for row in payoff_rows]
-    rows = [first, [0] + [1] * len(support) + [1], *rest]
-    n = len(rows)
+    first, *rest = [[row[j] for j in support] for row in payoff_rows]
+    rows = [[1] * len(support) + [1], *([f - v for f, v in zip(first, row)] + [0]
+                                         for row in rest)]
+    n = len(support)
     pr, prev = eliminate(rows, n)
     if pr < n:
         return ("none" if any(row[n] for row in rows[pr:]) else "many"), None, 0, 0
     sign = 1 if prev > 0 else -1    # each row now reads prev * unknown = row[n]
-    return "unique", [sign * row[n] for row in rows[1:]], sign * rows[0][n], sign * prev
+    w = [sign * row[n] for row in rows]
+    return "unique", w, sum(f * v for f, v in zip(first, w)), sign * prev
+
+
+# enumeration refuses n > MAX_DIM, so these caches hold at most 2^n subsets per n
+@cache
+def _faces(n: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each k-subset T of range(n), in `itertools.combinations` order, with
+    the indices of T less T[0], T less T[1], ... among the (k-1)-subsets
+    in that order."""
+    index = {t: i for i, t in enumerate(itertools.combinations(range(n), k - 1))}
+    return [(t, tuple(index[t[:pos] + t[pos + 1:]] for pos in range(k)))
+            for t in itertools.combinations(range(n), k)]
+
+
+@cache
+def _expansion(n: int, k: int) -> list[tuple[itemgetter, itemgetter]]:
+    """For each k-subset T of range(n) (k >= 2), in `_faces` order, two
+    getters: one reads a row of length n followed by its negation at
+    T[0], T[1] + n, T[2], T[3] + n, ... (the row's entries on T with
+    alternating signs), the other reads the minors on T less T[0], T less
+    T[1], ..."""
+    return [(itemgetter(*(j + n * (pos % 2) for pos, j in enumerate(t))), itemgetter(*faces))
+            for t, faces in _faces(n, k)]
+
+
+def _minors(first: list[int], others: list[list[int]], n: int) -> list[int]:
+    """The determinants of the difference rows first - row, one per row in
+    `others`, on every len(others)-subset of the n columns, in `_faces`
+    order.  Built a row at a time by Laplace expansion along the newest
+    row, so only integer products and sums are taken."""
+    diffs = [[f - v for f, v in zip(first, row)] for row in others]
+    minors = diffs[0] if diffs else [1]
+    for k, diff in enumerate(diffs[1:], 2):
+        neg = [-v for v in diff]
+        # row k's entry at T[pos] carries the cofactor sign (-1)^(k-1+pos)
+        signed = diff + neg if k % 2 else neg + diff
+        minors = [sum(map(mul, entries(signed), lower(minors)))
+                  for entries, lower in _expansion(n, k)]
+    return minors
+
+
+def _table_solve(minors: list[int], faces: tuple[int, ...], payoff_rows: list[list[int]],
+                 support: tuple[int, ...], classify: bool = True
+                 ) -> tuple[str, list[int] | None, int, int]:
+    """`_on_support(payoff_rows, support)` from the `_minors` of the
+    payoff rows, where `faces` are the support's entry in `_faces`.  By
+    Cramer's rule on (sum w = 1, (first - row) . w = 0), W_pos =
+    (-1)^pos * minor(support less support[pos]) and the determinant is
+    sum W.  A singular system goes to `_on_support`, or, when not
+    `classify`, comes back as ("singular", None, 0, 0)."""
+    w = [minors[f] for f in faces]
+    w[1::2] = [-v for v in w[1::2]]
+    det = sum(w)
+    if not det:
+        return _on_support(payoff_rows, support) if classify else ("singular", None, 0, 0)
+    if det < 0:
+        w = [-v for v in w]
+        det = -det
+    first = payoff_rows[0]
+    return "unique", w, sum(first[j] * v for j, v in zip(support, w)), det
 
 
 def _screen(sides) -> bool | None:
@@ -183,14 +252,24 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
     found: dict[tuple, NeCertificate] = {}
     degenerate = False
     for size in range(1, min(r, c) + 1):
-        for sx in itertools.combinations(range(r), size):
+        y_faces = _faces(c, size)
+        # the minors of B's column differences, per column support, once needed
+        x_minors: list[list[int] | None] = [None] * len(y_faces)
+        for sx, sx_faces in _faces(r, size):
             a_rows = [a[i] for i in sx]
-            for sy in itertools.combinations(range(c), size):
-                status, y, p1, dy = _on_support(a_rows, sy)
-                if status == "unique":
-                    status, x, p2, dx = _on_support([bt[j] for j in sy], sx)
+            y_minors = _minors(a_rows[0], a_rows[1:], c)
+            for iy, (sy, sy_faces) in enumerate(y_faces):
+                # once the game is flagged degenerate, "none" and "many" lead to
+                # the same result, and so does any x behind a negative y
+                status, y, p1, dy = _table_solve(y_minors, sy_faces, a_rows, sy, not degenerate)
+                if status == "unique" and (not degenerate or min(y) >= 0):
+                    b_rows = [bt[j] for j in sy]
+                    if x_minors[iy] is None:
+                        x_minors[iy] = _minors(b_rows[0], b_rows[1:], r)
+                    status, x, p2, dx = _table_solve(x_minors[iy], sx_faces, b_rows, sx,
+                                                     not degenerate)
                 degenerate |= status == "many"
-                if status != "unique" or any(v < 0 for v in x) or any(v < 0 for v in y):
+                if status != "unique" or min(y) < 0 or min(x) < 0:
                     continue
                 screened = _screen([(a, sx, x, p1, sy, y), (bt, sy, y, p2, sx, x)])
                 if screened is None:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashforge import exactmath as em
 
@@ -203,3 +205,38 @@ class TestLinearSystem:
                                                 [F(2), F(3), F(5)])
         assert status == "unique"
         assert x == [F(2), F(3)]
+
+
+def plain_sum(terms):
+    """Left-to-right Fraction sum of every term, zeros included."""
+    total = F(0)
+    for t in terms:
+        total = total + t
+    return total
+
+
+# mostly zeros, spelled both as int and as Fraction
+SPARSE = st.one_of(st.just(0), st.just(F(0)), st.just(0), st.just(F(0)),
+                   st.integers(-3, 3), st.fractions(-5, 5, max_denominator=4))
+
+
+@st.composite
+def sparse_products(draw):
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = draw(st.lists(st.lists(SPARSE, min_size=c, max_size=c), min_size=r, max_size=r))
+    return m, draw(st.lists(SPARSE, min_size=c, max_size=c)), draw(
+        st.lists(SPARSE, min_size=r, max_size=r))
+
+
+class TestProductsSkipZeros:
+    """The products skip zero factors; the sums must not change."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_products())
+    def test_equal_plain_sums(self, case):
+        m, v, u = case
+        want_mv = [plain_sum(a * b for a, b in zip(row, v)) for row in m]
+        want_um = [plain_sum(u[i] * m[i][j] for i in range(len(m))) for j in range(len(v))]
+        got = [*em.mat_vec(m, v), *em.vec_mat(u, m), em.vec_dot(m[0], v)]
+        assert got == [*want_mv, *want_um, want_mv[0]]
+        assert all(type(x) is F for x in got)

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -635,6 +636,119 @@ class TestEnumerationReferee:
         assert enumerate_symmetric_ne(S) == referee_enumerate_symmetric_ne(S)
 
 
+# the support solve by shared minors: Cramer's rule on each nonsingular
+# system, `_on_support` on each singular one
+
+TIES = (-1, 0, 0, 1, 2)
+
+
+def referee_det(m):
+    """Determinant by the permutation expansion, independent of elimination."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def table_solve(rows, support):
+    minors = nash._minors(rows[0], rows[1:], len(rows[0]))
+    return nash._table_solve(minors, dict(nash._faces(len(rows[0]), len(support)))[support],
+                             rows, support)
+
+
+def assert_matches_referee(rows, support):
+    status, W, P, D = table_solve(rows, support)
+    want, w, p = referee_on_support([[F(v) for v in row] for row in rows], support,
+                                    len(rows[0]))
+    assert status == want
+    if want == "unique":
+        assert D > 0 and [F(v, D) for v in W] == [w[j] for j in support] and F(P, D) == p
+    else:
+        assert (W, P, D) == (None, 0, 0)
+    return status
+
+
+class TestTableSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda s: st.integers(s, s + 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.sampled_from(TIES), min_size=n, max_size=n),
+                     min_size=s, max_size=s),
+            st.lists(st.integers(0, n - 1), min_size=s, max_size=s, unique=True)
+            .map(lambda cols: tuple(sorted(cols)))))))
+    def test_matches_fraction_solver(self, case):
+        assert_matches_referee(*case)
+
+    def test_every_branch_is_reached(self, monkeypatch):
+        # the property above is only as good as the branches it reaches:
+        # a negative determinant flipped to a positive one, and "none" and
+        # "many" from the elimination that every singular system goes to
+        fallbacks = []
+        on_support = nash._on_support
+
+        def counted(rows, support):
+            fallbacks.append(support)
+            return on_support(rows, support)
+
+        monkeypatch.setattr(nash, "_on_support", counted)
+        rng = random.Random(16)
+        seen = set()
+        for _ in range(400):
+            s = rng.randint(1, 5)
+            n = rng.randint(s, s + 3)
+            rows = [[rng.choice(TIES) for _ in range(n)] for _ in range(s)]
+            support = tuple(sorted(rng.sample(range(n), s)))
+            det = referee_det([[1] * s] + [[rows[0][j] - row[j] for j in support]
+                                           for row in rows[1:]])
+            calls = len(fallbacks)
+            status = assert_matches_referee(rows, support)
+            assert len(fallbacks) - calls == (det == 0)
+            seen.add((status, (det > 0) - (det < 0)))
+        assert seen == {("unique", 1), ("unique", -1), ("none", 0), ("many", 0)}
+
+
+def tie_prone_game(seed, r, c):
+    rng = random.Random(seed)
+    return ([[F(rng.choice(TIES)) for _ in range(c)] for _ in range(r)],
+            [[F(rng.choice(TIES)) for _ in range(c)] for _ in range(r)])
+
+
+class TestEnumerationBeyondDraws:
+    """Shapes past the 6x6 games that hypothesis draws."""
+
+    @pytest.mark.parametrize("r, c", [(7, 7), (8, 5), (5, 8)])
+    def test_matches_fraction_enumerator(self, r, c):
+        A, B = tie_prone_game(r * 10 + c, r, c)
+        assert enumerate_ne(A, B) == referee_enumerate_ne(A, B)
+
+    def test_nonsingular_systems_are_not_eliminated(self, monkeypatch):
+        # every support system of this game is nonsingular, so Cramer's rule
+        # on the shared minors solves them all and `eliminate` never runs
+        A = frac_mat([[9, 4, 4], [1, 1, 7], [7, 1, 5]])
+        B = frac_mat([[1, 6, 2], [0, 4, 6], [6, 1, 0]])
+        calls = []
+        eliminate = nash.eliminate
+        monkeypatch.setattr(nash, "eliminate",
+                            lambda *args: calls.append(args) or eliminate(*args))
+        res = enumerate_ne(A, B)
+        assert res == referee_enumerate_ne(A, B) and not res.degenerate
+        assert len(res.equilibria) == 5 and calls == []
+
+    def test_singular_systems_go_unclassified_once_degenerate(self, monkeypatch):
+        # in the zero game the pure equilibria leave tight strategies unused,
+        # so size 1 flags the game degenerate, and whether a singular system
+        # of size 2 is inconsistent or underdetermined changes nothing
+        zero = frac_mat([[0, 0], [0, 0]])
+        calls = []
+        monkeypatch.setattr(nash, "_on_support", lambda *args: calls.append(args))
+        assert enumerate_ne(zero, zero) == referee_enumerate_ne(zero, zero)
+        assert calls == []
+
+
 class TestFixedPointCheck:
     def test_one_minus_half(self):
         circ = one_minus_circuit()
@@ -664,7 +778,7 @@ class TestSymmetrizationInvariant:
 # Each guard is forced to fire: the enumerators' checkers report a
 # violation, and divmod leaves a remainder inside Bareiss elimination and
 # inside a support solve.  Rock-paper-scissors has no equilibrium on the
-# supports of sizes 1 and 2, so the first division, in the 4x4 system of
+# supports of sizes 1 and 2, so the first division, in the 3x3 system of
 # the full support, comes before any candidate reaches the checker.
 FORCED_GUARDS = """
 from fractions import Fraction as F
