@@ -90,23 +90,27 @@ def _save(path: str, kind: str, body: dict):
     """Stream the artifact to `path`.  A regular file (a symlink's target, if
     `path` is a link) is written beside it and then moved there, keeping an
     existing file's mode, so a failed encode leaves it as it was and no
-    temporary file; anything else, such as a device, is written in place."""
+    temporary file; anything else, such as a device, is written in place.
+    A file that cannot be written is an InputError naming `path`."""
     doc = {"schema": SCHEMA, "kind": kind}
     doc.update(body)
     target = Path(path).resolve()
-    if target.exists() and not target.is_file():
-        with target.open("w") as f:
-            _dump(doc, f)
-        return
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as f:
-            _dump(doc, f)
-        if target.exists():
-            shutil.copymode(target, tmp)
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
+        if target.exists() and not target.is_file():
+            with target.open("w") as f:
+                _dump(doc, f)
+            return
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with tmp.open("w") as f:
+                _dump(doc, f)
+            if target.exists():
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write file ({exc.strerror or exc})") from None
 
 
 def _dump(doc: dict, f):
@@ -146,6 +150,11 @@ def _check_args(args):
         path = getattr(args, flag, None)
         if path and Path(path).resolve() == Path(args.output).resolve():
             raise InputError(f"--{flag} {path} is the output path; it would overwrite the {what}")
+    # compile's default OUTPUT.meta.json shares the output's directory
+    for flag in ("output", "meta", "report"):
+        path = getattr(args, flag, None)
+        if path and not Path(path).parent.is_dir():
+            raise InputError(f"{path}: cannot write it, {Path(path).parent} is not a directory")
     if args.command == "verify":
         if args.mode == "lemmas" and args.trials < 1:
             # an empty semimonotone battery would pass vacuously

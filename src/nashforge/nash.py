@@ -19,10 +19,13 @@ table by Cramer's rule (`_table_solve`); only a singular one goes to the
 fraction-free Gauss-Jordan elimination `exactmath.eliminate`
 (`_on_support`), which tells "none" from "many", and only while that can
 still change the degeneracy flag.
-Lemke-Howson complementary pivoting (with a lexicographic ratio test, so
-degenerate ties cannot cycle) serves as an independent second solver and
-the one that scales to compiled games; its tableau rows are sparse
-integers over one reduced denominator each.
+Lemke-Howson serves as an independent second solver and the one that
+scales to compiled games.  It is complementary pivoting, with a
+lexicographic ratio test so degenerate ties cannot cycle, on one tableau
+of the game's LCP w = 1 - [[0, A1], [B1^T, 0]] z: z = (x, y) and w = (u,
+v) are the variables 0..2n-1 (n = rows + cols), variable t carries label
+t mod n, and its tableau rows are sparse integers over one reduced
+denominator each.
 """
 
 from __future__ import annotations
@@ -317,10 +320,10 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
 # A tableau row is N/d: N maps column -> nonzero integer, d > 0, and
 # gcd(d, all of N) = 1, so every entry is held in lowest terms without a
 # Fraction per entry.  That form is unique, so equal rows are equal tuples.
-Row = tuple[dict[int, int], int]
+TableauRow = tuple[dict[int, int], int]
 
 
-def _reduced(N: dict[int, int], d: int) -> Row:
+def _reduced(N: dict[int, int], d: int) -> TableauRow:
     """The row N / d (d > 0) in lowest terms."""
     g = gcd(d, *N.values())
     if g == 1:
@@ -328,21 +331,19 @@ def _reduced(N: dict[int, int], d: int) -> Row:
     return {j: v // g for j, v in N.items()}, d // g
 
 
-def _tableau(M: Mat) -> list[Row]:
-    """Rows of M1 z + s = 1 over variables z (one per column of M), then
-    the slacks s, then the rhs, where M1 = M + (1 - min M) has every entry
-    positive.  With M = m / l for `int_matrix`'s m and l, row i is
-    (m_i + l - min m, the slack's l, l) / l.
+def _tableau(M: Mat, z0: int, s0: int, rhs: int) -> list[TableauRow]:
+    """Rows of M1 z + s = 1, where M1 = M + (1 - min M) has every entry
+    positive, z's variable j is column z0 + j, row i's slack is column
+    s0 + i and the rhs is column `rhs`.  With M = m / l for `int_matrix`'s
+    m and l, row i is (m_i + l - min m, the slack's l, l) / l.
     """
     m, l = int_matrix(M)
-    n = len(m[0])
-    rhs = len(m) + n
     shift = l - min(min(row) for row in m)
-    return [_reduced({**{j: v + shift for j, v in enumerate(row)}, n + i: l, rhs: l}, l)
+    return [_reduced({**{z0 + j: v + shift for j, v in enumerate(row)}, s0 + i: l, rhs: l}, l)
             for i, row in enumerate(m)]
 
 
-def _pivot(rows: list[Row], r: int, s: int) -> None:
+def _pivot(rows: list[TableauRow], r: int, s: int) -> None:
     """Gauss-Jordan step on (r, s), which needs N_r[s] > 0.  Row r becomes
     N_r / N_r[s]; a row i nonzero in column s becomes (p N_i - f N_r) /
     (d_i p) with p, N_r the new pivot row and f = N_i[s].  Rows zero in
@@ -363,7 +364,7 @@ def _pivot(rows: list[Row], r: int, s: int) -> None:
         rows[i] = _reduced(N, di * p)
 
 
-def _lex_pivot(rows: list[Row], basis: list[int], col: int, rhs: int) -> int:
+def _lex_pivot(rows: list[TableauRow], basis: list[int], col: int, rhs: int) -> int:
     """Pivot on column `col`; the lexicographically least ratio row wins.
     Returns the leaving variable.
 
@@ -404,41 +405,30 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     r, c = _game_shape(A, B)
     if max_dim is not None:
         check_dimension(r, c, max_dim)
-    if not 0 <= dropped_label < r + c:
-        raise ValueError(f"label must lie in 0..{r + c - 1}")
-    rhs = r + c
+    n = r + c
+    if not 0 <= dropped_label < n:
+        raise ValueError(f"label must lie in 0..{n - 1}")
 
-    # B1 and A1 are B and A shifted to positive entries (see `_tableau`).
-    # Tableau P over x/v: B1^T x + v = 1 (c rows); var t<r is x_t, else v_{t-r}.
-    rows_p = _tableau(transpose(B))
-    basis_p = [r + j for j in range(c)]
-    # Tableau Q over y/u: A1 y + u = 1 (r rows); var t<c is y_t, else u_{t-c}.
-    rows_q = _tableau(A)
-    basis_q = [c + i for i in range(r)]
-
-    # Each side is (rows, basis, variable -> label, label -> variable).  The
-    # label that leaves one side enters the other as the variable carrying
-    # it there, its complement; P's variables carry their own index.
-    sides = ((rows_p, basis_p, lambda var: var, lambda lab: lab),
-             (rows_q, basis_q, lambda var: r + var if var < c else var - c,
-              lambda lab: c + lab if lab < r else lab - r))
-    side = int(dropped_label >= r)
-    label = dropped_label
+    # The game's LCP w = 1 - [[0, A1], [B1^T, 0]] z over z = (x, y), the
+    # variables 0..n-1, and w = (u, v), the variables n..2n-1, with A1 and B1
+    # shifted to positive entries (see `_tableau`).  Variable t carries label
+    # t % n, so its complement is (t + n) % 2n.
+    rhs = 2 * n
+    rows = _tableau(A, r, n, rhs) + _tableau(transpose(B), 0, n + r, rhs)
+    basis = list(range(n, rhs))
+    var = dropped_label
     for _ in range(max_pivots):
-        rows, basis, label_of, var_of = sides[side]
-        label = label_of(_lex_pivot(rows, basis, var_of(label), rhs))
-        if label == dropped_label:
+        leaving = _lex_pivot(rows, basis, var, rhs)
+        if leaving % n == dropped_label:
             break
-        side = 1 - side
+        var = (leaving + n) % rhs
     else:
         raise PivotLimitReached(f"Lemke-Howson found no equilibrium within its bound of"
                                 f" {max_pivots} pivots on the {r}x{c} game from label"
                                 f" {dropped_label}")
 
-    x = spread({var: Fraction(N.get(rhs, 0), d)
-                for (N, d), var in zip(rows_p, basis_p) if var < r}, r)
-    y = spread({var: Fraction(N.get(rhs, 0), d)
-                for (N, d), var in zip(rows_q, basis_q) if var < c}, c)
+    z = spread({t: Fraction(N.get(rhs, 0), d) for (N, d), t in zip(rows, basis) if t < n}, n)
+    x, y = z[:r], z[r:]
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise RayTermination("pivoting terminated at the artificial equilibrium")

@@ -135,6 +135,63 @@ class TestSave:
         cli._save(os.devnull, "game", {"A": [["1"]]})
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
+    def test_unwritable_path_is_an_input_error_naming_it(self, tmp_path):
+        target = tmp_path / "nodir" / "out.json"
+        with pytest.raises(cli.InputError, match=f"^{target}: cannot write file"):
+            cli._save(str(target), "game", {"A": [["1"]]})
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMissingOutputDirectory:
+    """An output path in a directory that does not exist exits 2, naming
+    the path, before any work and with nothing written."""
+
+    def refused(self, argv, path, tmp_path, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert f"{path}: cannot write it" in err and "internal error" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        return out, err
+
+    def test_reduce(self, circuit_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "g.json"
+        text, _ = self.refused(["reduce", circuit_file, "--target", "game", "-o", str(out)],
+                               out, tmp_path, capsys)
+        assert "rank" not in text
+
+    def test_reduce_report(self, circuit_file, tmp_path, capsys):
+        report = tmp_path / "nodir" / "r.json"
+        self.refused(["reduce", circuit_file, "--target", "game", "-o", str(tmp_path / "g.json"),
+                      "--report", str(report)], report, tmp_path, capsys)
+
+    @pytest.mark.parametrize("explicit_meta", [False, True])
+    def test_compile_meta(self, fixture_file, tmp_path, capsys, explicit_meta):
+        # the default sidecar OUTPUT.meta.json shares the output's directory
+        out = tmp_path / "nodir" / "c.json"
+        argv = ["compile", fixture_file, "-o", str(out)]
+        if explicit_meta:
+            out = tmp_path / "nodir" / "c.meta.json"
+            argv = ["compile", fixture_file, "-o", str(tmp_path / "c.json"), "--meta", str(out)]
+        text, _ = self.refused(argv, out, tmp_path, capsys)
+        assert "validation" not in text
+
+    def test_verify(self, circuit_file, tmp_path, capsys):
+        report = tmp_path / "nodir" / "v.json"
+        text, _ = self.refused(["verify", circuit_file, "--mode", "roundtrip", "-o", str(report)],
+                               report, tmp_path, capsys)
+        assert text == ""
+
+    def test_pipeline_last_stage(self, circuit_file, tmp_path, capsys):
+        game, report = tmp_path / "game.json", tmp_path / "nodir" / "ne.json"
+        manifest = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "reduce", "input": circuit_file,
+             "output": str(game), "args": {"target": "game"}},
+            {"command": "solve", "input": str(game), "output": str(report)},
+        ]})
+        text, err = self.refused(["pipeline", manifest], report, tmp_path, capsys)
+        assert "[stage 0]" not in text and err.startswith(f"error: stage 1: {report}")
+
 
 class TestReduce:
     def test_game_target_matches_worked_matrices(self, circuit_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import os
 import random
@@ -9,7 +10,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashforge
@@ -295,17 +296,6 @@ class TestLemkeHowson:
         with pytest.raises(DimensionTooLarge):
             lemke_howson(eye, eye, 0, max_dim=12)
 
-    def test_pivot_bound(self):
-        # the referee's path from label 0 has `needed` pivots
-        A = frac_mat([[3, 3], [2, 5], [0, 6]])
-        B = frac_mat([[3, 2], [2, 6], [3, 1]])
-        needed = len(referee_path(A, B, 0)[0])
-        assert needed > 1
-        assert lemke_howson(A, B, 0, max_pivots=needed) == referee_lemke_howson(A, B, 0)
-        with pytest.raises(PivotLimitReached,
-                           match=f"bound of {needed - 1} pivots on the 3x2 game from label 0"):
-            lemke_howson(A, B, 0, max_pivots=needed - 1)
-
 
 def _shift_positive(M):
     """M + (1 - min M), every entry a Fraction."""
@@ -487,6 +477,24 @@ class TestLemkeHowsonReferee:
             assert outcome(lemke_howson, A, B, label) == outcome(referee_lemke_howson, A, B, label)
 
 
+class TestPivotBound:
+    @settings(max_examples=60, deadline=None)
+    @given(small_games())
+    @example((frac_mat([[3, 3], [2, 5], [0, 6]]), frac_mat([[3, 2], [2, 6], [3, 1]])))
+    def test_referee_path_length_is_exactly_enough(self, game):
+        # the same path, not just the same endpoint: the bound the referee's
+        # path needs is enough, and one pivot fewer is not
+        A, B = game
+        r, c = mat_shape(A)
+        for label in range(r + c):
+            needed = len(referee_path(A, B, label)[0])
+            bounded = functools.partial(lemke_howson, max_pivots=needed)
+            assert outcome(bounded, A, B, label) == outcome(referee_lemke_howson, A, B, label)
+            with pytest.raises(PivotLimitReached, match=f"bound of {needed - 1} pivots on the"
+                                                        f" {r}x{c} game from label {label}$"):
+                lemke_howson(A, B, label, max_pivots=needed - 1)
+
+
 @st.composite
 def tableau_games(draw):
     """1-5 x 1-5 games, including 1x1 games: entries all equal, from the
@@ -506,7 +514,17 @@ class TestIntegerTableau:
     @given(tableau_games())
     def test_rows_equal_the_fraction_referee(self, game):
         A, B = game
-        assert (_tableau(transpose(B)), _tableau(A)) == referee_tableaux(A, B)
+        r, c = mat_shape(A)
+        n = r + c
+        rows_p, rows_q = referee_tableaux(A, B)
+        # the referee numbers each side apart: P's x_i at i and v_j at r + j,
+        # Q's y_j at j and u_i at c + i, the rhs at r + c; one LCP tableau
+        # has x, y, u, v at 0, r, n, n + r and the rhs at 2n
+        p_col = [*range(r), *range(n + r, 2 * n), 2 * n]
+        q_col = [*range(r, n), *range(n, n + r), 2 * n]
+        want = [({col[j]: v for j, v in N.items()}, d)
+                for rows, col in ((rows_q, q_col), (rows_p, p_col)) for N, d in rows]
+        assert _tableau(A, r, n, 2 * n) + _tableau(transpose(B), 0, n + r, 2 * n) == want
 
     def test_final_check_takes_one_pair_of_products(self, monkeypatch):
         # pi1 and pi2 are read from the products the equilibrium check takes
