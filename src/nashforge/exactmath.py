@@ -228,35 +228,8 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_dot(u: Vec, v: Vec) -> Fraction:
-    """u . v as a Fraction; zero factors are skipped, not multiplied."""
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
-
-
 def inf_norm(v: Vec) -> Fraction:
     return max((abs(x) for x in v), default=Fraction(0))
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    """m v; only the nonzero entries of v, and the nonzero entries of m
-    against them, are multiplied."""
-    r, c = mat_shape(m)
-    if len(v) != c:
-        raise ValueError("dimension mismatch")
-    nz = [(j, b) for j, b in enumerate(v) if b]
-    return [sum((row[j] * b for j, b in nz if row[j]), Fraction(0)) for row in m]
-
-
-def vec_mat(v: Vec, m: Mat) -> Vec:
-    """Row vector times matrix; the rows under a zero weight are skipped
-    first, then the zero entries of the others."""
-    r, c = mat_shape(m)
-    if len(v) != r:
-        raise ValueError("dimension mismatch")
-    nz = [(a, m[i]) for i, a in enumerate(v) if a]
-    return [sum((a * row[j] for a, row in nz if row[j]), Fraction(0)) for j in range(c)]
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -323,6 +296,13 @@ def int_matrix(M: Mat) -> tuple[list[list[int]], int]:
     payoff matrix, alone."""
     d = lcm(*(v.denominator for row in M for v in row))
     return [[v.numerator * (d // v.denominator) for v in row] for row in M], d
+
+
+def int_vec(v: Vec) -> tuple[list[int], int]:
+    """v times the lcm of its denominators, and that lcm.  v is read twice,
+    so it may be a list or a sparse row's `values()`, not an iterator."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def eliminate(rows: list[list[int]], cols: int) -> tuple[int, int]:

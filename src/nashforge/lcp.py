@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .exactmath import (
-    Mat, Row, Vec, densify, int_from_json, row_add, rows_from_strs, rows_to_strs,
+    Mat, Row, Vec, densify, int_from_json, int_vec, row_add, rows_from_strs, rows_to_strs,
     sparse_transpose, spread, vec_from_strs, vec_to_strs,
 )
 from .lp import ParamLP
@@ -47,6 +49,12 @@ class NormalizedSystem:
     Hp: list[Row]
     b: Vec
     lp: ParamLP
+
+    @cached_property
+    def lcp_c(self) -> LcpInstance:
+        """The two-sided LCP of `build_lcp_C`, built on first use and then
+        shared by every check against this system."""
+        return build_lcp_C(self)
 
 
 def normalize(lp: ParamLP) -> NormalizedSystem:
@@ -121,17 +129,23 @@ def build_direct_lcp(lp: ParamLP) -> LcpInstance:
 
 
 def lcp_violations(lcp: LcpInstance, z: Vec) -> list[str]:
+    """The conditions z >= 0, Mz <= q and z_i (q - Mz)_i = 0, on integers:
+    z = Z / dz over one denominator and each row over its own lcm l, so
+    (Mz)_i = mz / (l dz) is compared with q_i by cross-multiplication."""
     n = len(lcp.M)
     if len(z) != n:
         raise ValueError(f"expected solution of length {n}")
+    Z, dz = int_vec(z)
     out = []
-    mz = [sum((v * z[j] for j, v in row.items()), Fraction(0)) for row in lcp.M]
-    for i in range(n):
-        if z[i] < 0:
+    for i, (row, q, zi) in enumerate(zip(lcp.M, lcp.q, Z)):
+        vals, l = int_vec(row.values())
+        mz = sum(map(mul, vals, map(Z.__getitem__, row))) * q.denominator
+        qz = q.numerator * l * dz
+        if zi < 0:
             out.append(f"z_{i} negative")
-        if mz[i] > lcp.q[i]:
+        if mz > qz:
             out.append(f"row {i} infeasible: (Mz)_{i} > q_{i}")
-        if z[i] * (mz[i] - lcp.q[i]) != 0:
+        if zi and mz != qz:
             out.append(f"complementarity fails at row {i}")
     return out
 
@@ -150,7 +164,7 @@ def semimonotone_witness(ns: NormalizedSystem, z: Vec, q: Vec) -> str:
         raise ValueError("z must be nonnegative and nonzero")
     if any(qi <= 0 for qi in q):
         raise ValueError("q must be strictly positive")
-    bad = lcp_violations(replace(build_lcp_C(ns), q=q), z)
+    bad = lcp_violations(replace(ns.lcp_c, q=q), z)
     if not bad:
         raise LemmaFalsified("nonzero z solves the LCP against positive q")
     return bad[0]
@@ -290,7 +304,7 @@ def ne_to_lcp(ns: NormalizedSystem, x_full: Vec, y_full: Vec) -> tuple[Vec, Vec]
     the two-sided system."""
     x = _without_slack(x_full, "equilibrium's first strategy")
     y = _without_slack(y_full, "equilibrium's second strategy")
-    bad = lcp_violations(build_lcp_C(ns), x + y)
+    bad = lcp_violations(ns.lcp_c, x + y)
     if bad:
         raise LemmaFalsified("mapped equilibrium violates the LCP: " + bad[0])
     return x, y

@@ -28,10 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
-from .exactmath import (
-    Mat, Row, Vec, densify, mat_vec, row_add, rows_to_strs, transpose, vec_to_strs, walk,
-    zeros_vec,
-)
+from .exactmath import Mat, Row, Vec, densify, row_add, rows_to_strs, vec_to_strs, walk, zeros_vec
 from .fixp import (
     ZERO, Add, Const, FixpCircuit, Input, Max, MulC, clamp_outputs, normalize_max_zero,
     order_max_gates,
@@ -247,13 +244,21 @@ def construct_dual(lp: ParamLP, lam: Vec, x: Vec) -> Vec:
 
 
 def kkt_violations(lp: ParamLP, lam: Vec, x: Vec, y: Vec) -> list[str]:
-    """Exact primal/dual feasibility plus both complementarity families."""
+    """Exact primal/dual feasibility plus both complementarity families;
+    Ax and A^T y are taken over the sparse rows of A."""
     if lp.c is None:
         raise ValueError("cost vector missing; call with_cost first")
+    if len(x) != lp.m or len(y) != lp.m:
+        raise ValueError("dimension mismatch")
     out = []
     rhs = lam_rhs(lp, lam)
-    A = lp.A
-    ax = mat_vec(A, x)
+    rows = lp.A_rows
+    ax = [sum((v * x[j] for j, v in row.items()), Fraction(0)) for row in rows]
+    aty = zeros_vec(lp.m)
+    for row, yi in zip(rows, y):
+        if yi:
+            for j, v in row.items():
+                aty[j] += v * yi
     for i in range(lp.m):
         if x[i] < 0:
             out.append(f"x_{i} negative")
@@ -261,7 +266,6 @@ def kkt_violations(lp: ParamLP, lam: Vec, x: Vec, y: Vec) -> list[str]:
             out.append(f"primal row {i} infeasible")
         if y[i] * (ax[i] - rhs[i]) != 0:
             out.append(f"dual complementarity fails at row {i}")
-    aty = mat_vec(transpose(A), y)
     for i in range(lp.m):
         if y[i] < 0:
             out.append(f"y_{i} negative")

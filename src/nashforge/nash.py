@@ -3,7 +3,12 @@
 Everything here is exact rational arithmetic, so "equilibrium" always means
 the complementarity characterization holding with exact equality: row payoffs
 (Ay)_i never exceed the first player's payoff and are equal wherever x_i
-is positive, and symmetrically for columns.
+is positive, and symmetrically for columns.  The checkers compare
+integers: payoffs are cleared by `int_matrix` and a profile by
+`int_vec`, each over one denominator, only the nonzero weights are
+multiplied, and payoffs are compared by cross-multiplication.  Fractions
+are built only for the text of a violation and for a certificate's
+payoffs.
 
 Support enumeration solves, per equal-sized support pair, the linear
 system pinning the opponent's weights and the payoff, then filters by the
@@ -37,9 +42,7 @@ from functools import cache
 from math import gcd
 from operator import itemgetter, mul
 
-from .exactmath import (
-    Mat, Vec, eliminate, int_matrix, mat_shape, mat_vec, spread, transpose, vec_dot, vec_mat,
-)
+from .exactmath import Mat, Vec, eliminate, int_matrix, int_vec, mat_shape, spread, transpose
 from .fixp import FixpCircuit, evaluate
 
 
@@ -83,20 +86,42 @@ class EnumerationResult:
 
 # --- checkers ------------------------------------------------------------
 
-def _best_response_violations(w: Vec, payoffs: Vec, name: str) -> list[str]:
-    """w is a mixed strategy, and only best responses to `payoffs` carry weight."""
+def _payoffs(m: list[list[int]], w: list[int]) -> list[int]:
+    """The integer products m w, taken over the nonzero entries of w only."""
+    nz = [(j, v) for j, v in enumerate(w) if v]
+    return [sum(row[j] * v for j, v in nz) for row in m]
+
+
+def _best_response_violations(w: list[int], dw: int, p: list[int], dp: int,
+                              name: str) -> list[str]:
+    """The mixed strategy w / dw gives weight only to best responses to
+    the payoffs p / dp (dw, dp > 0).  Its own payoff is w.p / (dw dp), so
+    strategy i pays more than it exactly when p_i dw > w.p."""
     if any(v < 0 for v in w):
         return [f"{name} weights include a negative one"]
-    if sum(w) != 1:
-        return [f"{name} weights sum to {sum(w)}, not 1"]
-    pi = vec_dot(w, payoffs)
+    if sum(w) != dw:
+        return [f"{name} weights sum to {Fraction(sum(w), dw)}, not 1"]
+    pi = sum(map(mul, w, p))
     out = []
-    for i, (wi, v) in enumerate(zip(w, payoffs)):
-        if v > pi:
-            out.append(f"{name} {i} pays {v} > {pi}: profitable deviation")
-        if wi * (v - pi) != 0:
+    for i, (wi, v) in enumerate(zip(w, p)):
+        if v * dw > pi:
+            out.append(f"{name} {i} pays {Fraction(v, dp)} > {Fraction(pi, dw * dp)}:"
+                       " profitable deviation")
+        if wi and v * dw != pi:
             out.append(f"{name} complementarity fails at {i}")
     return out
+
+
+def _profile_violations(a: list[list[int]], la: int, bt: list[list[int]], lb: int,
+                        x: Vec, y: Vec) -> tuple[list[str], Fraction, Fraction]:
+    """The equilibrium conditions for (x, y) in the game (a / la, (bt / lb)^T),
+    and the two payoffs x A y and x B y."""
+    (X, dx), (Y, dy) = int_vec(x), int_vec(y)
+    ay, bx = _payoffs(a, Y), _payoffs(bt, X)
+    bad = (_best_response_violations(X, dx, ay, la * dy, "row")
+           + _best_response_violations(Y, dy, bx, lb * dx, "column"))
+    return (bad, Fraction(sum(map(mul, X, ay)), dx * la * dy),
+            Fraction(sum(map(mul, Y, bx)), dy * lb * dx))
 
 
 def _game_shape(A: Mat, B: Mat) -> tuple[int, int]:
@@ -111,8 +136,7 @@ def ne_violations(A: Mat, B: Mat, x: Vec, y: Vec) -> list[str]:
     r, c = _game_shape(A, B)
     if len(x) != r or len(y) != c:
         raise ValueError("profile dimensions do not match the game")
-    return (_best_response_violations(x, mat_vec(A, y), "row")
-            + _best_response_violations(y, vec_mat(x, B), "column"))
+    return _profile_violations(*int_matrix(A), *int_matrix(transpose(B)), x, y)[0]
 
 
 def check_ne(A: Mat, B: Mat, x: Vec, y: Vec) -> bool:
@@ -125,7 +149,9 @@ def symmetric_ne_violations(S: Mat, z: Vec) -> list[str]:
         raise ValueError("matrix must be square")
     if len(z) != r:
         raise ValueError("profile dimension does not match the game")
-    return _best_response_violations(z, mat_vec(S, z), "strategy")
+    s, ls = int_matrix(S)
+    Z, dz = int_vec(z)
+    return _best_response_violations(Z, dz, _payoffs(s, Z), ls * dz, "strategy")
 
 
 # --- support enumeration --------------------------------------------------
@@ -331,13 +357,13 @@ def _reduced(N: dict[int, int], d: int) -> TableauRow:
     return {j: v // g for j, v in N.items()}, d // g
 
 
-def _tableau(M: Mat, z0: int, s0: int, rhs: int) -> list[TableauRow]:
-    """Rows of M1 z + s = 1, where M1 = M + (1 - min M) has every entry
-    positive, z's variable j is column z0 + j, row i's slack is column
-    s0 + i and the rhs is column `rhs`.  With M = m / l for `int_matrix`'s
-    m and l, row i is (m_i + l - min m, the slack's l, l) / l.
+def _tableau(m: list[list[int]], l: int, z0: int, s0: int, rhs: int) -> list[TableauRow]:
+    """Rows of M1 z + s = 1, where M = m / l is a payoff matrix as
+    `int_matrix` gives it and M1 = M + (1 - min M) has every entry
+    positive; z's variable j is column z0 + j, row i's slack is column
+    s0 + i and the rhs is column `rhs`.  Row i is (m_i + l - min m, the
+    slack's l, l) / l.
     """
-    m, l = int_matrix(M)
     shift = l - min(min(row) for row in m)
     return [_reduced({**{z0 + j: v + shift for j, v in enumerate(row)}, s0 + i: l, rhs: l}, l)
             for i, row in enumerate(m)]
@@ -414,7 +440,9 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     # shifted to positive entries (see `_tableau`).  Variable t carries label
     # t % n, so its complement is (t + n) % 2n.
     rhs = 2 * n
-    rows = _tableau(A, r, n, rhs) + _tableau(transpose(B), 0, n + r, rhs)
+    a, la = int_matrix(A)
+    bt, lb = int_matrix(transpose(B))
+    rows = _tableau(a, la, r, n, rhs) + _tableau(bt, lb, 0, n + r, rhs)
     basis = list(range(n, rhs))
     var = dropped_label
     for _ in range(max_pivots):
@@ -434,12 +462,10 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
         raise RayTermination("pivoting terminated at the artificial equilibrium")
     x = [v / sx for v in x]
     y = [v / sy for v in y]
-    Ay, xB = mat_vec(A, y), vec_mat(x, B)
-    bad = (_best_response_violations(x, Ay, "row")
-           + _best_response_violations(y, xB, "column"))
+    bad, pi1, pi2 = _profile_violations(a, la, bt, lb, x, y)
     if bad:
         raise RayTermination("pivoting result fails the equilibrium checker: " + bad[0])
-    return NeCertificate(x, y, vec_dot(x, Ay), vec_dot(xB, y))
+    return NeCertificate(x, y, pi1, pi2)
 
 
 # --- fixed points -----------------------------------------------------------

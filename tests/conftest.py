@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from nashforge import brouwer, compiler, fixp, lcp
-from nashforge.exactmath import is_upper_triangular, mat_shape, mat_vec, rank, vec_add
+from nashforge import brouwer, compiler, fixp, lcp, lp
+from nashforge.exactmath import is_upper_triangular, mat_shape, rank, vec_add
 
 
 def one_minus_circuit():
@@ -94,6 +94,70 @@ def is_unit_lower_triangular(m) -> bool:
             if m[i][j] != 0:
                 return False
     return True
+
+
+# --- dense Fraction products and checkers, the referees of the integer
+# checkers in nash.py, lcp.py and lp.py ---
+
+def referee_dot(u, v) -> F:
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def referee_mat_vec(m, v) -> list:
+    return [referee_dot(row, v) for row in m]
+
+
+def referee_vec_mat(v, m) -> list:
+    return referee_mat_vec([list(col) for col in zip(*m)], v)
+
+
+def referee_best_response_violations(w, payoffs, name: str) -> list[str]:
+    """w is a mixed strategy, and only best responses to `payoffs` carry weight."""
+    if any(v < 0 for v in w):
+        return [f"{name} weights include a negative one"]
+    if sum(w) != 1:
+        return [f"{name} weights sum to {sum(w)}, not 1"]
+    pi = referee_dot(w, payoffs)
+    out = []
+    for i, (wi, v) in enumerate(zip(w, payoffs)):
+        if v > pi:
+            out.append(f"{name} {i} pays {v} > {pi}: profitable deviation")
+        if wi * (v - pi) != 0:
+            out.append(f"{name} complementarity fails at {i}")
+    return out
+
+
+def referee_ne_violations(A, B, x, y) -> list[str]:
+    return (referee_best_response_violations(x, referee_mat_vec(A, y), "row")
+            + referee_best_response_violations(y, referee_vec_mat(x, B), "column"))
+
+
+def referee_symmetric_ne_violations(S, z) -> list[str]:
+    return referee_best_response_violations(z, referee_mat_vec(S, z), "strategy")
+
+
+def referee_kkt_violations(P, lam, x, y) -> list[str]:
+    """The KKT conditions of the LP at lam, from the dense view of A."""
+    out = []
+    rhs = lp.lam_rhs(P, lam)
+    A = P.A
+    ax = referee_mat_vec(A, x)
+    for i in range(P.m):
+        if x[i] < 0:
+            out.append(f"x_{i} negative")
+        if ax[i] < rhs[i]:
+            out.append(f"primal row {i} infeasible")
+        if y[i] * (ax[i] - rhs[i]) != 0:
+            out.append(f"dual complementarity fails at row {i}")
+    aty = referee_vec_mat(y, A)
+    for i in range(P.m):
+        if y[i] < 0:
+            out.append(f"y_{i} negative")
+        if aty[i] > P.c[i]:
+            out.append(f"dual row {i} infeasible")
+        if x[i] * (aty[i] - P.c[i]) != 0:
+            out.append(f"primal complementarity fails at row {i}")
+    return out
 
 
 def referee_pivot(t, r: int, s: int) -> None:
@@ -199,7 +263,7 @@ def referee_build_direct_lcp(P) -> tuple[list, list]:
 
 def referee_lcp_violations(M, q, z) -> list[str]:
     out = []
-    mz = mat_vec(M, z)
+    mz = referee_mat_vec(M, z)
     for i in range(len(M)):
         if z[i] < 0:
             out.append(f"z_{i} negative")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -207,36 +208,22 @@ class TestLinearSystem:
         assert x == [F(2), F(3)]
 
 
-def plain_sum(terms):
-    """Left-to-right Fraction sum of every term, zeros included."""
-    total = F(0)
-    for t in terms:
-        total = total + t
-    return total
-
-
 # mostly zeros, spelled both as int and as Fraction
 SPARSE = st.one_of(st.just(0), st.just(F(0)), st.just(0), st.just(F(0)),
                    st.integers(-3, 3), st.fractions(-5, 5, max_denominator=4))
 
 
-@st.composite
-def sparse_products(draw):
-    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    m = draw(st.lists(st.lists(SPARSE, min_size=c, max_size=c), min_size=r, max_size=r))
-    return m, draw(st.lists(SPARSE, min_size=c, max_size=c)), draw(
-        st.lists(SPARSE, min_size=r, max_size=r))
-
-
-class TestProductsSkipZeros:
-    """The products skip zero factors; the sums must not change."""
+class TestIntVec:
+    """int_vec clears a vector's denominators by their lcm, and reads a
+    sparse row's values as well as a list."""
 
     @settings(max_examples=200, deadline=None)
-    @given(sparse_products())
-    def test_equal_plain_sums(self, case):
-        m, v, u = case
-        want_mv = [plain_sum(a * b for a, b in zip(row, v)) for row in m]
-        want_um = [plain_sum(u[i] * m[i][j] for i in range(len(m))) for j in range(len(v))]
-        got = [*em.mat_vec(m, v), *em.vec_mat(u, m), em.vec_dot(m[0], v)]
-        assert got == [*want_mv, *want_um, want_mv[0]]
-        assert all(type(x) is F for x in got)
+    @given(st.lists(SPARSE, max_size=6))
+    def test_clears_denominators_by_their_lcm(self, v):
+        ints, d = em.int_vec(v)
+        assert all(type(a) is int for a in ints) and d > 0
+        assert [F(a, d) for a in ints] == v
+        assert d == math.lcm(*(F(x).denominator for x in v))
+        # zeros have denominator 1, so dropping them leaves the lcm alone
+        row = {j: x for j, x in enumerate(v) if x}
+        assert em.int_vec(row.values()) == ([a for a in ints if a], d)

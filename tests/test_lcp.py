@@ -19,7 +19,7 @@ from nashforge.lcp import (
 from conftest import (
     ne_to_symmetrized, one_minus_circuit, random_raw_circuit, referee_build_direct_lcp,
     referee_build_game, referee_build_lcp_C, referee_build_symmetric_game,
-    referee_lcp_violations, referee_normalize, symmetrized_to_ne,
+    referee_lcp_violations, referee_mat_vec, referee_normalize, sparse_rows, symmetrized_to_ne,
 )
 from test_fixp import raw_builder_circuits
 
@@ -225,6 +225,50 @@ class TestSparseRowsMatchDenseReferees:
             assert bool(witness) == bool(referee_lcp_violations(M, q, z))
 
 
+LCP_ENTRIES = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def lcp_cases(draw):
+    """An n x n M (all zero, or with zeros and mixed denominators), a
+    rational q and a z with negative entries among them; in half the draws
+    q is moved to Mz plus a slack that is zero wherever z is nonzero, so
+    that every condition but z >= 0 can hold."""
+    n = draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([st.just(F(0)), LCP_ENTRIES]))
+    M = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    z = draw(st.lists(LCP_ENTRIES, min_size=n, max_size=n))
+    q = draw(st.lists(LCP_ENTRIES, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        q = [v + (abs(s) if not zi else 0) for v, s, zi in zip(referee_mat_vec(M, z), q, z)]
+    return M, q, z
+
+
+class TestLcpCheckerMatchesFractionReferee:
+    @settings(max_examples=300, deadline=None)
+    @given(lcp_cases())
+    def test_same_messages(self, case):
+        M, q, z = case
+        inst = lcp.LcpInstance("direct", sparse_rows(M), q, len(M), 0, ())
+        assert lcp_violations(inst, z) == referee_lcp_violations(M, q, z)
+
+
+def test_semimonotone_battery_builds_the_lcp_once(monkeypatch, worked):
+    ns = normalize(worked[0])     # a system with nothing cached yet
+    calls = []
+    build = lcp.build_lcp_C
+    monkeypatch.setattr(lcp, "build_lcp_C", lambda system: calls.append(system) or build(system))
+    rng = random.Random(7)
+    n = 2 * ns.lp.m
+    for _ in range(40):
+        z = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
+        z[rng.randrange(n)] = F(1)
+        assert semimonotone_witness(ns, z, [F(rng.randint(1, 8), rng.randint(1, 4))
+                                            for _ in range(n)])
+    assert calls == [ns]
+    assert ns.lcp_c.q == build(ns).q     # the witnesses left the shared LCP's q alone
+
+
 def test_lcp_layer_never_reads_dense_A(monkeypatch, rng):
     reads = []
     dense_view = lp.ParamLP.A
@@ -243,6 +287,9 @@ def test_lcp_layer_never_reads_dense_A(monkeypatch, rng):
         ne_to_lcp(ns, cert.x, cert.y)
         imi = imitation_game(sym)
         symne_to_lcp(P, nash.lemke_howson(imi.A, imi.B).y)
+        lam = [F(1, 3)] * P.k
+        x = lp.solve_lp(P, lam)
+        assert not lp.kkt_violations(P, lam, x, lp.construct_dual(P, lam, x))
     assert reads == []
 
 

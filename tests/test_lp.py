@@ -15,7 +15,7 @@ from nashforge.lp import (
 
 from conftest import (
     false_clamp_claim_circuit, is_unit_lower_triangular, one_minus_circuit, random_lambda,
-    random_raw_circuit, swap_circuit,
+    random_raw_circuit, referee_kkt_violations, swap_circuit,
 )
 
 
@@ -205,6 +205,22 @@ class TestKkt:
         lam = [F(1, 2)]
         x = solve_lp(P, lam)
         assert kkt_violations(P, lam, x, [F(0), F(0)])
+
+
+class TestKktMatchesDenseReferee:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2]))
+    def test_same_messages(self, seed, k):
+        # the solver's (x, y), then copies with entries moved, negatives among them
+        rng = random.Random(seed)
+        P, _ = build_param_lp(random_raw_circuit(rng, k, 3))
+        lam = random_lambda(rng, k)
+        x = solve_lp(P, lam)
+        y = construct_dual(P, lam, x)
+        for _ in range(4):
+            assert kkt_violations(P, lam, x, y) == referee_kkt_violations(P, lam, x, y)
+            v = rng.choice((x, y))
+            v[rng.randrange(P.m)] += F(rng.randint(-3, 3), rng.randint(1, 4))
 
 
 def lp_outputs(P, lam):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import nashforge
 from nashforge import lcp, lp, nash
-from nashforge.exactmath import mat_shape, mat_vec, transpose, vec_dot, vec_mat
+from nashforge.exactmath import int_matrix, mat_shape, transpose
 from nashforge.nash import (
     DimensionTooLarge, EnumerationResult, NeCertificate, PivotLimitReached, RayTermination,
     SymCertificate, check_fixed_point, check_ne, enumerate_ne, enumerate_symmetric_ne,
@@ -24,7 +24,9 @@ from nashforge.nash import (
 from nashforge.nash import _lex_pivot, _on_support, _tableau
 
 from conftest import (
-    ne_to_symmetrized, one_minus_circuit, referee_solve_linear_system, sparse_rows, swap_circuit,
+    ne_to_symmetrized, one_minus_circuit, referee_dot, referee_mat_vec, referee_ne_violations,
+    referee_solve_linear_system, referee_symmetric_ne_violations, referee_vec_mat, sparse_rows,
+    swap_circuit,
 )
 
 
@@ -402,10 +404,11 @@ def referee_lemke_howson(A, B, dropped_label=0):
         raise RayTermination("pivoting terminated at the artificial equilibrium")
     x = [v / sx for v in x]
     y = [v / sy for v in y]
-    bad = ne_violations(A, B, x, y)
+    bad = referee_ne_violations(A, B, x, y)
     if bad:
         raise RayTermination("pivoting result fails the equilibrium checker: " + bad[0])
-    return NeCertificate(x, y, vec_dot(x, mat_vec(A, y)), vec_dot(vec_mat(x, B), y))
+    return NeCertificate(x, y, referee_dot(x, referee_mat_vec(A, y)),
+                         referee_dot(referee_vec_mat(x, B), y))
 
 
 ENTRIES = st.sampled_from([F(v) for v in (-1, 0, 0, 1, 1, 2)] + [F(1, 2)])
@@ -524,14 +527,17 @@ class TestIntegerTableau:
         q_col = [*range(r, n), *range(n, n + r), 2 * n]
         want = [({col[j]: v for j, v in N.items()}, d)
                 for rows, col in ((rows_q, q_col), (rows_p, p_col)) for N, d in rows]
-        assert _tableau(A, r, n, 2 * n) + _tableau(transpose(B), 0, n + r, 2 * n) == want
+        assert (_tableau(*int_matrix(A), r, n, 2 * n)
+                + _tableau(*int_matrix(transpose(B)), 0, n + r, 2 * n)) == want
 
     def test_final_check_takes_one_pair_of_products(self, monkeypatch):
-        # pi1 and pi2 are read from the products the equilibrium check takes
+        # the integer payoffs are cleared once per player and shared by the
+        # tableau and the final check; pi1 and pi2 are read from the one
+        # pair of integer products that check takes
         A = frac_mat([[3, 3], [2, 5], [0, 6]])
         B = frac_mat([[3, 2], [2, 6], [3, 1]])
         want = referee_lemke_howson(A, B, 0)
-        calls = {"mat_vec": 0, "vec_mat": 0}
+        calls = {"int_matrix": 0, "_payoffs": 0}
 
         def counted(name):
             f = getattr(nash, name)
@@ -543,7 +549,7 @@ class TestIntegerTableau:
         for name in calls:
             monkeypatch.setattr(nash, name, counted(name))
         assert lemke_howson(A, B, 0) == want
-        assert calls == {"mat_vec": 1, "vec_mat": 1}
+        assert calls == {"int_matrix": 2, "_payoffs": 2}
 
 
 class TestLemkeHowsonAgreesWithEnumeration:
@@ -599,8 +605,8 @@ def referee_enumerate_ne(A, B):
                 degenerate |= status == "many"
                 if status != "unique" or min(x) < 0 or min(y) < 0:
                     continue
-                screened = referee_screen([(mat_vec(A, y), pi1, x, sx),
-                                           (vec_mat(x, B), pi2, y, sy)])
+                screened = referee_screen([(referee_mat_vec(A, y), pi1, x, sx),
+                                           (referee_vec_mat(x, B), pi2, y, sy)])
                 if screened is None:
                     continue
                 degenerate |= screened
@@ -618,7 +624,7 @@ def referee_enumerate_symmetric_ne(S):
             degenerate |= status == "many"
             if status != "unique" or min(z) < 0:
                 continue
-            screened = referee_screen([(mat_vec(S, z), pi, z, supp)])
+            screened = referee_screen([(referee_mat_vec(S, z), pi, z, supp)])
             if screened is None:
                 continue
             degenerate |= screened
@@ -652,6 +658,66 @@ class TestEnumerationReferee:
     def test_symmetric_matches_fraction_enumerator(self, game):
         S, _ = game
         assert enumerate_symmetric_ne(S) == referee_enumerate_symmetric_ne(S)
+
+
+# weights: zeros, negatives and mixed denominators
+WEIGHTS = st.one_of(st.just(F(0)), st.fractions(min_value=-2, max_value=3, max_denominator=6))
+
+
+@st.composite
+def weight_vectors(draw, n):
+    """n weights: a mixed strategy (pure ones included), the same scaled
+    off the simplex, or arbitrary weights, negatives among them."""
+    w = draw(st.lists(WEIGHTS, min_size=n, max_size=n))
+    how = draw(st.sampled_from(["mixed", "scaled", "raw"]))
+    if how != "raw":
+        w = [abs(v) for v in w]
+        if not any(w):
+            w[draw(st.integers(0, n - 1))] = F(1)
+        total = sum(w) / (1 if how == "mixed" else draw(st.sampled_from([F(2), F(2, 3)])))
+        w = [v / total for v in w]
+    return w
+
+
+@st.composite
+def checked_profiles(draw, square=False):
+    """A 1-4 x 1-4 game (square ones for the symmetric checker), entries all
+    zero or from ALPHABETS, and a profile: drawn by `weight_vectors`, or an
+    equilibrium that enumeration finds."""
+    r = draw(st.integers(1, 4))
+    c = r if square else draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([st.just(F(0)), *ALPHABETS]))
+    mat = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    A, B = draw(mat), draw(mat)
+    x, y = draw(weight_vectors(r)), draw(weight_vectors(c))
+    if draw(st.booleans()):
+        found = (enumerate_symmetric_ne(A).equilibria if square
+                 else enumerate_ne(A, B).equilibria)
+        if found:
+            cert = draw(st.sampled_from(found))
+            x, y = (cert.z, cert.z) if square else (cert.x, cert.y)
+    return A, B, x, y
+
+
+class TestCheckersMatchFractionReferees:
+    """The integer checkers report exactly the messages of the dense
+    Fraction checkers in conftest, in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(checked_profiles())
+    @example((PENNIES_A, PENNIES_B, [F(1), F(0)], [F(1, 2), F(1, 2)]))   # deviation, slack
+    @example((PENNIES_A, PENNIES_B, [F(1, 2), F(1, 3)], [F(1), F(0)]))   # sum is not 1
+    @example((PENNIES_A, PENNIES_B, [F(3, 2), F(-1, 2)], [F(1), F(0)]))  # negative weight
+    def test_bimatrix(self, case):
+        A, B, x, y = case
+        assert ne_violations(A, B, x, y) == referee_ne_violations(A, B, x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(checked_profiles(square=True))
+    @example((RPS, RPS, [F(1), F(0), F(0)], [F(1), F(0), F(0)]))
+    def test_symmetric(self, case):
+        S, _, z, _ = case
+        assert symmetric_ne_violations(S, z) == referee_symmetric_ne_violations(S, z)
 
 
 # the support solve by shared minors: Cramer's rule on each nonsingular
