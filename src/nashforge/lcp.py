@@ -111,6 +111,12 @@ class LcpInstance:
     k: int
     output_rows: tuple[int, ...]
 
+    @cached_property
+    def _int_rows(self) -> list[tuple[list[int], list[int], int]]:
+        """Each row of M as its columns, its entries times their lcm l, and
+        l: cleared on first use, then shared by every check of this M."""
+        return [(list(row), *int_vec(row.values())) for row in self.M]
+
 
 def build_lcp_C(ns: NormalizedSystem) -> LcpInstance:
     """Two-sided system on z = (x, y): H'x >= b, H^T y <= 1, complementary."""
@@ -128,19 +134,21 @@ def build_direct_lcp(lp: ParamLP) -> LcpInstance:
     return LcpInstance("direct", M, q, lp.m, lp.k, lp.output_rows)
 
 
-def lcp_violations(lcp: LcpInstance, z: Vec) -> list[str]:
-    """The conditions z >= 0, Mz <= q and z_i (q - Mz)_i = 0, on integers:
-    z = Z / dz over one denominator and each row over its own lcm l, so
-    (Mz)_i = mz / (l dz) is compared with q_i by cross-multiplication."""
+def lcp_violations(lcp: LcpInstance, z: Vec, q: Vec | None = None) -> list[str]:
+    """The conditions z >= 0, Mz <= q and z_i (q - Mz)_i = 0, on integers,
+    against `q` when given and the instance's own q otherwise: z = Z / dz
+    over one denominator and each row over its own lcm l, so (Mz)_i = mz /
+    (l dz) is compared with q_i by cross-multiplication."""
     n = len(lcp.M)
     if len(z) != n:
         raise ValueError(f"expected solution of length {n}")
+    if q is None:
+        q = lcp.q
     Z, dz = int_vec(z)
     out = []
-    for i, (row, q, zi) in enumerate(zip(lcp.M, lcp.q, Z)):
-        vals, l = int_vec(row.values())
-        mz = sum(map(mul, vals, map(Z.__getitem__, row))) * q.denominator
-        qz = q.numerator * l * dz
+    for i, ((cols, vals, l), qi, zi) in enumerate(zip(lcp._int_rows, q, Z)):
+        mz = sum(map(mul, vals, map(Z.__getitem__, cols))) * qi.denominator
+        qz = qi.numerator * l * dz
         if zi < 0:
             out.append(f"z_{i} negative")
         if mz > qz:
@@ -164,7 +172,7 @@ def semimonotone_witness(ns: NormalizedSystem, z: Vec, q: Vec) -> str:
         raise ValueError("z must be nonnegative and nonzero")
     if any(qi <= 0 for qi in q):
         raise ValueError("q must be strictly positive")
-    bad = lcp_violations(replace(ns.lcp_c, q=q), z)
+    bad = lcp_violations(ns.lcp_c, z, q)
     if not bad:
         raise LemmaFalsified("nonzero z solves the LCP against positive q")
     return bad[0]

@@ -28,14 +28,19 @@ Lemke-Howson serves as an independent second solver and the one that
 scales to compiled games.  It is complementary pivoting, with a
 lexicographic ratio test so degenerate ties cannot cycle, on one tableau
 of the game's LCP w = 1 - [[0, A1], [B1^T, 0]] z: z = (x, y) and w = (u,
-v) are the variables 0..2n-1 (n = rows + cols), variable t carries label
-t mod n, and its tableau rows are sparse integers over one reduced
-denominator each.
+v) are the variables 0..2n-1 (n = rows + cols), and variable t carries
+label t mod n.  The tableau is two blocks, A1 y + u = 1 and B1^T x + v =
+1, each a condensed integer tableau (`_Condensed`): a row is a dense list
+of integers over one reduced denominator, holding the rhs and the block's
+nonbasic columns only, while the basic columns are implicit unit vectors.
+The lexicographic rule reads a basic column as that unit vector, so the
+row it is basic in drops out of a tie.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -343,80 +348,123 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
 
 # --- Lemke-Howson ----------------------------------------------------------
 
-# A tableau row is N/d: N maps column -> nonzero integer, d > 0, and
-# gcd(d, all of N) = 1, so every entry is held in lowest terms without a
-# Fraction per entry.  That form is unique, so equal rows are equal tuples.
-TableauRow = tuple[dict[int, int], int]
+class _Condensed:
+    """A condensed integer tableau of M z + w = q, pivoted lexicographically.
 
-
-def _reduced(N: dict[int, int], d: int) -> TableauRow:
-    """The row N / d (d > 0) in lowest terms."""
-    g = gcd(d, *N.values())
-    if g == 1:
-        return N, d
-    return {j: v // g for j, v in N.items()}, d // g
-
-
-def _tableau(m: list[list[int]], l: int, z0: int, s0: int, rhs: int) -> list[TableauRow]:
-    """Rows of M1 z + s = 1, where M = m / l is a payoff matrix as
-    `int_matrix` gives it and M1 = M + (1 - min M) has every entry
-    positive; z's variable j is column z0 + j, row i's slack is column
-    s0 + i and the rhs is column `rhs`.  Row i is (m_i + l - min m, the
-    slack's l, l) / l.
+    Row i is N_i / d_i with d_i > 0 and gcd(d_i, *N_i) = 1, so every entry
+    is held in lowest terms without a Fraction per entry, and the form is
+    unique.  N_i is a dense list over the nonbasic columns only: slot 0 is
+    the rhs and slot j >= 1 the column of the nonbasic variable slots[j]
+    (slots[0] is a placeholder).  The column of the variable basis[i] is
+    the unit vector e_i, held implicitly: its entry in row i is d_i / d_i.
     """
-    shift = l - min(min(row) for row in m)
-    return [_reduced({**{z0 + j: v + shift for j, v in enumerate(row)}, s0 + i: l, rhs: l}, l)
-            for i, row in enumerate(m)]
+
+    __slots__ = ("rows", "dens", "basis", "slots", "where", "order")
+
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: Iterable[int],
+                 slots: Iterable[int]):
+        """Rows [q_i, M_i] over the denominators `dens`, reduced here; w
+        is the variables `basis` and z the variables `slots`, in order.
+        Variables are integers, and the ratio test walks them in
+        increasing order."""
+        self.rows, self.dens = [], []
+        for row, d in zip(rows, dens):
+            g = gcd(d, *row)
+            self.rows.append([v // g for v in row])
+            self.dens.append(d // g)
+        self.basis = list(basis)
+        self.slots = [-1, *slots]
+        # a nonbasic variable maps to its slot (>= 1), the one basic in row k to ~k (< 0)
+        self.where = {v: ~k for k, v in enumerate(self.basis)}
+        self.where.update((v, j) for j, v in enumerate(self.slots) if j)
+        self.order = sorted(self.where)
+
+    def enter(self, var: int) -> int | None:
+        """Bring the nonbasic `var` into the basis and return the variable
+        that leaves, or None when no entry in its column is positive (the
+        path is unbounded).
+
+        The pivot row has the lexicographically least ratio vector (the
+        rhs first, then every variable's column in increasing order, over
+        the entry in var's column).  The vectors are compared one column
+        at a time, keeping only the rows still tied, which picks the row
+        that a full-tuple minimum picks.  A ratio does not depend on the
+        row's denominator, so on a nonbasic column two rows compare by
+        cross-multiplying their numerators.  The column of the variable
+        basic in row k is positive in row k only, so there row k drops
+        out whenever other rows are still tied.
+        """
+        s, where = self.where[var], self.where
+        tied = [(i, N, N[s]) for i, N in enumerate(self.rows) if N[s] > 0]
+        if not tied:
+            return None
+        for j in itertools.chain((0,), map(where.__getitem__, self.order)):
+            if len(tied) == 1:
+                break
+            if j < 0:
+                tied = [t for t in tied if t[0] != ~j]
+                continue
+            a, q = tied[0][1][j], tied[0][2]
+            for _, N, q2 in tied:
+                a2 = N[j]
+                if a2 * q < a * q2:
+                    a, q = a2, q2
+            tied = [t for t in tied if t[1][j] * q == a * t[2]]
+        r = tied[0][0]
+        self._pivot(r, s)
+        leaving = self.basis[r]
+        self.basis[r], self.slots[s] = var, leaving
+        where[var], where[leaving] = ~r, s
+        return leaving
+
+    def _pivot(self, r: int, s: int) -> None:
+        """Gauss-Jordan step on (r, s), which needs N_r[s] > 0; slot s then
+        holds the column of the variable leaving row r, whose entry in row
+        r is d_r.  So row r, with d_r written into slot s, becomes N_r /
+        N_r[s].  A row i nonzero in slot s becomes (p N_i - f N_r) / (d_i p)
+        with p, N_r the new pivot row and f = N_i[s], except that its slot
+        s is -f N_r[s].  Rows zero in slot s are untouched, and every row
+        written is divided by its gcd."""
+        rows, dens = self.rows, self.dens
+        Nr = rows[r][:]
+        p, Nr[s] = Nr[s], dens[r]
+        g = gcd(p, *Nr)
+        if g != 1:
+            Nr = [v // g for v in Nr]
+            p //= g
+        rows[r], dens[r] = Nr, p
+        w = Nr[s]
+        for i, Ni in enumerate(rows):
+            f = Ni[s]
+            if not f or i == r:
+                continue
+            N = [p * v - f * u for v, u in zip(Ni, Nr)]
+            N[s] = -f * w
+            d = dens[i] * p
+            g = gcd(d, *N)
+            if g != 1:
+                N = [v // g for v in N]
+                d //= g
+            rows[i], dens[i] = N, d
 
 
-def _pivot(rows: list[TableauRow], r: int, s: int) -> None:
-    """Gauss-Jordan step on (r, s), which needs N_r[s] > 0.  Row r becomes
-    N_r / N_r[s]; a row i nonzero in column s becomes (p N_i - f N_r) /
-    (d_i p) with p, N_r the new pivot row and f = N_i[s].  Rows zero in
-    column s are untouched, and every row written is divided by its gcd."""
-    N = rows[r][0]
-    rows[r] = Nr, p = _reduced(N, N[s])
-    for i, (Ni, di) in enumerate(rows):
-        f = Ni.get(s)
-        if f is None or i == r:
-            continue
-        N = Ni if p == 1 else {j: p * v for j, v in Ni.items()}
-        for j, w in Nr.items():
-            v = N.get(j, 0) - f * w
-            if v:
-                N[j] = v
-            else:
-                del N[j]
-        rows[i] = _reduced(N, di * p)
+def _lcp_blocks(a: list[list[int]], la: int, bt: list[list[int]], lb: int
+                ) -> tuple[_Condensed, _Condensed]:
+    """The two blocks A1 y + u = 1 and B1^T x + v = 1 of the LCP of the
+    r x c game (a / la, (bt / lb)^T), its payoffs as `int_matrix` gives
+    them.  A1 and B1 are the payoffs shifted by 1 - min to positive
+    entries, and x, y, u, v are the variables from 0, r, n and n + r on
+    (n = r + c).  The shift enters as the integer l - min m, so row i of a
+    block is (l, m_i + l - min m) / l, reduced, and no shifted Fraction
+    copy of a payoff matrix is made."""
+    r, c = len(a), len(bt)
+    n = r + c
 
-
-def _lex_pivot(rows: list[TableauRow], basis: list[int], col: int, rhs: int) -> int:
-    """Pivot on column `col`; the lexicographically least ratio row wins.
-    Returns the leaving variable.
-
-    The ratio vectors (column `rhs` first, then columns 0..rhs-1, over the
-    entry in `col`) are compared one column at a time, keeping only the
-    rows still tied, which picks the row that a full-tuple minimum picks.
-    A ratio N_i[j] / N_i[col] does not depend on the row's denominator, so
-    two rows compare by cross-multiplying their numerators.
-    """
-    tied = [(i, N, N[col]) for i, (N, _) in enumerate(rows) if N.get(col, 0) > 0]
-    if not tied:
-        raise RayTermination("no positive pivot entry; the path is unbounded")
-    for j in (rhs, *range(rhs)):
-        if len(tied) == 1:
-            break
-        a, q = tied[0][1].get(j, 0), tied[0][2]
-        for _, N, q2 in tied:
-            a2 = N.get(j, 0)
-            if a2 * q < a * q2:
-                a, q = a2, q2
-        tied = [t for t in tied if t[1].get(j, 0) * q == a * t[2]]
-    best = tied[0][0]
-    _pivot(rows, best, col)
-    leaving = basis[best]
-    basis[best] = col
-    return leaving
+    def block(m: list[list[int]], l: int, z0: int, w0: int) -> _Condensed:
+        shift = l - min(min(row) for row in m)
+        return _Condensed([[l, *(v + shift for v in row)] for row in m], [l] * len(m),
+                          range(w0, w0 + len(m)), range(z0, z0 + len(m[0])))
+    return block(a, la, r, n), block(bt, lb, 0, n + r)
 
 
 def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = None,
@@ -435,36 +483,41 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     if not 0 <= dropped_label < n:
         raise ValueError(f"label must lie in 0..{n - 1}")
 
-    # The game's LCP w = 1 - [[0, A1], [B1^T, 0]] z over z = (x, y), the
-    # variables 0..n-1, and w = (u, v), the variables n..2n-1, with A1 and B1
-    # shifted to positive entries (see `_tableau`).  Variable t carries label
-    # t % n, so its complement is (t + n) % 2n.
-    rhs = 2 * n
+    # The game's LCP over z = (x, y), the variables 0..n-1, and w = (u, v),
+    # the variables n..2n-1, in two blocks (see `_lcp_blocks`): y and u lie
+    # in the first, x and v in the second.  Variable t carries label t % n,
+    # so its complement is (t + n) % 2n.
     a, la = int_matrix(A)
     bt, lb = int_matrix(transpose(B))
-    rows = _tableau(a, la, r, n, rhs) + _tableau(bt, lb, 0, n + r, rhs)
-    basis = list(range(n, rhs))
+    first, second = _lcp_blocks(a, la, bt, lb)
     var = dropped_label
-    for _ in range(max_pivots):
-        leaving = _lex_pivot(rows, basis, var, rhs)
+    for pivots in range(max_pivots):
+        leaving = (first if r <= var < n + r else second).enter(var)
+        if leaving is None:
+            raise RayTermination(f"Lemke-Howson found no positive pivot entry after {pivots}"
+                                 f" pivots on the {r}x{c} game from label {dropped_label};"
+                                 " the path is unbounded")
         if leaving % n == dropped_label:
             break
-        var = (leaving + n) % rhs
+        var = (leaving + n) % (2 * n)
     else:
         raise PivotLimitReached(f"Lemke-Howson found no equilibrium within its bound of"
                                 f" {max_pivots} pivots on the {r}x{c} game from label"
                                 f" {dropped_label}")
 
-    z = spread({t: Fraction(N.get(rhs, 0), d) for (N, d), t in zip(rows, basis) if t < n}, n)
+    instance = f"after {pivots + 1} pivots on the {r}x{c} game from label {dropped_label}"
+    z = spread({t: Fraction(N[0], d) for block in (first, second)
+                for t, N, d in zip(block.basis, block.rows, block.dens) if t < n}, n)
     x, y = z[:r], z[r:]
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
-        raise RayTermination("pivoting terminated at the artificial equilibrium")
+        raise RayTermination(f"Lemke-Howson terminated at the artificial equilibrium {instance}")
     x = [v / sx for v in x]
     y = [v / sy for v in y]
     bad, pi1, pi2 = _profile_violations(a, la, bt, lb, x, y)
     if bad:
-        raise RayTermination("pivoting result fails the equilibrium checker: " + bad[0])
+        raise RayTermination(f"Lemke-Howson's result fails the equilibrium checker {instance}: "
+                             + bad[0])
     return NeCertificate(x, y, pi1, pi2)
 
 

@@ -269,6 +269,22 @@ def test_semimonotone_battery_builds_the_lcp_once(monkeypatch, worked):
     assert ns.lcp_c.q == build(ns).q     # the witnesses left the shared LCP's q alone
 
 
+def test_semimonotone_battery_clears_the_rows_once(monkeypatch, worked):
+    # the shared LCP's rows are cleared on the first check; after that each
+    # check clears only its z
+    ns = normalize(worked[0])
+    calls = []
+    clear = lcp.int_vec
+    monkeypatch.setattr(lcp, "int_vec", lambda v: calls.append(v) or clear(v))
+    rng = random.Random(7)
+    n = 2 * ns.lp.m
+    for _ in range(40):
+        z = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
+        z[rng.randrange(n)] = F(1)
+        semimonotone_witness(ns, z, [F(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(n)])
+    assert len(calls) == len(ns.lcp_c.M) + 40
+
+
 def test_lcp_layer_never_reads_dense_A(monkeypatch, rng):
     reads = []
     dense_view = lp.ParamLP.A

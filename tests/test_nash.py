@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -14,14 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashforge
-from nashforge import lcp, lp, nash
+from nashforge import brouwer, compiler, fixp, lcp, lp, nash
 from nashforge.exactmath import int_matrix, mat_shape, transpose
 from nashforge.nash import (
     DimensionTooLarge, EnumerationResult, NeCertificate, PivotLimitReached, RayTermination,
     SymCertificate, check_fixed_point, check_ne, enumerate_ne, enumerate_symmetric_ne,
     lemke_howson, ne_violations, symmetric_ne_violations,
 )
-from nashforge.nash import _lex_pivot, _on_support, _tableau
+from nashforge.nash import _Condensed, _lcp_blocks, _on_support
 
 from conftest import (
     ne_to_symmetrized, one_minus_circuit, referee_dot, referee_mat_vec, referee_ne_violations,
@@ -348,9 +349,11 @@ def referee_lex_pivot(T, basis, col):
     return leaving
 
 
-def referee_path(A, B, dropped_label):
+def referee_path(A, B, dropped_label, snapshots=None):
     """Dense Fraction Lemke-Howson: the (entering, leaving) variables of
-    every pivot, and the final P and Q tableaux with their bases."""
+    every pivot, and the final P and Q tableaux with their bases.  When a
+    list `snapshots` is given, a copy of (TP, basis_p, TQ, basis_q) is
+    appended to it after every pivot."""
     r, c = mat_shape(A)
     A1 = _shift_positive(A)
     B1 = _shift_positive(B)
@@ -362,6 +365,11 @@ def referee_path(A, B, dropped_label):
     TQ = [[A1[i][j] for j in range(c)] + [F(int(ii == i)) for ii in range(r)] + [F(1)]
           for i in range(r)]
     basis_q = [c + i for i in range(r)]
+
+    def record():
+        if snapshots is not None:
+            snapshots.append(([row[:] for row in TP], basis_p[:], [row[:] for row in TQ],
+                              basis_q[:]))
     path = []
     in_p = dropped_label < r
     entering = dropped_label if in_p else dropped_label - r
@@ -369,6 +377,7 @@ def referee_path(A, B, dropped_label):
         if in_p:
             leaving = referee_lex_pivot(TP, basis_p, entering)
             path.append((entering, leaving))
+            record()
             if leaving == dropped_label:
                 break
             # complement of x_i is u_i (at c+i in Q); of v_j it is y_j (at j)
@@ -376,6 +385,7 @@ def referee_path(A, B, dropped_label):
         else:
             leaving = referee_lex_pivot(TQ, basis_q, entering)
             path.append((entering, leaving))
+            record()
             if (r + leaving if leaving < c else leaving - c) == dropped_label:
                 break
             # complement of y_j is v_j (at r+j in P); of u_i it is x_i (at i)
@@ -418,7 +428,7 @@ ENTRIES = st.sampled_from([F(v) for v in (-1, 0, 0, 1, 1, 2)] + [F(1, 2)])
 def tied_tableaux(draw):
     """Small tableaux (last column the rhs) and a pivot column.  Entries come
     from a handful of values, so ratios tie often; positive multiples of
-    other rows tie on every ratio."""
+    other rows tie on every ratio but those of the unit basic columns."""
     n_cols = draw(st.integers(2, 5))
     T = draw(st.lists(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols),
                       min_size=1, max_size=5))
@@ -429,26 +439,42 @@ def tied_tableaux(draw):
     return T, draw(st.integers(0, n_cols - 2))
 
 
+def dense_rows(T, variables):
+    """The rows of a `_Condensed` tableau as Fraction lists over
+    `variables`, with the unit basic columns put back and the rhs last."""
+    slot = {v: j for j, v in enumerate(T.slots) if j}
+    return [[F(N[slot[v]], d) if v in slot else F(int(v == b)) for v in variables]
+            + [F(N[0], d)] for N, d, b in zip(T.rows, T.dens, T.basis)]
+
+
 class TestLexPivot:
     @settings(max_examples=400, deadline=None)
-    @given(tied_tableaux())
-    def test_matches_full_tuple_minimum(self, case):
+    @given(tied_tableaux(), st.data())
+    def test_matches_full_tuple_minimum(self, case, data):
         T, col = case
-        rhs = len(T[0]) - 1
-        basis = [100 + i for i in range(len(T))]
-        rows, got_basis = [_int_row(dict(enumerate(row))) for row in T], basis[:]
-        want_T, want_basis = [row[:] for row in T], basis[:]
+        m, k = len(T), len(T[0]) - 1
+        # over the variables 0..k+m-1, T's columns are the nonbasic `slots`;
+        # each row's basic variable, anywhere in the order, has a unit
+        # column that the referee is given and the condensed form implies
+        order = data.draw(st.permutations(range(k + m)))
+        slots, basis = order[:k], order[k:]
+        int_rows = [_int_row({0: row[-1], **{j + 1: v for j, v in enumerate(row[:-1])}})
+                    for row in T]
+        got = _Condensed([[N.get(j, 0) for j in range(k + 1)] for N, _ in int_rows],
+                         [d for _, d in int_rows], basis, slots)
+        want_T = [[row[slots.index(v)] if v in slots else F(int(v == b)) for v in range(k + m)]
+                  + [row[-1]] for row, b in zip(T, basis)]
+        want_basis = list(basis)
         try:
-            want = referee_lex_pivot(want_T, want_basis, col)
+            want = referee_lex_pivot(want_T, want_basis, slots[col])
         except RayTermination:
-            with pytest.raises(RayTermination):
-                _lex_pivot(rows, got_basis, col, rhs)
+            assert got.enter(slots[col]) is None
             return
-        assert _lex_pivot(rows, got_basis, col, rhs) == want
-        assert got_basis == want_basis
-        assert [[F(N.get(j, 0), d) for j in range(rhs + 1)] for N, d in rows] == want_T
-        for N, d in rows:
-            assert d > 0 and 0 not in N.values() and gcd(d, *N.values()) == 1
+        assert got.enter(slots[col]) == want
+        assert got.basis == want_basis
+        assert dense_rows(got, range(k + m)) == want_T
+        for N, d in zip(got.rows, got.dens):
+            assert d > 0 and gcd(d, *N) == 1
 
 
 RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -498,6 +524,72 @@ class TestPivotBound:
                 lemke_howson(A, B, label, max_pivots=needed - 1)
 
 
+class TestCondensedPath:
+    @settings(max_examples=60, deadline=None)
+    @given(small_games())
+    def test_blocks_equal_the_referee_after_every_pivot(self, game):
+        A, B = game
+        r, c = mat_shape(A)
+        n = r + c
+        # the referee's P columns x, v and Q columns y, u as LCP variables
+        p_vars = [*range(r), *range(n + r, 2 * n)]
+        q_vars = [*range(r, n + r)]
+        for label in range(n):
+            snapshots = []
+            path, _, _ = referee_path(A, B, label, snapshots)
+            first, second = _lcp_blocks(*int_matrix(A), *int_matrix(transpose(B)))
+            for pivot, ((entering, leaving), (TP, basis_p, TQ, basis_q)) in enumerate(
+                    zip(path, snapshots)):
+                # LH alternates sides from the dropped label's own
+                variables = p_vars if (pivot % 2 == 0) == (label < r) else q_vars
+                block = second if variables is p_vars else first
+                assert block.enter(variables[entering]) == variables[leaving]
+                assert dense_rows(second, p_vars) == TP
+                assert dense_rows(first, q_vars) == TQ
+                assert second.basis == [p_vars[t] for t in basis_p]
+                assert first.basis == [q_vars[t] for t in basis_q]
+
+
+class TestRayErrorsNameTheInstance:
+    # LH from label 1 on this game takes 4 pivots
+    GAME = (frac_mat([[3, 3], [2, 5], [0, 6]]), frac_mat([[3, 2], [2, 6], [3, 1]]))
+
+    def test_no_positive_pivot_entry(self, monkeypatch):
+        real, calls = _Condensed.enter, []
+
+        def enter(self, var):
+            calls.append(var)
+            return None if len(calls) == 3 else real(self, var)
+        monkeypatch.setattr(_Condensed, "enter", enter)
+        with pytest.raises(RayTermination, match=r"^Lemke-Howson found no positive pivot entry"
+                                                 r" after 2 pivots on the 3x2 game from label 1;"
+                                                 r" the path is unbounded$"):
+            lemke_howson(*self.GAME, 1)
+
+    def test_artificial_equilibrium(self, monkeypatch):
+        real = _Condensed.enter
+
+        def enter(self, var):
+            # the first pivot reports the dropped label as leaving, so the
+            # path stops with only x in the basis
+            real(self, var)
+            return 1
+        monkeypatch.setattr(_Condensed, "enter", enter)
+        with pytest.raises(RayTermination, match=r"^Lemke-Howson terminated at the artificial"
+                                                 r" equilibrium after 1 pivots on the 3x2 game"
+                                                 r" from label 1$"):
+            lemke_howson(*self.GAME, 1)
+
+    def test_result_fails_the_checker(self, monkeypatch):
+        violation = "row 0 pays 7 > 3: profitable deviation"
+        monkeypatch.setattr(nash, "_profile_violations", lambda *_: ([violation], F(0), F(0)))
+        needed = len(referee_path(*self.GAME, 1)[0])
+        with pytest.raises(RayTermination, match=rf"^Lemke-Howson's result fails the equilibrium"
+                                                 rf" checker after {needed} pivots on the 3x2"
+                                                 rf" game from label 1: {violation}$"):
+            lemke_howson(*self.GAME, 1)
+
+
 @st.composite
 def tableau_games(draw):
     """1-5 x 1-5 games, including 1x1 games: entries all equal, from the
@@ -521,14 +613,18 @@ class TestIntegerTableau:
         n = r + c
         rows_p, rows_q = referee_tableaux(A, B)
         # the referee numbers each side apart: P's x_i at i and v_j at r + j,
-        # Q's y_j at j and u_i at c + i, the rhs at r + c; one LCP tableau
-        # has x, y, u, v at 0, r, n, n + r and the rhs at 2n
+        # Q's y_j at j and u_i at c + i, the rhs at r + c; the LCP numbers
+        # x, y, u, v from 0, r, n, n + r, and the rhs goes at 2n here
         p_col = [*range(r), *range(n + r, 2 * n), 2 * n]
         q_col = [*range(r, n), *range(n, n + r), 2 * n]
         want = [({col[j]: v for j, v in N.items()}, d)
                 for rows, col in ((rows_q, q_col), (rows_p, p_col)) for N, d in rows]
-        assert (_tableau(*int_matrix(A), r, n, 2 * n)
-                + _tableau(*int_matrix(transpose(B)), 0, n + r, 2 * n)) == want
+        got = []
+        for T in _lcp_blocks(*int_matrix(A), *int_matrix(transpose(B))):
+            for N, d, b in zip(T.rows, T.dens, T.basis):
+                row = {v: w for v, w in zip([2 * n, *T.slots[1:]], N) if w}
+                got.append(({**row, b: d}, d))
+        assert got == want
 
     def test_final_check_takes_one_pair_of_products(self, monkeypatch):
         # the integer payoffs are cleared once per player and shared by the
@@ -831,6 +927,26 @@ class TestEnumerationBeyondDraws:
         monkeypatch.setattr(nash, "_on_support", lambda *args: calls.append(args))
         assert enumerate_ne(zero, zero) == referee_enumerate_ne(zero, zero)
         assert calls == []
+
+
+class TestCompiledGameCertificates:
+    # sha256 of repr(lemke_howson(A, B, label)) on the compiled, shrunk 1-D
+    # example (a 69x69 game), recorded from the sparse dict-row tableau that
+    # the condensed one replaced; this game reaches one equilibrium from
+    # every label
+    PINNED = dict.fromkeys(
+        (0, 1, 68, 69, 137), "3a04730db3e96ccd45d75a153029e900bb102cde48208a890f4fa586731fb888")
+
+    def test_certificates_match_the_recorded_digests(self):
+        cb = brouwer.make_example_coloring(brouwer.Grid(1, 1))
+        shrunk = compiler.shrink_range(compiler.compile_brouwer(cb, validate=False))
+        prepared = fixp.normalize_max_zero(fixp.clamp_outputs(shrunk.circuit))
+        game = lcp.build_game(lcp.normalize(lp.with_cost(lp.build_constraints(prepared))))
+        A, B = game.A, game.B
+        assert len(A) == 69
+        got = {label: hashlib.sha256(repr(lemke_howson(A, B, label)).encode()).hexdigest()
+               for label in self.PINNED}
+        assert got == self.PINNED
 
 
 class TestFixedPointCheck:
