@@ -163,6 +163,9 @@ def _check_args(args):
             raise InputError("--mode approx needs --source (brouwer.json) and --compiled-meta")
         if args.mode == "approx" and not args.points:
             raise InputError("--mode approx needs --points \"p1,p2;q1,q2;...\"")
+        if args.eps is not None and args.eps < 0:
+            # no point is within a negative distance of its image
+            raise InputError(f"--eps must be at least 0, got {rat_to_str(args.eps)}")
     if args.command == "solve" and args.max_pivots < 1:
         raise InputError(f"--max-pivots must be at least 1, got {args.max_pivots}")
 

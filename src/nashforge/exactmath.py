@@ -305,17 +305,18 @@ def int_vec(v: Vec) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def eliminate(rows: list[list[int]], cols: int) -> tuple[int, int]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in
-    place, on their first `cols` columns; returns (rank, last pivot).
+def rank(m: Mat) -> int:
+    """Exact rank over the rationals, by fraction-free (Bareiss)
+    Gauss-Jordan elimination of m with its denominators cleared.
 
     Pivots are taken in column order, from the first row at or below the
     pivot row that is nonzero there.  A step on pivot q rewrites every
     other row as (q row - f pivot_row) / q_prev, an exact division by
     Sylvester's identity, so entries stay integral and never blow up into
-    huge fractions.  Afterwards the pivot rows carry the last pivot on
-    their diagonal and zeros elsewhere in the pivot columns.
+    huge fractions.
     """
+    _, cols = mat_shape(m)
+    rows = int_matrix(m)[0]
     n = len(rows)
     prev = 1
     pr = 0
@@ -338,10 +339,4 @@ def eliminate(rows: list[list[int]], cols: int) -> tuple[int, int]:
                 rows[i] = new
         prev = q
         pr += 1
-    return pr, prev
-
-
-def rank(m: Mat) -> int:
-    """Exact rank over the rationals: `eliminate` on m, denominators cleared."""
-    _, c = mat_shape(m)
-    return eliminate(int_matrix(m)[0], c)[0]
+    return pr

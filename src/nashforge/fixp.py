@@ -26,7 +26,8 @@ from fractions import Fraction
 from math import lcm
 
 from .exactmath import (
-    Ref, Vec, check_dag, flag_from_json, gate_from_json, gate_to_json, int_from_json, walk,
+    Ref, Vec, check_dag, flag_from_json, gate_from_json, gate_to_json, int_from_json, int_vec,
+    walk,
 )
 
 
@@ -149,9 +150,8 @@ def evaluate_points(c: FixpCircuit, points) -> list[Vec]:
     n = len(points)
 
     def input_(g, v):
-        xs = [Fraction(point[g.index]) for point in points]
-        d = lcm(*(x.denominator for x in xs))
-        return d, [x.numerator * (d // x.denominator) for x in xs]
+        xs, d = int_vec([Fraction(point[g.index]) for point in points])
+        return d, xs
 
     def add(g, v):
         d, a, b = _aligned(v[g.a], v[g.b])

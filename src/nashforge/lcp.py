@@ -168,9 +168,10 @@ def semimonotone_witness(ns: NormalizedSystem, z: Vec, q: Vec) -> str:
     n = 2 * ns.lp.m
     if len(z) != n or len(q) != n:
         raise ValueError(f"expected vectors of length {n}")
-    if any(zi < 0 for zi in z) or all(zi == 0 for zi in z):
+    # a Fraction's sign is its numerator's
+    if any(zi.numerator < 0 for zi in z) or not any(zi.numerator for zi in z):
         raise ValueError("z must be nonnegative and nonzero")
-    if any(qi <= 0 for qi in q):
+    if any(qi.numerator <= 0 for qi in q):
         raise ValueError("q must be strictly positive")
     bad = lcp_violations(ns.lcp_c, z, q)
     if not bad:

@@ -20,10 +20,10 @@ equilibria.  The system of a support pair is "sum w = 1, (first - row) . w
 = 0" over the rows of one support and the columns of the other.  All the
 pairs that share a row support share its difference rows, so their minors
 are tabulated once (`_minors`) and each nonsingular system is read off the
-table by Cramer's rule (`_table_solve`); only a singular one goes to the
-fraction-free Gauss-Jordan elimination `exactmath.eliminate`
-(`_on_support`), which tells "none" from "many", and only while that can
-still change the degeneracy flag.
+table by Cramer's rule (`_table_solve`), as is each symmetric support's
+system, from the minors on the support's own columns.  Only a singular
+system is eliminated, by two exact ranks that tell "none" from "many"
+(`_singular`), and only while that can still change the degeneracy flag.
 Lemke-Howson serves as an independent second solver and the one that
 scales to compiled games.  It is complementary pivoting, with a
 lexicographic ratio test so degenerate ties cannot cycle, on one tableau
@@ -47,7 +47,7 @@ from functools import cache
 from math import gcd
 from operator import itemgetter, mul
 
-from .exactmath import Mat, Vec, eliminate, int_matrix, int_vec, mat_shape, spread, transpose
+from .exactmath import Mat, Vec, int_matrix, int_vec, mat_shape, rank, spread, transpose
 from .fixp import FixpCircuit, evaluate
 
 
@@ -167,25 +167,17 @@ def check_dimension(r: int, c: int, cap: int = MAX_DIM) -> None:
         raise DimensionTooLarge(f"game is {r}x{c}; cap is {cap}")
 
 
-def _on_support(payoff_rows: list[list[int]],
-                support: tuple[int, ...]) -> tuple[str, list[int] | None, int, int]:
-    """Weights w on `support` and payoff p with row . w = p for every
-    integer payoff row and sum w = 1, by `eliminate`.  Returns ("unique",
-    W, P, D) with w = W / D in support order, p = P / D and D > 0, else
-    "none" (inconsistent) or "many" (singular) with None, 0, 0.  p is
-    eliminated up front: the rows are (sum w = 1, (first - row) . w = 0 for
-    every other payoff row), and P = first . W.
-    """
+def _singular(payoff_rows: list[list[int]], support: tuple[int, ...]) -> str:
+    """"none" or "many" for a singular support system of `_table_solve`.
+    With D its difference rows, it is consistent exactly when the all-ones
+    row is not in the row space of D: rank([1; D]) = rank(D) + 1.  A full
+    rank([1; D]) contradicts the zero determinant, and raises."""
     first, *rest = [[row[j] for j in support] for row in payoff_rows]
-    rows = [[1] * len(support) + [1], *([f - v for f, v in zip(first, row)] + [0]
-                                         for row in rest)]
-    n = len(support)
-    pr, prev = eliminate(rows, n)
-    if pr < n:
-        return ("none" if any(row[n] for row in rows[pr:]) else "many"), None, 0, 0
-    sign = 1 if prev > 0 else -1    # each row now reads prev * unknown = row[n]
-    w = [sign * row[n] for row in rows]
-    return "unique", w, sum(f * v for f, v in zip(first, w)), sign * prev
+    diffs = [[f - v for f, v in zip(first, row)] for row in rest]
+    full = rank([[1] * len(support), *diffs])
+    if full == len(support):
+        raise AssertionError("Cramer's rule and elimination disagree on a support system")
+    return "many" if full == rank(diffs) + 1 else "none"
 
 
 # enumeration refuses n > MAX_DIM, so these caches hold at most 2^n subsets per n
@@ -229,17 +221,18 @@ def _minors(first: list[int], others: list[list[int]], n: int) -> list[int]:
 def _table_solve(minors: list[int], faces: tuple[int, ...], payoff_rows: list[list[int]],
                  support: tuple[int, ...], classify: bool = True
                  ) -> tuple[str, list[int] | None, int, int]:
-    """`_on_support(payoff_rows, support)` from the `_minors` of the
-    payoff rows, where `faces` are the support's entry in `_faces`.  By
-    Cramer's rule on (sum w = 1, (first - row) . w = 0), W_pos =
-    (-1)^pos * minor(support less support[pos]) and the determinant is
-    sum W.  A singular system goes to `_on_support`, or, when not
-    `classify`, comes back as ("singular", None, 0, 0)."""
+    """Weights w on `support` and payoff p with row . w = p for every
+    integer payoff row and sum w = 1, by Cramer's rule from the `_minors`
+    of the payoff rows (`faces`: the support's entry in `_faces`): W_pos =
+    (-1)^pos * minor(support less support[pos]), D = |sum W|, P = first . W.
+    Returns ("unique", W, P, D), w = W / D in support order and p = P / D;
+    a singular system gives (`_singular`'s "none" or "many", or "singular"
+    when not `classify`, None, 0, 0)."""
     w = [minors[f] for f in faces]
     w[1::2] = [-v for v in w[1::2]]
     det = sum(w)
     if not det:
-        return _on_support(payoff_rows, support) if classify else ("singular", None, 0, 0)
+        return (_singular(payoff_rows, support) if classify else "singular"), None, 0, 0
     if det < 0:
         w = [-v for v in w]
         det = -det
@@ -313,7 +306,8 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
                 yf = spread({j: Fraction(v, dy) for j, v in zip(sy, y)}, c)
                 key = (tuple(xf), tuple(yf))
                 if key not in found:
-                    _checked(ne_violations(A, B, xf, yf), "support-enumeration candidate")
+                    _checked(_profile_violations(a, la, bt, lb, xf, yf)[0],
+                             "support-enumeration candidate")
                     found[key] = NeCertificate(xf, yf, Fraction(p1, dy * la),
                                                Fraction(p2, dx * lb))
     return EnumerationResult(tuple(found.values()), degenerate)
@@ -329,10 +323,15 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
     found: dict[tuple, SymCertificate] = {}
     degenerate = False
     for size in range(1, r + 1):
+        # a support's system lies on its own columns, so its minors do too
+        faces = _faces(size, size)[0][1]
         for supp in itertools.combinations(range(r), size):
-            status, z, p, d = _on_support([s[i] for i in supp], supp)
+            rows = [s[i] for i in supp]
+            first, *rest = [[row[j] for j in supp] for row in rows]
+            status, z, p, d = _table_solve(_minors(first, rest, size), faces, rows, supp,
+                                           not degenerate)
             degenerate |= status == "many"
-            if status != "unique" or any(v < 0 for v in z):
+            if status != "unique" or min(z) < 0:
                 continue
             screened = _screen([(s, supp, z, p, supp, z)])
             if screened is None:

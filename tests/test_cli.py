@@ -546,6 +546,13 @@ class TestBadArguments:
             main(["verify", circuit_file, "--mode", "approx", "--eps", "x"])
         assert exc.value.code == 2 and "argument --eps" in capsys.readouterr().err
 
+    def test_eps_zero_allowed(self):
+        # a zero tolerance asks for an exact fixed point, which is admissible
+        args = cli.build_parser().parse_args(
+            ["verify", "c.json", "--mode", "approx", "--source", "b.json",
+             "--compiled-meta", "c.json.meta.json", "--points", "0", "--eps", "0"])
+        cli._check_args(args)
+
     @pytest.mark.parametrize("shrink,source_grid,points,message", [
         (False, None, "-1,0", "point '-1,0' needs 2 nonnegative coordinates"),
         (False, (1, 2), "0", "is for k=2, n=2, but"),
@@ -857,6 +864,12 @@ class TestPipeline:
           "args": {"mode": "approx", "source": "fixture.json",
                    "compiled-meta": "c.json.meta.json"}},
          "--mode approx needs --points"),
+        # the true fixed point 3/4 of 1 - x would read FAIL against a negative tolerance
+        ({"command": "eval", "input": "om.json", "args": {"at": "1/2"}},
+         {"command": "verify", "input": "om.json", "output": "v.json",
+          "args": {"mode": "approx", "source": "fixture.json", "points": "3/4", "eps": -1,
+                   "compiled-meta": "c.json.meta.json"}},
+         "--eps must be at least 0, got -1"),
         ({"command": "reduce", "input": "om.json", "output": "g.json", "args": {"target": "game"}},
          {"command": "solve", "input": "g.json", "output": "ne.json", "args": {"max-pivots": 0}},
          "--max-pivots must be at least 1, got 0"),
@@ -865,7 +878,7 @@ class TestPipeline:
     @pytest.mark.parametrize("as_stage", [False, True], ids=["command", "stage"])
     @pytest.mark.parametrize("before,stage,message", REFUSALS,
                              ids=["meta", "report", "report-spelled", "trials", "source", "points",
-                                  "max-pivots"])
+                                  "eps", "max-pivots"])
     def test_command_line_refusal_writes_nothing(self, before, stage, message, as_stage,
                                                  tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

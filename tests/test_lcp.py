@@ -112,6 +112,16 @@ class TestSemimonotone:
         with pytest.raises(ValueError):
             semimonotone_witness(ns, [F(0)] * 4, [F(1)] * 4)
 
+    @pytest.mark.parametrize("z, q, message", [
+        ([F(1), F(-1, 2), F(0), F(0)], [F(1)] * 4, "z must be nonnegative and nonzero"),
+        ([F(0)] * 4, [F(1)] * 4, "z must be nonnegative and nonzero"),
+        ([F(1), F(0), F(0), F(0)], [F(1), F(0), F(1), F(1)], "q must be strictly positive"),
+    ], ids=["negative-z", "zero-z", "zero-q"])
+    def test_preconditions_refused(self, worked, z, q, message):
+        _, _, ns = worked
+        with pytest.raises(ValueError, match=message):
+            semimonotone_witness(ns, z, q)
+
     def test_worked_witness(self, worked):
         _, _, ns = worked
         msg = semimonotone_witness(ns, [F(1), F(0), F(0), F(0)], [F(1)] * 4)

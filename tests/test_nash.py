@@ -22,7 +22,7 @@ from nashforge.nash import (
     SymCertificate, check_fixed_point, check_ne, enumerate_ne, enumerate_symmetric_ne,
     lemke_howson, ne_violations, symmetric_ne_violations,
 )
-from nashforge.nash import _Condensed, _lcp_blocks, _on_support
+from nashforge.nash import _Condensed, _lcp_blocks, _singular
 
 from conftest import (
     ne_to_symmetrized, one_minus_circuit, referee_dot, referee_mat_vec, referee_ne_violations,
@@ -174,28 +174,37 @@ class TestDegeneracyTriggers:
 
 
 class TestSupportSolver:
-    """The fraction-free solve of one support system: weights w on the
-    support and payoff p with row . w = p for each payoff row, sum w = 1."""
+    """The solve of one support system, weights w on the support and payoff
+    p with row . w = p for each payoff row, sum w = 1: Cramer's rule on the
+    shared minors, and the rank classifier of a singular system."""
 
     def test_unique(self):
         # matching pennies: w = (1/2, 1/2), p = 0; D comes out positive
-        status, W, P, D = _on_support([[1, -1], [-1, 1]], (0, 1))
+        status, W, P, D = table_solve([[1, -1], [-1, 1]], (0, 1))
         assert status == "unique" and D > 0
         assert [F(v, D) for v in W] == [F(1, 2), F(1, 2)] and F(P, D) == 0
 
     def test_unique_on_a_sub_support(self):
         # columns 0 and 2 of two rows: 3 w0 + w2 = p = w0 + 2 w2
-        status, W, P, D = _on_support([[3, 9, 1], [1, -7, 2]], (0, 2))
+        status, W, P, D = table_solve([[3, 9, 1], [1, -7, 2]], (0, 2))
         assert status == "unique"
         assert [F(v, D) for v in W] == [F(1, 3), F(2, 3)] and F(P, D) == F(5, 3)
 
     def test_none(self):
         # p = w0 + w1 = 1 and p = 2 (w0 + w1) = 2 cannot both hold
-        assert _on_support([[1, 1], [2, 2]], (0, 1)) == ("none", None, 0, 0)
+        assert _singular([[1, 1], [2, 2]], (0, 1)) == "none"
+        assert table_solve([[1, 1], [2, 2]], (0, 1)) == ("none", None, 0, 0)
 
     def test_many(self):
         # two equal rows leave w0 + w1 = 1 with one degree of freedom
-        assert _on_support([[1, 1], [1, 1]], (0, 1)) == ("many", None, 0, 0)
+        assert _singular([[1, 1], [1, 1]], (0, 1)) == "many"
+        assert table_solve([[1, 1], [1, 1]], (0, 1)) == ("many", None, 0, 0)
+
+    def test_nonsingular_system_refused_by_the_classifier(self):
+        # the classifier is only for a zero determinant; a full rank([1; D])
+        # means Cramer's rule and elimination disagree
+        with pytest.raises(AssertionError, match="disagree"):
+            _singular([[1, -1], [-1, 1]], (0, 1))
 
     def test_singular_x_system_behind_negative_y_flags_degenerate(self):
         # on supports ({0, 1}, {0, 1}) the y-system is unique with y = (2, -1),
@@ -203,9 +212,9 @@ class TestSupportSolver:
         # singular; no other support system or screen is degenerate
         A = frac_mat([[2, 0, 1], [3, 2, 3], [3, 3, 2]])
         B = frac_mat([[1, 1, 0], [2, 2, 3], [0, 2, 1]])
-        status, W, _, D = _on_support([[2, 0, 1], [3, 2, 3]], (0, 1))
+        status, W, _, D = table_solve([[2, 0, 1], [3, 2, 3]], (0, 1))
         assert status == "unique" and [F(v, D) for v in W] == [2, -1]
-        assert _on_support([[1, 2, 0], [1, 2, 2]], (0, 1))[0] == "many"
+        assert _singular([[1, 2, 0], [1, 2, 2]], (0, 1)) == "many"
         res = enumerate_ne(A, B)
         assert res.degenerate
         assert [(c.x, c.y) for c in res.equilibria] == [
@@ -219,13 +228,7 @@ class TestSupportSolver:
         st.lists(st.integers(0, s + 1), min_size=s, max_size=s, unique=True)
         .map(lambda cols: tuple(sorted(cols))))))
     def test_matches_fraction_solver(self, case):
-        rows, support = case
-        status, W, P, D = _on_support(rows, support)
-        want, w, p = referee_on_support([[F(v) for v in row] for row in rows], support,
-                                        len(rows[0]))
-        assert status == want
-        if want == "unique":
-            assert D > 0 and [F(v, D) for v in W] == [w[j] for j in support] and F(P, D) == p
+        assert_matches_referee(*case)
 
 
 class TestEnumerateSymmetric:
@@ -817,7 +820,7 @@ class TestCheckersMatchFractionReferees:
 
 
 # the support solve by shared minors: Cramer's rule on each nonsingular
-# system, `_on_support` on each singular one
+# system, the rank classifier `_singular` on each singular one
 
 TIES = (-1, 0, 0, 1, 2)
 
@@ -866,15 +869,15 @@ class TestTableSolve:
     def test_every_branch_is_reached(self, monkeypatch):
         # the property above is only as good as the branches it reaches:
         # a negative determinant flipped to a positive one, and "none" and
-        # "many" from the elimination that every singular system goes to
+        # "many" from the classifier that every singular system goes to
         fallbacks = []
-        on_support = nash._on_support
+        singular = nash._singular
 
         def counted(rows, support):
             fallbacks.append(support)
-            return on_support(rows, support)
+            return singular(rows, support)
 
-        monkeypatch.setattr(nash, "_on_support", counted)
+        monkeypatch.setattr(nash, "_singular", counted)
         rng = random.Random(16)
         seen = set()
         for _ in range(400):
@@ -907,16 +910,36 @@ class TestEnumerationBeyondDraws:
 
     def test_nonsingular_systems_are_not_eliminated(self, monkeypatch):
         # every support system of this game is nonsingular, so Cramer's rule
-        # on the shared minors solves them all and `eliminate` never runs
+        # on the shared minors solves them all and `rank` never runs
         A = frac_mat([[9, 4, 4], [1, 1, 7], [7, 1, 5]])
         B = frac_mat([[1, 6, 2], [0, 4, 6], [6, 1, 0]])
         calls = []
-        eliminate = nash.eliminate
-        monkeypatch.setattr(nash, "eliminate",
-                            lambda *args: calls.append(args) or eliminate(*args))
+        rank = nash.rank
+        monkeypatch.setattr(nash, "rank", lambda *args: calls.append(args) or rank(*args))
         res = enumerate_ne(A, B)
         assert res == referee_enumerate_ne(A, B) and not res.degenerate
         assert len(res.equilibria) == 5 and calls == []
+
+    def test_symmetric_nonsingular_systems_are_not_eliminated(self, monkeypatch):
+        # all seven support systems of this game are nonsingular, and each
+        # support carries an equilibrium
+        S = frac_mat([[9, 0, 6], [7, 9, 0], [3, 7, 7]])
+        calls = []
+        rank = nash.rank
+        monkeypatch.setattr(nash, "rank", lambda *args: calls.append(args) or rank(*args))
+        res = enumerate_symmetric_ne(S)
+        assert res == referee_enumerate_symmetric_ne(S) and not res.degenerate
+        assert len(res.equilibria) == 7 and calls == []
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_symmetric_matches_fraction_enumerator(self, n, monkeypatch):
+        # every one of the 2^n - 1 support systems is read off its minors
+        S, _ = tie_prone_game(n * 11, n, n)
+        calls = []
+        solve = nash._table_solve
+        monkeypatch.setattr(nash, "_table_solve", lambda *args: calls.append(args) or solve(*args))
+        assert enumerate_symmetric_ne(S) == referee_enumerate_symmetric_ne(S)
+        assert len(calls) == 2 ** n - 1
 
     def test_singular_systems_go_unclassified_once_degenerate(self, monkeypatch):
         # in the zero game the pure equilibria leave tight strategies unused,
@@ -924,7 +947,7 @@ class TestEnumerationBeyondDraws:
         # of size 2 is inconsistent or underdetermined changes nothing
         zero = frac_mat([[0, 0], [0, 0]])
         calls = []
-        monkeypatch.setattr(nash, "_on_support", lambda *args: calls.append(args))
+        monkeypatch.setattr(nash, "_singular", lambda *args: calls.append(args))
         assert enumerate_ne(zero, zero) == referee_enumerate_ne(zero, zero)
         assert calls == []
 
@@ -976,26 +999,21 @@ class TestSymmetrizationInvariant:
 
 
 # Each guard is forced to fire: the enumerators' checkers report a
-# violation, and divmod leaves a remainder inside Bareiss elimination and
-# inside a support solve.  Rock-paper-scissors has no equilibrium on the
-# supports of sizes 1 and 2, so the first division, in the 3x3 system of
-# the full support, comes before any candidate reaches the checker.
+# violation, and divmod leaves a remainder inside Bareiss elimination, both
+# in `rank` and in the classifier of a singular support system.  That
+# system, of the rows below on the support (0, 1, 2), has the difference
+# rows (2, 2, 2) and (1, 3, 0), whose rank divides by the first pivot 2.
 FORCED_GUARDS = """
 from fractions import Fraction as F
 from nashforge import exactmath, nash
-nash.ne_violations = lambda *args: ["forced"]
+nash._profile_violations = lambda *args: (["forced"], F(0), F(0))
 nash.symmetric_ne_violations = lambda *args: ["forced"]
 exactmath.divmod = lambda a, b: (0, 1)
-
-def support_solve_remainder():
-    nash.divmod = lambda a, b: (0, 1)
-    nash.enumerate_symmetric_ne([[F(v) for v in row]
-                                 for row in ((0, -1, 1), (1, 0, -1), (-1, 1, 0))])
 
 for call in (lambda: nash.enumerate_ne([[F(1)]], [[F(1)]]),
              lambda: nash.enumerate_symmetric_ne([[F(1)]]),
              lambda: exactmath.rank([[F(2), F(1)], [F(1), F(3)]]),
-             support_solve_remainder):
+             lambda: nash._singular([[0, 0, 0], [-2, -2, -2], [-1, -3, 0]], (0, 1, 2))):
     try:
         call()
         print("silent")
