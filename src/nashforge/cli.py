@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import brouwer, compiler, lcp, lp, nash
 from .exactmath import (
-    identity, is_upper_triangular, mat_add, rank, rat_from_str, rat_to_str, transpose, vec_to_strs,
+    is_upper_triangular, rat_from_str, rat_to_str, sparse_transpose, vec_to_strs,
 )
 from .fixp import (
     FixpCircuit, circuit_from_json, circuit_to_json, evaluate, evaluate_with_trace,
@@ -71,7 +71,8 @@ def _load(path: str, *kinds: str):
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputError(f"{path}: cannot read file ({exc.strerror or exc})")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a document nested past the parser's recursion limit is not JSON it can read
         raise InputError(f"{path}: not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -214,8 +215,8 @@ def cmd_reduce(args) -> int:
     elif args.target == "game":
         game = lcp.build_game(lcp.normalize(P))
         lines.append("first matrix upper-triangular: PASS")
-        # build_game certified that A + B is zero outside these <= k+1 rows
-        lines.append(f"rank(A+B) = {rank(lcp.payoff_sum_rows(game))} <= k+1 = {P.k + 1}: PASS")
+        rk = lcp.payoff_sum_rank(game.A_rows, game.B_rows)
+        lines.append(f"rank(A+B) = {rk} <= k+1 = {P.k + 1}: PASS")
         artifact_kind, body = "game", lcp.game_to_json(game)
     elif args.target == "symmetric":
         artifact_kind, body = "game", lcp.game_to_json(lcp.build_symmetric_game(P))
@@ -263,11 +264,12 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
             break
     _check(checks, "lp_matches_circuit_and_kkt", ok)
 
-    A, B = game.A, game.B
     _check(checks, "rank_and_triangularity",
-           rank(mat_add(A, B)) <= P.k + 1 and is_upper_triangular(A))
-    S = lcp.symmetrize(game.A_rows, game.B_rows, P.m + 1).S
-    _check(checks, "symmetrized_rank", rank(mat_add(S, transpose(S))) <= 2 * (P.k + 1))
+           lcp.payoff_sum_rank(game.A_rows, game.B_rows) <= P.k + 1
+           and is_upper_triangular(game.A_rows))
+    S = lcp.symmetrize(game.A_rows, game.B_rows, P.m + 1).S_rows
+    _check(checks, "symmetrized_rank",
+           lcp.payoff_sum_rank(S, sparse_transpose(S, len(S))) <= 2 * (P.k + 1))
 
     alarm = False
     violated = 0
@@ -288,7 +290,7 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
 
     # each route must find equilibria, map them to the LCP and back, and
     # carry fixed points of the circuit
-    res = nash.enumerate_ne(A, B)
+    res = nash.enumerate_ne(game.A, game.B)
     lam_set = {tuple(lcp.game_to_fixed_point(c.x, game.meta)) for c in res.equilibria}
     _check(checks, "ne_to_lcp_roundtrip_and_fixed_points",
            bool(res.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in lam_set)
@@ -334,14 +336,15 @@ def _verify_game(game: lcp.BimatrixGame, checks: list):
     # refuse a game past the enumeration cap before the rank checks pass it
     n = len(game.A_rows)
     nash.check_dimension(n, n)
-    A, B = game.A, game.B
+    A_rows, B_rows = game.A_rows, game.B_rows
     if game.meta.kind == "rank_k_plus_1":
-        _check(checks, "rank_bound", rank(mat_add(A, B)) <= game.meta.k + 1)
-        _check(checks, "upper_triangular", is_upper_triangular(A))
+        _check(checks, "rank_bound", lcp.payoff_sum_rank(A_rows, B_rows) <= game.meta.k + 1)
+        _check(checks, "upper_triangular", is_upper_triangular(A_rows))
     elif game.meta.kind == "symmetric":
-        _check(checks, "symmetric_structure", B == transpose(A), "B = A^T")
+        _check(checks, "symmetric_structure", B_rows == sparse_transpose(A_rows, n), "B = A^T")
     else:
-        _check(checks, "imitation_structure", B == identity(n), "B = I")
+        _check(checks, "imitation_structure", B_rows == [{i: 1} for i in range(n)], "B = I")
+    A, B = game.A, game.B
     res = nash.enumerate_ne(A, B)
     _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
     for idx, cert in enumerate(res.equilibria):

@@ -29,7 +29,7 @@ from itertools import islice
 
 from . import brouwer
 from .brouwer import BoolCircuit, Grid, bool_circuit_size
-from .exactmath import Vec, flag_from_json, inf_norm, int_from_json, vec_sub, walk
+from .exactmath import Vec, flag_from_json, int_from_json, walk
 from .fixp import (
     Add, Builder, Const, FixpCircuit, Input, Max, MulC, circuit_size, evaluate, evaluate_points,
 )
@@ -236,7 +236,8 @@ def floor_point(p: Vec, grid: Grid) -> tuple[int, ...]:
 def check_approx_fixed_point(cf: CompiledFunction, p: Vec, eps) -> bool:
     """Exact test of ||p - F(p)||_inf <= eps."""
     p = [Fraction(x) for x in p]
-    return inf_norm(vec_sub(p, evaluate(cf.circuit, p))) <= Fraction(eps)
+    return max((abs(a - b) for a, b in zip(p, evaluate(cf.circuit, p), strict=True)),
+               default=0) <= Fraction(eps)
 
 
 def panchromatic_from_samples(samples, well_flags, color_fn, grid: Grid) -> tuple[tuple[int, ...], ...]:

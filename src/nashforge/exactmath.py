@@ -205,39 +205,6 @@ def zeros_vec(n: int) -> Vec:
     return [Fraction(0)] * n
 
 
-def identity(n: int) -> Mat:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def transpose(m: Mat) -> Mat:
-    r, c = mat_shape(m)
-    return [[m[i][j] for i in range(r)] for j in range(c)]
-
-
-# --- arithmetic ---
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return [a - b for a, b in zip(u, v)]
-
-
-def inf_norm(v: Vec) -> Fraction:
-    return max((abs(x) for x in v), default=Fraction(0))
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if mat_shape(a) != mat_shape(b):
-        raise ValueError("dimension mismatch")
-    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
-
-
 # --- sparse rows ---
 
 def row_add(a: Row, b: Row) -> Row:
@@ -277,15 +244,9 @@ def densify(rows: list[Row], n: int) -> Mat:
 
 # --- structure predicates ---
 
-def is_upper_triangular(m: Mat) -> bool:
-    """True iff every entry strictly below the diagonal is zero.
-
-    Raises ValueError on non-square input.
-    """
-    r, c = mat_shape(m)
-    if r != c:
-        raise ValueError("matrix must be square")
-    return all(m[i][j] == 0 for i in range(r) for j in range(i))
+def is_upper_triangular(rows: list[Row]) -> bool:
+    """True iff every entry strictly below the diagonal is zero."""
+    return all(j >= i for i, row in enumerate(rows) for j in row)
 
 
 # --- elimination ---

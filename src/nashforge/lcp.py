@@ -30,8 +30,8 @@ from functools import cached_property
 from operator import mul
 
 from .exactmath import (
-    Mat, Row, Vec, densify, int_from_json, int_vec, row_add, rows_from_strs, rows_to_strs,
-    sparse_transpose, spread, vec_from_strs, vec_to_strs,
+    Mat, Row, Vec, densify, int_from_json, int_vec, is_upper_triangular, rank, row_add,
+    rows_from_strs, rows_to_strs, sparse_transpose, spread, vec_from_strs, vec_to_strs,
 )
 from .lp import ParamLP
 
@@ -235,7 +235,7 @@ def build_game(ns: NormalizedSystem) -> BimatrixGame:
     A = sparse_transpose(ns.H, m) + [{m: Fraction(1)}]
     B = ([{i: -v for i, v in col.items()} for col in sparse_transpose(ns.Hp, m)]
          + [{**{j: bj + 1 for j, bj in enumerate(ns.b) if bj != -1}, m: Fraction(1)}])
-    if any(j < i for i, row in enumerate(A) for j in row):
+    if not is_upper_triangular(A):
         raise LemmaFalsified("first payoff matrix is not upper-triangular")
     _certify_payoff_sum(A, B, lp)
     return BimatrixGame(A, B, GameMeta(m, lp.k, list(lp.c), lp.output_rows, "rank_k_plus_1"))
@@ -256,13 +256,12 @@ def _certify_payoff_sum(A: list[Row], B: list[Row], lp: ParamLP):
                 f" rank(A + B) <= {lp.k + 1} is not certified")
 
 
-def payoff_sum_rows(game: BimatrixGame) -> Mat:
-    """The rows of A + B at the output rows and the slack row, dense.
-
-    `build_game` certifies that every other row is zero, so these at most
-    k+1 rows have the rank of A + B."""
-    return [spread(row_add(game.A_rows[i], game.B_rows[i]), len(game.A_rows))
-            for i in (*game.meta.output_rows, game.meta.m)]
+def payoff_sum_rank(A: list[Row], B: list[Row]) -> int:
+    """rank(A + B) for square sparse A and B, by Bareiss elimination of the
+    nonzero rows of A + B; 0 when there are none.  It reads every row, so
+    it does not rest on the row set `build_game` certifies."""
+    rows = [row for row in map(row_add, A, B) if row]
+    return rank([spread(row, len(A)) for row in rows]) if rows else 0
 
 
 def build_symmetric_game(lp: ParamLP) -> SymmetricGame:

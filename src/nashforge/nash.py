@@ -4,11 +4,12 @@ Everything here is exact rational arithmetic, so "equilibrium" always means
 the complementarity characterization holding with exact equality: row payoffs
 (Ay)_i never exceed the first player's payoff and are equal wherever x_i
 is positive, and symmetrically for columns.  The checkers compare
-integers: payoffs are cleared by `int_matrix` and a profile by
-`int_vec`, each over one denominator, only the nonzero weights are
-multiplied, and payoffs are compared by cross-multiplication.  Fractions
-are built only for the text of a violation and for a certificate's
-payoffs.
+integers: payoffs are cleared by `int_matrix` (A and B^T by `_int_game`)
+and a Fraction profile by `int_vec`, each over one denominator, while
+both solvers hand over their profiles as integers; only the nonzero
+weights are multiplied, and payoffs are compared by cross-multiplication.
+Fractions are built only for the text of a violation and for a
+certificate.
 
 Support enumeration solves, per equal-sized support pair, the linear
 system pinning the opponent's weights and the payoff, then filters by the
@@ -44,10 +45,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .exactmath import Mat, Vec, int_matrix, int_vec, mat_shape, rank, spread, transpose
+from .exactmath import Mat, Vec, int_matrix, int_vec, mat_shape, rank
 from .fixp import FixpCircuit, evaluate
 
 
@@ -118,10 +119,10 @@ def _best_response_violations(w: list[int], dw: int, p: list[int], dp: int,
 
 
 def _profile_violations(a: list[list[int]], la: int, bt: list[list[int]], lb: int,
-                        x: Vec, y: Vec) -> tuple[list[str], Fraction, Fraction]:
-    """The equilibrium conditions for (x, y) in the game (a / la, (bt / lb)^T),
-    and the two payoffs x A y and x B y."""
-    (X, dx), (Y, dy) = int_vec(x), int_vec(y)
+                        X: list[int], dx: int, Y: list[int], dy: int
+                        ) -> tuple[list[str], Fraction, Fraction]:
+    """The equilibrium conditions for the profile (X / dx, Y / dy) in the
+    game (a / la, (bt / lb)^T), and the two payoffs x A y and x B y."""
     ay, bx = _payoffs(a, Y), _payoffs(bt, X)
     bad = (_best_response_violations(X, dx, ay, la * dy, "row")
            + _best_response_violations(Y, dy, bx, lb * dx, "column"))
@@ -129,19 +130,38 @@ def _profile_violations(a: list[list[int]], la: int, bt: list[list[int]], lb: in
             Fraction(sum(map(mul, Y, bx)), dy * lb * dx))
 
 
-def _game_shape(A: Mat, B: Mat) -> tuple[int, int]:
-    shape = mat_shape(A)
-    if mat_shape(B) != shape:
+def _int_game(A: Mat, B: Mat, cap: int | None = None
+              ) -> tuple[list[list[int]], int, list[list[int]], int]:
+    """A and B^T cleared by `int_matrix`, once A and B are known to share a
+    shape and, given a `cap`, to pass `check_dimension`."""
+    r, c = mat_shape(A)
+    if mat_shape(B) != (r, c):
         raise ValueError("payoff matrices must share a shape")
-    return shape
+    if cap is not None:
+        check_dimension(r, c, cap)
+    return (*int_matrix(A), *int_matrix(list(zip(*B))))
+
+
+def _weights(support: Iterable[int], w: Iterable[int], n: int) -> list[int]:
+    """The length-n integer vector holding w on the support and 0 elsewhere."""
+    out = [0] * n
+    for i, v in zip(support, w):
+        out[i] = v
+    return out
+
+
+def _fractions(W: list[int], d: int) -> Vec:
+    """The profile W / d, its zeros one shared Fraction."""
+    zero = Fraction(0)
+    return [Fraction(v, d) if v else zero for v in W]
 
 
 def ne_violations(A: Mat, B: Mat, x: Vec, y: Vec) -> list[str]:
     """Exact best-response and complementarity conditions for (x, y)."""
-    r, c = _game_shape(A, B)
-    if len(x) != r or len(y) != c:
+    a, la, bt, lb = _int_game(A, B)
+    if len(x) != len(a) or len(y) != len(bt):
         raise ValueError("profile dimensions do not match the game")
-    return _profile_violations(*int_matrix(A), *int_matrix(transpose(B)), x, y)[0]
+    return _profile_violations(a, la, bt, lb, *int_vec(x), *int_vec(y))[0]
 
 
 def check_ne(A: Mat, B: Mat, x: Vec, y: Vec) -> bool:
@@ -272,10 +292,8 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
     some support system is consistent but singular, or an equilibrium
     carries extra tight strategies, the result is flagged degenerate.
     """
-    r, c = _game_shape(A, B)
-    check_dimension(r, c)
-    a, la = int_matrix(A)
-    bt, lb = int_matrix(transpose(B))
+    a, la, bt, lb = _int_game(A, B, MAX_DIM)
+    r, c = len(a), len(bt)
     found: dict[tuple, NeCertificate] = {}
     degenerate = False
     for size in range(1, min(r, c) + 1):
@@ -302,11 +320,11 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
                 if screened is None:
                     continue
                 degenerate |= screened
-                xf = spread({i: Fraction(v, dx) for i, v in zip(sx, x)}, r)
-                yf = spread({j: Fraction(v, dy) for j, v in zip(sy, y)}, c)
+                X, Y = _weights(sx, x, r), _weights(sy, y, c)
+                xf, yf = _fractions(X, dx), _fractions(Y, dy)
                 key = (tuple(xf), tuple(yf))
                 if key not in found:
-                    _checked(_profile_violations(a, la, bt, lb, xf, yf)[0],
+                    _checked(_profile_violations(a, la, bt, lb, X, dx, Y, dy)[0],
                              "support-enumeration candidate")
                     found[key] = NeCertificate(xf, yf, Fraction(p1, dy * la),
                                                Fraction(p2, dx * lb))
@@ -337,7 +355,7 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
             if screened is None:
                 continue
             degenerate |= screened
-            zf = spread({i: Fraction(v, d) for i, v in zip(supp, z)}, r)
+            zf = _fractions(_weights(supp, z, r), d)
             key = tuple(zf)
             if key not in found:
                 _checked(symmetric_ne_violations(S, zf), "symmetric candidate")
@@ -416,6 +434,18 @@ class _Condensed:
         where[var], where[leaving] = ~r, s
         return leaving
 
+    def values(self, lo: int, hi: int) -> list[int]:
+        """The values of the variables lo..hi-1 in this basis, over one
+        common denominator: a basic variable's is its row's rhs, a
+        nonbasic variable's 0."""
+        basic = [(t, N[0], d) for t, N, d in zip(self.basis, self.rows, self.dens)
+                 if lo <= t < hi]
+        den = lcm(*(d for _, _, d in basic))
+        out = [0] * (hi - lo)
+        for t, v, d in basic:
+            out[t - lo] = v * (den // d)
+        return out
+
     def _pivot(self, r: int, s: int) -> None:
         """Gauss-Jordan step on (r, s), which needs N_r[s] > 0; slot s then
         holds the column of the variable leaving row r, whose entry in row
@@ -475,9 +505,8 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     longer than `max_pivots` raises PivotLimitReached.  `max_dim`, when
     given, refuses games with more rows or columns.
     """
-    r, c = _game_shape(A, B)
-    if max_dim is not None:
-        check_dimension(r, c, max_dim)
+    a, la, bt, lb = _int_game(A, B, max_dim)
+    r, c = len(a), len(bt)
     n = r + c
     if not 0 <= dropped_label < n:
         raise ValueError(f"label must lie in 0..{n - 1}")
@@ -486,8 +515,6 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     # the variables n..2n-1, in two blocks (see `_lcp_blocks`): y and u lie
     # in the first, x and v in the second.  Variable t carries label t % n,
     # so its complement is (t + n) % 2n.
-    a, la = int_matrix(A)
-    bt, lb = int_matrix(transpose(B))
     first, second = _lcp_blocks(a, la, bt, lb)
     var = dropped_label
     for pivots in range(max_pivots):
@@ -505,19 +532,16 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
                                 f" {dropped_label}")
 
     instance = f"after {pivots + 1} pivots on the {r}x{c} game from label {dropped_label}"
-    z = spread({t: Fraction(N[0], d) for block in (first, second)
-                for t, N, d in zip(block.basis, block.rows, block.dens) if t < n}, n)
-    x, y = z[:r], z[r:]
-    sx, sy = sum(x), sum(y)
+    # x is basic in the second block only, y in the first
+    X, Y = second.values(0, r), first.values(r, n)
+    sx, sy = sum(X), sum(Y)
     if sx == 0 or sy == 0:
         raise RayTermination(f"Lemke-Howson terminated at the artificial equilibrium {instance}")
-    x = [v / sx for v in x]
-    y = [v / sy for v in y]
-    bad, pi1, pi2 = _profile_violations(a, la, bt, lb, x, y)
+    bad, pi1, pi2 = _profile_violations(a, la, bt, lb, X, sx, Y, sy)
     if bad:
         raise RayTermination(f"Lemke-Howson's result fails the equilibrium checker {instance}: "
                              + bad[0])
-    return NeCertificate(x, y, pi1, pi2)
+    return NeCertificate(_fractions(X, sx), _fractions(Y, sy), pi1, pi2)
 
 
 # --- fixed points -----------------------------------------------------------

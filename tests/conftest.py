@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nashforge import brouwer, compiler, fixp, lcp, lp
-from nashforge.exactmath import is_upper_triangular, mat_shape, rank, vec_add
+from nashforge.exactmath import mat_shape, rank
 
 
 def one_minus_circuit():
@@ -96,6 +96,28 @@ def is_unit_lower_triangular(m) -> bool:
     return True
 
 
+# --- dense matrix forms, the referees of the sparse structure checks in
+# lcp.py and cli.py ---
+
+def referee_identity(n: int) -> list:
+    return [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def referee_transpose(m) -> list:
+    return [list(col) for col in zip(*m)]
+
+
+def referee_mat_add(a, b) -> list:
+    """a + b, entry by entry; a and b share a shape."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def referee_is_upper_triangular(m) -> bool:
+    """m is square and every entry strictly below its diagonal is zero."""
+    r, c = mat_shape(m)
+    return r == c and all(m[i][j] == 0 for i in range(r) for j in range(i))
+
+
 # --- dense Fraction products and checkers, the referees of the integer
 # checkers in nash.py, lcp.py and lp.py ---
 
@@ -108,7 +130,7 @@ def referee_mat_vec(m, v) -> list:
 
 
 def referee_vec_mat(v, m) -> list:
-    return referee_mat_vec([list(col) for col in zip(*m)], v)
+    return referee_mat_vec(referee_transpose(m), v)
 
 
 def referee_best_response_violations(w, payoffs, name: str) -> list[str]:
@@ -282,8 +304,8 @@ def referee_build_game(dense) -> tuple:
     A = [list(col) + [F(0)] for col in zip(*dense.H)] + [[F(0)] * m + [F(1)]]
     B = ([[-v for v in col] + [F(0)] for col in zip(*dense.Hp)]
          + [[bj + 1 for bj in dense.b] + [F(1)]])
-    assert is_upper_triangular(A)
-    assert rank([vec_add(ra, rb) for ra, rb in zip(A, B)]) <= P.k + 1
+    assert referee_is_upper_triangular(A)
+    assert rank(referee_mat_add(A, B)) <= P.k + 1
     return A, B, lcp.GameMeta(m, P.k, list(P.c), P.output_rows, "rank_k_plus_1")
 
 

@@ -16,7 +16,8 @@ from nashforge.cli import SCHEMA, main
 
 from conftest import (
     extract_bits_gadget, make_synthetic_trial, one_minus_circuit, random_lambda,
-    random_raw_circuit, sampled_increment_sum, swap_circuit,
+    random_raw_circuit, referee_is_upper_triangular, referee_mat_add, referee_transpose,
+    sampled_increment_sum, swap_circuit,
 )
 
 
@@ -180,10 +181,10 @@ def test_criterion_6_rank_and_triangularity(capsys):
         raws.append((f"random_{i}", random_raw_circuit(rng, k, 4)))
     for name, raw in raws:
         _, P, ns, game, _ = build_chain(raw)
-        assert em.is_upper_triangular(game.A), name
-        assert em.rank(em.mat_add(game.A, game.B)) <= P.k + 1, name
+        assert referee_is_upper_triangular(game.A), name
+        assert em.rank(referee_mat_add(game.A, game.B)) <= P.k + 1, name
         sym = lcp.symmetrize(game.A_rows, game.B_rows, P.m + 1)
-        st = em.mat_add(sym.S, em.transpose(sym.S))
+        st = referee_mat_add(sym.S, referee_transpose(sym.S))
         assert em.rank(st) <= 2 * (P.k + 1), name
     announce(capsys, f"ACCEPTANCE 6 PASS: rank and triangularity bounds on"
                      f" {len(raws)} games")

@@ -14,7 +14,7 @@ import nashforge
 from nashforge import brouwer, cli, exactmath, fixp, lcp, lp, nash
 from nashforge.cli import SCHEMA, main
 
-from conftest import encode_case, false_clamp_claim_circuit, one_minus_circuit
+from conftest import encode_case, false_clamp_claim_circuit, one_minus_circuit, random_raw_circuit
 
 
 def write_json(path, kind, body):
@@ -248,10 +248,25 @@ class TestReduce:
         def counting_rank(m):
             calls.append(len(m))
             return exactmath.rank(m)
-        monkeypatch.setattr(cli, "rank", counting_rank)
+        monkeypatch.setattr(lcp, "rank", counting_rank)
         assert main(["reduce", circuit, "--target", "game", "-o", str(tmp_path / "g.json")]) == 0
         assert "rank(A+B) = 3 <= k+1 = 3: PASS" in capsys.readouterr().out
         assert calls == [3]    # one elimination, on the k+1 = 3 certificate rows
+
+    def test_game_targets_never_read_dense_views(self, circuit_file, tmp_path, monkeypatch, rng):
+        reads = []
+        for cls, view in ((lcp.BimatrixGame, "A"), (lcp.BimatrixGame, "B"),
+                          (lcp.SymmetricGame, "S")):
+            dense = getattr(cls, view)
+            monkeypatch.setattr(cls, view, property(
+                lambda game, view=view, dense=dense: reads.append(view) or dense.fget(game)))
+        raw = write_json(tmp_path / "raw.json", "circuit",
+                         fixp.circuit_to_json(random_raw_circuit(rng, 2, 3)))
+        for source in (circuit_file, raw):
+            for target in ("game", "symmetric", "imitation"):
+                out = str(tmp_path / f"{target}.json")
+                assert main(["reduce", source, "--target", target, "-o", out]) == 0
+        assert reads == []
 
     def test_rerun_byte_identical(self, circuit_file, tmp_path):
         out = tmp_path / "game.json"
@@ -389,7 +404,7 @@ class TestVerify:
                 calls.append(name)
                 raise AssertionError(f"{name} ran before the dimension cap")
             return stub
-        for module in (cli, exactmath):
+        for module in (lcp, exactmath):
             monkeypatch.setattr(module, "rank", counted("rank"))
         monkeypatch.setattr(lcp, "semimonotone_witness", counted("semimonotone_witness"))
         assert main(["verify", compiled_1d, "--mode", "lemmas"]) == 2
@@ -402,7 +417,7 @@ class TestVerify:
         assert main(["reduce", compiled_1d, "--target", "game", "-o", game]) == 0
         capsys.readouterr()
         calls = []
-        for module in (cli, exactmath):
+        for module in (lcp, exactmath):
             monkeypatch.setattr(module, "rank", lambda *args: calls.append("rank"))
         report = tmp_path / "report.json"
         assert main(["verify", game, "-o", str(report)]) == 2
@@ -711,6 +726,15 @@ class TestInputValidation:
         assert main([command[0], str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert f"{path}: malformed game" in err and "every game kind is square" in err
+
+    @pytest.mark.parametrize("command", [["solve"], ["verify"], ["pipeline"]])
+    def test_deeply_nested_json_exits_2(self, command, tmp_path, capsys):
+        # nested past the JSON parser's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not valid JSON" in err and "internal error" not in err
 
     def test_missing_file(self, capsys):
         assert main(["eval", "/nonexistent.json", "--at", "0"]) == 2

@@ -18,8 +18,9 @@ from nashforge.lcp import (
 
 from conftest import (
     ne_to_symmetrized, one_minus_circuit, random_raw_circuit, referee_build_direct_lcp,
-    referee_build_game, referee_build_lcp_C, referee_build_symmetric_game,
-    referee_lcp_violations, referee_mat_vec, referee_normalize, sparse_rows, symmetrized_to_ne,
+    referee_build_game, referee_build_lcp_C, referee_build_symmetric_game, referee_identity,
+    referee_is_upper_triangular, referee_lcp_violations, referee_mat_add, referee_mat_vec,
+    referee_normalize, referee_transpose, sparse_rows, symmetrized_to_ne,
 )
 from test_fixp import raw_builder_circuits
 
@@ -151,7 +152,7 @@ class TestGames:
     def test_rank_bound_tight_on_worked_instance(self, worked):
         _, _, ns = worked
         game = build_game(ns)
-        assert em.rank(em.mat_add(game.A, game.B)) == 2   # = k + 1
+        assert em.rank(referee_mat_add(game.A, game.B)) == 2   # = k + 1
 
     def test_symmetric_matrix(self, worked):
         P, _, _ = worked
@@ -170,8 +171,8 @@ class TestGames:
             k = rng.randint(1, 2)
             P, _ = lp.build_param_lp(random_raw_circuit(rng, k, 3))
             game = build_game(normalize(P))
-            assert em.is_upper_triangular(game.A)
-            assert em.rank(em.mat_add(game.A, game.B)) <= k + 1
+            assert referee_is_upper_triangular(game.A)
+            assert em.rank(referee_mat_add(game.A, game.B)) <= k + 1
 
 
 class TestPayoffSumCertificate:
@@ -187,9 +188,9 @@ class TestPayoffSumCertificate:
             Hp = [[h - ui * (j == r) for j, h in enumerate(row)] for row, ui in zip(Hp, u)]
         assert em.densify(ns.H, P.m) == H and em.densify(ns.Hp, P.m) == Hp
         game = build_game(ns)
-        rows = lcp.payoff_sum_rows(game)
-        assert len(rows) <= k + 1
-        assert em.rank(em.mat_add(game.A, game.B)) == em.rank(rows) <= k + 1
+        total = referee_mat_add(game.A, game.B)
+        assert sum(map(any, total)) <= k + 1
+        assert em.rank(total) == lcp.payoff_sum_rank(game.A_rows, game.B_rows) <= k + 1
 
     def test_nonzero_row_outside_outputs_alarms(self, worked):
         _, _, ns = worked
@@ -205,6 +206,30 @@ class TestPayoffSumCertificate:
         _, _, ns = worked
         with pytest.raises(LemmaFalsified, match=r"row 2 of A \+ B"):
             build_game(replace(ns, b=[v + 1 for v in ns.b]))
+
+
+class TestStructureChecksMatchDenseReferees:
+    """payoff_sum_rank is the Bareiss rank of the dense A + B, and the
+    sparse is_upper_triangular the dense triangularity test."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw_builder_circuits())
+    def test_games_symmetrizations_and_a_zero_sum_game(self, circ):
+        P, _ = lp.build_param_lp(circ)
+        n = P.m + 1
+        game = build_game(normalize(P))
+        sym = build_symmetric_game(P)
+        smm = symmetrize(game.A_rows, game.B_rows, n)
+        neg = [{j: -v for j, v in row.items()} for row in game.A_rows]
+        cases = [(game.A_rows, game.B_rows), (sym.S_rows, em.sparse_transpose(sym.S_rows, n)),
+                 (smm.S_rows, em.sparse_transpose(smm.S_rows, 2 * n)), (game.A_rows, neg)]
+        for A_rows, B_rows in cases:
+            A, B = em.densify(A_rows, len(A_rows)), em.densify(B_rows, len(B_rows))
+            assert lcp.payoff_sum_rank(A_rows, B_rows) == em.rank(referee_mat_add(A, B))
+            for rows, dense in ((A_rows, A), (B_rows, B)):
+                assert em.is_upper_triangular(rows) == referee_is_upper_triangular(dense)
+        # the zero-sum game's A + B has no nonzero row
+        assert lcp.payoff_sum_rank(game.A_rows, neg) == 0
 
 
 class TestSparseRowsMatchDenseReferees:
@@ -336,7 +361,8 @@ class TestGamesAsSparseRows:
         blank = [F(0)] * n
         assert (game.A, game.B, game.meta) == (A, B, meta)
         assert (sym.S, sym.meta) == (S, sym_meta)
-        assert (imi.A, imi.B, imi.meta) == (S, em.identity(n), replace(sym_meta, kind="imitation"))
+        assert (imi.A, imi.B, imi.meta) == (S, referee_identity(n),
+                                            replace(sym_meta, kind="imitation"))
         assert smm.S == [blank + row for row in A] + [list(col) + blank for col in zip(*B)]
         for rows in (game.A_rows, game.B_rows, sym.S_rows, imi.A_rows, imi.B_rows, smm.S_rows):
             assert all(v != 0 for row in rows for v in row.values())
@@ -358,7 +384,7 @@ def test_game_layer_never_reads_dense_views(monkeypatch, rng):
         P, _ = lp.build_param_lp(circ)
         game = build_game(normalize(P))
         sym = build_symmetric_game(P)
-        lcp.payoff_sum_rows(game)
+        lcp.payoff_sum_rank(game.A_rows, game.B_rows)
         for g in (game, sym, imitation_game(sym), symmetrize(game.A_rows, game.B_rows, P.m + 1)):
             game_from_json(game_to_json(g))
 
@@ -437,8 +463,8 @@ class TestSymmetrize:
         game = build_game(ns)
         sym = symmetrize(game.A_rows, game.B_rows, 3)
         assert len(sym.S) == 6
-        st = em.mat_add(sym.S, em.transpose(sym.S))
-        assert em.rank(st) == 2 * em.rank(em.mat_add(game.A, game.B))
+        st = referee_mat_add(sym.S, referee_transpose(sym.S))
+        assert em.rank(st) == 2 * em.rank(referee_mat_add(game.A, game.B))
 
     def test_equilibrium_embeds_and_splits(self, worked):
         _, _, ns = worked
@@ -470,7 +496,7 @@ class TestImitation:
     def test_identity_side(self, worked):
         P, _, _ = worked
         imi = imitation_game(build_symmetric_game(P))
-        assert imi.B == em.identity(P.m + 1)
+        assert imi.B == referee_identity(P.m + 1)
 
     def test_second_strategies_equal_symmetric_set(self, worked):
         P, _, _ = worked

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 import nashforge
 from nashforge import brouwer, compiler, fixp, lcp, lp, nash
-from nashforge.exactmath import int_matrix, mat_shape, transpose
+from nashforge.exactmath import mat_shape
 from nashforge.nash import (
     DimensionTooLarge, EnumerationResult, NeCertificate, PivotLimitReached, RayTermination,
     SymCertificate, check_fixed_point, check_ne, enumerate_ne, enumerate_symmetric_ne,
     lemke_howson, ne_violations, symmetric_ne_violations,
 )
-from nashforge.nash import _Condensed, _lcp_blocks, _singular
+from nashforge.nash import _Condensed, _int_game, _lcp_blocks, _singular
 
 from conftest import (
     ne_to_symmetrized, one_minus_circuit, referee_dot, referee_mat_vec, referee_ne_violations,
@@ -540,7 +540,7 @@ class TestCondensedPath:
         for label in range(n):
             snapshots = []
             path, _, _ = referee_path(A, B, label, snapshots)
-            first, second = _lcp_blocks(*int_matrix(A), *int_matrix(transpose(B)))
+            first, second = _lcp_blocks(*_int_game(A, B))
             for pivot, ((entering, leaving), (TP, basis_p, TQ, basis_q)) in enumerate(
                     zip(path, snapshots)):
                 # LH alternates sides from the dropped label's own
@@ -623,7 +623,7 @@ class TestIntegerTableau:
         want = [({col[j]: v for j, v in N.items()}, d)
                 for rows, col in ((rows_q, q_col), (rows_p, p_col)) for N, d in rows]
         got = []
-        for T in _lcp_blocks(*int_matrix(A), *int_matrix(transpose(B))):
+        for T in _lcp_blocks(*_int_game(A, B)):
             for N, d, b in zip(T.rows, T.dens, T.basis):
                 row = {v: w for v, w in zip([2 * n, *T.slots[1:]], N) if w}
                 got.append(({**row, b: d}, d))
