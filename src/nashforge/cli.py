@@ -203,8 +203,11 @@ def cmd_compile(args) -> int:
 def cmd_reduce(args) -> int:
     P, _ = _param_lp(args.input, _load(args.input, "circuit"))
     lines = [f"m={P.m} k={P.k} n={P.npre}"]
+    # a failed line is a lemma alarm, raised before any file is written
     problems = lp.property_violations(P)
-    lines.append("structure checks P1-P3: " + ("PASS" if not problems else "FAIL " + problems[0]))
+    if problems:
+        raise lcp.LemmaFalsified(f"structure checks P1-P3: FAIL {problems[0]}")
+    lines.append("structure checks P1-P3: PASS")
     if args.target == "lp":
         artifact_kind, body = "param_lp", lp.lp_to_json(P)
     elif args.target == "lcp":
@@ -216,7 +219,10 @@ def cmd_reduce(args) -> int:
         game = lcp.build_game(lcp.normalize(P))
         lines.append("first matrix upper-triangular: PASS")
         rk = lcp.payoff_sum_rank(game.A_rows, game.B_rows)
-        lines.append(f"rank(A+B) = {rk} <= k+1 = {P.k + 1}: PASS")
+        rank_line = f"rank(A+B) = {rk} <= k+1 = {P.k + 1}"
+        if rk > P.k + 1:
+            raise lcp.LemmaFalsified(f"{rank_line}: FAIL")
+        lines.append(f"{rank_line}: PASS")
         artifact_kind, body = "game", lcp.game_to_json(game)
     elif args.target == "symmetric":
         artifact_kind, body = "game", lcp.game_to_json(lcp.build_symmetric_game(P))
@@ -357,6 +363,10 @@ def _verify_approx(args, checks: list):
     circ = _load(args.input, "circuit")
     cb = _load(args.source, "brouwer")
     grid, params, shrunk = _load(args.compiled_meta, "compiled_meta")
+    if shrunk:
+        # refused before any point: eps = 1/L is scaled for the unshrunk box too
+        raise InputError(f"{args.compiled_meta}: simplices are extracted from the"
+                         " unshrunk compiled circuit")
     if (circ.k, cb.k, cb.n) != (grid.k, grid.k, grid.n):
         raise InputError(f"{args.compiled_meta} is for k={grid.k}, n={grid.n}, but {args.input}"
                          f" has {circ.k} inputs and {args.source} k={cb.k}, n={cb.n}")
@@ -373,9 +383,6 @@ def _verify_approx(args, checks: list):
         _check(checks, f"approx_fixed_point[{text}]", is_fp, f"eps={rat_to_str(eps)}")
         if not is_fp:
             continue
-        if shrunk:
-            raise InputError(f"{args.compiled_meta}: simplices are extracted from the"
-                             " unshrunk compiled circuit")
         try:
             simplex = compiler.extract_panchromatic_simplex(p, cf, eps)
         except compiler.NotPanchromatic as exc:

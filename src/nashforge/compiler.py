@@ -30,9 +30,7 @@ from itertools import islice
 from . import brouwer
 from .brouwer import BoolCircuit, Grid, bool_circuit_size
 from .exactmath import Vec, flag_from_json, int_from_json, walk
-from .fixp import (
-    Add, Builder, Const, FixpCircuit, Input, Max, MulC, circuit_size, evaluate, evaluate_points,
-)
+from .fixp import Builder, FixpCircuit, Input, circuit_size, evaluate, evaluate_points
 
 
 class NotPanchromatic(Exception):
@@ -181,13 +179,7 @@ def shrink_range(cf: CompiledFunction) -> CompiledFunction:
     b = Builder(cf.circuit.k)
     inputs = [b.input(i) for i in range(cf.circuit.k)]
     scaled_in = [b.mulc(scale, r) for r in inputs]
-    values = walk(cf.circuit.gates, {
-        Input: lambda g, v: scaled_in[g.index],
-        Const: lambda g, v: b.const(g.value),
-        Add: lambda g, v: b.add(v[g.a], v[g.b]),
-        MulC: lambda g, v: b.mulc(g.coeff, v[g.a]),
-        Max: lambda g, v: b.maxg(v[g.a], v[g.b]),
-    })
+    values = b.copy(cf.circuit.gates, {Input: lambda g, v: scaled_in[g.index]})
     outs = [b.mulc(Fraction(1, scale), values[o]) for o in cf.circuit.outputs]
     return replace(cf, circuit=b.build(outs), shrunk=True)
 

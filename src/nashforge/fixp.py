@@ -192,25 +192,13 @@ def clamp_outputs(c: FixpCircuit) -> FixpCircuit:
         raise ValueError("circuit outputs are already clamped")
     if len(c.outputs) != c.k:
         raise ValueError(f"fixed-point circuit needs {c.k} outputs, found {len(c.outputs)}")
-    gates = list(c.gates)
-    neg_one = len(gates)
-    gates.append(Const(Fraction(-1)))
-    zero = len(gates)
-    gates.append(Const(Fraction(0)))
-    outputs = []
+    b = Builder(c.k, c.gates)
+    neg_one, zero = b.const(-1), b.const(0)
     pairs = []
     for ref in c.outputs:
-        neg_t = len(gates)
-        gates.append(MulC(Fraction(-1), ref))
-        inner = len(gates)
-        gates.append(Max(neg_one, neg_t))
-        neg_inner = len(gates)
-        gates.append(MulC(Fraction(-1), inner))
-        outer = len(gates)
-        gates.append(Max(zero, neg_inner))
-        outputs.append(outer)
-        pairs.append((inner, outer))
-    return FixpCircuit(c.k, tuple(gates), tuple(outputs),
+        inner = b.maxg(neg_one, b.neg(ref))
+        pairs.append((inner, b.maxg(zero, b.neg(inner))))
+    return FixpCircuit(c.k, tuple(b.gates), tuple(outer for _, outer in pairs),
                        normalized=False, clamped=True, clamp_pairs=tuple(pairs))
 
 
@@ -236,14 +224,7 @@ def normalize_max_zero(c: FixpCircuit) -> FixpCircuit:
         max_of[len(v)] = mx
         return out
 
-    # each gate's value is the new gate holding it
-    value_of = walk(c.gates, {
-        Input: lambda g, v: b.input(g.index),
-        Const: lambda g, v: b.const(g.value),
-        Add: lambda g, v: b.add(v[g.a], v[g.b]),
-        MulC: lambda g, v: b.mulc(g.coeff, v[g.a]),
-        Max: rewrite_max,
-    })
+    value_of = b.copy(c.gates, {Max: rewrite_max})
     outputs = tuple(value_of[o] for o in c.outputs)
     pairs = tuple((max_of[i], max_of[o]) for i, o in c.clamp_pairs)
     return FixpCircuit(c.k, tuple(b.gates), outputs,
@@ -288,11 +269,15 @@ def _rat_bits(x: Fraction) -> int:
 # --- builder -----------------------------------------------------------
 
 class Builder:
-    """Incremental circuit constructor with constant deduplication."""
+    """Incremental circuit constructor with constant deduplication.
 
-    def __init__(self, k: int):
+    A builder may continue an existing gate list; that list is kept as it
+    is, and its constants and inputs are not merged with the new ones.
+    """
+
+    def __init__(self, k: int, gates=()):
         self.k = k
-        self.gates: list[Gate] = []
+        self.gates: list[Gate] = list(gates)
         self._consts: dict[Fraction, int] = {}
         self._inputs: dict[int, int] = {}
 
@@ -340,6 +325,20 @@ class Builder:
         for r in refs[1:]:
             acc = self.add(acc, r)
         return acc
+
+    def copy(self, gates, overrides: dict) -> list[int]:
+        """Re-emit a gate list; returns the new index of every old gate.
+
+        `overrides[type(g)](g, v)` replaces the plain re-emission of the
+        gates of its class, with v the new indices of the gates before g.
+        """
+        return walk(gates, {
+            Input: lambda g, v: self.input(g.index),
+            Const: lambda g, v: self.const(g.value),
+            Add: lambda g, v: self.add(v[g.a], v[g.b]),
+            MulC: lambda g, v: self.mulc(g.coeff, v[g.a]),
+            Max: lambda g, v: self.maxg(v[g.a], v[g.b]),
+        } | overrides)
 
     def build(self, outputs: list[int]) -> FixpCircuit:
         return FixpCircuit(self.k, tuple(self.gates), tuple(outputs))

@@ -450,17 +450,14 @@ class _Condensed:
         """Gauss-Jordan step on (r, s), which needs N_r[s] > 0; slot s then
         holds the column of the variable leaving row r, whose entry in row
         r is d_r.  So row r, with d_r written into slot s, becomes N_r /
-        N_r[s].  A row i nonzero in slot s becomes (p N_i - f N_r) / (d_i p)
-        with p, N_r the new pivot row and f = N_i[s], except that its slot
-        s is -f N_r[s].  Rows zero in slot s are untouched, and every row
+        N_r[s], already in lowest terms: its gcd is gcd(d_r, *N_r) = 1.  A
+        row i nonzero in slot s becomes (p N_i - f N_r) / (d_i p) with p,
+        N_r the new pivot row and f = N_i[s], except that its slot s is
+        -f N_r[s].  Rows zero in slot s are untouched, and every other row
         written is divided by its gcd."""
         rows, dens = self.rows, self.dens
         Nr = rows[r][:]
         p, Nr[s] = Nr[s], dens[r]
-        g = gcd(p, *Nr)
-        if g != 1:
-            Nr = [v // g for v in Nr]
-            p //= g
         rows[r], dens[r] = Nr, p
         w = Nr[s]
         for i, Ni in enumerate(rows):

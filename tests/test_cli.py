@@ -253,6 +253,25 @@ class TestReduce:
         assert "rank(A+B) = 3 <= k+1 = 3: PASS" in capsys.readouterr().out
         assert calls == [3]    # one elimination, on the k+1 = 3 certificate rows
 
+    @pytest.mark.parametrize("failing", ["structure", "rank"])
+    def test_failed_check_line_exits_3_before_any_write(self, failing, circuit_file, tmp_path,
+                                                        monkeypatch, capsys):
+        if failing == "structure":
+            # fails the check on the costed LP that reduce prints, not the
+            # one build_constraints runs before the cost is added
+            monkeypatch.setattr(lp, "property_violations",
+                                lambda P: ["forced"] if P.c is not None else [])
+            line = "structure checks P1-P3: FAIL forced"
+        else:
+            rank = lcp.payoff_sum_rank
+            monkeypatch.setattr(lcp, "payoff_sum_rank", lambda A, B: rank(A, B) + 5)
+            line = "rank(A+B) = 7 <= k+1 = 2: FAIL"
+        out, report = tmp_path / "game.json", tmp_path / "report.json"
+        assert main(["reduce", circuit_file, "--target", "game", "-o", str(out),
+                     "--report", str(report)]) == 3
+        assert capsys.readouterr() == ("", f"lemma falsification alarm: {line}\n")
+        assert not out.exists() and not report.exists()
+
     def test_game_targets_never_read_dense_views(self, circuit_file, tmp_path, monkeypatch, rng):
         reads = []
         for cls, view in ((lcp.BimatrixGame, "A"), (lcp.BimatrixGame, "B"),
@@ -587,6 +606,19 @@ class TestBadArguments:
         assert main(["verify", circ, "--mode", "approx", "--source", source,
                      "--compiled-meta", circ + ".meta.json", f"--points={points}"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["3/4", "1/2"])   # a fixed point and a moving one
+    def test_approx_mode_refuses_shrunk_meta_before_any_point(self, point, compiled_1d, tmp_path,
+                                                              capsys):
+        source = str(Path(compiled_1d).parent / "brouwer.json")
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["verify", compiled_1d, "--mode", "approx", "--source", source,
+                     "--compiled-meta", compiled_1d + ".meta.json", "--points", point,
+                     "-o", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert "simplices are extracted from the unshrunk compiled circuit" in err
+        assert "PASS" not in out and not report.exists()
 
     def test_approx_mode_needs_one_output_per_input(self, fixture_file, tmp_path, capsys):
         circ = tmp_path / "compiled.json"

@@ -551,6 +551,9 @@ class TestCondensedPath:
                 assert dense_rows(first, q_vars) == TQ
                 assert second.basis == [p_vars[t] for t in basis_p]
                 assert first.basis == [q_vars[t] for t in basis_q]
+                # every row stays in lowest terms, the pivot row included
+                for block in (first, second):
+                    assert all(d > 0 and gcd(d, *N) == 1 for N, d in zip(block.rows, block.dens))
 
 
 class TestRayErrorsNameTheInstance:
@@ -1022,7 +1025,7 @@ for call in (lambda: nash.enumerate_ne([[F(1)]], [[F(1)]]),
 """
 
 
-# public names that nothing in src/ or perfbench/ references, with the reason each stays
+# names that nothing in src/ or perfbench/ references, with the reason each stays
 UNCALLED_BUT_KEPT = {
     "bool_to_json": "the brouwer wire writer, the one way to produce what `compile` reads",
     "scale_solution": "the change of variables that the fixed point -> equilibrium lift needs",
@@ -1055,19 +1058,25 @@ class TestChecksSurviveOptimize:
     def test_every_public_name_has_a_caller(self):
         package = Path(nashforge.__file__).resolve().parent
         bench = package.parents[1] / "perfbench"
-        # per top-level statement of each file, the names it references
-        statements = []
+
+        def references(tree) -> set:
+            refs = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    refs.add(node.name.split(".")[-1])
+            return refs
+        # per top-level statement of each file, and per function at any
+        # depth, the names it references
+        statements, functions = [], []
         for path in sorted(package.parent.rglob("*.py")) + sorted(bench.glob("*.py")):
             for stmt in ast.parse(path.read_text()).body:
-                refs = set()
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Name):
-                        refs.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        refs.add(node.attr)
-                    elif isinstance(node, ast.alias):
-                        refs.add(node.name.split(".")[-1])
-                statements.append((path, stmt, refs))
+                statements.append((path, stmt, references(stmt)))
+                functions.extend((node, references(node)) for node in ast.walk(stmt)
+                                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
         uncalled = []
         for path, stmt, _ in statements:
             if path.parent != package:
@@ -1080,9 +1089,20 @@ class TestChecksSurviveOptimize:
             else:
                 continue
             for name in names:
-                if name.startswith("_") or name in UNCALLED_BUT_KEPT:
+                if name.startswith("__") or name in UNCALLED_BUT_KEPT:
                     continue
                 if not any(name in refs for _, other, refs in statements if other is not stmt):
                     uncalled.append(f"{path.name}:{name}")
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            # a method is called when a function outside it references its name
+            for method in stmt.body:
+                if (not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or method.name.startswith("__")):
+                    continue
+                inside = set(ast.walk(method))
+                if not any(method.name in refs for node, refs in functions
+                           if node not in inside):
+                    uncalled.append(f"{path.name}:{stmt.name}.{method.name}")
         assert uncalled == []
 
