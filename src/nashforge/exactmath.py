@@ -13,6 +13,7 @@ one table per gate family (see "circuit gates" below).
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from fractions import Fraction
 from functools import cache
@@ -45,21 +46,23 @@ def flag_from_json(v) -> bool:
     return v
 
 
+# the "p/q" wire form: ASCII digits, no sign but a leading "-", no spaces or "_"
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(s) -> Fraction:
     """Parse the "p/q" wire form (also accepts a bare integer)."""
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected rational string, got {type(s).__name__}")
-    parts = s.split("/")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if len(parts) == 2:
-        num, den = int(parts[0]), int(parts[1])
-        if den <= 0:
-            raise ValueError(f"denominator must be positive in {s!r}")
-        return Fraction(num, den)
-    raise ValueError(f"malformed rational {s!r}")
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f"malformed rational {s!r}")
+    num, den = (int(v) for v in match.groups("1"))
+    if den == 0:
+        raise ValueError(f"denominator must be positive in {s!r}")
+    return Fraction(num, den)
 
 
 def rat_to_str(x: Fraction) -> str:

@@ -451,22 +451,34 @@ class _Condensed:
         holds the column of the variable leaving row r, whose entry in row
         r is d_r.  So row r, with d_r written into slot s, becomes N_r /
         N_r[s], already in lowest terms: its gcd is gcd(d_r, *N_r) = 1.  A
-        row i nonzero in slot s becomes (p N_i - f N_r) / (d_i p) with p,
-        N_r the new pivot row and f = N_i[s], except that its slot s is
-        -f N_r[s].  Rows zero in slot s are untouched, and every other row
-        written is divided by its gcd."""
+        row i nonzero in slot s becomes (p' N_i - f' N_r) / (d_i p') with
+        p, N_r the new pivot row, f = N_i[s], c = gcd(p, f), p' = p / c and
+        f' = f / c, except that its slot s is -f' d_r.  N_i is copied as it
+        is when p' = 1 and scaled by p' otherwise, and f' N_r is subtracted
+        at the pivot row's nonzero slots only, listed once per pivot.  Rows
+        zero in slot s are untouched, and every other row written is
+        divided by its gcd; the lowest-terms form is unique, so dividing by
+        c first changes no row."""
         rows, dens = self.rows, self.dens
         Nr = rows[r][:]
         p, Nr[s] = Nr[s], dens[r]
         rows[r], dens[r] = Nr, p
         w = Nr[s]
+        nonzero = [(j, u) for j, u in enumerate(Nr) if u and j != s]
         for i, Ni in enumerate(rows):
             f = Ni[s]
             if not f or i == r:
                 continue
-            N = [p * v - f * u for v, u in zip(Ni, Nr)]
+            c = gcd(p, f)
+            pc, f = p // c, f // c
+            if pc == 1:
+                N = Ni[:]
+            else:
+                N = [pc * v for v in Ni]
+            for j, u in nonzero:
+                N[j] -= f * u
             N[s] = -f * w
-            d = dens[i] * p
+            d = dens[i] * pc
             g = gcd(d, *N)
             if g != 1:
                 N = [v // g for v in N]

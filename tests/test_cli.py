@@ -561,11 +561,14 @@ class TestOracleAndEval:
         assert len(calls) == 1
 
     def test_eval(self, circuit_file, capsys):
-        assert main(["eval", circuit_file, "--at", "1/4"]) == 0
-        assert json.loads(capsys.readouterr().out) == ["3/4"]
+        # coordinates are stripped, so spaces around them are not part of a rational
+        for point in ("1/4", " 1/4 "):
+            assert main(["eval", circuit_file, "--at", point]) == 0
+            assert json.loads(capsys.readouterr().out) == ["3/4"]
 
     def test_eval_bad_point_exits_2(self, circuit_file, capsys):
         assert main(["eval", circuit_file, "--at", "1/4,1/2"]) == 2
+        assert main(["eval", circuit_file, "--at", "1_000"]) == 2
 
 
 class TestBadArguments:
@@ -758,6 +761,15 @@ class TestInputValidation:
         assert main([command[0], str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert f"{path}: malformed game" in err and "every game kind is square" in err
+
+    def test_non_wire_rational_exits_2(self, tmp_path, capsys):
+        # int() reads "1_0" as 10; the wire form has no "_"
+        path = write_json(tmp_path / "game.json", "game", {
+            "rows": 2, "cols": 2, "A": [["1_0", "+0"], ["0", "1"]], "B": [["1", "0"], ["0", "1"]],
+            "meta": {"m": 1, "k": 0, "c": None, "output_rows": [], "kind": "rank_k_plus_1"}})
+        assert main(["solve", path, "--method", "lh", "-o", str(tmp_path / "out.json")]) == 2
+        assert f"error: {path}: malformed game" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("command", [["solve"], ["verify"], ["pipeline"]])
     def test_deeply_nested_json_exits_2(self, command, tmp_path, capsys):

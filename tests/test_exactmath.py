@@ -129,7 +129,10 @@ class TestSerialization:
         assert em.rat_to_str(F(4, 2)) == "2"
 
     def test_rejects_garbage(self):
-        for bad in ["1/0", "1/-2", "a", "1/2/3", True, 1.5, [1]]:
+        # only ASCII "-?[0-9]+(/[0-9]+)?": int() alone would take "_", spaces,
+        # a "+" and any Unicode digit
+        for bad in ["1/0", "1/-2", "a", "1/2/3", True, 1.5, [1], "1_0", "+0", "1/+2", " 3",
+                    "3 ", "3\n", " \u0663 ", "\u0663", "3/ 4", "1_000", "", "-", "1/"]:
             with pytest.raises(ValueError):
                 em.rat_from_str(bad)
 

@@ -527,9 +527,27 @@ class TestPivotBound:
                 lemke_howson(A, B, label, max_pivots=needed - 1)
 
 
+@st.composite
+def sparse_games(draw):
+    """2-9 x 2-9 games whose entries are mostly zero, so that pivot rows
+    are often mostly zero too.  Half of them are square and shaped as
+    `lcp.build_game` makes a game: A upper-triangular and A + B zero
+    outside one row, so of rank at most 1."""
+    r = draw(st.integers(2, 9))
+    triangular = draw(st.booleans())
+    c = r if triangular else draw(st.integers(2, 9))
+    entries = st.sampled_from([F(0)] * 24 + [F(v) for v in (-1, 1, 2, 3)] + [F(1, 2), F(-2, 3)])
+    mat = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    A, B = draw(mat), draw(mat)
+    if triangular:
+        A = [[v if j >= i else F(0) for j, v in enumerate(row)] for i, row in enumerate(A)]
+        B = [[-v for v in row] for row in A[:-1]] + [[u - v for u, v in zip(B[-1], A[-1])]]
+    return A, B
+
+
 class TestCondensedPath:
-    @settings(max_examples=60, deadline=None)
-    @given(small_games())
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_games(), sparse_games()))
     def test_blocks_equal_the_referee_after_every_pivot(self, game):
         A, B = game
         r, c = mat_shape(A)
