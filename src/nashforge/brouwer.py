@@ -234,6 +234,14 @@ def validate_circuit(cb: BoolCircuit) -> ValidityReport:
     return ValidityReport(not violations, tuple(violations))
 
 
+def require_valid(cb: BoolCircuit):
+    """Raise InvalidBrouwerCircuit naming the first violation of validate_circuit."""
+    report = validate_circuit(cb)
+    if not report.ok:
+        p, reason = report.violations[0]
+        raise InvalidBrouwerCircuit(f"invalid at {p}: {reason}")
+
+
 # --- exhaustive fixed-point oracle ---
 
 @dataclass(frozen=True)
@@ -266,10 +274,7 @@ def panchromatic_cubes(color_fn, grid: Grid) -> list[PanchromaticCube]:
 
 def brute_force_fixtures(cb: BoolCircuit) -> list[PanchromaticCube]:
     """Panchromatic cubes of a circuit's coloring; validates the circuit first."""
-    report = validate_circuit(cb)
-    if not report.ok:
-        p, reason = report.violations[0]
-        raise InvalidBrouwerCircuit(f"invalid at {p}: {reason}")
+    require_valid(cb)
     return panchromatic_cubes(lambda p: color_at(cb, p), cb.grid)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import brouwer, compiler, lcp, lp, nash
 from .exactmath import (
-    is_upper_triangular, rat_from_str, rat_to_str, sparse_transpose, vec_to_strs,
+    int_from_str, is_upper_triangular, rat_from_str, rat_to_str, sparse_transpose, vec_to_strs,
 )
 from .fixp import (
     FixpCircuit, circuit_from_json, circuit_to_json, evaluate, evaluate_with_trace,
@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--meta", help="sidecar metadata path (default: OUTPUT.meta.json)")
-    c.add_argument("--L", type=int, help="sampling density (power of two)")
+    c.add_argument("--L", type=int_from_str, help="sampling density (power of two)")
     c.add_argument("--shrink", action="store_true", help="rescale to the unit box")
     c.add_argument("--grid-check", action=argparse.BooleanOptionalAction, default=True)
     c.set_defaults(func=cmd_compile)
@@ -563,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the lemma batteries against an artifact")
     v.add_argument("input")
     v.add_argument("--mode", choices=["roundtrip", "lemmas", "approx"], default="lemmas")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=200)
+    v.add_argument("--seed", type=int_from_str, default=0)
+    v.add_argument("--trials", type=int_from_str, default=200)
     v.add_argument("--source", help="brouwer.json for --mode approx")
     v.add_argument("--compiled-meta", help="compiled sidecar for --mode approx")
     v.add_argument("--points", help="semicolon-separated candidate points")
@@ -575,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="enumerate equilibria or run Lemke-Howson")
     s.add_argument("input")
     s.add_argument("--method", choices=["enumerate", "lh"], default="enumerate")
-    s.add_argument("--label", type=int, default=0)
-    s.add_argument("--max-pivots", type=int, default=nash.MAX_PIVOTS,
+    s.add_argument("--label", type=int_from_str, default=0)
+    s.add_argument("--max-pivots", type=int_from_str, default=nash.MAX_PIVOTS,
                    help="Lemke-Howson pivot bound (default %(default)s)")
     s.add_argument("-o", "--output")
     s.set_defaults(func=cmd_solve)

@@ -116,10 +116,7 @@ def compile_brouwer(cb: BoolCircuit, params: SamplingParams | None = None,
     """Build the sampled piecewise-linear extension of the discrete map."""
     grid = cb.grid
     if validate:
-        report = brouwer.validate_circuit(cb)
-        if not report.ok:
-            p, reason = report.violations[0]
-            raise brouwer.InvalidBrouwerCircuit(f"invalid at {p}: {reason}")
+        brouwer.require_valid(cb)
     params = params or default_params(cb)
     k, n, L = grid.k, grid.n, params.L
 
@@ -186,28 +183,13 @@ def shrink_range(cf: CompiledFunction) -> CompiledFunction:
 
 # --- position analysis and simplex extraction ---------------------------
 
-@dataclass(frozen=True)
-class PositionClass:
-    """Per-coordinate well/poor flags of a point."""
-
-    well: tuple[bool, ...]
-
-    @property
-    def all_well(self) -> bool:
-        return all(self.well)
-
-
-def classify_position(p: Vec, L: int) -> PositionClass:
-    """A coordinate t + eps is poor iff 1 - 1/L^2 < eps < 1, t integral."""
+def well_positioned(p: Vec, L: int) -> bool:
+    """No coordinate is poor: t + eps with t integral and 1 - 1/L^2 < eps < 1."""
+    p = [Fraction(x) for x in p]
+    if any(x < 0 for x in p):
+        raise ValueError("coordinates must be nonnegative")
     window = 1 - Fraction(1, L * L)
-    flags = []
-    for x in p:
-        x = Fraction(x)
-        if x < 0:
-            raise ValueError("coordinates must be nonnegative")
-        eps = x - (x.numerator // x.denominator)
-        flags.append(not (window < eps))
-    return PositionClass(tuple(flags))
+    return all(x - x.numerator // x.denominator <= window for x in p)
 
 
 def sample_set(p: Vec, params: SamplingParams) -> list[list[Fraction]]:
@@ -266,7 +248,7 @@ def extract_panchromatic_simplex(p: Vec, cf: CompiledFunction,
     if not check_approx_fixed_point(cf, p, eps):
         raise NotPanchromatic(f"point is not a {eps}-approximate fixed point")
     samples = sample_set(p, cf.params)
-    flags = [classify_position(s, cf.params.L).all_well for s in samples]
+    flags = [well_positioned(s, cf.params.L) for s in samples]
     return panchromatic_from_samples(
         samples, flags, lambda q: brouwer.color_at(cf.source, q), cf.grid)
 

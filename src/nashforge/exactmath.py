@@ -48,6 +48,7 @@ def flag_from_json(v) -> bool:
 
 # the "p/q" wire form: ASCII digits, no sign but a leading "-", no spaces or "_"
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def rat_from_str(s) -> Fraction:
@@ -63,6 +64,13 @@ def rat_from_str(s) -> Fraction:
     if den == 0:
         raise ValueError(f"denominator must be positive in {s!r}")
     return Fraction(num, den)
+
+
+def int_from_str(s: str) -> int:
+    """Parse an integer command-line value in the wire's form, ASCII -?[0-9]+."""
+    if _INTEGER.fullmatch(s) is None:
+        raise ValueError(f"malformed integer {s!r}")
+    return int(s)
 
 
 def rat_to_str(x: Fraction) -> str:

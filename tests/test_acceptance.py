@@ -75,7 +75,7 @@ def test_criterion_1_extract_bits_exactness(capsys):
         # poor window (1 - 1/L^2, 1)
         for j in range(0, 4 * L * L - 3):
             a = t + j * step
-            assert compiler.classify_position([a], L).all_well
+            assert compiler.well_positioned([a], L)
             assert fixp.evaluate(gadget, [a]) == want, f"bits wrong at t={t}, j={j}"
             checked += 1
     assert checked == 2 ** n * (4 * L * L - 3)

@@ -12,6 +12,7 @@ from nashforge.brouwer import (
     eval_bool, increment, make_example_coloring, panchromatic_cubes,
     validate_circuit,
 )
+from nashforge.compiler import compile_brouwer
 
 from conftest import encode_case
 
@@ -174,8 +175,16 @@ class TestBruteForce:
 
     def test_invalid_circuit_rejected_first(self):
         cb = constant_case_circuit(2, 2, 0)   # interior fine, boundary wrong
-        with pytest.raises(InvalidBrouwerCircuit):
+        with pytest.raises(InvalidBrouwerCircuit, match="invalid at"):
             brute_force_fixtures(cb)
+
+    def test_compiler_and_oracle_name_the_same_first_violation(self):
+        # the origin's zeros are coordinates 1 and 2, so the boundary rule asks for color 2
+        cb = constant_case_circuit(2, 2, 0)
+        for reader in (brute_force_fixtures, compile_brouwer):
+            with pytest.raises(InvalidBrouwerCircuit) as exc:
+                reader(cb)
+            assert str(exc.value) == "invalid at (0, 0): boundary rule requires color 2, got 0"
 
     def test_3d_fixture_nonempty_with_simplices(self):
         cubes = brute_force_fixtures(make_example_coloring(Grid(3, 2)))

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nashforge
-from nashforge import brouwer, cli, exactmath, fixp, lcp, lp, nash
+from nashforge import brouwer, cli, compiler, exactmath, fixp, lcp, lp, nash
 from nashforge.cli import SCHEMA, main
 
 from conftest import encode_case, false_clamp_claim_circuit, one_minus_circuit, random_raw_circuit
@@ -47,6 +47,15 @@ def compiled_1d(tmp_path_factory):
     return compiled
 
 
+def unshrunk_1d(tmp_path):
+    """make_example_coloring(Grid(1, 1)) and its unshrunk compiled circuit, as paths."""
+    cb = brouwer.make_example_coloring(brouwer.Grid(1, 1))
+    source = write_json(tmp_path / "b.json", "brouwer", brouwer.bool_to_json(cb))
+    circuit = str(tmp_path / "c.json")
+    assert main(["compile", source, "-o", circuit]) == 0
+    return source, circuit
+
+
 class TestCompile:
     def test_fixture_compiles_with_grid_check(self, fixture_file, tmp_path, capsys):
         out = tmp_path / "circuit.json"
@@ -64,6 +73,15 @@ class TestCompile:
         bad = write_json(tmp_path / "bad.json", "brouwer", brouwer.bool_to_json(cb))
         assert main(["compile", bad, "-o", str(tmp_path / "c.json")]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_grid_check_violation_exits_3_before_any_write(self, fixture_file, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(compiler, "grid_restriction_violations",
+                            lambda cf: [((1, 1), (1, 2), [F(1), F(1)])])
+        out = tmp_path / "circuit.json"
+        assert main(["compile", fixture_file, "-o", str(out)]) == 3
+        assert "grid-restriction check: FAIL at (1, 1)" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["fixture.json"]
 
     def test_shrink_flag(self, fixture_file, tmp_path):
         out = tmp_path / "circuit.json"
@@ -350,6 +368,34 @@ class TestVerify:
         assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", "60"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name,broken", [
+        # the LP optimum disagrees with the circuit's max-gate trace
+        ("solve_lp", lambda real: lambda P, lam: [v + 1 for v in real(P, lam)]),
+        # the optimum agrees, but its dual breaks the KKT conditions
+        ("kkt_violations", lambda real: lambda *args: ["complementarity fails"]),
+    ])
+    def test_lemmas_mode_failing_lp_probe_exits_2(self, name, broken, circuit_file,
+                                                   monkeypatch, capsys):
+        monkeypatch.setattr(lp, name, broken(getattr(lp, name)))
+        assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", "60"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  lp_matches_circuit_and_kkt" in out and out.count("FAIL") == 1
+
+    def test_lemmas_mode_semimonotone_alarm_exits_3(self, circuit_file, tmp_path, monkeypatch,
+                                                    capsys):
+        # a draw with no violated row is a nonzero solution of LCP(q, M) with q > 0
+        def solved(ns, z, q):
+            raise lcp.LemmaFalsified("no row of z is violated")
+        monkeypatch.setattr(lcp, "semimonotone_witness", solved)
+        report = tmp_path / "report.json"
+        assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", "60",
+                     "-o", str(report)]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL  semimonotone_battery  (0/60 witnessed)" in out
+        assert ("FAIL  lemma_falsification_alarm  (semimonotone battery found a nonzero"
+                " solution)") in out
+        assert json.loads(report.read_text())["ok"] is False
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_lemmas_mode_rejects_empty_battery(self, circuit_file, trials, capsys):
         assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", trials]) == 2
@@ -455,6 +501,16 @@ class TestVerify:
         assert code == 0
         text = capsys.readouterr().out
         assert "PASS" in text and "cells (0, 0) (0, 1) (1, 1)" in text
+
+    def test_approx_mode_reports_a_point_that_witnesses_no_simplex(self, tmp_path, capsys):
+        # within eps = 4 of its image, but every sample of 0 lies in the cell (0)
+        source, circuit = unshrunk_1d(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", circuit, "--mode", "approx", "--points", "0", "--eps", "4",
+                     "--source", source, "--compiled-meta", circuit + ".meta.json"]) == 2
+        out = capsys.readouterr().out
+        assert "PASS  approx_fixed_point[0]  (eps=4)" in out
+        assert "FAIL  simplex[0]  (well samples cover 1 cells, need 2)" in out
 
     def test_approx_mode_rejects_moving_point(self, fixture_file, tmp_path, capsys):
         circ = tmp_path / "compiled.json"
@@ -583,6 +639,24 @@ class TestBadArguments:
             main(["verify", circuit_file, "--mode", "approx", "--eps", "x"])
         assert exc.value.code == 2 and "argument --eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--label", " +2"), ("--label", "\u0662"), ("--label", "1_0"), ("--label", "2 "),
+        ("--max-pivots", "1_000"), ("--trials", "4_0"), ("--seed", "+1"), ("--L", "6_4"),
+    ])
+    def test_integer_flags_take_ascii_digits_only(self, flag, value, circuit_file,
+                                                  fixture_file, tmp_path, capsys):
+        # the wire's integer form is -?[0-9]+; int() would read each of these values
+        game, out = str(tmp_path / "game.json"), tmp_path / "out.json"
+        assert main(["reduce", circuit_file, "--target", "game", "-o", game]) == 0
+        command = {"--L": ["compile", fixture_file], "--trials": ["verify", circuit_file],
+                   "--seed": ["verify", circuit_file]}.get(flag, ["solve", game, "--method", "lh"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, value, "-o", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int_from_str value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eps_zero_allowed(self):
         # a zero tolerance asks for an exact fixed point, which is admissible
         args = cli.build_parser().parse_args(
@@ -651,11 +725,27 @@ def _malformed(kind, body):
             docs["k_zero"] = {**body, "k": 0, "gates": [{"op": "const", "v": 0}], "outputs": []}
             docs["n_zero"] = {**body, "n": 0, "gates": [{"op": "const", "v": 0}],
                               "outputs": [0] * len(body["outputs"])}
+            docs["input_past_last_bit"] = _first_gate(
+                body, {"op": "input", "i": body["k"] * body["n"]})
+            docs["const_not_a_bit"] = _first_gate(body, {"op": "const", "v": 2})
+            docs["one_output_short"] = {**body, "outputs": body["outputs"][:-1]}
         if kind == "circuit":
+            docs["no_inputs"] = {**body, "k": 0}
+            docs["no_outputs"] = {**body, "outputs": []}
             docs["false_clamp_claim"] = fixp.circuit_to_json(false_clamp_claim_circuit())
             clamped = fixp.circuit_to_json(fixp.clamp_outputs(one_minus_circuit()))
-            docs["string_flag"] = {**clamped,
-                                   "meta": {**clamped["meta"], "max_zero_normalized": "false"}}
+            meta = clamped["meta"]
+            docs["string_flag"] = {**clamped, "meta": {**meta, "max_zero_normalized": "false"}}
+            # the clamp pair (7, 9): max{-1, -y} and max{0, -max{-1, -y}}, y = 1 - x
+            docs["clamped_two_outputs"] = {**clamped, "outputs": [9, 9]}
+            docs["clamped_no_pairs"] = {**clamped, "meta": {**meta, "clamp_pairs": []}}
+            docs["clamped_output_not_outer"] = {**clamped, "outputs": [7]}
+            docs["clamp_pair_not_max"] = {**clamped, "meta": {**meta, "clamp_pairs": [[6, 9]]}}
+            # a max gate after the clamp pair decodes and evaluates; the LP needs
+            # the clamp gates last
+            docs["clamp_not_last"] = {
+                **clamped, "gates": clamped["gates"] + [{"op": "max", "a": 5, "b": 0}],
+                "meta": {**meta, "max_zero_normalized": True}}
     elif kind == "game":
         docs["meta_k_true"] = {**body, "meta": {**body["meta"], "k": True}}
         docs["without_meta"] = {key: v for key, v in body.items() if key != "meta"}
@@ -715,9 +805,23 @@ READERS = {
 # a circuit that decodes but cannot be reduced is bad input only to the
 # commands that reduce it to an LP (`eval`, for one, evaluates it fine)
 REDUCING_READERS = {"reduce", "verify_circuit", "verify_roundtrip"}
+IRREDUCIBLE = {"false_clamp_claim", "clamp_not_last"}
+# the constructor guard each of these cases reaches, named in the refusal
+GUARDS = {
+    "input_past_last_bit": "input gate 0 index out of range",
+    "const_not_a_bit": "const gate 0 must be 0 or 1",
+    "one_output_short": "expected 4 outputs, got 3",
+    "no_inputs": "circuit needs at least one input",
+    "no_outputs": "circuit needs at least one output",
+    "clamped_two_outputs": "clamped circuit must have k outputs",
+    "clamped_no_pairs": "clamped circuit must record one clamp pair per output",
+    "clamped_output_not_outer": "clamped outputs must be the outer clamp gates",
+    "clamp_pair_not_max": "clamp pair refs must be max gates",
+    "clamp_not_last": "clamp gates are not the final max gates in pair order",
+}
 MALFORMED_CASES = [(reader, case) for reader, (_, kind) in READERS.items()
                    for case in _malformed(kind, WELL_FORMED[kind])
-                   if case != "false_clamp_claim" or reader in REDUCING_READERS]
+                   if case not in IRREDUCIBLE or reader in REDUCING_READERS]
 
 
 def _run_reader(reader, doc, tmp_path) -> int:
@@ -744,7 +848,8 @@ class TestInputValidation:
         if isinstance(doc, dict):
             doc = {"schema": SCHEMA, "kind": kind, **doc}
         assert _run_reader(reader, doc, tmp_path) == 2
-        assert str(tmp_path / "bad.json") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(tmp_path / "bad.json") in err and GUARDS.get(case, "") in err
 
     @pytest.mark.parametrize("target", ["game", "symmetric", "imitation"])
     @pytest.mark.parametrize("command", [["verify"], ["solve"], ["solve", "--method", "lh"]])
@@ -857,6 +962,34 @@ class TestPipeline:
         assert main(["pipeline", manifest]) == 2
         out, err = capsys.readouterr()
         assert "stage 1: nashforge rejects" in err and "[stage 0]" not in out
+        assert not game.exists()
+
+    def test_non_wire_integer_refused_before_any_stage(self, circuit_file, tmp_path, capsys):
+        game = tmp_path / "game.json"
+        manifest = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "reduce", "input": circuit_file,
+             "output": str(game), "args": {"target": "game"}},
+            {"command": "solve", "input": str(game), "args": {"method": "lh", "label": " +2"}},
+        ]})
+        assert main(["pipeline", manifest]) == 2
+        out, err = capsys.readouterr()
+        assert "stage 1: nashforge rejects" in err and "[stage 0]" not in out
+        assert not game.exists()
+
+    def test_failing_stage_ends_the_run(self, tmp_path, capsys):
+        source, circuit = unshrunk_1d(tmp_path)
+        game = tmp_path / "game.json"
+        manifest = write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "verify", "input": circuit,
+             "args": {"mode": "approx", "points": "0", "eps": 4, "source": source,
+                      "compiled-meta": circuit + ".meta.json"}},
+            {"command": "reduce", "input": circuit, "output": str(game),
+             "args": {"target": "game"}},
+        ]})
+        capsys.readouterr()
+        assert main(["pipeline", manifest]) == 2
+        out = capsys.readouterr().out
+        assert "[stage 0]" in out and "FAIL  simplex[0]" in out and "[stage 1]" not in out
         assert not game.exists()
 
     @pytest.mark.parametrize("args,code", [({"grid-check": False}, 2),

@@ -7,8 +7,8 @@ import pytest
 from nashforge import brouwer, compiler, fixp
 from nashforge.brouwer import Grid, make_example_coloring
 from nashforge.compiler import (
-    NotPanchromatic, SamplingParams, check_approx_fixed_point, classify_position,
-    compile_brouwer, default_params,
+    NotPanchromatic, SamplingParams, check_approx_fixed_point, compile_brouwer, default_params,
+    well_positioned,
 )
 
 from conftest import (
@@ -110,7 +110,7 @@ class TestCompile:
         bits = encode_case(2, 0)
         gates = tuple(brouwer.BConst(v) for v in bits)
         cb = brouwer.BoolCircuit(2, 2, gates, (0, 1, 2, 3))
-        with pytest.raises(brouwer.InvalidBrouwerCircuit):
+        with pytest.raises(brouwer.InvalidBrouwerCircuit, match="invalid at"):
             compile_brouwer(cb)
 
     def test_size_within_budget(self, fixture_2d):
@@ -158,16 +158,25 @@ class TestShrink:
 
 class TestClassifyPosition:
     def test_halves_are_well(self):
-        assert classify_position([F(1, 2), F(1, 2)], L).all_well
+        assert well_positioned([F(1, 2), F(1, 2)], L)
 
     def test_window_membership(self):
-        assert not classify_position([F(2) - F(1, 3 * L * L)], L).well[0]
+        assert not well_positioned([F(2) - F(1, 3 * L * L)], L)
 
     def test_integers_are_well(self):
-        assert classify_position([F(5)], L).all_well
+        assert well_positioned([F(5)], L)
 
     def test_window_boundary_is_well(self):
-        assert classify_position([F(1) - F(1, L * L)], L).well[0]
+        assert well_positioned([F(1) - F(1, L * L)], L)
+
+    def test_one_poor_coordinate_makes_the_point_poor(self):
+        assert not well_positioned([F(1, 2), F(2) - F(1, 3 * L * L)], L)
+
+    @pytest.mark.parametrize("p", [[F(-1, 2)], [F(2) - F(1, 3 * L * L), F(-1)]])
+    def test_negative_coordinate_anywhere_refused(self, p):
+        # a poor first coordinate does not settle the answer before the second is read
+        with pytest.raises(ValueError, match="nonnegative"):
+            well_positioned(p, L)
 
 
 class TestApproxFixedPoint:
@@ -246,7 +255,7 @@ class TestCompiledSemanticsOracle:
         sim = simulate_bool(cb)
         for _ in range(60):
             p = [F(rng.randint(0, 3 * 128), 128) + F(1, 512) for _ in range(2)]
-            if not classify_position(p, L).all_well:
+            if not well_positioned(p, L):
                 continue
             bits = []
             for coord in p:
@@ -264,7 +273,7 @@ class TestCompiledSemanticsOracle:
         for _ in range(40):
             p = [F(rng.randint(0, 3 * 64), 64) + F(1, 256) for _ in range(2)]
             samples = compiler.sample_set(p, params)
-            if not all(classify_position(s, L).all_well for s in samples):
+            if not all(well_positioned(s, L) for s in samples):
                 continue
             total = [F(0), F(0)]
             for s in samples:
