@@ -134,6 +134,23 @@ def _parse_point(text: str) -> list[Fraction]:
         raise InputError(f"bad point {text!r}: {exc}")
 
 
+def _int_flag(text: str) -> int:
+    try:
+        return int_from_str(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer (ASCII digits, optional leading -), got {text!r}") from None
+
+
+def _rat_flag(text: str) -> Fraction:
+    try:
+        return rat_from_str(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected a rational p or p/q (ASCII digits, optional leading -, q > 0), "
+            f"got {text!r}") from None
+
+
 def _validated(cb: brouwer.BoolCircuit) -> bool:
     report = brouwer.validate_circuit(cb)
     if not report.ok:
@@ -546,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--meta", help="sidecar metadata path (default: OUTPUT.meta.json)")
-    c.add_argument("--L", type=int_from_str, help="sampling density (power of two)")
+    c.add_argument("--L", type=_int_flag, help="sampling density (power of two)")
     c.add_argument("--shrink", action="store_true", help="rescale to the unit box")
     c.add_argument("--grid-check", action=argparse.BooleanOptionalAction, default=True)
     c.set_defaults(func=cmd_compile)
@@ -563,20 +580,20 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the lemma batteries against an artifact")
     v.add_argument("input")
     v.add_argument("--mode", choices=["roundtrip", "lemmas", "approx"], default="lemmas")
-    v.add_argument("--seed", type=int_from_str, default=0)
-    v.add_argument("--trials", type=int_from_str, default=200)
+    v.add_argument("--seed", type=_int_flag, default=0)
+    v.add_argument("--trials", type=_int_flag, default=200)
     v.add_argument("--source", help="brouwer.json for --mode approx")
     v.add_argument("--compiled-meta", help="compiled sidecar for --mode approx")
     v.add_argument("--points", help="semicolon-separated candidate points")
-    v.add_argument("--eps", type=rat_from_str, help="approximation tolerance (default 1/L)")
+    v.add_argument("--eps", type=_rat_flag, help="approximation tolerance (default 1/L)")
     v.add_argument("-o", "--output")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("solve", help="enumerate equilibria or run Lemke-Howson")
     s.add_argument("input")
     s.add_argument("--method", choices=["enumerate", "lh"], default="enumerate")
-    s.add_argument("--label", type=int_from_str, default=0)
-    s.add_argument("--max-pivots", type=int_from_str, default=nash.MAX_PIVOTS,
+    s.add_argument("--label", type=_int_flag, default=0)
+    s.add_argument("--max-pivots", type=_int_flag, default=nash.MAX_PIVOTS,
                    help="Lemke-Howson pivot bound (default %(default)s)")
     s.add_argument("-o", "--output")
     s.set_defaults(func=cmd_solve)

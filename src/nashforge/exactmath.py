@@ -51,6 +51,22 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
+def exact_vec(v) -> Vec:
+    """The entries of v as Fractions.  Each must be an int or a Fraction:
+    a bool, a float or a string is refused with a TypeError naming its
+    index, since Fraction() would read 0.1 as its binary expansion and
+    parse "1/4" as text."""
+    out = []
+    for i, x in enumerate(v):
+        if type(x) is int:
+            x = Fraction(x)
+        elif not isinstance(x, Fraction):
+            raise TypeError(f"entry {i} is {x!r} ({type(x).__name__}); "
+                            "expected an int or a Fraction")
+        out.append(x)
+    return out
+
+
 def rat_from_str(s) -> Fraction:
     """Parse the "p/q" wire form (also accepts a bare integer)."""
     if type(s) is int:

@@ -26,8 +26,8 @@ from fractions import Fraction
 from math import lcm
 
 from .exactmath import (
-    Ref, Vec, check_dag, flag_from_json, gate_from_json, gate_to_json, int_from_json, int_vec,
-    walk,
+    Ref, Vec, check_dag, exact_vec, flag_from_json, gate_from_json, gate_to_json, int_from_json,
+    int_vec, walk,
 )
 
 
@@ -115,8 +115,9 @@ def evaluate_with_trace(c: FixpCircuit, point: Vec) -> tuple[Vec, Vec]:
     """Evaluate gate by gate; returns (outputs, value of every gate)."""
     if len(point) != c.k:
         raise ValueError(f"expected {c.k} inputs, got {len(point)}")
+    point = exact_vec(point)
     values = walk(c.gates, {
-        Input: lambda g, v: Fraction(point[g.index]),
+        Input: lambda g, v: point[g.index],
         Const: lambda g, v: g.value,
         Add: lambda g, v: v[g.a] + v[g.b],
         MulC: lambda g, v: g.coeff * v[g.a],
@@ -147,10 +148,11 @@ def evaluate_points(c: FixpCircuit, points) -> list[Vec]:
     for point in points:
         if len(point) != c.k:
             raise ValueError(f"expected {c.k} inputs, got {len(point)}")
+    points = [exact_vec(point) for point in points]
     n = len(points)
 
     def input_(g, v):
-        xs, d = int_vec([Fraction(point[g.index]) for point in points])
+        xs, d = int_vec([point[g.index] for point in points])
         return d, xs
 
     def add(g, v):

@@ -20,15 +20,27 @@ so solving the LP evaluates the circuit, for every real parameter vector.
 The solver below uses the forward recursion x_i = max{0, L_i}, which is
 that unique optimum; the explicit dual plus the KKT checker provide the
 independent certificate that it is.
+
+The rows come from one walk over the gates on integers: a gate's value
+is one denominator and the integer numerators of its row, parameter and
+constant terms.  The solver reads the rows with their denominators
+cleared, kept on the LP after its first call, and builds a Fraction per
+entry of its result only.  Cost, dual and KKT checker stay on Fractions,
+so the certificate shares no arithmetic with the solver it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 
-from .exactmath import Mat, Row, Vec, densify, row_add, rows_to_strs, vec_to_strs, walk, zeros_vec
+from .exactmath import (
+    Mat, Row, Vec, densify, exact_vec, int_vec, row_add, rows_to_strs, vec_to_strs, walk,
+    zeros_vec,
+)
 from .fixp import (
     ZERO, Add, Const, FixpCircuit, Input, Max, MulC, clamp_outputs, normalize_max_zero,
     order_max_gates,
@@ -43,14 +55,6 @@ class LinExpr:
     lam: tuple[Fraction, ...]
     const: Fraction
 
-    def __add__(self, other: "LinExpr") -> "LinExpr":
-        lam = tuple(a + b for a, b in zip(self.lam, other.lam))
-        return LinExpr(row_add(self.xs, other.xs), lam, self.const + other.const)
-
-    def scale(self, s: Fraction) -> "LinExpr":
-        return LinExpr({r: s * v for r, v in self.xs.items() if s * v != 0},
-                       tuple(s * v for v in self.lam), s * self.const)
-
 
 @dataclass(frozen=True)
 class ParamLP:
@@ -59,7 +63,9 @@ class ParamLP:
     m is the max-gate count, npre = m - 2k the count before clamping; the
     outer clamp gate of output l sits at row output_rows[l] (0-based).
     rows[i] is L_i, affine in x_0..x_{i-1} and the parameters.  A_rows, A,
-    b and U (k columns of length m) are built from the rows on each access.
+    b and U (k columns of length m) are built from the rows on each access;
+    the rows with their denominators cleared are built once, on first use
+    by solve_lp, and kept on this LP (a `replace`d LP builds its own).
     """
 
     m: int
@@ -89,31 +95,73 @@ class ParamLP:
     def U(self) -> list[Vec]:
         return [[L.lam[l] for L in self.rows] for l in range(self.k)]
 
+    @cached_property
+    def _int_rows(self) -> list[tuple[list[int], list[int], list[int], int, int]]:
+        """Each row L_i as its columns, then its x-coefficients, parameter
+        coefficients and constant times their lcm l, then l."""
+        out = []
+        for L in self.rows:
+            nums, l = int_vec([*L.xs.values(), *L.lam, L.const])
+            n = len(L.xs)
+            out.append((list(L.xs), nums[:n], nums[n:-1], nums[-1], l))
+        return out
+
+
+def _times(a: dict, f: int) -> dict:
+    return a if f == 1 else {j: n * f for j, n in a.items()}
+
+
+def _affine_sum(va, vb):
+    """The sum of two affine values (D, {key: numerator}), over lcm(D_a, D_b)."""
+    (da, a), (db, b) = va, vb
+    if da == db:
+        return da, row_add(a, b)
+    d = lcm(da, db)
+    return d, row_add(_times(a, d // da), _times(b, d // db))
+
+
+def _affine_scale(q: Fraction, va):
+    """q times an affine value, with the gcd of the result divided out."""
+    d, a = va
+    if not q or not a:
+        return 1, {}
+    d *= q.denominator
+    a = _times(a, q.numerator)
+    g = gcd(d, *a.values())
+    return d // g, {j: n // g for j, n in a.items()} if g > 1 else a
+
 
 def build_constraints(circ: FixpCircuit) -> ParamLP:
-    """Extract the rows x_i >= L_i from a normalized, clamped circuit."""
+    """Extract the rows x_i >= L_i from a normalized, clamped circuit.
+
+    Each gate's value is affine in the rows x_j (key j < m), the
+    parameters lam_l (key m + l) and the constant 1 (key m + k), held as
+    one denominator D and its integer numerators, no zero stored.  Only
+    integers move inside the walk; Fractions are built for the m rows the
+    max gates append.
+    """
     order = order_max_gates(circ)     # also enforces the normalized/clamped pre
     k = circ.k
     m = len(order)
     npre = m - 2 * k
-
-    no_lam = (Fraction(0),) * k
-    unit_lam = [tuple(Fraction(int(l == j)) for l in range(k)) for j in range(k)]
+    one = m + k
     rows_L: list[LinExpr] = []
 
-    def max_row(g: Max, v) -> LinExpr:
+    def max_row(g: Max, v):
         a_zero = circ.gates[g.a] == ZERO
         if not (a_zero or circ.gates[g.b] == ZERO):
             raise ValueError(f"max gate {len(v)} has no zero operand; normalize first")
-        rows_L.append(v[g.b] if a_zero else v[g.a])     # max gates arrive in row order
-        return LinExpr({len(rows_L) - 1: Fraction(1)}, no_lam, Fraction(0))
+        d, nums = v[g.b] if a_zero else v[g.a]
+        rows_L.append(LinExpr({j: Fraction(n, d) for j, n in nums.items() if j < m},
+                              tuple(Fraction(nums.get(m + l, 0), d) for l in range(k)),
+                              Fraction(nums.get(one, 0), d)))
+        return 1, {len(rows_L) - 1: 1}     # max gates arrive in row order
 
-    # each gate's value is an affine expression in the rows and the parameters
     walk(circ.gates, {
-        Input: lambda g, v: LinExpr({}, unit_lam[g.index], Fraction(0)),
-        Const: lambda g, v: LinExpr({}, no_lam, g.value),
-        Add: lambda g, v: v[g.a] + v[g.b],
-        MulC: lambda g, v: v[g.a].scale(g.coeff),
+        Input: lambda g, v: (1, {m + g.index: 1}),
+        Const: lambda g, v: (g.value.denominator, {one: g.value.numerator} if g.value else {}),
+        Add: lambda g, v: _affine_sum(v[g.a], v[g.b]),
+        MulC: lambda g, v: _affine_scale(g.coeff, v[g.a]),
         Max: max_row,
     })
 
@@ -208,22 +256,48 @@ def build_param_lp(circ: FixpCircuit) -> tuple[ParamLP, FixpCircuit]:
     return with_cost(lp), prepared
 
 
-def lam_rhs(lp: ParamLP, lam: Vec) -> Vec:
-    """Right-hand side sum_l lam_l u^l + b."""
+def _parameters(lp: ParamLP, lam) -> Vec:
     if len(lam) != lp.k:
         raise ValueError(f"expected {lp.k} parameters")
-    lam = [Fraction(v) for v in lam]
+    return exact_vec(lam)
+
+
+def lam_rhs(lp: ParamLP, lam: Vec) -> Vec:
+    """Right-hand side sum_l lam_l u^l + b."""
+    lam = _parameters(lp, lam)
     return [sum(map(mul, lam, L.lam), L.const) for L in lp.rows]
 
 
 def solve_lp(lp: ParamLP, lam: Vec) -> Vec:
-    """The unique optimum, by the forward recursion x_i = max{0, L_i}."""
-    x = zeros_vec(lp.m)
-    for i, (L, acc) in enumerate(zip(lp.rows, lam_rhs(lp, lam))):
-        for j, v in L.xs.items():
-            acc += v * x[j]
-        x[i] = acc if acc > 0 else Fraction(0)
-    return x
+    """The unique optimum, by the forward recursion x_i = max{0, L_i}.
+
+    The recursion runs on the cleared rows: lam is put over one
+    denominator, and each x_i is held as a numerator over its own reduced
+    denominator, so a Fraction is built per output entry only.
+    """
+    lam_nums, dl = int_vec(_parameters(lp, lam))
+    X: list[int] = []         # x_i = X[i] / dx[i], in lowest terms
+    dx: list[int] = []
+    for cols, xs, us, c, l in lp._int_rows:
+        # l L_i = sum_j xs_j X_j / dx_j + sum_l us_l Lam_l / dl + c, and acc
+        # is that times d, a common multiple of dl and of every dx_j read
+        d = dl
+        for j in cols:
+            if X[j] and d % dx[j]:
+                d = lcm(d, dx[j])
+        acc = (sum(map(mul, us, lam_nums)) + c * dl) * (d // dl)
+        for j, a in zip(cols, xs):
+            if X[j]:
+                acc += a * X[j] * (d // dx[j])
+        if acc > 0:
+            d *= l
+            g = gcd(acc, d)
+            X.append(acc // g)
+            dx.append(d // g)
+        else:
+            X.append(0)
+            dx.append(1)
+    return [Fraction(n, d) for n, d in zip(X, dx)]
 
 
 def construct_dual(lp: ParamLP, lam: Vec, x: Vec) -> Vec:

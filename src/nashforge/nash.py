@@ -48,7 +48,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .exactmath import Mat, Vec, int_matrix, int_vec, mat_shape, rank
+from .exactmath import Mat, Vec, exact_vec, int_matrix, int_vec, mat_shape, rank
 from .fixp import FixpCircuit, evaluate
 
 
@@ -557,5 +557,5 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
 
 def check_fixed_point(circ: FixpCircuit, lam: Vec) -> bool:
     """Exact test evaluate(circ, lam) == lam."""
-    point = [Fraction(v) for v in lam]
+    point = exact_vec(lam)
     return evaluate(circ, point) == point

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nashforge import brouwer, compiler, fixp, lcp, lp
-from nashforge.exactmath import mat_shape, rank
+from nashforge.exactmath import mat_shape, rank, walk
 
 
 def one_minus_circuit():
@@ -94,6 +94,54 @@ def is_unit_lower_triangular(m) -> bool:
             if m[i][j] != 0:
                 return False
     return True
+
+
+# --- the Fraction LP construction and solver, the referees of the integer
+# walk in lp.build_constraints and the integer recursion in lp.solve_lp ---
+
+def referee_build_constraints(circ) -> tuple:
+    """The rows L_i of a normalized, clamped circuit, from a gate walk over
+    Fraction LinExprs: add sums them, mulc scales them, and each max gate
+    appends its nonzero operand as a row and stands for x_i."""
+    k = circ.k
+    no_lam = (F(0),) * k
+    rows = []
+
+    def add(a, b):
+        xs = dict(a.xs)
+        for j, v in b.xs.items():
+            xs[j] = xs.get(j, 0) + v
+            if not xs[j]:
+                del xs[j]
+        return lp.LinExpr(xs, tuple(u + w for u, w in zip(a.lam, b.lam)), a.const + b.const)
+
+    def scale(s, a):
+        return lp.LinExpr({j: s * v for j, v in a.xs.items() if s * v},
+                          tuple(s * v for v in a.lam), s * a.const)
+
+    def max_row(g, v):
+        rows.append(v[g.b] if circ.gates[g.a] == fixp.ZERO else v[g.a])
+        return lp.LinExpr({len(rows) - 1: F(1)}, no_lam, F(0))
+
+    walk(circ.gates, {
+        fixp.Input: lambda g, v: lp.LinExpr({}, tuple(F(int(l == g.index)) for l in range(k)),
+                                            F(0)),
+        fixp.Const: lambda g, v: lp.LinExpr({}, no_lam, g.value),
+        fixp.Add: lambda g, v: add(v[g.a], v[g.b]),
+        fixp.MulC: lambda g, v: scale(g.coeff, v[g.a]),
+        fixp.Max: max_row,
+    })
+    return tuple(rows)
+
+
+def referee_solve_lp(P, lam) -> list:
+    """x_i = max{0, L_i} over Fractions, row after row."""
+    x = []
+    for L in P.rows:
+        acc = L.const + sum((F(u) * v for u, v in zip(lam, L.lam)), F(0))
+        acc += sum((v * x[j] for j, v in L.xs.items()), F(0))
+        x.append(max(acc, F(0)))
+    return x
 
 
 # --- dense matrix forms, the referees of the sparse structure checks in

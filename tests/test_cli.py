@@ -634,10 +634,22 @@ class TestBadArguments:
         assert main(["compile", fixture_file, "-o", str(tmp_path / "c.json"), "--L", "100"]) == 2
         assert "L must be a power of two" in capsys.readouterr().err
 
-    def test_eps_not_rational(self, circuit_file, capsys):
+    def test_eps_not_rational(self, circuit_file, tmp_path, capsys):
+        self.check_eps_refused("x", circuit_file, tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["1/0", "1.5", " 1/2", "+1"])
+    def test_eps_takes_the_wire_form_only(self, value, circuit_file, tmp_path, capsys):
+        self.check_eps_refused(value, circuit_file, tmp_path, capsys)
+
+    @staticmethod
+    def check_eps_refused(value, circuit_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
         with pytest.raises(SystemExit) as exc:
-            main(["verify", circuit_file, "--mode", "approx", "--eps", "x"])
-        assert exc.value.code == 2 and "argument --eps" in capsys.readouterr().err
+            main(["verify", circuit_file, "--mode", "approx", "--eps", value, "-o", str(out)])
+        assert exc.value.code == 2
+        assert (f"argument --eps: expected a rational p or p/q (ASCII digits, optional "
+                f"leading -, q > 0), got {value!r}") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--label", " +2"), ("--label", "\u0662"), ("--label", "1_0"), ("--label", "2 "),
@@ -654,7 +666,8 @@ class TestBadArguments:
         with pytest.raises(SystemExit) as exc:
             main(command + [flag, value, "-o", str(out)])
         assert exc.value.code == 2
-        assert f"argument {flag}: invalid int_from_str value" in capsys.readouterr().err
+        assert (f"argument {flag}: expected an integer (ASCII digits, optional leading -), "
+                f"got {value!r}") in capsys.readouterr().err
         assert not out.exists()
 
     def test_eps_zero_allowed(self):

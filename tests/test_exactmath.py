@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashforge import exactmath as em
+from nashforge import fixp, lp, nash
 
 from conftest import (
-    referee_identity, referee_mat_add, referee_solve_linear_system, referee_transpose,
-    sparse_rows,
+    one_minus_circuit, referee_identity, referee_mat_add, referee_solve_linear_system,
+    referee_transpose, sparse_rows,
 )
 
 
@@ -114,6 +115,37 @@ class TestExactness:
             assert (a + b) - b == a
             if b != 0:
                 assert (a * b) / b == a
+
+
+class TestExactInputsOnly:
+    """A point or parameter vector holds ints and Fractions only: Fraction()
+    would read a float by its binary expansion and parse a string."""
+
+    def test_ints_and_fractions_pass(self):
+        v = em.exact_vec([0, -3, F(2, 7)])
+        assert v == [F(0), F(-3), F(2, 7)] and all(type(x) is F for x in v)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/4", True, None, 1j])
+    def test_anything_else_is_refused_by_index(self, bad):
+        with pytest.raises(TypeError, match=f"entry 1 is {bad!r} .*int or a Fraction"):
+            em.exact_vec([F(1, 2), bad])
+
+    @pytest.mark.parametrize("bad", [0.1, "1/4", True])
+    @pytest.mark.parametrize("reader", ["lam_rhs", "solve_lp", "evaluate_points",
+                                        "evaluate_with_trace", "check_fixed_point"])
+    def test_every_reader_refuses(self, reader, bad):
+        circ = one_minus_circuit()
+        P, prepared = lp.build_param_lp(circ)
+        call = {
+            "lam_rhs": lambda v: lp.lam_rhs(P, v),
+            "solve_lp": lambda v: lp.solve_lp(P, v),
+            "evaluate_points": lambda v: fixp.evaluate_points(circ, [[F(1, 2)], v]),
+            "evaluate_with_trace": lambda v: fixp.evaluate_with_trace(prepared, v),
+            "check_fixed_point": lambda v: nash.check_fixed_point(circ, v),
+        }[reader]
+        call([F(1, 2)])
+        with pytest.raises(TypeError, match=f"entry 0 is {bad!r}"):
+            call([bad])
 
 
 class TestSerialization:

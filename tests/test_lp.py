@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashforge import fixp, lp
-from nashforge.fixp import evaluate_with_trace, order_max_gates
+from nashforge import brouwer, compiler, fixp, lp
+from nashforge.fixp import clamp_outputs, evaluate_with_trace, normalize_max_zero, order_max_gates
 from nashforge.lp import (
     LinExpr, build_constraints, build_param_lp, construct_cost, construct_dual,
     kkt_violations, lam_rhs, lp_to_json, property_violations, solve_lp,
@@ -15,8 +15,10 @@ from nashforge.lp import (
 
 from conftest import (
     false_clamp_claim_circuit, is_unit_lower_triangular, one_minus_circuit, random_lambda,
-    random_raw_circuit, referee_kkt_violations, swap_circuit,
+    random_raw_circuit, referee_build_constraints, referee_kkt_violations, referee_solve_lp,
+    swap_circuit,
 )
+from test_fixp import raw_builder_circuits
 
 
 def frac_mat(rows):
@@ -157,6 +159,99 @@ class TestSolveLp:
         for lam in ([F(0)], [F(2)], [F(-1, 3)], [F(5, 7)]):
             _, trace = evaluate_with_trace(prepared, lam)
             assert solve_lp(P, lam) == [trace[g] for g in order]
+
+
+def compiled_shrunk(k: int) -> fixp.FixpCircuit:
+    """make_example_coloring(Grid(k, 1)) compiled, shrunk, clamped and normalized."""
+    cb = brouwer.make_example_coloring(brouwer.Grid(k, 1))
+    shrunk = compiler.shrink_range(compiler.compile_brouwer(cb, validate=False))
+    return normalize_max_zero(clamp_outputs(shrunk.circuit))
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["grid_1_1", "grid_2_1"])
+def compiled(request):
+    prepared = compiled_shrunk(request.param)
+    return lp.build_constraints(prepared), prepared
+
+
+# parameters as ints and Fractions of either sign, zero among them, with
+# denominators up to 2^20
+lam_entries = st.one_of(st.just(0), st.integers(-40, 40),
+                        st.fractions(-40, 40, max_denominator=2 ** 20))
+
+
+def assert_solves_like_referee_and_trace(P, prepared, lam):
+    x = solve_lp(P, lam)
+    assert x == referee_solve_lp(P, lam)
+    _, trace = evaluate_with_trace(prepared, lam)
+    assert x == [trace[g] for g in order_max_gates(prepared)]
+
+
+class TestIntegerWalkMatchesFractionReferee:
+    """build_constraints and solve_lp on integers against the Fraction gate
+    walk and the Fraction recursion of the tests' referees."""
+
+    @settings(deadline=None)
+    @given(raw_builder_circuits())
+    def test_rows_on_random_circuits(self, c):
+        prepared = normalize_max_zero(clamp_outputs(c))
+        assert build_constraints(prepared).rows == referee_build_constraints(prepared)
+
+    def test_rows_on_compiled_circuits(self, compiled):
+        P, prepared = compiled
+        assert P.rows == referee_build_constraints(prepared)
+
+    @settings(deadline=None)
+    @given(raw_builder_circuits(), st.data())
+    def test_solve_on_random_circuits(self, c, data):
+        prepared = normalize_max_zero(clamp_outputs(c))
+        P = build_constraints(prepared)
+        for _ in range(3):
+            lam = data.draw(st.lists(lam_entries, min_size=c.k, max_size=c.k))
+            assert_solves_like_referee_and_trace(P, prepared, lam)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.data())
+    def test_solve_on_compiled_circuits(self, compiled, data):
+        P, prepared = compiled
+        lam = data.draw(st.lists(lam_entries, min_size=P.k, max_size=P.k))
+        assert_solves_like_referee_and_trace(P, prepared, lam)
+
+    def test_zero_coefficient_drops_the_operand(self):
+        # the output 0*x_0 + (x_0 - x_0) reads no row, so the inner clamp row is 1 - 0
+        b = fixp.Builder(1)
+        x = b.input(0)
+        m = b.maxg(b.const(0), b.mulc(F(3, 4), x))
+        out = b.add(b.mulc(0, m), b.add(m, b.neg(m)))
+        prepared = normalize_max_zero(clamp_outputs(b.build([out])))
+        P = build_constraints(prepared)
+        assert P.rows == referee_build_constraints(prepared)
+        assert P.rows[1] == LinExpr({}, (F(0),), F(1))
+
+    def test_operand_without_zero_keeps_its_gate_index(self):
+        c = fixp.FixpCircuit(1, (fixp.Input(0), fixp.Const(F(1)), fixp.Max(0, 1),
+                                 fixp.Const(F(0)), fixp.Max(3, 2), fixp.Max(3, 4)), (5,),
+                             normalized=True, clamped=True, clamp_pairs=((4, 5),))
+        with pytest.raises(ValueError, match="max gate 2 has no zero operand"):
+            build_constraints(c)
+
+    def test_replaced_lp_clears_its_own_rows(self, worked):
+        P, _ = worked
+        lam = [F(1, 2)]
+        assert solve_lp(P, lam) == [F(1, 2), F(1, 2)]
+        L = P.rows[0]
+        Q = replace(P, rows=(LinExpr(L.xs, (F(2, 3),), F(-1, 5)),) + P.rows[1:])
+        assert Q._int_rows != P._int_rows
+        assert Q._int_rows[0] == ([], [], [10], -3, 15)
+        assert solve_lp(Q, lam) == referee_solve_lp(Q, lam) == [F(2, 15), F(13, 15)]
+
+    @pytest.mark.parametrize("lam", [[], [F(1), F(2)]])
+    def test_wrong_parameter_count(self, worked, lam):
+        P, _ = worked
+        with pytest.raises(ValueError, match="expected 1 parameters"):
+            solve_lp(P, lam)
+        with pytest.raises(ValueError, match="expected 1 parameters"):
+            lam_rhs(P, lam)
 
 
 class TestDual:
