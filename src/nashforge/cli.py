@@ -325,7 +325,8 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
     sym_lams = {tuple(lcp.game_to_fixed_point(c.z, sym.meta)) for c in sres.equilibria}
     _check(checks, "symmetric_path_fixed_points",
            bool(sres.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in sym_lams)
-           and all(lcp.lcp_to_symne(lcp.symne_to_lcp(P, c.z)) == c.z for c in sres.equilibria),
+           and all(not nash.symmetric_ne_violations(sym.S, c.z)
+                   and lcp.lcp_to_symne(lcp.symne_to_lcp(P, c.z)) == c.z for c in sres.equilibria),
            f"{len(sres.equilibria)} symmetric equilibria")
     if not (res.degenerate or sres.degenerate):
         _check(checks, "paths_agree_on_lambda", lam_set == sym_lams)

@@ -29,7 +29,7 @@ from itertools import islice
 
 from . import brouwer
 from .brouwer import BoolCircuit, Grid, bool_circuit_size
-from .exactmath import Vec, flag_from_json, int_from_json, walk
+from .exactmath import Vec, exact_vec, flag_from_json, int_from_json, walk
 from .fixp import Builder, FixpCircuit, Input, circuit_size, evaluate, evaluate_points
 
 
@@ -185,7 +185,7 @@ def shrink_range(cf: CompiledFunction) -> CompiledFunction:
 
 def well_positioned(p: Vec, L: int) -> bool:
     """No coordinate is poor: t + eps with t integral and 1 - 1/L^2 < eps < 1."""
-    p = [Fraction(x) for x in p]
+    p = exact_vec(p)
     if any(x < 0 for x in p):
         raise ValueError("coordinates must be nonnegative")
     window = 1 - Fraction(1, L * L)
@@ -194,24 +194,24 @@ def well_positioned(p: Vec, L: int) -> bool:
 
 def sample_set(p: Vec, params: SamplingParams) -> list[list[Fraction]]:
     """The sampled points p + (j-1)/L along the all-ones diagonal."""
-    return [[Fraction(x) + Fraction(j, params.L) for x in p]
-            for j in range(params.sample_count)]
+    p = exact_vec(p)
+    return [[x + Fraction(j, params.L) for x in p] for j in range(params.sample_count)]
 
 
 def floor_point(p: Vec, grid: Grid) -> tuple[int, ...]:
     """Componentwise largest grid integer below each coordinate."""
-    out = []
-    for x in p:
-        x = Fraction(x)
-        out.append(min(max(x.numerator // x.denominator, 0), grid.side - 1))
-    return tuple(out)
+    return tuple(min(max(x.numerator // x.denominator, 0), grid.side - 1)
+                 for x in exact_vec(p))
 
 
 def check_approx_fixed_point(cf: CompiledFunction, p: Vec, eps) -> bool:
-    """Exact test of ||p - F(p)||_inf <= eps."""
-    p = [Fraction(x) for x in p]
+    """Exact test of ||p - F(p)||_inf <= eps, p's entries and eps each an
+    int or a Fraction (see `exactmath.exact_vec`)."""
+    if type(eps) is not int and not isinstance(eps, Fraction):
+        raise TypeError(f"eps is {eps!r} ({type(eps).__name__}); expected an int or a Fraction")
+    p = exact_vec(p)
     return max((abs(a - b) for a, b in zip(p, evaluate(cf.circuit, p), strict=True)),
-               default=0) <= Fraction(eps)
+               default=0) <= eps
 
 
 def panchromatic_from_samples(samples, well_flags, color_fn, grid: Grid) -> tuple[tuple[int, ...], ...]:
@@ -244,7 +244,7 @@ def extract_panchromatic_simplex(p: Vec, cf: CompiledFunction,
     """
     if cf.shrunk:
         raise ValueError("extract from the unshrunk function")
-    eps = Fraction(eps) if eps is not None else Fraction(1, cf.params.L)
+    eps = eps if eps is not None else Fraction(1, cf.params.L)
     if not check_approx_fixed_point(cf, p, eps):
         raise NotPanchromatic(f"point is not a {eps}-approximate fixed point")
     samples = sample_set(p, cf.params)

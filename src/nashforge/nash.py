@@ -20,11 +20,18 @@ its denominators, and Fractions are built only for the accepted
 equilibria.  The system of a support pair is "sum w = 1, (first - row) . w
 = 0" over the rows of one support and the columns of the other.  All the
 pairs that share a row support share its difference rows, so their minors
-are tabulated once (`_minors`) and each nonsingular system is read off the
-table by Cramer's rule (`_table_solve`), as is each symmetric support's
-system, from the minors on the support's own columns.  Only a singular
-system is eliminated, by two exact ranks that tell "none" from "many"
-(`_singular`), and only while that can still change the degeneracy flag.
+are tabulated once (`_minors`, each followed by its negation), and each
+nonsingular system is read off the table by Cramer's rule (`_cramer`), as
+is each symmetric support's system, from the minors on the support's own
+columns.  The getters of `_readers`, built once per (n, support size), read
+a support's signed numerators off the table and a payoff row's entries on
+the support, so the weights, their sum and every screening dot product are
+taken by C-level builtins.  Only a singular system is eliminated, by two
+exact ranks that tell "none" from "many" (`_singular`), and only while that
+can still change the degeneracy flag.  From then on the second player's
+system of a pair is solved only behind a nonnegative y that no first-player
+strategy outside the support beats (`_screened`); before it, every pair
+with a unique y solves x, since a singular x-system may set the flag.
 Lemke-Howson serves as an independent second solver and the one that
 scales to compiled games.  It is complementary pivoting, with a
 lexicographic ratio test so degenerate ties cannot cycle, on one tableau
@@ -41,7 +48,7 @@ row it is basic in drops out of a tie.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -188,7 +195,7 @@ def check_dimension(r: int, c: int, cap: int = MAX_DIM) -> None:
 
 
 def _singular(payoff_rows: list[list[int]], support: tuple[int, ...]) -> str:
-    """"none" or "many" for a singular support system of `_table_solve`.
+    """"none" or "many" for a support system that `_cramer` finds singular.
     With D its difference rows, it is consistent exactly when the all-ones
     row is not in the row space of D: rank([1; D]) = rank(D) + 1.  A full
     rank([1; D]) contradicts the zero determinant, and raises."""
@@ -200,84 +207,73 @@ def _singular(payoff_rows: list[list[int]], support: tuple[int, ...]) -> str:
     return "many" if full == rank(diffs) + 1 else "none"
 
 
-# enumeration refuses n > MAX_DIM, so these caches hold at most 2^n subsets per n
+# enumeration refuses n > MAX_DIM, so this cache holds at most 2^n subsets per n
 @cache
-def _faces(n: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _readers(n: int, k: int) -> list[tuple[tuple[int, ...], itemgetter, itemgetter, itemgetter]]:
     """Each k-subset T of range(n), in `itertools.combinations` order, with
-    the indices of T less T[0], T less T[1], ... among the (k-1)-subsets
-    in that order."""
+    three getters.  The first reads T's signed Cramer numerators (-1)^pos *
+    minor(T less T[pos]), and the second their negations, off a `_minors`
+    table: the minors on the (k-1)-subsets in that order, followed by
+    their negations.  The third reads a length-n row's entries on T.  Each
+    returns a sequence, for k = 1 a one-entry slice."""
     index = {t: i for i, t in enumerate(itertools.combinations(range(n), k - 1))}
-    return [(t, tuple(index[t[:pos] + t[pos + 1:]] for pos in range(k)))
-            for t in itertools.combinations(range(n), k)]
+    m = len(index)
 
-
-@cache
-def _expansion(n: int, k: int) -> list[tuple[itemgetter, itemgetter]]:
-    """For each k-subset T of range(n) (k >= 2), in `_faces` order, two
-    getters: one reads a row of length n followed by its negation at
-    T[0], T[1] + n, T[2], T[3] + n, ... (the row's entries on T with
-    alternating signs), the other reads the minors on T less T[0], T less
-    T[1], ..."""
-    return [(itemgetter(*(j + n * (pos % 2) for pos, j in enumerate(t))), itemgetter(*faces))
-            for t, faces in _faces(n, k)]
+    def getter(idx: Sequence[int]) -> itemgetter:
+        return itemgetter(*idx) if k > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+    out = []
+    for t in itertools.combinations(range(n), k):
+        faces = [index[t[:pos] + t[pos + 1:]] for pos in range(k)]
+        out.append((t, getter([f + m * (pos % 2) for pos, f in enumerate(faces)]),
+                    getter([f + m * (1 - pos % 2) for pos, f in enumerate(faces)]),
+                    getter(t)))
+    return out
 
 
 def _minors(first: list[int], others: list[list[int]], n: int) -> list[int]:
     """The determinants of the difference rows first - row, one per row in
-    `others`, on every len(others)-subset of the n columns, in `_faces`
-    order.  Built a row at a time by Laplace expansion along the newest
-    row, so only integer products and sums are taken."""
-    diffs = [[f - v for f, v in zip(first, row)] for row in others]
-    minors = diffs[0] if diffs else [1]
-    for k, diff in enumerate(diffs[1:], 2):
-        neg = [-v for v in diff]
-        # row k's entry at T[pos] carries the cofactor sign (-1)^(k-1+pos)
-        signed = diff + neg if k % 2 else neg + diff
-        minors = [sum(map(mul, entries(signed), lower(minors)))
-                  for entries, lower in _expansion(n, k)]
-    return minors
+    `others`, on every len(others)-subset of the n columns, in `_readers`
+    order, followed by their negations.  Built a row at a time by Laplace
+    expansion along the newest row, so only integer products and sums are
+    taken."""
+    signed = [1, -1]
+    for k, row in enumerate(others, 1):
+        # row k's entry at T[pos] carries the cofactor sign (-1)^(k-1+pos),
+        # and the numerators `_readers` reads carry (-1)^pos
+        diff = [(f - v if k % 2 else v - f) for f, v in zip(first, row)]
+        minors = diff if k == 1 else [sum(map(mul, entries(diff), numerators(signed)))
+                                      for _, numerators, _, entries in _readers(n, k)]
+        signed = minors + [-v for v in minors]
+    return signed
 
 
-def _table_solve(minors: list[int], faces: tuple[int, ...], payoff_rows: list[list[int]],
-                 support: tuple[int, ...], classify: bool = True
-                 ) -> tuple[str, list[int] | None, int, int]:
-    """Weights w on `support` and payoff p with row . w = p for every
-    integer payoff row and sum w = 1, by Cramer's rule from the `_minors`
-    of the payoff rows (`faces`: the support's entry in `_faces`): W_pos =
-    (-1)^pos * minor(support less support[pos]), D = |sum W|, P = first . W.
-    Returns ("unique", W, P, D), w = W / D in support order and p = P / D;
-    a singular system gives (`_singular`'s "none" or "many", or "singular"
-    when not `classify`, None, 0, 0)."""
-    w = [minors[f] for f in faces]
-    w[1::2] = [-v for v in w[1::2]]
-    det = sum(w)
-    if not det:
-        return (_singular(payoff_rows, support) if classify else "singular"), None, 0, 0
-    if det < 0:
-        w = [-v for v in w]
-        det = -det
-    first = payoff_rows[0]
-    return "unique", w, sum(first[j] * v for j, v in zip(support, w)), det
+def _cramer(signed: list[int], reader: tuple) -> tuple[Sequence[int], int]:
+    """Weights W on a support T and D >= 0 such that w = W / D solves T's
+    system sum w = 1, (first - row) . w = 0, by Cramer's rule off the
+    system's `_minors` table and T's `_readers` entry: W_pos = (-1)^pos *
+    minor(T less T[pos]), negated when their sum is, and D = |sum W|.
+    D = 0 when the system is singular."""
+    _, numerators, negated, _ = reader
+    w = numerators(signed)
+    d = sum(w)
+    return (negated(signed), -d) if d < 0 else (w, d)
 
 
-def _screen(sides) -> bool | None:
-    """Screen a solution given per player as (integer payoff rows, support,
-    weights W, payoff P, opponent support, opponent weights), W and P over
-    one positive denominator.  None when some strategy pays more than P;
-    otherwise whether the solution is degenerate: a zero weight inside a
-    support, or a strategy outside it that also pays P.
-    """
-    degenerate = False
-    for rows, support, w, p, opp_support, opp_w in sides:
-        degenerate = degenerate or 0 in w
-        for i, row in enumerate(rows):
-            if i in support:
-                continue
-            v = sum(row[j] * u for j, u in zip(opp_support, opp_w))
-            if v > p:
-                return None
-            degenerate = degenerate or v == p
-    return degenerate
+def _screened(first: list[int], others: list[list[int]], entries: itemgetter,
+              w: Sequence[int]) -> tuple[int, bool] | None:
+    """Screen a player against the opponent's weights w, which `entries`
+    reads a payoff row's part of: every strategy in the player's support
+    pays p, what its `first` row pays.  None as soon as one of the
+    `others`, the strategies outside the support, pays more, else p and
+    whether one of them pays p too."""
+    p = sum(map(mul, entries(first), w))
+    tie = False
+    for row in others:
+        v = sum(map(mul, entries(row), w))
+        if v > p:
+            return None
+        tie = tie or v == p
+    return p, tie
 
 
 def _checked(violations: list[str], what: str) -> None:
@@ -297,29 +293,46 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
     found: dict[tuple, NeCertificate] = {}
     degenerate = False
     for size in range(1, min(r, c) + 1):
-        y_faces = _faces(c, size)
-        # the minors of B's column differences, per column support, once needed
-        x_minors: list[list[int] | None] = [None] * len(y_faces)
-        for sx, sx_faces in _faces(r, size):
+        y_readers = _readers(c, size)
+        # per column support, once needed: its rows of B^T, their minors
+        # and the other rows
+        x_tables: list[tuple | None] = [None] * len(y_readers)
+        for x_reader in _readers(r, size):
+            sx = x_reader[0]
             a_rows = [a[i] for i in sx]
+            a_out = [row for i, row in enumerate(a) if i not in sx]
             y_minors = _minors(a_rows[0], a_rows[1:], c)
-            for iy, (sy, sy_faces) in enumerate(y_faces):
-                # once the game is flagged degenerate, "none" and "many" lead to
-                # the same result, and so does any x behind a negative y
-                status, y, p1, dy = _table_solve(y_minors, sy_faces, a_rows, sy, not degenerate)
-                if status == "unique" and (not degenerate or min(y) >= 0):
+            for iy, y_reader in enumerate(y_readers):
+                sy = y_reader[0]
+                y, dy = _cramer(y_minors, y_reader)
+                if not dy:
+                    # once the game is flagged degenerate, "none" and "many"
+                    # lead to the same result
+                    degenerate = degenerate or _singular(a_rows, sy) == "many"
+                    continue
+                # and so does any x behind a negative y or a first player
+                # who deviates, so x is then not solved
+                first = None
+                if degenerate and (min(y) < 0
+                                   or not (first := _screened(a_rows[0], a_out, y_reader[3], y))):
+                    continue
+                if x_tables[iy] is None:
                     b_rows = [bt[j] for j in sy]
-                    if x_minors[iy] is None:
-                        x_minors[iy] = _minors(b_rows[0], b_rows[1:], r)
-                    status, x, p2, dx = _table_solve(x_minors[iy], sx_faces, b_rows, sx,
-                                                     not degenerate)
-                degenerate |= status == "many"
-                if status != "unique" or min(y) < 0 or min(x) < 0:
+                    x_tables[iy] = (b_rows, _minors(b_rows[0], b_rows[1:], r),
+                                    [row for j, row in enumerate(bt) if j not in sy])
+                b_rows, x_minors, b_out = x_tables[iy]
+                x, dx = _cramer(x_minors, x_reader)
+                if not dx:
+                    degenerate = degenerate or _singular(b_rows, sx) == "many"
                     continue
-                screened = _screen([(a, sx, x, p1, sy, y), (bt, sy, y, p2, sx, x)])
-                if screened is None:
+                if min(y) < 0 or min(x) < 0:
                     continue
-                degenerate |= screened
+                first = first or _screened(a_rows[0], a_out, y_reader[3], y)
+                second = first and _screened(b_rows[0], b_out, x_reader[3], x)
+                if not second:
+                    continue
+                (p1, tie1), (p2, tie2) = first, second
+                degenerate |= tie1 or tie2 or 0 in x or 0 in y
                 X, Y = _weights(sx, x, r), _weights(sy, y, c)
                 xf, yf = _fractions(X, dx), _fractions(Y, dy)
                 key = (tuple(xf), tuple(yf))
@@ -337,28 +350,30 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
     if r != c:
         raise ValueError("matrix must be square")
     check_dimension(r, r)
-    s, _ = int_matrix(S)
+    s, ls = int_matrix(S)
     found: dict[tuple, SymCertificate] = {}
     degenerate = False
     for size in range(1, r + 1):
         # a support's system lies on its own columns, so its minors do too
-        faces = _faces(size, size)[0][1]
-        for supp in itertools.combinations(range(r), size):
+        own = _readers(size, size)[0]
+        for supp, _, _, entries in _readers(r, size):
             rows = [s[i] for i in supp]
-            first, *rest = [[row[j] for j in supp] for row in rows]
-            status, z, p, d = _table_solve(_minors(first, rest, size), faces, rows, supp,
-                                           not degenerate)
-            degenerate |= status == "many"
-            if status != "unique" or min(z) < 0:
+            first, *rest = map(entries, rows)
+            z, d = _cramer(_minors(first, rest, size), own)
+            if not d:
+                degenerate = degenerate or _singular(rows, supp) == "many"
                 continue
-            screened = _screen([(s, supp, z, p, supp, z)])
-            if screened is None:
+            screened = min(z) >= 0 and _screened(
+                rows[0], [row for i, row in enumerate(s) if i not in supp], entries, z)
+            if not screened:
                 continue
-            degenerate |= screened
-            zf = _fractions(_weights(supp, z, r), d)
+            degenerate |= screened[1] or 0 in z
+            Z = _weights(supp, z, r)
+            zf = _fractions(Z, d)
             key = tuple(zf)
             if key not in found:
-                _checked(symmetric_ne_violations(S, zf), "symmetric candidate")
+                _checked(_best_response_violations(Z, d, _payoffs(s, Z), ls * d, "strategy"),
+                         "symmetric candidate")
                 found[key] = SymCertificate(zf)
     return EnumerationResult(tuple(found.values()), degenerate)
 

@@ -193,6 +193,25 @@ class TestApproxFixedPoint:
     def test_zero_eps_is_exact_test(self, fixture_2d):
         assert not check_approx_fixed_point(fixture_2d, [F(1, 2), F(1, 2)], 0)
 
+    # Fraction() would read 0.1 as its binary expansion, parse "1/4" as
+    # text and take True for 1; points and eps are ints or Fractions only
+    @pytest.mark.parametrize("bad", [0.1, "1/4", True])
+    def test_coordinate_of_another_type_refused(self, fixture_2d, bad):
+        with pytest.raises(TypeError, match=f"entry 1 is {bad!r} .*int or a Fraction"):
+            check_approx_fixed_point(fixture_2d, [F(1, 2), bad], F(1, L))
+        for read in (lambda p: compiler.floor_point(p, fixture_2d.grid),
+                     lambda p: compiler.sample_set(p, fixture_2d.params),
+                     lambda p: well_positioned(p, L)):
+            with pytest.raises(TypeError, match=f"entry 1 is {bad!r}"):
+                read([0, bad])
+
+    @pytest.mark.parametrize("bad", [0.1, "1/4", True])
+    def test_eps_of_another_type_refused(self, fixture_2d, bad):
+        with pytest.raises(TypeError, match=f"eps is {bad!r} .*int or a Fraction"):
+            check_approx_fixed_point(fixture_2d, [F(1, 2), F(1, 2)], bad)
+        with pytest.raises(TypeError, match=f"eps is {bad!r}"):
+            compiler.extract_panchromatic_simplex([F(1055, 1536), F(2591, 3072)], fixture_2d, bad)
+
 
 class TestSimplexExtraction:
     def test_exact_fixed_point_yields_panchromatic_simplex(self, fixture_2d):

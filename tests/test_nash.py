@@ -766,10 +766,40 @@ def enumeration_games(draw, square=False):
     return draw(mat), draw(mat)
 
 
+@st.composite
+def flagged_beyond_pure_profiles(draw):
+    """An r x c game (3 <= r, c <= 5) whose pure profiles never flag it
+    degenerate: A's entries are distinct, and so are those of each row
+    of B, but for two rows i1, i2 that agree on two columns j1, j2 below
+    the rest of the row.  B's rows then keep a unique maximum, and the
+    x-system of ({i1, i2}, {j1, j2}) is singular and consistent, so the
+    game is flagged, if at all, from support size 2 on."""
+    r, c = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+    a = draw(st.permutations(range(r * c)))
+    B = [draw(st.permutations(range(2, c + 2))) for _ in range(r)]
+    pair = st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True)
+    rows = draw(pair.filter(lambda p: max(p) < r))
+    cols = draw(pair.filter(lambda p: max(p) < c))
+    for i in rows:
+        B[i][cols[0]] = B[i][cols[1]] = draw(st.integers(0, 1))
+    return frac_mat([a[i * c:(i + 1) * c] for i in range(r)]), frac_mat(B)
+
+
 class TestEnumerationReferee:
     @settings(max_examples=120, deadline=None)
     @given(enumeration_games())
     def test_bimatrix_matches_fraction_enumerator(self, game):
+        A, B = game
+        assert enumerate_ne(A, B) == referee_enumerate_ne(A, B)
+
+    @settings(max_examples=150, deadline=None)
+    @given(flagged_beyond_pure_profiles())
+    @example((frac_mat([[0, 1, 3], [4, 5, 2], [6, 7, 8]]),
+              frac_mat([[0, 3, 0], [0, 3, 0], [2, 3, 4]])))
+    def test_matches_fraction_enumerator_across_the_flag(self, game):
+        # the first player's screen runs on every pair before the flag,
+        # where x is still solved behind it, and on the pairs after it,
+        # where a failed screen leaves x unsolved
         A, B = game
         assert enumerate_ne(A, B) == referee_enumerate_ne(A, B)
 
@@ -859,9 +889,15 @@ def referee_det(m):
 
 
 def table_solve(rows, support):
-    minors = nash._minors(rows[0], rows[1:], len(rows[0]))
-    return nash._table_solve(minors, dict(nash._faces(len(rows[0]), len(support)))[support],
-                             rows, support)
+    """(status, W, P, D) for the system of `rows` on `support`: Cramer's
+    rule off the shared minors, the payoff P as the screen reads it, and
+    the rank classifier for a singular system."""
+    n = len(rows[0])
+    reader = next(t for t in nash._readers(n, len(support)) if t[0] == support)
+    W, D = nash._cramer(nash._minors(rows[0], rows[1:], n), reader)
+    if not D:
+        return nash._singular(rows, support), None, 0, 0
+    return "unique", W, nash._screened(rows[0], [], reader[3], W)[0], D
 
 
 def assert_matches_referee(rows, support):
@@ -957,8 +993,8 @@ class TestEnumerationBeyondDraws:
         # every one of the 2^n - 1 support systems is read off its minors
         S, _ = tie_prone_game(n * 11, n, n)
         calls = []
-        solve = nash._table_solve
-        monkeypatch.setattr(nash, "_table_solve", lambda *args: calls.append(args) or solve(*args))
+        solve = nash._cramer
+        monkeypatch.setattr(nash, "_cramer", lambda *args: calls.append(args) or solve(*args))
         assert enumerate_symmetric_ne(S) == referee_enumerate_symmetric_ne(S)
         assert len(calls) == 2 ** n - 1
 
@@ -971,6 +1007,28 @@ class TestEnumerationBeyondDraws:
         monkeypatch.setattr(nash, "_singular", lambda *args: calls.append(args))
         assert enumerate_ne(zero, zero) == referee_enumerate_ne(zero, zero)
         assert calls == []
+
+    def test_second_player_systems_skipped_behind_a_failed_screen(self, monkeypatch):
+        # the pure equilibrium (0, 0) leaves column 1 tight, so size 1 flags
+        # the game degenerate; from size 2 on, a nonnegative y that a row
+        # outside its support beats leaves the pair's x-system unsolved
+        A = frac_mat([[10, 6, 0, 1], [2, 9, 0, 4], [0, 4, 7, 9]])
+        B = frac_mat([[10, 10, 6, 9], [7, 2, 5, 1], [0, 2, 7, 3]])
+        solves = []
+        solve = nash._cramer
+
+        def counted(table, reader):
+            w, d = solve(table, reader)
+            solves.append((id(reader), d > 0 and min(w) >= 0))
+            return w, d
+        monkeypatch.setattr(nash, "_cramer", counted)
+        res = enumerate_ne(A, B)
+        assert res == referee_enumerate_ne(A, B) and res.degenerate
+        y_side = {id(t) for k in (2, 3) for t in nash._readers(4, k)}
+        x_side = {id(t) for k in (2, 3) for t in nash._readers(3, k)}
+        nonnegative_y = sum(ok for reader, ok in solves if reader in y_side)
+        x_solves = sum(reader in x_side for reader, _ in solves)
+        assert 0 < x_solves < nonnegative_y
 
 
 class TestCompiledGameCertificates:
@@ -1028,7 +1086,7 @@ FORCED_GUARDS = """
 from fractions import Fraction as F
 from nashforge import exactmath, nash
 nash._profile_violations = lambda *args: (["forced"], F(0), F(0))
-nash.symmetric_ne_violations = lambda *args: ["forced"]
+nash._best_response_violations = lambda *args: ["forced"]
 exactmath.divmod = lambda a, b: (0, 1)
 
 for call in (lambda: nash.enumerate_ne([[F(1)]], [[F(1)]]),
