@@ -231,7 +231,7 @@ def cmd_reduce(args) -> int:
         if args.variant == "direct":
             artifact_kind, body = "lcp", lcp.lcp_to_json(lcp.build_direct_lcp(P))
         else:
-            artifact_kind, body = "lcp", lcp.lcp_to_json(lcp.build_lcp_C(lcp.normalize(P)))
+            artifact_kind, body = "lcp", lcp.lcp_to_json(lcp.normalize(P))
     elif args.target == "game":
         game = lcp.build_game(lcp.normalize(P))
         lines.append("first matrix upper-triangular: PASS")
@@ -266,8 +266,8 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
     # the rank and semimonotone checks rather than after them
     nash.check_dimension(P.m + 1, P.m + 1)
     rng = random.Random(seed)
-    ns = lcp.normalize(P)
-    game = lcp.build_game(ns)
+    two_sided = lcp.normalize(P)
+    game = lcp.build_game(two_sided)
     sym = lcp.build_symmetric_game(P)
 
     _check(checks, "structure_P1_P3", not lp.property_violations(P))
@@ -302,7 +302,7 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
             z[rng.randrange(2 * P.m)] = Fraction(1)
         q = [Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(2 * P.m)]
         try:
-            lcp.semimonotone_witness(ns, z, q)
+            lcp.semimonotone_witness(two_sided, z, q)
             violated += 1
         except lcp.LemmaFalsified:
             alarm = True
@@ -317,15 +317,16 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
     lam_set = {tuple(lcp.game_to_fixed_point(c.x, game.meta)) for c in res.equilibria}
     _check(checks, "ne_to_lcp_roundtrip_and_fixed_points",
            bool(res.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in lam_set)
-           and all(lcp.lcp_to_ne(*lcp.ne_to_lcp(ns, c.x, c.y)) == (c.x, c.y)
+           and all(lcp.lcp_to_ne(*lcp.ne_to_lcp(two_sided, c.x, c.y)) == (c.x, c.y)
                    for c in res.equilibria),
            f"{len(res.equilibria)} equilibria" + (" [degenerate]" if res.degenerate else ""))
 
-    sres = nash.enumerate_symmetric_ne(sym.S)
+    dense_S = sym.S
+    sres = nash.enumerate_symmetric_ne(dense_S)
     sym_lams = {tuple(lcp.game_to_fixed_point(c.z, sym.meta)) for c in sres.equilibria}
     _check(checks, "symmetric_path_fixed_points",
            bool(sres.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in sym_lams)
-           and all(not nash.symmetric_ne_violations(sym.S, c.z)
+           and all(not nash.symmetric_ne_violations(dense_S, c.z)
                    and lcp.lcp_to_symne(lcp.symne_to_lcp(P, c.z)) == c.z for c in sres.equilibria),
            f"{len(sres.equilibria)} symmetric equilibria")
     if not (res.degenerate or sres.degenerate):
@@ -339,14 +340,14 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
 
 
 def _verify_roundtrip(P: lp.ParamLP, prepared: FixpCircuit, checks: list):
-    ns = lcp.normalize(P)
-    game = lcp.build_game(ns)
+    two_sided = lcp.normalize(P)
+    game = lcp.build_game(two_sided)
     res = nash.enumerate_ne(game.A, game.B)
     _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
     for idx, cert in enumerate(res.equilibria):
         _check(checks, f"ne_{idx}_slack_positive", cert.x[-1] > 0 and cert.y[-1] > 0)
         try:
-            lcp.ne_to_lcp(ns, cert.x, cert.y)     # checks the LCP conditions
+            lcp.ne_to_lcp(two_sided, cert.x, cert.y)     # checks the LCP conditions
         except lcp.LemmaFalsified as exc:
             _check(checks, f"ne_{idx}_lcp_conditions", False, str(exc))
             raise

@@ -7,7 +7,9 @@ problem whose solutions carry exactly the circuit's fixed points.  Two
 routes are implemented and cross-checked:
 
 * via the LP and its dual: the two-sided system with matrix
-  [[0, H^T], [-H', 0]], paired with the (m+1)-strategy game
+  M = [[0, H^T], [-H', 0]] and q = (1, -b), whose blocks H^T and -H' are
+  the only copies of the scaled matrices, paired with the (m+1)-strategy
+  game
   (A~, B~) = ([[H^T, 0], [0^T, 1]], [[-H'^T, 0], [b^T + 1^T, 1]]),
   whose first matrix is upper-triangular and whose payoff sum
   [[sum_l e_{r_l} u^l^T, 0], [b^T + 1^T, 2]] is zero outside the k output
@@ -42,35 +44,46 @@ class LemmaFalsified(Exception):
 
 
 @dataclass(frozen=True)
-class NormalizedSystem:
-    """Cost-scaled sparse rows: H = A diag(1/c), Hp = H - sum_l u^l e_{r_l}^T."""
+class LcpInstance:
+    """Conditions z >= 0, M z <= q, z_i (M z - q)_i = 0, M as sparse rows,
+    and the LP they were built from."""
 
-    H: list[Row]
-    Hp: list[Row]
-    b: Vec
+    kind: str                     # "lcp_c" | "direct"
+    M: list[Row]
+    q: Vec
     lp: ParamLP
 
     @cached_property
-    def lcp_c(self) -> LcpInstance:
-        """The two-sided LCP of `build_lcp_C`, built on first use and then
-        shared by every check against this system."""
-        return build_lcp_C(self)
+    def _int_rows(self) -> list[tuple[list[int], list[int], int]]:
+        """Each row of M as its columns, its entries times their lcm l, and
+        l: cleared on first use, then shared by every check of this M."""
+        return [(list(row), *int_vec(row.values())) for row in self.M]
 
 
-def normalize(lp: ParamLP) -> NormalizedSystem:
+def normalize(lp: ParamLP) -> LcpInstance:
+    """The two-sided system on z = (x, y): H'x >= b, H^T y <= 1,
+    complementary, as M = [[0, H^T], [-H', 0]] and q = (1, -b).
+
+    H = A diag(1/c) and H' = H - sum_l u^l e_{r_l}^T are held only as M's
+    blocks: row j of the H^T block is column j of H, shifted to the y
+    columns m.., and the -H' block is the negated scaled rows of A'."""
     if lp.c is None:
         raise ValueError("cost vector missing; call with_cost first")
     for r in lp.output_rows:
         if lp.c[r] != 1:
             raise LemmaFalsified(
                 f"cost at output row {r} is {lp.c[r]}, not 1; upstream construction bug")
+    m = lp.m
+    HT: list[Row] = [{} for _ in range(m)]
+    for i, row in enumerate(lp.A_rows):
+        for j, v in row.items():
+            HT[j][m + i] = v / lp.c[j]
     # c_r = 1 at every output row r, so scaling the columns of
-    # A' = A - sum_l u^l e_{r_l}^T gives Hp with no separate subtraction
-    H, Hp = ([{j: v / lp.c[j] for j, v in row.items()} for row in rows]
-             for rows in (lp.A_rows, _direct_rows(lp)))
-    ns = NormalizedSystem(H, Hp, list(lp.b), lp)
-    _assert_scaled_structure(ns)
-    return ns
+    # A' = A - sum_l u^l e_{r_l}^T gives H' with no separate subtraction
+    negHp = [{j: -v / lp.c[j] for j, v in row.items()} for row in _direct_rows(lp)]
+    two_sided = LcpInstance("lcp_c", HT + negHp, [Fraction(1)] * m + [-bi for bi in lp.b], lp)
+    _assert_scaled_structure(two_sided)
+    return two_sided
 
 
 def _direct_rows(lp: ParamLP) -> list[Row]:
@@ -79,15 +92,15 @@ def _direct_rows(lp: ParamLP) -> list[Row]:
             for row, L in zip(lp.A_rows, lp.rows)]
 
 
-def _assert_scaled_structure(ns: NormalizedSystem):
+def _assert_scaled_structure(two_sided: LcpInstance):
     # Column of H at each output row stays the unit vector, so the dual
     # constraint there reads y_row <= 1; the primal row reads
     # x_inner/c_inner + x_row >= 1.
-    lp = ns.lp
+    lp, M = two_sided.lp, two_sided.M
     for r in lp.output_rows:
-        if {i: row[r] for i, row in enumerate(ns.H) if r in row} != {r: 1}:
+        if M[r] != {lp.m + r: 1}:
             raise LemmaFalsified(f"H column {r} is not the unit vector")
-        if ns.Hp[r] != {r - 1: 1 / lp.c[r - 1], r: 1}:
+        if M[lp.m + r] != {r - 1: -1 / lp.c[r - 1], r: -1}:
             raise LemmaFalsified(f"scaled clamp row {r} has unexpected shape")
 
 
@@ -100,38 +113,10 @@ def scale_solution(lp: ParamLP, x: Vec) -> Vec:
     return [xi * ci for xi, ci in zip(x, lp.c)]
 
 
-@dataclass(frozen=True)
-class LcpInstance:
-    """Conditions z >= 0, M z <= q, z_i (M z - q)_i = 0, M as sparse rows."""
-
-    kind: str                     # "lcp_c" | "direct"
-    M: list[Row]
-    q: Vec
-    m: int
-    k: int
-    output_rows: tuple[int, ...]
-
-    @cached_property
-    def _int_rows(self) -> list[tuple[list[int], list[int], int]]:
-        """Each row of M as its columns, its entries times their lcm l, and
-        l: cleared on first use, then shared by every check of this M."""
-        return [(list(row), *int_vec(row.values())) for row in self.M]
-
-
-def build_lcp_C(ns: NormalizedSystem) -> LcpInstance:
-    """Two-sided system on z = (x, y): H'x >= b, H^T y <= 1, complementary."""
-    lp = ns.lp
-    M = ([{lp.m + i: v for i, v in col.items()} for col in sparse_transpose(ns.H, lp.m)]
-         + [{j: -v for j, v in row.items()} for row in ns.Hp])
-    q = [Fraction(1)] * lp.m + [-bi for bi in ns.b]
-    return LcpInstance("lcp_c", M, q, lp.m, lp.k, lp.output_rows)
-
-
 def build_direct_lcp(lp: ParamLP) -> LcpInstance:
     """One-sided system on x alone: x >= 0, A'x >= b, complementary."""
     M = [{j: -v for j, v in row.items()} for row in _direct_rows(lp)]
-    q = [-bi for bi in lp.b]
-    return LcpInstance("direct", M, q, lp.m, lp.k, lp.output_rows)
+    return LcpInstance("direct", M, [-bi for bi in lp.b], lp)
 
 
 def lcp_violations(lcp: LcpInstance, z: Vec, q: Vec | None = None) -> list[str]:
@@ -158,14 +143,17 @@ def lcp_violations(lcp: LcpInstance, z: Vec, q: Vec | None = None) -> list[str]:
     return out
 
 
-def semimonotone_witness(ns: NormalizedSystem, z: Vec, q: Vec) -> str:
+def semimonotone_witness(two_sided: LcpInstance, z: Vec, q: Vec) -> str:
     """Name a violated LCP condition for nonzero z >= 0 against q > 0.
 
     The block matrix of the two-sided system admits only the zero solution
     when q is strictly positive, so some condition must fail; finding none
     is a construction-bug alarm.
     """
-    n = 2 * ns.lp.m
+    if two_sided.kind != "lcp_c":
+        raise ValueError(
+            f"semimonotone_witness needs the two-sided LCP, got a {two_sided.kind!r} LCP")
+    n = len(two_sided.M)
     if len(z) != n or len(q) != n:
         raise ValueError(f"expected vectors of length {n}")
     # a Fraction's sign is its numerator's
@@ -173,7 +161,7 @@ def semimonotone_witness(ns: NormalizedSystem, z: Vec, q: Vec) -> str:
         raise ValueError("z must be nonnegative and nonzero")
     if any(qi.numerator <= 0 for qi in q):
         raise ValueError("q must be strictly positive")
-    bad = lcp_violations(ns.lcp_c, z, q)
+    bad = lcp_violations(two_sided, z, q)
     if not bad:
         raise LemmaFalsified("nonzero z solves the LCP against positive q")
     return bad[0]
@@ -225,16 +213,21 @@ class SymmetricGame:
         return densify(self.S_rows, len(self.S_rows))
 
 
-def build_game(ns: NormalizedSystem) -> BimatrixGame:
-    """The (m+1)-strategy game whose equilibria carry the LCP solutions.
+def build_game(two_sided: LcpInstance) -> BimatrixGame:
+    """The (m+1)-strategy game whose equilibria carry the LCP solutions,
+    read off the two-sided LCP: A is its H^T block with the columns shifted
+    back to 0.., B the transpose of its -H' block, and B's slack row is
+    b + 1 = 1 - q on the x rows.
 
     Certifies on sparse rows that A is upper-triangular and that A + B has
     the shape which bounds its rank by k+1 (see `_certify_payoff_sum`)."""
-    lp = ns.lp
+    if two_sided.kind != "lcp_c":
+        raise ValueError(f"build_game needs the two-sided LCP, got a {two_sided.kind!r} LCP")
+    lp = two_sided.lp
     m = lp.m
-    A = sparse_transpose(ns.H, m) + [{m: Fraction(1)}]
-    B = ([{i: -v for i, v in col.items()} for col in sparse_transpose(ns.Hp, m)]
-         + [{**{j: bj + 1 for j, bj in enumerate(ns.b) if bj != -1}, m: Fraction(1)}])
+    A = [{j - m: v for j, v in row.items()} for row in two_sided.M[:m]] + [{m: Fraction(1)}]
+    B = (sparse_transpose(two_sided.M[m:], m)
+         + [{**{j: 1 - qj for j, qj in enumerate(two_sided.q[m:]) if qj != 1}, m: Fraction(1)}])
     if not is_upper_triangular(A):
         raise LemmaFalsified("first payoff matrix is not upper-triangular")
     _certify_payoff_sum(A, B, lp)
@@ -267,7 +260,8 @@ def payoff_sum_rank(A: list[Row], B: list[Row]) -> int:
 def build_symmetric_game(lp: ParamLP) -> SymmetricGame:
     """S = [[-A', b+1], [0^T, 1]], -A' the direct LCP's matrix; symmetric
     equilibria carry the direct LCP."""
-    S = ([row_add(row, {lp.m: bi + 1}) for row, bi in zip(build_direct_lcp(lp).M, lp.b)]
+    direct = build_direct_lcp(lp)
+    S = ([row_add(row, {lp.m: 1 - qi}) for row, qi in zip(direct.M, direct.q)]
          + [{lp.m: Fraction(1)}])
     return SymmetricGame(S, GameMeta(lp.m, lp.k, list(lp.c) if lp.c else None,
                                      lp.output_rows, "symmetric"))
@@ -307,12 +301,12 @@ def _without_slack(z_full: Vec, who: str) -> Vec:
     return [v / t for v in z_full[:-1]]
 
 
-def ne_to_lcp(ns: NormalizedSystem, x_full: Vec, y_full: Vec) -> tuple[Vec, Vec]:
+def ne_to_lcp(two_sided: LcpInstance, x_full: Vec, y_full: Vec) -> tuple[Vec, Vec]:
     """Divide out the slack strategy weights; verifies the result solves
     the two-sided system."""
     x = _without_slack(x_full, "equilibrium's first strategy")
     y = _without_slack(y_full, "equilibrium's second strategy")
-    bad = lcp_violations(ns.lcp_c, x + y)
+    bad = lcp_violations(two_sided, x + y)
     if bad:
         raise LemmaFalsified("mapped equilibrium violates the LCP: " + bad[0])
     return x, y
@@ -372,6 +366,9 @@ def game_from_json(doc: dict) -> BimatrixGame:
     if shape[0] != shape[1]:
         raise ValueError(f"game is {shape[0]}x{shape[1]}; every game kind is square")
     output_rows = tuple(int_from_json(r) for r in meta["output_rows"])
+    if len(set(output_rows)) != len(output_rows):
+        # each output row carries its own coordinate of the fixed point
+        raise ValueError(f"output rows {list(output_rows)} repeat a row")
     last = shape[0] - 2   # the last strategy is the slack
     if not all(0 <= r <= last for r in output_rows):
         raise ValueError(f"output rows {list(output_rows)} must lie in 0..{last}")
@@ -393,6 +390,6 @@ def lcp_to_json(lcp: LcpInstance) -> dict:
         "block": lcp.kind,
         "M": rows_to_strs(lcp.M, len(lcp.M)),
         "q": vec_to_strs(lcp.q),
-        "m": lcp.m, "k": lcp.k,
-        "output_rows": list(lcp.output_rows),
+        "m": lcp.lp.m, "k": lcp.lp.k,
+        "output_rows": list(lcp.lp.output_rows),
     }

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
@@ -299,14 +300,23 @@ def symmetrized_to_ne(z, rows: int) -> tuple[list, list]:
 
 # --- dense LCP and game builders, the referees of the sparse ones in lcp.py ---
 
-def referee_normalize(P) -> "lcp.NormalizedSystem":
+class DenseSystem(NamedTuple):
+    """The cost-scaled matrices H and H' of an LP, dense, beside b and the LP."""
+
+    H: list
+    Hp: list
+    b: list
+    lp: object
+
+
+def referee_normalize(P) -> DenseSystem:
     """H = A diag(1/c) and Hp = H - sum_l u^l e_{r_l}^T as dense matrices,
     entry by entry from the dense view of A."""
     H = [[a / c for a, c in zip(row, P.c)] for row in P.A]
     Hp = H
     for r, u in zip(P.output_rows, P.U):
         Hp = [[h - ui * (j == r) for j, h in enumerate(row)] for row, ui in zip(Hp, u)]
-    return lcp.NormalizedSystem(H, Hp, list(P.b), P)
+    return DenseSystem(H, Hp, list(P.b), P)
 
 
 def referee_direct_matrix(P) -> list:

@@ -28,8 +28,8 @@ def announce(capsys, line: str):
 
 def build_chain(raw):
     P, prepared = lp.build_param_lp(raw)
-    ns = lcp.normalize(P)
-    return prepared, P, ns, lcp.build_game(ns), lcp.build_symmetric_game(P)
+    two_sided = lcp.normalize(P)
+    return prepared, P, two_sided, lcp.build_game(two_sided), lcp.build_symmetric_game(P)
 
 
 def known_instances():
@@ -125,14 +125,14 @@ def test_criterion_4_game_correspondence(capsys):
     """First-player strategies of the built games carry exactly the known
     fixed points; slack weights always positive."""
     for name, raw, known, continuum in known_instances():
-        prepared, P, ns, game, _ = build_chain(raw)
+        prepared, P, two_sided, game, _ = build_chain(raw)
         res = nash.enumerate_ne(game.A, game.B)
         assert res.equilibria, name
         lams = set()
         for cert in res.equilibria:
             assert cert.x[-1] > 0 and cert.y[-1] > 0, f"{name}: slack weight zero"
-            x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
-            assert not lcp.lcp_violations(lcp.build_lcp_C(ns), x + y), name
+            x, y = lcp.ne_to_lcp(two_sided, cert.x, cert.y)
+            assert not lcp.lcp_violations(two_sided, x + y), name
             lam = lcp.game_to_fixed_point(cert.x, game.meta)
             assert nash.check_fixed_point(prepared, lam), f"{name}: lambda not fixed"
             lams.add(tuple(lam))
@@ -149,7 +149,7 @@ def test_criterion_5_symmetric_path_agreement(capsys):
     """Symmetric-game route yields the same fixed points; imitation-game
     second strategies coincide with the symmetric equilibrium set."""
     for name, raw, known, continuum in known_instances():
-        prepared, P, ns, game, sym = build_chain(raw)
+        prepared, P, two_sided, game, sym = build_chain(raw)
         asym = {tuple(lcp.game_to_fixed_point(c.x, game.meta))
                 for c in nash.enumerate_ne(game.A, game.B).equilibria}
         sres = nash.enumerate_symmetric_ne(sym.S)
@@ -180,7 +180,7 @@ def test_criterion_6_rank_and_triangularity(capsys):
         k = rng.randint(1, 2)
         raws.append((f"random_{i}", random_raw_circuit(rng, k, 4)))
     for name, raw in raws:
-        _, P, ns, game, _ = build_chain(raw)
+        _, P, two_sided, game, _ = build_chain(raw)
         assert referee_is_upper_triangular(game.A), name
         assert em.rank(referee_mat_add(game.A, game.B)) <= P.k + 1, name
         sym = lcp.symmetrize(game.A_rows, game.B_rows, P.m + 1)
@@ -197,14 +197,14 @@ def test_criterion_7_semimonotone_battery(capsys):
     trials_per_instance = 1000
     total = 0
     for name, raw, _, _ in known_instances():
-        _, P, ns, _, _ = build_chain(raw)
+        _, P, two_sided, _, _ = build_chain(raw)
         dim = 2 * P.m
         for _ in range(trials_per_instance):
             z = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(dim)]
             if all(v == 0 for v in z):
                 z[rng.randrange(dim)] = F(1)
             q = [F(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(dim)]
-            witness = lcp.semimonotone_witness(ns, z, q)   # alarm would raise
+            witness = lcp.semimonotone_witness(two_sided, z, q)   # alarm would raise
             assert witness
             total += 1
     announce(capsys, f"ACCEPTANCE 7 PASS: {total} semimonotone draws all witnessed")
@@ -244,15 +244,15 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
     instances = [known_instances()[i] for i in (0, 3)]
     prepared_data = []
     for name, raw, _, _ in instances:
-        prepared, P, ns, game, sym = build_chain(raw)
+        prepared, P, two_sided, game, sym = build_chain(raw)
         cert = nash.enumerate_ne(game.A, game.B).equilibria[0]
-        x, y = lcp.ne_to_lcp(ns, cert.x, cert.y)
+        x, y = lcp.ne_to_lcp(two_sided, cert.x, cert.y)
         lam = lcp.game_to_fixed_point(cert.x, game.meta)
-        prepared_data.append((P, ns, game, cert, x, y, lam))
+        prepared_data.append((P, two_sided, game, cert, x, y, lam))
 
     rejected = 0
     for _ in range(50):
-        P, ns, game, cert, x, y, lam = prepared_data[rng.randrange(len(prepared_data))]
+        P, two_sided, game, cert, x, y, lam = prepared_data[rng.randrange(len(prepared_data))]
         delta = F(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice([1, -1])
         mode = rng.randrange(5)
         if mode == 0:      # corrupt a payoff entry
@@ -280,7 +280,7 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
         elif mode == 3:    # corrupt an LCP coordinate
             zz = x + y
             zz[rng.randrange(len(zz))] += abs(delta)
-            assert lcp.lcp_violations(lcp.build_lcp_C(ns), zz)
+            assert lcp.lcp_violations(two_sided, zz)
         else:              # corrupt the dual certificate
             xs = lp.solve_lp(P, lam)
             ys = lp.construct_dual(P, lam, xs)

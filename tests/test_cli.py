@@ -14,7 +14,9 @@ import nashforge
 from nashforge import brouwer, cli, compiler, exactmath, fixp, lcp, lp, nash
 from nashforge.cli import SCHEMA, main
 
-from conftest import encode_case, false_clamp_claim_circuit, one_minus_circuit, random_raw_circuit
+from conftest import (
+    encode_case, false_clamp_claim_circuit, one_minus_circuit, random_raw_circuit, swap_circuit,
+)
 
 
 def write_json(path, kind, body):
@@ -342,8 +344,8 @@ class TestVerify:
     def test_roundtrip_builds_the_lcp_once_per_equilibrium(self, circuit_file, tmp_path,
                                                            monkeypatch, capsys):
         calls = []
-        build_lcp_C = lcp.build_lcp_C
-        monkeypatch.setattr(lcp, "build_lcp_C", lambda ns: calls.append(ns) or build_lcp_C(ns))
+        normalize = lcp.normalize
+        monkeypatch.setattr(lcp, "normalize", lambda P: calls.append(P) or normalize(P))
         report = tmp_path / "report.json"
         assert main(["verify", circuit_file, "--mode", "roundtrip", "-o", str(report)]) == 0
         lines = [c["name"] for c in json.loads(report.read_text())["checks"]]
@@ -368,6 +370,19 @@ class TestVerify:
         assert main(["verify", circuit_file, "--mode", "lemmas", "--trials", "60"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("circuit", [one_minus_circuit, swap_circuit])
+    def test_lemmas_mode_densifies_S_once(self, circuit, tmp_path, monkeypatch, capsys):
+        # the one dense S serves the symmetric enumeration and every
+        # symmetric equilibrium's check
+        reads = []
+        dense_view = lcp.SymmetricGame.S
+        monkeypatch.setattr(lcp.SymmetricGame, "S",
+                            property(lambda g: reads.append(g) or dense_view.fget(g)))
+        path = write_json(tmp_path / "c.json", "circuit", fixp.circuit_to_json(circuit()))
+        assert main(["verify", path, "--mode", "lemmas", "--trials", "20"]) == 0
+        assert "PASS  symmetric_path_fixed_points" in capsys.readouterr().out
+        assert len(reads) == 1
+
     @pytest.mark.parametrize("name,broken", [
         # the LP optimum disagrees with the circuit's max-gate trace
         ("solve_lp", lambda real: lambda P, lam: [v + 1 for v in real(P, lam)]),
@@ -384,7 +399,7 @@ class TestVerify:
     def test_lemmas_mode_semimonotone_alarm_exits_3(self, circuit_file, tmp_path, monkeypatch,
                                                     capsys):
         # a draw with no violated row is a nonzero solution of LCP(q, M) with q > 0
-        def solved(ns, z, q):
+        def solved(two_sided, z, q):
             raise lcp.LemmaFalsified("no row of z is violated")
         monkeypatch.setattr(lcp, "semimonotone_witness", solved)
         report = tmp_path / "report.json"
@@ -431,9 +446,9 @@ class TestVerify:
                                                              monkeypatch, capsys):
         build_game = lcp.build_game
 
-        def moved(ns):
+        def moved(two_sided):
             # moving B[1][0] into A[1][0] leaves A + B, and so its rank, alone
-            game = build_game(ns)
+            game = build_game(two_sided)
             A, B = [dict(row) for row in game.A_rows], [dict(row) for row in game.B_rows]
             assert 0 not in A[1] and 0 in B[1]
             A[1][0] = B[1].pop(0)
@@ -879,6 +894,24 @@ class TestInputValidation:
         assert main([command[0], str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert f"{path}: malformed game" in err and "every game kind is square" in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_repeated_output_rows_exit_2(self, command, tmp_path, capsys):
+        # the swap circuit's game carries its fixed point on rows 1 and 3;
+        # read as [1, 1], coordinate 1 would stand for both
+        circuit = write_json(tmp_path / "swap.json", "circuit",
+                             fixp.circuit_to_json(swap_circuit()))
+        path = tmp_path / "game.json"
+        assert main(["reduce", circuit, "--target", "game", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["meta"]["output_rows"] == [1, 3]
+        doc["meta"]["output_rows"] = [1, 1]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert f"{path}: malformed game" in err and "output rows [1, 1] repeat a row" in err
+        assert "PASS" not in out and "lambda" not in out
 
     def test_non_wire_rational_exits_2(self, tmp_path, capsys):
         # int() reads "1_0" as 10; the wire form has no "_"

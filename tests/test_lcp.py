@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from nashforge import exactmath as em
 from nashforge import lcp, lp, nash
 from nashforge.lcp import (
-    LemmaFalsified, build_direct_lcp, build_game, build_lcp_C,
-    build_symmetric_game, game_from_json, game_to_fixed_point,
-    game_to_json, imitation_game, lcp_to_ne, lcp_to_symne, lcp_violations, ne_to_lcp,
-    normalize, scale_solution, semimonotone_witness, symmetrize, symne_to_lcp,
+    LemmaFalsified, build_direct_lcp, build_game, build_symmetric_game, game_from_json,
+    game_to_fixed_point, game_to_json, imitation_game, lcp_to_ne, lcp_to_symne, lcp_violations,
+    ne_to_lcp, normalize, scale_solution, semimonotone_witness, symmetrize, symne_to_lcp,
 )
 
 from conftest import (
@@ -32,18 +31,28 @@ def frac_mat(rows):
 @pytest.fixture(scope="module")
 def worked():
     P, prepared = lp.build_param_lp(one_minus_circuit())
-    ns = normalize(P)
-    return P, prepared, ns
+    two_sided = normalize(P)
+    return P, prepared, two_sided
+
+
+def blocks(two_sided):
+    """H and H' read back, dense, off the blocks of M = [[0, H^T], [-H', 0]];
+    the two zero blocks hold no entry."""
+    m = two_sided.lp.m
+    top, bottom = two_sided.M[:m], two_sided.M[m:]
+    assert all(j >= m for row in top for j in row) and all(j < m for row in bottom for j in row)
+    HT = em.densify([{j - m: v for j, v in row.items()} for row in top], m)
+    return [list(col) for col in zip(*HT)], [[-v for v in row] for row in em.densify(bottom, m)]
 
 
 class TestNormalize:
     def test_scaled_matrix(self, worked):
-        P, _, ns = worked
-        assert em.densify(ns.H, P.m) == frac_mat([[F(1, 2), 0], [F(1, 2), 1]])
+        _, _, two_sided = worked
+        assert blocks(two_sided)[0] == frac_mat([[F(1, 2), 0], [F(1, 2), 1]])
 
     def test_substituted_matrix(self, worked):
-        P, _, ns = worked
-        assert em.densify(ns.Hp, P.m) == frac_mat([[F(1, 2), -1], [F(1, 2), 1]])
+        _, _, two_sided = worked
+        assert blocks(two_sided)[1] == frac_mat([[F(1, 2), -1], [F(1, 2), 1]])
 
     def test_unit_cost_at_outputs_enforced(self, worked):
         P, _, _ = worked
@@ -65,21 +74,18 @@ class TestScaleSolution:
 
 class TestLcpC:
     def test_worked_solution_accepted(self, worked):
-        _, _, ns = worked
-        inst = build_lcp_C(ns)
-        assert not lcp_violations(inst, [F(1), F(1, 2), F(1), F(1)])
+        _, _, two_sided = worked
+        assert not lcp_violations(two_sided, [F(1), F(1, 2), F(1), F(1)])
 
     def test_zero_x_violates_threshold_row(self, worked):
-        _, _, ns = worked
-        inst = build_lcp_C(ns)
-        bad = lcp_violations(inst, [F(0), F(0), F(1), F(1)])
+        _, _, two_sided = worked
+        bad = lcp_violations(two_sided, [F(0), F(0), F(1), F(1)])
         assert any("row 3" in v for v in bad)   # -H'x <= -b fails at the clamp row
 
     def test_inflated_dual_rejected(self, worked):
-        _, _, ns = worked
-        inst = build_lcp_C(ns)
+        _, _, two_sided = worked
         # (H^T y)_1 = 2*1/2 + 1/2 = 3/2 > 1
-        bad = lcp_violations(inst, [F(1), F(1, 2), F(2), F(1)])
+        bad = lcp_violations(two_sided, [F(1), F(1, 2), F(2), F(1)])
         assert any("row 0" in v for v in bad)
 
 
@@ -109,9 +115,9 @@ class TestDirectLcp:
 
 class TestSemimonotone:
     def test_zero_rejected_by_precondition(self, worked):
-        _, _, ns = worked
+        _, _, two_sided = worked
         with pytest.raises(ValueError):
-            semimonotone_witness(ns, [F(0)] * 4, [F(1)] * 4)
+            semimonotone_witness(two_sided, [F(0)] * 4, [F(1)] * 4)
 
     @pytest.mark.parametrize("z, q, message", [
         ([F(1), F(-1, 2), F(0), F(0)], [F(1)] * 4, "z must be nonnegative and nonzero"),
@@ -119,39 +125,39 @@ class TestSemimonotone:
         ([F(1), F(0), F(0), F(0)], [F(1), F(0), F(1), F(1)], "q must be strictly positive"),
     ], ids=["negative-z", "zero-z", "zero-q"])
     def test_preconditions_refused(self, worked, z, q, message):
-        _, _, ns = worked
+        _, _, two_sided = worked
         with pytest.raises(ValueError, match=message):
-            semimonotone_witness(ns, z, q)
+            semimonotone_witness(two_sided, z, q)
 
     def test_worked_witness(self, worked):
-        _, _, ns = worked
-        msg = semimonotone_witness(ns, [F(1), F(0), F(0), F(0)], [F(1)] * 4)
+        _, _, two_sided = worked
+        msg = semimonotone_witness(two_sided, [F(1), F(0), F(0), F(0)], [F(1)] * 4)
         assert "complementarity" in msg
 
     def test_random_battery_never_alarms(self, worked, rng):
-        _, _, ns = worked
+        _, _, two_sided = worked
         for _ in range(300):
             z = [F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(4)]
             if all(v == 0 for v in z):
                 z[rng.randrange(4)] = F(1)
             q = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(4)]
-            semimonotone_witness(ns, z, q)   # raising LemmaFalsified would fail
+            semimonotone_witness(two_sided, z, q)   # raising LemmaFalsified would fail
 
 
 class TestGames:
     def test_worked_first_matrix(self, worked):
-        _, _, ns = worked
-        game = build_game(ns)
+        _, _, two_sided = worked
+        game = build_game(two_sided)
         assert game.A == frac_mat([[F(1, 2), F(1, 2), 0], [0, 1, 0], [0, 0, 1]])
 
     def test_worked_second_matrix(self, worked):
-        _, _, ns = worked
-        game = build_game(ns)
+        _, _, two_sided = worked
+        game = build_game(two_sided)
         assert game.B == frac_mat([[F(-1, 2), F(-1, 2), 0], [1, -1, 0], [1, 2, 1]])
 
     def test_rank_bound_tight_on_worked_instance(self, worked):
-        _, _, ns = worked
-        game = build_game(ns)
+        _, _, two_sided = worked
+        game = build_game(two_sided)
         assert em.rank(referee_mat_add(game.A, game.B)) == 2   # = k + 1
 
     def test_symmetric_matrix(self, worked):
@@ -180,32 +186,34 @@ class TestPayoffSumCertificate:
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2]))
     def test_matches_dense_formulas(self, seed, k):
         P, _ = lp.build_param_lp(random_raw_circuit(random.Random(seed), k, 3))
-        ns = normalize(P)
+        two_sided = normalize(P)
         # H = A diag(1/c), Hp = H - sum_l u^l e_{r_l}^T, entry by entry
         H = [[a / c for a, c in zip(row, P.c)] for row in P.A]
         Hp = H
         for r, u in zip(P.output_rows, P.U):
             Hp = [[h - ui * (j == r) for j, h in enumerate(row)] for row, ui in zip(Hp, u)]
-        assert em.densify(ns.H, P.m) == H and em.densify(ns.Hp, P.m) == Hp
-        game = build_game(ns)
+        assert blocks(two_sided) == (H, Hp)
+        game = build_game(two_sided)
         total = referee_mat_add(game.A, game.B)
         assert sum(map(any, total)) <= k + 1
         assert em.rank(total) == lcp.payoff_sum_rank(game.A_rows, game.B_rows) <= k + 1
 
     def test_nonzero_row_outside_outputs_alarms(self, worked):
-        _, _, ns = worked
-        assert ns.lp.output_rows == (1,)
-        # Hp[1][0] sits in column 0, not an output column; it reaches B[0][1]
-        # and makes row 0 of A + B nonzero
-        Hp = [dict(row) for row in ns.Hp]
-        Hp[1][0] += 1
+        P, _, two_sided = worked
+        assert P.output_rows == (1,)
+        # H'[1][0], at M[m + 1][0], sits in column 0, not an output column; it
+        # reaches B[0][1] and makes row 0 of A + B nonzero
+        M = [dict(row) for row in two_sided.M]
+        M[P.m + 1][0] -= 1
         with pytest.raises(LemmaFalsified, match=r"row 0 of A \+ B"):
-            build_game(replace(ns, Hp=Hp))
+            build_game(replace(two_sided, M=M))
 
     def test_slack_row_checked(self, worked):
-        _, _, ns = worked
+        P, _, two_sided = worked
+        # q = (1, -b), so lowering its x rows by one raises b by one
+        q = two_sided.q[:P.m] + [v - 1 for v in two_sided.q[P.m:]]
         with pytest.raises(LemmaFalsified, match=r"row 2 of A \+ B"):
-            build_game(replace(ns, b=[v + 1 for v in ns.b]))
+            build_game(replace(two_sided, q=q))
 
 
 class TestStructureChecksMatchDenseReferees:
@@ -238,14 +246,14 @@ class TestSparseRowsMatchDenseReferees:
     def test_builders_and_checkers(self, seed, k):
         rng = random.Random(seed)
         P, _ = lp.build_param_lp(random_raw_circuit(rng, k, 3))
-        ns, dense = normalize(P), referee_normalize(P)
-        for inst, (M, q) in ((build_lcp_C(ns), referee_build_lcp_C(dense)),
+        two_sided, dense = normalize(P), referee_normalize(P)
+        for inst, (M, q) in ((two_sided, referee_build_lcp_C(dense)),
                              (build_direct_lcp(P), referee_build_direct_lcp(P))):
             assert em.densify(inst.M, len(M)) == M and inst.q == q
             for _ in range(5):
                 z = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in M]
                 assert lcp_violations(inst, z) == referee_lcp_violations(M, q, z)
-        game, sym = build_game(ns), build_symmetric_game(P)
+        game, sym = build_game(two_sided), build_symmetric_game(P)
         assert (game.A, game.B, game.meta) == referee_build_game(dense)
         assert (sym.S, sym.meta) == referee_build_symmetric_game(P)
         M, _ = referee_build_lcp_C(dense)
@@ -254,7 +262,7 @@ class TestSparseRowsMatchDenseReferees:
             z[rng.randrange(len(z))] = F(1)
             q = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in M]
             try:
-                witness = semimonotone_witness(ns, z, q)
+                witness = semimonotone_witness(two_sided, z, q)
             except LemmaFalsified:
                 witness = None
             assert bool(witness) == bool(referee_lcp_violations(M, q, z))
@@ -281,43 +289,55 @@ def lcp_cases(draw):
 
 class TestLcpCheckerMatchesFractionReferee:
     @settings(max_examples=300, deadline=None)
-    @given(lcp_cases())
-    def test_same_messages(self, case):
+    @given(case=lcp_cases())
+    def test_same_messages(self, worked, case):
         M, q, z = case
-        inst = lcp.LcpInstance("direct", sparse_rows(M), q, len(M), 0, ())
+        inst = replace(build_direct_lcp(worked[0]), M=sparse_rows(M), q=q)
         assert lcp_violations(inst, z) == referee_lcp_violations(M, q, z)
 
 
 def test_semimonotone_battery_builds_the_lcp_once(monkeypatch, worked):
-    ns = normalize(worked[0])     # a system with nothing cached yet
     calls = []
-    build = lcp.build_lcp_C
-    monkeypatch.setattr(lcp, "build_lcp_C", lambda system: calls.append(system) or build(system))
+    build = lcp.normalize
+    monkeypatch.setattr(lcp, "normalize", lambda P: calls.append(P) or build(P))
+    two_sided = lcp.normalize(worked[0])
     rng = random.Random(7)
-    n = 2 * ns.lp.m
+    n = len(two_sided.M)
     for _ in range(40):
         z = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
         z[rng.randrange(n)] = F(1)
-        assert semimonotone_witness(ns, z, [F(rng.randint(1, 8), rng.randint(1, 4))
-                                            for _ in range(n)])
-    assert calls == [ns]
-    assert ns.lcp_c.q == build(ns).q     # the witnesses left the shared LCP's q alone
+        assert semimonotone_witness(two_sided, z, [F(rng.randint(1, 8), rng.randint(1, 4))
+                                                   for _ in range(n)])
+    assert calls == [worked[0]]
+    assert two_sided.q == build(worked[0]).q     # the witnesses left the shared q alone
 
 
 def test_semimonotone_battery_clears_the_rows_once(monkeypatch, worked):
     # the shared LCP's rows are cleared on the first check; after that each
     # check clears only its z
-    ns = normalize(worked[0])
+    two_sided = normalize(worked[0])
     calls = []
     clear = lcp.int_vec
     monkeypatch.setattr(lcp, "int_vec", lambda v: calls.append(v) or clear(v))
     rng = random.Random(7)
-    n = 2 * ns.lp.m
+    n = len(two_sided.M)
     for _ in range(40):
         z = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
         z[rng.randrange(n)] = F(1)
-        semimonotone_witness(ns, z, [F(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(n)])
-    assert len(calls) == len(ns.lcp_c.M) + 40
+        semimonotone_witness(two_sided, z,
+                             [F(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(n)])
+    assert len(calls) == len(two_sided.M) + 40
+
+
+def test_direct_lcp_refused_where_the_two_sided_one_is_needed(worked):
+    # the shifted block of the direct M would have negative columns, and the
+    # witness would test its lemma on the wrong matrix
+    direct = build_direct_lcp(worked[0])
+    with pytest.raises(ValueError, match="build_game needs the two-sided LCP, got a 'direct'"):
+        build_game(direct)
+    n = len(direct.M)
+    with pytest.raises(ValueError, match="witness needs the two-sided LCP, got a 'direct'"):
+        semimonotone_witness(direct, [F(1)] * n, [F(1)] * n)
 
 
 def test_lcp_layer_never_reads_dense_A(monkeypatch, rng):
@@ -327,15 +347,14 @@ def test_lcp_layer_never_reads_dense_A(monkeypatch, rng):
                         property(lambda P: reads.append(P.m) or dense_view.fget(P)))
     for circ in (one_minus_circuit(), random_raw_circuit(rng, 2, 3)):
         P, _ = lp.build_param_lp(circ)
-        ns = normalize(P)
-        build_lcp_C(ns)
+        two_sided = normalize(P)
         build_direct_lcp(P)
-        game = build_game(ns)
+        game = build_game(two_sided)
         sym = build_symmetric_game(P)
         n = 2 * P.m
-        assert semimonotone_witness(ns, [F(1)] + [F(0)] * (n - 1), [F(1)] * n)
+        assert semimonotone_witness(two_sided, [F(1)] + [F(0)] * (n - 1), [F(1)] * n)
         cert = nash.lemke_howson(game.A, game.B)
-        ne_to_lcp(ns, cert.x, cert.y)
+        ne_to_lcp(two_sided, cert.x, cert.y)
         imi = imitation_game(sym)
         symne_to_lcp(P, nash.lemke_howson(imi.A, imi.B).y)
         lam = [F(1, 3)] * P.k
@@ -391,14 +410,14 @@ def test_game_layer_never_reads_dense_views(monkeypatch, rng):
 
 class TestNeLcpMappings:
     def test_worked_ne_to_lcp(self, worked):
-        _, _, ns = worked
-        x, y = ne_to_lcp(ns, [F(2, 5), F(1, 5), F(2, 5)], [F(1, 3), F(1, 3), F(1, 3)])
+        _, _, two_sided = worked
+        x, y = ne_to_lcp(two_sided, [F(2, 5), F(1, 5), F(2, 5)], [F(1, 3), F(1, 3), F(1, 3)])
         assert (x, y) == ([F(1), F(1, 2)], [F(1), F(1)])
 
     def test_zero_slack_is_alarm(self, worked):
-        _, _, ns = worked
+        _, _, two_sided = worked
         with pytest.raises(LemmaFalsified):
-            ne_to_lcp(ns, [F(1, 2), F(1, 2), F(0)], [F(1, 3), F(1, 3), F(1, 3)])
+            ne_to_lcp(two_sided, [F(1, 2), F(1, 2), F(0)], [F(1, 3), F(1, 3), F(1, 3)])
 
     def test_lcp_to_ne(self):
         xt, yt = lcp_to_ne([F(1), F(1, 2)], [F(1), F(1)])
@@ -406,10 +425,10 @@ class TestNeLcpMappings:
         assert yt == [F(1, 3), F(1, 3), F(1, 3)]
 
     def test_mutually_inverse(self, worked):
-        _, _, ns = worked
+        _, _, two_sided = worked
         x, y = [F(1), F(1, 2)], [F(1), F(1)]
         xt, yt = lcp_to_ne(x, y)
-        assert ne_to_lcp(ns, xt, yt) == (x, y)
+        assert ne_to_lcp(two_sided, xt, yt) == (x, y)
 
     def test_symmetric_pair(self, worked):
         P, _, _ = worked
@@ -426,8 +445,8 @@ class TestNeLcpMappings:
 
 class TestFixedPointExtraction:
     def test_worked_lambda(self, worked):
-        _, _, ns = worked
-        game = build_game(ns)
+        _, _, two_sided = worked
+        game = build_game(two_sided)
         lam = game_to_fixed_point([F(2, 5), F(1, 5), F(2, 5)], game.meta)
         assert lam == [F(1, 2)]
 
@@ -459,16 +478,16 @@ class TestSymmetrize:
         assert sym.S == frac_mat([[0] * 4] * 4)
 
     def test_worked_rank_doubles(self, worked):
-        _, _, ns = worked
-        game = build_game(ns)
+        _, _, two_sided = worked
+        game = build_game(two_sided)
         sym = symmetrize(game.A_rows, game.B_rows, 3)
         assert len(sym.S) == 6
         st = referee_mat_add(sym.S, referee_transpose(sym.S))
         assert em.rank(st) == 2 * em.rank(referee_mat_add(game.A, game.B))
 
     def test_equilibrium_embeds_and_splits(self, worked):
-        _, _, ns = worked
-        game = build_game(ns)
+        _, _, two_sided = worked
+        game = build_game(two_sided)
         cert = nash.enumerate_ne(game.A, game.B).equilibria[0]
         sym = symmetrize(game.A_rows, game.B_rows, 3)
         z = ne_to_symmetrized(cert.x, cert.y, cert.pi1, cert.pi2)
@@ -477,8 +496,8 @@ class TestSymmetrize:
         assert nash.check_ne(game.A, game.B, x, y)
 
     def test_solver_found_symmetric_ne_maps_back(self, worked):
-        _, _, ns = worked
-        game = build_game(ns)
+        _, _, two_sided = worked
+        game = build_game(two_sided)
         sym = symmetrize(game.A_rows, game.B_rows, 3)
         res = nash.enumerate_symmetric_ne(sym.S)
         mapped = 0
@@ -516,8 +535,8 @@ class TestImitation:
 
 class TestJson:
     def test_game_roundtrip(self, worked):
-        _, _, ns = worked
-        game = build_game(ns)
+        _, _, two_sided = worked
+        game = build_game(two_sided)
         back = game_from_json(game_to_json(game))
         assert back.A == game.A and back.B == game.B and back.meta == game.meta
 

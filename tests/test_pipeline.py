@@ -56,8 +56,7 @@ def test_routes_agree_on_random_contractions():
     for _ in range(40):
         raw, known = random_contraction_circuit(rng)
         P, prepared = lp.build_param_lp(raw)
-        ns = lcp.normalize(P)
-        game = lcp.build_game(ns)
+        game = lcp.build_game(lcp.normalize(P))
         sym = lcp.build_symmetric_game(P)
 
         res = nash.enumerate_ne(game.A, game.B)
@@ -87,8 +86,7 @@ def test_routes_on_unstructured_random_circuits():
         k = rng.randint(1, 2)
         raw = random_raw_circuit(rng, k, 2)
         P, prepared = lp.build_param_lp(raw)
-        ns = lcp.normalize(P)
-        game = lcp.build_game(ns)
+        game = lcp.build_game(lcp.normalize(P))
         sym = lcp.build_symmetric_game(P)
         for cert in nash.enumerate_ne(game.A, game.B).equilibria:
             lam = lcp.game_to_fixed_point(cert.x, game.meta)
@@ -123,8 +121,7 @@ def test_identity_circuit_extreme_continuum():
     b = fixp.Builder(1)
     raw = b.build([b.input(0)])
     P, prepared = lp.build_param_lp(raw)
-    ns = lcp.normalize(P)
-    game = lcp.build_game(ns)
+    game = lcp.build_game(lcp.normalize(P))
     res = nash.enumerate_ne(game.A, game.B)
     assert res.degenerate
     lams = set()
