@@ -332,8 +332,9 @@ def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, tria
     if not (res.degenerate or sres.degenerate):
         _check(checks, "paths_agree_on_lambda", lam_set == sym_lams)
 
+    # the imitation game's A is S itself, so the dense S serves it too
     imi = lcp.imitation_game(sym)
-    ires = nash.enumerate_ne(imi.A, imi.B)
+    ires = nash.enumerate_ne(dense_S, imi.B)
     second = {tuple(c.y) for c in ires.equilibria}
     sym_set = {tuple(c.z) for c in sres.equilibria}
     _check(checks, "imitation_second_strategies", second == sym_set)

@@ -34,15 +34,18 @@ strategy outside the support beats (`_screened`); before it, every pair
 with a unique y solves x, since a singular x-system may set the flag.
 Lemke-Howson serves as an independent second solver and the one that
 scales to compiled games.  It is complementary pivoting, with a
-lexicographic ratio test so degenerate ties cannot cycle, on one tableau
-of the game's LCP w = 1 - [[0, A1], [B1^T, 0]] z: z = (x, y) and w = (u,
-v) are the variables 0..2n-1 (n = rows + cols), and variable t carries
-label t mod n.  The tableau is two blocks, A1 y + u = 1 and B1^T x + v =
-1, each a condensed integer tableau (`_Condensed`): a row is a dense list
-of integers over one reduced denominator, holding the rhs and the block's
-nonbasic columns only, while the basic columns are implicit unit vectors.
-The lexicographic rule reads a basic column as that unit vector, so the
-row it is basic in drops out of a tie.
+lexicographic ratio test so degenerate ties cannot cycle, on the game's
+LCP w = 1 - [[0, A1], [B1^T, 0]] z: z = (x, y) and w = (u, v) are the
+variables 0..2n-1 (n = rows + cols), and variable t carries label t mod
+n.  The LCP is two blocks, A1 y + u = 1 and B1^T x + v = 1, each held in
+revised form (`_Condensed`): per row, one reduced integer denominator,
+the rhs and the columns of the nonbasic slacks, which are B^-1's non-unit
+columns.  A row is thus 1 + (number of basic payoff variables) integers
+wide.  Basic columns are implicit unit vectors, and a payoff variable's
+column B^-1 a_j + shift * rhs (q = 1) is computed from the nonzeros of
+its payoff column when it enters or a tie reads it.  The lexicographic
+rule reads a basic column as that unit vector, so the row it is basic in
+drops out of a tie.
 """
 
 from __future__ import annotations
@@ -381,34 +384,43 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
 # --- Lemke-Howson ----------------------------------------------------------
 
 class _Condensed:
-    """A condensed integer tableau of M z + w = q, pivoted lexicographically.
+    """One block M z + w = 1 of an LCP, with M > 0, held in revised form and
+    pivoted lexicographically.
 
-    Row i is N_i / d_i with d_i > 0 and gcd(d_i, *N_i) = 1, so every entry
-    is held in lowest terms without a Fraction per entry, and the form is
-    unique.  N_i is a dense list over the nonbasic columns only: slot 0 is
-    the rhs and slot j >= 1 the column of the nonbasic variable slots[j]
-    (slots[0] is a placeholder).  The column of the variable basis[i] is
-    the unit vector e_i, held implicitly: its entry in row i is d_i / d_i.
+    B is the basis matrix: the columns, in M or in the identity, of the
+    variables `basis`, one per row.  The tableau is B^-1 [1, M, I], and only
+    its non-unit parts are stored.  Row i is N_i / d_i with d_i > 0 and
+    gcd(d_i, *N_i) = 1, so every stored entry is in lowest terms without a
+    Fraction per entry, and the form is unique.  Slot 0 of N_i is the rhs
+    beta = B^-1 1; slot j >= 1 is the column of the nonbasic slack slots[j],
+    a column of B^-1 (slots[0] is -1, the rhs's placeholder).  The column
+    of a basic variable is a unit vector, not stored.  The column of a
+    nonbasic payoff variable v is computed when it is read (`_column`):
+    M's column is m_v + shift, with m_v the sparse integer column cols[v]
+    over the slacks, and since q = 1 its tableau column is B^-1 m_v + shift
+    beta.  So a row holds 1 + (number of basic payoff variables) slots.
     """
 
-    __slots__ = ("rows", "dens", "basis", "slots", "where", "order")
+    __slots__ = ("rows", "dens", "basis", "slots", "where", "order", "cols", "shift")
 
     def __init__(self, rows: list[list[int]], dens: list[int], basis: Iterable[int],
-                 slots: Iterable[int]):
-        """Rows [q_i, M_i] over the denominators `dens`, reduced here; w
-        is the variables `basis` and z the variables `slots`, in order.
-        Variables are integers, and the ratio test walks them in
-        increasing order."""
-        self.rows, self.dens = [], []
-        for row, d in zip(rows, dens):
-            g = gcd(d, *row)
-            self.rows.append([v // g for v in row])
-            self.dens.append(d // g)
+                 slots: Iterable[int], cols: dict[int, list[tuple[int, int]]], shift: int):
+        """Rows [beta_i, columns of the nonbasic slacks], each in lowest
+        terms over its denominator in `dens`; the variables `basis` are
+        basic, one per row, and the slacks `slots` nonbasic, in slot order.
+        `cols` maps each payoff variable to its column's nonzeros (slack,
+        entry), and `shift` is added to every entry of M.  Variables are
+        integers >= 0, and the ratio test walks them in increasing order."""
+        self.rows, self.dens = rows, dens
         self.basis = list(basis)
         self.slots = [-1, *slots]
-        # a nonbasic variable maps to its slot (>= 1), the one basic in row k to ~k (< 0)
-        self.where = {v: ~k for k, v in enumerate(self.basis)}
-        self.where.update((v, j) for j, v in enumerate(self.slots) if j)
+        self.cols, self.shift = cols, shift
+        # a nonbasic payoff variable maps to None, a nonbasic slack to its
+        # slot (>= 1), the variable basic in row k to ~k (< 0), and -1 to the
+        # rhs's slot 0, so that `order` walks the rhs first
+        self.where = dict.fromkeys(cols)
+        self.where.update(zip(self.slots, itertools.count()))
+        self.where.update(zip(self.basis, itertools.count(-1, -1)))
         self.order = sorted(self.where)
 
     def enter(self, var: int) -> int | None:
@@ -422,32 +434,95 @@ class _Condensed:
         at a time, keeping only the rows still tied, which picks the row
         that a full-tuple minimum picks.  A ratio does not depend on the
         row's denominator, so on a nonbasic column two rows compare by
-        cross-multiplying their numerators.  The column of the variable
-        basic in row k is positive in row k only, so there row k drops
-        out whenever other rows are still tied.
+        cross-multiplying their numerators; a payoff column is computed
+        for the rows still tied only (`_tied_column`).  The column of the
+        variable basic in row k is positive in row k only, so there row k
+        drops out whenever other rows are still tied.
         """
-        s, where = self.where[var], self.where
-        tied = [(i, N, N[s]) for i, N in enumerate(self.rows) if N[s] > 0]
+        rows, where = self.rows, self.where
+        s = where[var]
+        col = self._column(var) if s is None else [N[s] for N in rows]
+        tied = [(i, N, f) for i, (N, f) in enumerate(zip(rows, col)) if f > 0]
         if not tied:
             return None
-        for j in itertools.chain((0,), map(where.__getitem__, self.order)):
+        for v in self.order:
             if len(tied) == 1:
                 break
-            if j < 0:
+            j = where[v]
+            if j is None:
+                vals = self._tied_column(v, tied)
+                a, q = vals[0], tied[0][2]
+                for (_, _, q2), a2 in zip(tied, vals):
+                    if a2 * q < a * q2:
+                        a, q = a2, q2
+                tied = [t for t, a2 in zip(tied, vals) if a2 * q == a * t[2]]
+            elif j < 0:
                 tied = [t for t in tied if t[0] != ~j]
-                continue
-            a, q = tied[0][1][j], tied[0][2]
-            for _, N, q2 in tied:
-                a2 = N[j]
-                if a2 * q < a * q2:
-                    a, q = a2, q2
-            tied = [t for t in tied if t[1][j] * q == a * t[2]]
+            else:
+                # a stored column, read in place: the rhs or a nonbasic slack's
+                a, q = tied[0][1][j], tied[0][2]
+                for _, N, q2 in tied:
+                    if N[j] * q < a * q2:
+                        a, q = N[j], q2
+                tied = [t for t in tied if t[1][j] * q == a * t[2]]
         r = tied[0][0]
-        self._pivot(r, s)
-        leaving = self.basis[r]
-        self.basis[r], self.slots[s] = var, leaving
-        where[var], where[leaving] = ~r, s
+        leaving, slots = self.basis[r], self.slots
+        if leaving in self.cols:
+            # a payoff variable's column is not stored, and an entering
+            # slack's slot goes: the last slot takes its place
+            t, where[leaving] = None, None
+            if s is not None:
+                last = slots.pop()
+                if s < len(slots):
+                    slots[s], where[last] = last, s
+                for N in rows:
+                    N[s] = N[-1]
+                    N.pop()
+        else:
+            # a slack's column is stored, in the entering slack's slot or a new one
+            if s is None:
+                t = len(slots)
+                slots.append(leaving)
+                for N in rows:
+                    N.append(0)
+            else:
+                t, slots[s] = s, leaving
+            where[leaving] = t
+        self._pivot(r, col, t)
+        self.basis[r], where[var] = var, ~r
         return leaving
+
+    def _column(self, v: int) -> list[int]:
+        """The numerators, over their rows' denominators, of the nonbasic
+        payoff variable v's column B^-1 m_v + shift beta.  The sum runs
+        over the nonzeros of m_v only: a nonbasic slack's adds its stored
+        column, a basic slack's its implicit unit column."""
+        rows, dens, where, shift = self.rows, self.dens, self.where, self.shift
+        out = [shift * N[0] for N in rows]
+        for k, a in self.cols[v]:
+            j = where[k]
+            if j < 0:
+                out[~j] += dens[~j] * a
+            else:
+                out = [o + N[j] * a for o, N in zip(out, rows)]
+        return out
+
+    def _tied_column(self, v: int, tied: list[tuple]) -> list[int]:
+        """B^-1 m_v, the column of the nonbasic payoff variable v without
+        its shift beta term, in the rows (i, N_i, f_i) of `tied`.  Their
+        ratios beta_i / f_i are all equal, so shift beta_i / f_i is one
+        constant, which no comparison of their ratios can see."""
+        dens, where = self.dens, self.where
+        out = [0] * len(tied)
+        for k, a in self.cols[v]:
+            j = where[k]
+            if j < 0:
+                for pos, t in enumerate(tied):
+                    if t[0] == ~j:
+                        out[pos] += dens[~j] * a
+            else:
+                out = [o + t[1][j] * a for o, t in zip(out, tied)]
+        return out
 
     def values(self, lo: int, hi: int) -> list[int]:
         """The values of the variables lo..hi-1 in this basis, over one
@@ -461,29 +536,38 @@ class _Condensed:
             out[t - lo] = v * (den // d)
         return out
 
-    def _pivot(self, r: int, s: int) -> None:
-        """Gauss-Jordan step on (r, s), which needs N_r[s] > 0; slot s then
-        holds the column of the variable leaving row r, whose entry in row
-        r is d_r.  So row r, with d_r written into slot s, becomes N_r /
-        N_r[s], already in lowest terms: its gcd is gcd(d_r, *N_r) = 1.  A
-        row i nonzero in slot s becomes (p' N_i - f' N_r) / (d_i p') with
-        p, N_r the new pivot row, f = N_i[s], c = gcd(p, f), p' = p / c and
-        f' = f / c, except that its slot s is -f' d_r.  N_i is copied as it
-        is when p' = 1 and scaled by p' otherwise, and f' N_r is subtracted
-        at the pivot row's nonzero slots only, listed once per pivot.  Rows
-        zero in slot s are untouched, and every other row written is
-        divided by its gcd; the lowest-terms form is unique, so dividing by
-        c first changes no row."""
+    def _pivot(self, r: int, col: list[int], t: int | None) -> None:
+        """Gauss-Jordan step on row r of the entering column `col`, whose
+        numerators are over the rows' denominators and col[r] > 0.  Slot t
+        is to hold the column of the slack leaving row r, which was the
+        unit e_r, and is a new last slot of every row when t is their
+        width; t is None when a payoff variable leaves.  The entering
+        variable's slot, if it had one, is already gone or is slot t.  Row
+        r becomes N_r / p with p = col[r] and d_r written into slot t; that
+        is in lowest terms, as gcd(d_r, *N_r) = 1, and without slot t it is
+        reduced here.  A row i with f = col[i] nonzero becomes (p' N_i - f'
+        N_r) / (d_i p') with p, N_r the new pivot row, c = gcd(p, f), p' =
+        p / c and f' = f / c, except that its slot t is -f' d_r.  N_i is
+        copied as it is when p' = 1 and scaled by p' otherwise, and f' N_r
+        is subtracted at the pivot row's nonzero slots only, listed once
+        per pivot.  Rows with f = 0 are untouched, and every other row
+        written is divided by its gcd; the lowest-terms form is unique, so
+        dividing by c first changes no row."""
         rows, dens = self.rows, self.dens
-        Nr = rows[r][:]
-        p, Nr[s] = Nr[s], dens[r]
+        Nr, p = rows[r], col[r]
+        if t is None:
+            g = gcd(p, *Nr)
+            if g != 1:
+                Nr = [v // g for v in Nr]
+                p //= g
+        else:
+            Nr[t] = w = dens[r]
         rows[r], dens[r] = Nr, p
-        w = Nr[s]
-        nonzero = [(j, u) for j, u in enumerate(Nr) if u and j != s]
-        for i, Ni in enumerate(rows):
-            f = Ni[s]
+        nonzero = [(j, u) for j, u in enumerate(Nr) if u and j != t]
+        for i, f in enumerate(col):
             if not f or i == r:
                 continue
+            Ni = rows[i]
             c = gcd(p, f)
             pc, f = p // c, f // c
             if pc == 1:
@@ -492,7 +576,8 @@ class _Condensed:
                 N = [pc * v for v in Ni]
             for j, u in nonzero:
                 N[j] -= f * u
-            N[s] = -f * w
+            if t is not None:
+                N[t] = -f * w
             d = dens[i] * pc
             g = gcd(d, *N)
             if g != 1:
@@ -505,18 +590,22 @@ def _lcp_blocks(a: list[list[int]], la: int, bt: list[list[int]], lb: int
                 ) -> tuple[_Condensed, _Condensed]:
     """The two blocks A1 y + u = 1 and B1^T x + v = 1 of the LCP of the
     r x c game (a / la, (bt / lb)^T), its payoffs as `int_matrix` gives
-    them.  A1 and B1 are the payoffs shifted by 1 - min to positive
-    entries, and x, y, u, v are the variables from 0, r, n and n + r on
-    (n = r + c).  The shift enters as the integer l - min m, so row i of a
-    block is (l, m_i + l - min m) / l, reduced, and no shifted Fraction
-    copy of a payoff matrix is made."""
+    them, and x, y, u, v the variables from 0, r, n and n + r on (n = r +
+    c).  A1 and B1 are the payoffs shifted to positive entries, and a block
+    takes them scaled by its l: m + l - min m for the block of the matrix
+    m / l.  Scaling a block's payoff variables by a positive constant
+    multiplies their columns by it and divides the rows they are basic in
+    by it, which changes neither a pivot nor the normalized profile.  Each
+    block starts at the slack basis B = I, its rows the rhs 1 alone, and
+    keeps the nonzeros of m's columns."""
     r, c = len(a), len(bt)
     n = r + c
 
     def block(m: list[list[int]], l: int, z0: int, w0: int) -> _Condensed:
-        shift = l - min(min(row) for row in m)
-        return _Condensed([[l, *(v + shift for v in row)] for row in m], [l] * len(m),
-                          range(w0, w0 + len(m)), range(z0, z0 + len(m[0])))
+        cols = {z0 + j: [(w0 + i, v) for i, v in enumerate(column) if v]
+                for j, column in enumerate(zip(*m))}
+        return _Condensed([[1] for _ in m], [1] * len(m), range(w0, w0 + len(m)), (),
+                          cols, l - min(map(min, m)))
     return block(a, la, r, n), block(bt, lb, 0, n + r)
 
 

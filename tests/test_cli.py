@@ -372,16 +372,19 @@ class TestVerify:
 
     @pytest.mark.parametrize("circuit", [one_minus_circuit, swap_circuit])
     def test_lemmas_mode_densifies_S_once(self, circuit, tmp_path, monkeypatch, capsys):
-        # the one dense S serves the symmetric enumeration and every
-        # symmetric equilibrium's check
+        # the one dense S serves the symmetric enumeration, every symmetric
+        # equilibrium's check and the imitation game, whose A is S
         reads = []
-        dense_view = lcp.SymmetricGame.S
-        monkeypatch.setattr(lcp.SymmetricGame, "S",
-                            property(lambda g: reads.append(g) or dense_view.fget(g)))
+        for cls, name in ((lcp.SymmetricGame, "S"), (lcp.BimatrixGame, "A")):
+            view = getattr(cls, name)
+            monkeypatch.setattr(cls, name, property(
+                lambda g, view=view: reads.append(g.meta.kind) or view.fget(g)))
         path = write_json(tmp_path / "c.json", "circuit", fixp.circuit_to_json(circuit()))
         assert main(["verify", path, "--mode", "lemmas", "--trials", "20"]) == 0
-        assert "PASS  symmetric_path_fixed_points" in capsys.readouterr().out
-        assert len(reads) == 1
+        out = capsys.readouterr().out
+        assert "PASS  symmetric_path_fixed_points" in out
+        assert "PASS  imitation_second_strategies" in out
+        assert reads.count("symmetric") == 1 and "imitation" not in reads
 
     @pytest.mark.parametrize("name,broken", [
         # the LP optimum disagrees with the circuit's max-gate trace

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction as F
 from math import gcd, lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -429,9 +430,9 @@ ENTRIES = st.sampled_from([F(v) for v in (-1, 0, 0, 1, 1, 2)] + [F(1, 2)])
 
 @st.composite
 def tied_tableaux(draw):
-    """Small tableaux (last column the rhs) and a pivot column.  Entries come
-    from a handful of values, so ratios tie often; positive multiples of
-    other rows tie on every ratio but those of the unit basic columns."""
+    """Small tableaux, the last column the rhs.  Entries come from a
+    handful of values, so ratios tie often; positive multiples of other
+    rows tie on every ratio but those of the unit basic columns."""
     n_cols = draw(st.integers(2, 5))
     T = draw(st.lists(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols),
                       min_size=1, max_size=5))
@@ -439,45 +440,103 @@ def tied_tableaux(draw):
         row = draw(st.sampled_from(T))
         scale = draw(st.sampled_from([F(1), F(2), F(1, 3)]))
         T.insert(draw(st.integers(0, len(T))), [scale * v for v in row])
-    return T, draw(st.integers(0, n_cols - 2))
+    return T
 
 
-def dense_rows(T, variables):
-    """The rows of a `_Condensed` tableau as Fraction lists over
-    `variables`, with the unit basic columns put back and the rhs last."""
+def dense_rows(T, variables, scale=1):
+    """The rows of a `_Condensed` block as Fraction lists over `variables`,
+    with the rhs last and every column rebuilt: a nonbasic slack's from
+    its stored slot, a nonbasic payoff variable's as `_column` computes
+    it, and a basic variable's as its implicit unit column.  A block holds
+    its payoff variables scaled by `scale` (its l in `_lcp_blocks`), so
+    each entry is put back on the unscaled tableau's: times `scale` in a
+    row whose basic variable is a payoff one, over it in a payoff
+    variable's column."""
     slot = {v: j for j, v in enumerate(T.slots) if j}
-    return [[F(N[slot[v]], d) if v in slot else F(int(v == b)) for v in variables]
-            + [F(N[0], d)] for N, d, b in zip(T.rows, T.dens, T.basis)]
+    computed = {v: T._column(v) for v in variables if v in T.cols and v not in T.basis}
+    out = []
+    for i, (N, d, b) in enumerate(zip(T.rows, T.dens, T.basis)):
+        up = scale if b in T.cols else 1
+        row = []
+        for v in variables:
+            if v in slot:
+                num = N[slot[v]]
+            elif v in computed:
+                num = computed[v][i]
+            else:
+                # a unit column's entry is 1 on either scale
+                row.append(F(int(v == b)))
+                continue
+            row.append(F(num * up, d * scale if v in T.cols else d))
+        out.append(row + [F(N[0] * up, d)])
+    return out
+
+
+def assert_stored_form(T):
+    """Every row of the block `T` holds the rhs and the column of each
+    nonbasic slack only, in lowest terms over its denominator."""
+    width = len(T.slots)
+    assert sorted(T.where[v] for v in T.slots[1:]) == list(range(1, width))
+    for N, d in zip(T.rows, T.dens):
+        assert len(N) == width and d > 0 and gcd(d, *N) == 1
+
+
+@st.composite
+def payoff_columns(draw, slacks):
+    """A payoff column over the slack variables `slacks`: its nonzeros
+    (slack, entry)."""
+    entries = draw(st.lists(st.integers(-3, 3), min_size=len(slacks), max_size=len(slacks)))
+    return [(k, a) for k, a in zip(slacks, entries) if a]
 
 
 class TestLexPivot:
     @settings(max_examples=400, deadline=None)
     @given(tied_tableaux(), st.data())
-    def test_matches_full_tuple_minimum(self, case, data):
-        T, col = case
+    def test_matches_full_tuple_minimum(self, T, data):
         m, k = len(T), len(T[0]) - 1
-        # over the variables 0..k+m-1, T's columns are the nonbasic `slots`;
-        # each row's basic variable, anywhere in the order, has a unit
-        # column that the referee is given and the condensed form implies
-        order = data.draw(st.permutations(range(k + m)))
-        slots, basis = order[:k], order[k:]
+        # over the variables 0..k+m+p-1, T's columns are the nonbasic slacks
+        # `slots` and each row's basic variable has a unit column, anywhere
+        # in the order.  Some basic variables are payoff variables, whose
+        # columns the block does not keep once they leave.  The p nonbasic
+        # payoff variables have random columns m_v and a shift, and their
+        # tableau columns B^-1 m_v + shift * rhs are what the referee is
+        # given and the block computes
+        p = data.draw(st.integers(0, 2))
+        order = data.draw(st.permutations(range(k + m + p)))
+        slots, basis, payoff = order[:k], order[k:k + m], order[k + m:]
+        basic_payoff = [b for b in basis if data.draw(st.booleans())]
+        slacks = [v for v in order[:k + m] if v not in basic_payoff]
+        cols = {v: data.draw(payoff_columns(slacks)) for v in payoff}
+        cols.update((v, []) for v in basic_payoff)
+        shift = data.draw(st.integers(-2, 2))
+        variables = range(k + m + p)
+
+        def column(v, row, b):
+            return row[slots.index(v)] if v in slots else F(int(v == b))
+        want_T = []
+        for row, b in zip(T, basis):
+            dense = [column(v, row, b) if v not in payoff else
+                     sum((a * column(u, row, b) for u, a in cols[v]), shift * row[-1])
+                     for v in variables]
+            want_T.append(dense + [row[-1]])
+        entering = data.draw(st.sampled_from([*slots, *payoff]))
         int_rows = [_int_row({0: row[-1], **{j + 1: v for j, v in enumerate(row[:-1])}})
                     for row in T]
         got = _Condensed([[N.get(j, 0) for j in range(k + 1)] for N, _ in int_rows],
-                         [d for _, d in int_rows], basis, slots)
-        want_T = [[row[slots.index(v)] if v in slots else F(int(v == b)) for v in range(k + m)]
-                  + [row[-1]] for row, b in zip(T, basis)]
+                         [d for _, d in int_rows], basis, slots, cols, shift)
         want_basis = list(basis)
         try:
-            want = referee_lex_pivot(want_T, want_basis, slots[col])
+            want = referee_lex_pivot(want_T, want_basis, entering)
         except RayTermination:
-            assert got.enter(slots[col]) is None
+            assert got.enter(entering) is None
             return
-        assert got.enter(slots[col]) == want
+        assert got.enter(entering) == want
         assert got.basis == want_basis
-        assert dense_rows(got, range(k + m)) == want_T
-        for N, d in zip(got.rows, got.dens):
-            assert d > 0 and gcd(d, *N) == 1
+        # a payoff variable that leaves takes its column with it
+        kept = [v for v in variables if v != want or v not in basic_payoff]
+        assert ([[row[v] for v in kept] + [row[-1]] for row in dense_rows(got, variables)]
+                == [[row[v] for v in kept] + [row[-1]] for row in want_T])
+        assert_stored_form(got)
 
 
 RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -545,33 +604,72 @@ def sparse_games(draw):
     return A, B
 
 
+def assert_blocks_follow_the_referee(A, B):
+    """From every label, the blocks' pivots and their rows, every column
+    rebuilt, equal the dense Fraction referee's after every pivot.  Each
+    row stays in lowest terms and holds 1 + (number of basic payoff
+    variables) slots."""
+    r, c = mat_shape(A)
+    n = r + c
+    # the referee's P columns x, v and Q columns y, u as LCP variables
+    p_vars = [*range(r), *range(n + r, 2 * n)]
+    q_vars = [*range(r, n + r)]
+    a, la, bt, lb = _int_game(A, B)
+    for label in range(n):
+        snapshots = []
+        path, _, _ = referee_path(A, B, label, snapshots)
+        first, second = _lcp_blocks(a, la, bt, lb)
+        for pivot, ((entering, leaving), (TP, basis_p, TQ, basis_q)) in enumerate(
+                zip(path, snapshots)):
+            # LH alternates sides from the dropped label's own
+            variables = p_vars if (pivot % 2 == 0) == (label < r) else q_vars
+            block = second if variables is p_vars else first
+            assert block.enter(variables[entering]) == variables[leaving]
+            assert dense_rows(second, p_vars, lb) == TP
+            assert dense_rows(first, q_vars, la) == TQ
+            assert second.basis == [p_vars[t] for t in basis_p]
+            assert first.basis == [q_vars[t] for t in basis_q]
+            for block in (first, second):
+                assert_stored_form(block)
+                assert len(block.slots) == 1 + sum(b in block.cols for b in block.basis)
+
+
 class TestCondensedPath:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(small_games(), sparse_games()))
     def test_blocks_equal_the_referee_after_every_pivot(self, game):
+        assert_blocks_follow_the_referee(*game)
+
+
+def path_and_outcome(A, B, label):
+    """Every (entering, leaving) pair of `lemke_howson` from the label, and
+    its outcome."""
+    pivots, real = [], _Condensed.enter
+
+    def enter(self, var):
+        pivots.append((var, real(self, var)))
+        return pivots[-1][1]
+    with mock.patch.object(_Condensed, "enter", enter):
+        return pivots, outcome(lemke_howson, A, B, label)
+
+
+class TestPayoffScaling:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_games(), sparse_games()), st.integers(1, 6), st.integers(1, 6))
+    def test_scaling_a_block_changes_no_pivot_and_no_certificate(self, game, k1, k2):
+        # the blocks hold the payoffs scaled by l; scaling a block's payoff
+        # variables further, by any positive factor, leaves the path and the
+        # certificate as they are
         A, B = game
-        r, c = mat_shape(A)
-        n = r + c
-        # the referee's P columns x, v and Q columns y, u as LCP variables
-        p_vars = [*range(r), *range(n + r, 2 * n)]
-        q_vars = [*range(r, n + r)]
-        for label in range(n):
-            snapshots = []
-            path, _, _ = referee_path(A, B, label, snapshots)
-            first, second = _lcp_blocks(*_int_game(A, B))
-            for pivot, ((entering, leaving), (TP, basis_p, TQ, basis_q)) in enumerate(
-                    zip(path, snapshots)):
-                # LH alternates sides from the dropped label's own
-                variables = p_vars if (pivot % 2 == 0) == (label < r) else q_vars
-                block = second if variables is p_vars else first
-                assert block.enter(variables[entering]) == variables[leaving]
-                assert dense_rows(second, p_vars) == TP
-                assert dense_rows(first, q_vars) == TQ
-                assert second.basis == [p_vars[t] for t in basis_p]
-                assert first.basis == [q_vars[t] for t in basis_q]
-                # every row stays in lowest terms, the pivot row included
-                for block in (first, second):
-                    assert all(d > 0 and gcd(d, *N) == 1 for N, d in zip(block.rows, block.dens))
+        labels = range(sum(mat_shape(A)))
+        want = [path_and_outcome(A, B, label) for label in labels]
+        real = nash._lcp_blocks
+
+        def scaled(a, la, bt, lb):
+            return real([[k1 * v for v in row] for row in a], k1 * la,
+                        [[k2 * v for v in row] for row in bt], k2 * lb)
+        with mock.patch.object(nash, "_lcp_blocks", scaled):
+            assert [path_and_outcome(A, B, label) for label in labels] == want
 
 
 class TestRayErrorsNameTheInstance:
@@ -638,17 +736,18 @@ class TestIntegerTableau:
         rows_p, rows_q = referee_tableaux(A, B)
         # the referee numbers each side apart: P's x_i at i and v_j at r + j,
         # Q's y_j at j and u_i at c + i, the rhs at r + c; the LCP numbers
-        # x, y, u, v from 0, r, n, n + r, and the rhs goes at 2n here
-        p_col = [*range(r), *range(n + r, 2 * n), 2 * n]
-        q_col = [*range(r, n), *range(n, n + r), 2 * n]
-        want = [({col[j]: v for j, v in N.items()}, d)
-                for rows, col in ((rows_q, q_col), (rows_p, p_col)) for N, d in rows]
-        got = []
-        for T in _lcp_blocks(*_int_game(A, B)):
-            for N, d, b in zip(T.rows, T.dens, T.basis):
-                row = {v: w for v, w in zip([2 * n, *T.slots[1:]], N) if w}
-                got.append(({**row, b: d}, d))
-        assert got == want
+        # x, y, u, v from 0, r, n, n + r
+        p_vars = [*range(r), *range(n + r, 2 * n)]
+        q_vars = [*range(r, n + r)]
+        a, la, bt, lb = _int_game(A, B)
+        first, second = _lcp_blocks(a, la, bt, lb)
+        for block, l, variables, rows in ((first, la, q_vars, rows_q),
+                                          (second, lb, p_vars, rows_p)):
+            # the slack basis: each row is the rhs 1 alone
+            assert block.rows == [[1]] * len(rows) and block.dens == [1] * len(rows)
+            assert dense_rows(block, variables, l) == [[F(N.get(j, 0), d) for j in range(n + 1)]
+                                                       for N, d in rows]
+        assert_blocks_follow_the_referee(A, B)
 
     def test_final_check_takes_one_pair_of_products(self, monkeypatch):
         # the integer payoffs are cleared once per player and shared by the
@@ -1031,6 +1130,20 @@ class TestEnumerationBeyondDraws:
         assert 0 < x_solves < nonnegative_y
 
 
+@pytest.fixture(scope="module")
+def compiled_1d_game():
+    """The 69x69 game of the compiled, shrunk 1-D example, dense."""
+    cb = brouwer.make_example_coloring(brouwer.Grid(1, 1))
+    shrunk = compiler.shrink_range(compiler.compile_brouwer(cb, validate=False))
+    prepared = fixp.normalize_max_zero(fixp.clamp_outputs(shrunk.circuit))
+    game = lcp.build_game(lcp.normalize(lp.with_cost(lp.build_constraints(prepared))))
+    return game.A, game.B
+
+
+def digest(cert):
+    return hashlib.sha256(repr(cert).encode()).hexdigest()
+
+
 class TestCompiledGameCertificates:
     # sha256 of repr(lemke_howson(A, B, label)) on the compiled, shrunk 1-D
     # example (a 69x69 game), recorded from the sparse dict-row tableau that
@@ -1039,16 +1152,20 @@ class TestCompiledGameCertificates:
     PINNED = dict.fromkeys(
         (0, 1, 68, 69, 137), "3a04730db3e96ccd45d75a153029e900bb102cde48208a890f4fa586731fb888")
 
-    def test_certificates_match_the_recorded_digests(self):
-        cb = brouwer.make_example_coloring(brouwer.Grid(1, 1))
-        shrunk = compiler.shrink_range(compiler.compile_brouwer(cb, validate=False))
-        prepared = fixp.normalize_max_zero(fixp.clamp_outputs(shrunk.circuit))
-        game = lcp.build_game(lcp.normalize(lp.with_cost(lp.build_constraints(prepared))))
-        A, B = game.A, game.B
+    def test_certificates_match_the_recorded_digests(self, compiled_1d_game):
+        A, B = compiled_1d_game
         assert len(A) == 69
-        got = {label: hashlib.sha256(repr(lemke_howson(A, B, label)).encode()).hexdigest()
-               for label in self.PINNED}
+        got = {label: digest(lemke_howson(A, B, label)) for label in self.PINNED}
         assert got == self.PINNED
+
+    def test_path_from_label_0_takes_417_pivots(self, compiled_1d_game):
+        # the same path, not just the same endpoint: the last pivot of the
+        # recorded path is needed
+        A, B = compiled_1d_game
+        assert digest(lemke_howson(A, B, 0, max_pivots=417)) == self.PINNED[0]
+        with pytest.raises(PivotLimitReached, match="bound of 416 pivots on the 69x69 game"
+                                                    " from label 0$"):
+            lemke_howson(A, B, 0, max_pivots=416)
 
 
 class TestFixedPointCheck:
