@@ -17,14 +17,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import brouwer, compiler, lcp, lp, nash
-from .exactmath import (
-    int_from_str, is_upper_triangular, rat_from_str, rat_to_str, sparse_transpose, vec_to_strs,
-)
-from .fixp import (
-    FixpCircuit, circuit_from_json, circuit_to_json, evaluate, evaluate_with_trace,
-    order_max_gates,
-)
+from . import battery, brouwer, compiler, lcp, lp, nash
+from .exactmath import int_from_str, rat_from_str, rat_to_str, vec_to_strs
+from .fixp import FixpCircuit, circuit_from_json, circuit_to_json, evaluate
 
 SCHEMA = "nashforge/v1"
 
@@ -163,11 +158,18 @@ def _validated(cb: brouwer.BoolCircuit) -> bool:
 def _check_args(args):
     """The refusals that need only the command line: `main` runs them before
     the command, `pipeline` for every stage before the first stage runs."""
-    # compile --meta and reduce --report name a second file beside -o
-    for flag, what in (("meta", "circuit"), ("report", "artifact")):
+    # every command writes kinds other than those it reads, and compile
+    # --meta and reduce --report name a second file beside -o
+    named = {}
+    for flag in ("input", "source", "compiled_meta", "output", "meta", "report"):
         path = getattr(args, flag, None)
-        if path and Path(path).resolve() == Path(args.output).resolve():
-            raise InputError(f"--{flag} {path} is the output path; it would overwrite the {what}")
+        if flag == "meta" and args.command == "compile":
+            path = path or args.output + ".meta.json"    # the default sidecar
+        if path:
+            first = named.setdefault(Path(path).resolve(), flag)
+            if first != flag and flag in ("output", "meta", "report"):
+                raise InputError(f"--{flag} {path} is the {first.replace('_', '-')} path;"
+                                 " it would overwrite that file")
     # compile's default OUTPUT.meta.json shares the output's directory
     for flag in ("output", "meta", "report"):
         path = getattr(args, flag, None)
@@ -184,6 +186,8 @@ def _check_args(args):
         if args.eps is not None and args.eps < 0:
             # no point is within a negative distance of its image
             raise InputError(f"--eps must be at least 0, got {rat_to_str(args.eps)}")
+    if args.command == "reduce" and args.variant and args.target != "lcp":
+        raise InputError(f"--variant needs --target lcp, got --target {args.target}")
     if args.command == "solve" and args.max_pivots < 1:
         raise InputError(f"--max-pivots must be at least 1, got {args.max_pivots}")
 
@@ -255,131 +259,23 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _check(checks: list, name: str, ok: bool, detail: str = ""):
-    checks.append({"name": name, "status": "PASS" if ok else "FAIL", "detail": detail})
-    print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-
-
-def _verify_circuit_lemmas(P: lp.ParamLP, prepared: FixpCircuit, seed: int, trials: int,
-                           checks: list):
-    # the battery ends in enumerating the (m+1)x(m+1) games; refuse before
-    # the rank and semimonotone checks rather than after them
-    nash.check_dimension(P.m + 1, P.m + 1)
+def _lemma_inputs(P: lp.ParamLP, seed: int, trials: int) -> tuple[list, list]:
+    """The lambda probes, then the `trials` semimonotone (z, q) draws, from `seed`."""
     rng = random.Random(seed)
-    two_sided = lcp.normalize(P)
-    game = lcp.build_game(two_sided)
-    sym = lcp.build_symmetric_game(P)
-
-    _check(checks, "structure_P1_P3", not lp.property_violations(P))
-
-    ok = True
-    order = order_max_gates(prepared)
-    for _ in range(max(5, trials // 40)):
-        lam = [Fraction(rng.randint(-12, 12), rng.randint(1, 8)) for _ in range(P.k)]
-        x = lp.solve_lp(P, lam)
-        _, trace = evaluate_with_trace(prepared, lam)
-        if [trace[g] for g in order] != x:
-            ok = False
-            break
-        y = lp.construct_dual(P, lam, x)
-        if lp.kkt_violations(P, lam, x, y) or any(a > b for a, b in zip(y, P.beta)):
-            ok = False
-            break
-    _check(checks, "lp_matches_circuit_and_kkt", ok)
-
-    _check(checks, "rank_and_triangularity",
-           lcp.payoff_sum_rank(game.A_rows, game.B_rows) <= P.k + 1
-           and is_upper_triangular(game.A_rows))
-    S = lcp.symmetrize(game.A_rows, game.B_rows, P.m + 1).S_rows
-    _check(checks, "symmetrized_rank",
-           lcp.payoff_sum_rank(S, sparse_transpose(S, len(S))) <= 2 * (P.k + 1))
-
-    alarm = False
-    violated = 0
+    lams = [[Fraction(rng.randint(-12, 12), rng.randint(1, 8)) for _ in range(P.k)]
+            for _ in range(max(5, trials // 40))]
+    draws = []
     for _ in range(trials):
         z = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(2 * P.m)]
         if all(v == 0 for v in z):
             z[rng.randrange(2 * P.m)] = Fraction(1)
         q = [Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(2 * P.m)]
-        try:
-            lcp.semimonotone_witness(two_sided, z, q)
-            violated += 1
-        except lcp.LemmaFalsified:
-            alarm = True
-            break
-    _check(checks, "semimonotone_battery", not alarm, f"{violated}/{trials} witnessed")
-    if alarm:
-        raise lcp.LemmaFalsified("semimonotone battery found a nonzero solution")
-
-    # each route must find equilibria, map them to the LCP and back, and
-    # carry fixed points of the circuit
-    res = nash.enumerate_ne(game.A, game.B)
-    lam_set = {tuple(lcp.game_to_fixed_point(c.x, game.meta)) for c in res.equilibria}
-    _check(checks, "ne_to_lcp_roundtrip_and_fixed_points",
-           bool(res.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in lam_set)
-           and all(lcp.lcp_to_ne(*lcp.ne_to_lcp(two_sided, c.x, c.y)) == (c.x, c.y)
-                   for c in res.equilibria),
-           f"{len(res.equilibria)} equilibria" + (" [degenerate]" if res.degenerate else ""))
-
-    dense_S = sym.S
-    sres = nash.enumerate_symmetric_ne(dense_S)
-    sym_lams = {tuple(lcp.game_to_fixed_point(c.z, sym.meta)) for c in sres.equilibria}
-    _check(checks, "symmetric_path_fixed_points",
-           bool(sres.equilibria) and all(nash.check_fixed_point(prepared, lam) for lam in sym_lams)
-           and all(not nash.symmetric_ne_violations(dense_S, c.z)
-                   and lcp.lcp_to_symne(lcp.symne_to_lcp(P, c.z)) == c.z for c in sres.equilibria),
-           f"{len(sres.equilibria)} symmetric equilibria")
-    if not (res.degenerate or sres.degenerate):
-        _check(checks, "paths_agree_on_lambda", lam_set == sym_lams)
-
-    # the imitation game's A is S itself, so the dense S serves it too
-    imi = lcp.imitation_game(sym)
-    ires = nash.enumerate_ne(dense_S, imi.B)
-    second = {tuple(c.y) for c in ires.equilibria}
-    sym_set = {tuple(c.z) for c in sres.equilibria}
-    _check(checks, "imitation_second_strategies", second == sym_set)
+        draws.append((z, q))
+    return lams, draws
 
 
-def _verify_roundtrip(P: lp.ParamLP, prepared: FixpCircuit, checks: list):
-    two_sided = lcp.normalize(P)
-    game = lcp.build_game(two_sided)
-    res = nash.enumerate_ne(game.A, game.B)
-    _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
-    for idx, cert in enumerate(res.equilibria):
-        _check(checks, f"ne_{idx}_slack_positive", cert.x[-1] > 0 and cert.y[-1] > 0)
-        try:
-            lcp.ne_to_lcp(two_sided, cert.x, cert.y)     # checks the LCP conditions
-        except lcp.LemmaFalsified as exc:
-            _check(checks, f"ne_{idx}_lcp_conditions", False, str(exc))
-            raise
-        _check(checks, f"ne_{idx}_lcp_conditions", True)
-        lam = lcp.game_to_fixed_point(cert.x, game.meta)
-        _check(checks, f"ne_{idx}_fixed_point", nash.check_fixed_point(prepared, lam),
-               "lambda = " + ", ".join(rat_to_str(v) for v in lam))
-
-
-def _verify_game(game: lcp.BimatrixGame, checks: list):
-    # refuse a game past the enumeration cap before the rank checks pass it
-    n = len(game.A_rows)
-    nash.check_dimension(n, n)
-    A_rows, B_rows = game.A_rows, game.B_rows
-    if game.meta.kind == "rank_k_plus_1":
-        _check(checks, "rank_bound", lcp.payoff_sum_rank(A_rows, B_rows) <= game.meta.k + 1)
-        _check(checks, "upper_triangular", is_upper_triangular(A_rows))
-    elif game.meta.kind == "symmetric":
-        _check(checks, "symmetric_structure", B_rows == sparse_transpose(A_rows, n), "B = A^T")
-    else:
-        _check(checks, "imitation_structure", B_rows == [{i: 1} for i in range(n)], "B = I")
-    A, B = game.A, game.B
-    res = nash.enumerate_ne(A, B)
-    _check(checks, "equilibria_found", bool(res.equilibria), f"{len(res.equilibria)} found")
-    for idx, cert in enumerate(res.equilibria):
-        _check(checks, f"ne_{idx}_checker", not nash.ne_violations(A, B, cert.x, cert.y))
-        if game.meta.kind == "rank_k_plus_1" and game.meta.output_rows:
-            _check(checks, f"ne_{idx}_slack_positive", cert.x[-1] > 0 and cert.y[-1] > 0)
-
-
-def _verify_approx(args, checks: list):
+def _approx_inputs(args):
+    """The compiled function, the (text, point) pairs and eps of `--mode approx`."""
     circ = _load(args.input, "circuit")
     cb = _load(args.source, "brouwer")
     grid, params, shrunk = _load(args.compiled_meta, "compiled_meta")
@@ -394,52 +290,50 @@ def _verify_approx(args, checks: list):
         raise InputError(f"{args.input}: {circ.k} inputs but {len(circ.outputs)} outputs")
     cf = compiler.CompiledFunction(circ, cb, grid, params, shrunk)
     eps = Fraction(1, params.L) if args.eps is None else args.eps
-    fixtures = None
+    points = []
     for text in args.points.split(";"):
         p = _parse_point(text)
         if len(p) != grid.k or min(p) < 0:
             raise InputError(f"point {text!r} needs {grid.k} nonnegative coordinates")
-        is_fp = compiler.check_approx_fixed_point(cf, p, eps)
-        _check(checks, f"approx_fixed_point[{text}]", is_fp, f"eps={rat_to_str(eps)}")
-        if not is_fp:
-            continue
-        try:
-            simplex = compiler.extract_panchromatic_simplex(p, cf, eps)
-        except compiler.NotPanchromatic as exc:
-            _check(checks, f"simplex[{text}]", False, str(exc))
-            continue
-        if fixtures is None:
-            fixtures = brouwer.brute_force_fixtures(cb)
-        base = tuple(min(q[i] for q in simplex) for i in range(grid.k))
-        known = {f.base for f in fixtures}
-        _check(checks, f"simplex[{text}]", base in known,
-               "cells " + " ".join(str(q) for q in simplex))
+        points.append((text, p))
+    return cf, points, eps
+
+
+def _alarmed(records):
+    """The records, then a failed `lemma_falsification_alarm` if they raise LemmaFalsified."""
+    try:
+        yield from records
+    except lcp.LemmaFalsified as exc:
+        yield battery.Check("lemma_falsification_alarm", False, str(exc))
 
 
 def cmd_verify(args) -> int:
-    checks: list[dict] = []
-    alarm = False
-    try:
-        if args.mode == "approx":
-            _verify_approx(args, checks)
+    if args.mode == "approx":
+        records = battery.approx_points(*_approx_inputs(args))
+    else:
+        artifact = _load(args.input, "game", "circuit")
+        if isinstance(artifact, lcp.BimatrixGame):
+            if args.mode == "roundtrip":
+                raise InputError(f"{args.input}: --mode roundtrip needs a circuit, got a game")
+            records = battery.game_checks(artifact)
+        elif args.mode == "roundtrip":
+            records = battery.roundtrip(*_param_lp(args.input, artifact))
         else:
-            artifact = _load(args.input, "game", "circuit")
-            if isinstance(artifact, lcp.BimatrixGame):
-                if args.mode == "roundtrip":
-                    raise InputError(f"{args.input}: --mode roundtrip needs a circuit, got a game")
-                _verify_game(artifact, checks)
-            elif args.mode == "roundtrip":
-                _verify_roundtrip(*_param_lp(args.input, artifact), checks)
-            else:
-                _verify_circuit_lemmas(*_param_lp(args.input, artifact), args.seed, args.trials,
-                                       checks)
-    except lcp.LemmaFalsified as exc:
-        _check(checks, "lemma_falsification_alarm", False, str(exc))
-        alarm = True
+            P, prepared = _param_lp(args.input, artifact)
+            # the battery ends in enumerating the (m+1)x(m+1) games; refuse
+            # before drawing its inputs and running the rank and semimonotone checks
+            nash.check_dimension(P.m + 1, P.m + 1)
+            lams, draws = _lemma_inputs(P, args.seed, args.trials)
+            records = battery.circuit_lemmas(P, prepared, lams, draws)
+    checks = []
+    for check in _alarmed(records):
+        status = "PASS" if check.ok else "FAIL"
+        checks.append({"name": check.name, "status": status, "detail": check.detail})
+        print(f"{status}  {check.name}" + (f"  ({check.detail})" if check.detail else ""))
+    alarm = checks[-1]["name"] == "lemma_falsification_alarm"
     ok = all(c["status"] == "PASS" for c in checks)
     if args.output:
-        _save(args.output, "verify_report",
-              {"mode": args.mode, "checks": checks, "ok": ok and not alarm})
+        _save(args.output, "verify_report", {"mode": args.mode, "checks": checks, "ok": ok})
     if alarm:
         return EXIT_LEMMA_ALARM
     return EXIT_OK if ok else EXIT_INVALID_INPUT
@@ -575,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("input")
     r.add_argument("--target", required=True,
                    choices=["lp", "lcp", "game", "symmetric", "imitation"])
-    r.add_argument("--variant", choices=["two_sided", "direct"], default="two_sided")
+    r.add_argument("--variant", choices=["two_sided", "direct"])
     r.add_argument("-o", "--output", required=True)
     r.add_argument("--report")
     r.set_defaults(func=cmd_reduce)

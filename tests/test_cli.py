@@ -1123,12 +1123,17 @@ class TestPipeline:
         ({"command": "reduce", "input": "om.json", "output": "g.json", "args": {"target": "game"}},
          {"command": "solve", "input": "g.json", "output": "ne.json", "args": {"max-pivots": 0}},
          "--max-pivots must be at least 1, got 0"),
+        # only the lcp target has variants; any other would ignore the flag
+        ({"command": "eval", "input": "om.json", "args": {"at": "1/2"}},
+         {"command": "reduce", "input": "om.json", "output": "lp.json",
+          "args": {"target": "lp", "variant": "direct"}},
+         "--variant needs --target lcp, got --target lp"),
     ]
 
     @pytest.mark.parametrize("as_stage", [False, True], ids=["command", "stage"])
     @pytest.mark.parametrize("before,stage,message", REFUSALS,
                              ids=["meta", "report", "report-spelled", "trials", "source", "points",
-                                  "eps", "max-pivots"])
+                                  "eps", "max-pivots", "variant"])
     def test_command_line_refusal_writes_nothing(self, before, stage, message, as_stage,
                                                  tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -1147,6 +1152,56 @@ class TestPipeline:
         out, err = capsys.readouterr()
         assert message in err and "[stage 0]" not in out
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    # every command writes a kind other than the ones it reads, so an output
+    # path that names a file it reads would replace that file
+    @pytest.mark.parametrize("argv,message", [
+        (["compile", "fixture.json", "-o", "fixture.json"],
+         "--output fixture.json is the input path"),
+        (["compile", "fixture.json", "-o", "c.json", "--meta", "./fixture.json"],
+         "--meta ./fixture.json is the input path"),
+        # the sidecar's default path is OUTPUT.meta.json
+        (["compile", "c.json.meta.json", "-o", "c.json"],
+         "--meta c.json.meta.json is the input path"),
+        (["reduce", "om.json", "--target", "game", "-o", "om.json"],
+         "--output om.json is the input path"),
+        (["reduce", "om.json", "--target", "lp", "-o", "lp.json", "--report", "om.json"],
+         "--report om.json is the input path"),
+        (["verify", "om.json", "-o", "om.json"], "--output om.json is the input path"),
+        (["verify", "c.json", "--mode", "approx", "--source", "fixture.json",
+          "--compiled-meta", "c.json.meta.json", "--points", "0", "-o", "fixture.json"],
+         "--output fixture.json is the source path"),
+        (["verify", "c.json", "--mode", "approx", "--source", "fixture.json",
+          "--compiled-meta", "c.json.meta.json", "--points", "0", "-o", "c.json.meta.json"],
+         "--output c.json.meta.json is the compiled-meta path"),
+        (["solve", "g.json", "-o", "g.json"], "--output g.json is the input path"),
+        (["oracle", "fixture.json", "-o", "fixture.json"],
+         "--output fixture.json is the input path"),
+    ], ids=["compile", "compile-meta", "compile-default-meta", "reduce", "reduce-report",
+            "verify", "verify-source", "verify-compiled-meta", "solve", "oracle"])
+    @pytest.mark.parametrize("as_stage", [False, True], ids=["command", "stage"])
+    def test_output_naming_a_file_read_is_refused(self, argv, message, as_stage, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "om.json", "circuit", fixp.circuit_to_json(one_minus_circuit()))
+        write_json(tmp_path / "fixture.json", "brouwer", brouwer.bool_to_json(
+            brouwer.make_example_coloring(brouwer.Grid(1, 1))))
+        assert main(["compile", "fixture.json", "-o", "c.json"]) == 0
+        assert main(["reduce", "om.json", "--target", "game", "-o", "g.json"]) == 0
+        if as_stage:
+            flags = iter(argv[2:])
+            args = {"output" if flag == "-o" else flag[2:]: value
+                    for flag, value in zip(flags, flags)}
+            stage = {"command": argv[0], "input": argv[1], "output": args.pop("output"),
+                     "args": args}
+            write_json(tmp_path / "manifest.json", "manifest", {"stages": [stage]})
+            argv, message = ["pipeline", "manifest.json"], "stage 0: " + message
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}; it would overwrite that file\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 class TestConsoleEntry:
