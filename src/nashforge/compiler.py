@@ -37,6 +37,10 @@ class NotPanchromatic(Exception):
     """Candidate point did not certify a panchromatic simplex."""
 
 
+class NotApproxFixedPoint(NotPanchromatic):
+    """Candidate point failed the approximate fixed-point test."""
+
+
 @dataclass(frozen=True, slots=True)
 class SamplingParams:
     """Sampling grid density L (a power of two) and samples per point."""
@@ -246,7 +250,7 @@ def extract_panchromatic_simplex(p: Vec, cf: CompiledFunction,
         raise ValueError("extract from the unshrunk function")
     eps = eps if eps is not None else Fraction(1, cf.params.L)
     if not check_approx_fixed_point(cf, p, eps):
-        raise NotPanchromatic(f"point is not a {eps}-approximate fixed point")
+        raise NotApproxFixedPoint(f"point is not a {eps}-approximate fixed point")
     samples = sample_set(p, cf.params)
     flags = [well_positioned(s, cf.params.L) for s in samples]
     return panchromatic_from_samples(

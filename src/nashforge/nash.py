@@ -43,14 +43,15 @@ the rhs and the columns of the nonbasic slacks, which are B^-1's non-unit
 columns.  A row is thus 1 + (number of basic payoff variables) integers
 wide.  Basic columns are implicit unit vectors, and a payoff variable's
 column B^-1 a_j + shift * rhs (q = 1) is computed from the nonzeros of
-its payoff column when it enters or a tie reads it.  The lexicographic
-rule reads a basic column as that unit vector, so the row it is basic in
-drops out of a tie.
+its payoff column, on the rows read: all of them when it enters, those
+still tied when a tie reads it.  The lexicographic rule reads a basic
+column as that unit vector, so the row it is basic in drops out of a tie.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -394,8 +395,8 @@ class _Condensed:
     Fraction per entry, and the form is unique.  Slot 0 of N_i is the rhs
     beta = B^-1 1; slot j >= 1 is the column of the nonbasic slack slots[j],
     a column of B^-1 (slots[0] is -1, the rhs's placeholder).  The column
-    of a basic variable is a unit vector, not stored.  The column of a
-    nonbasic payoff variable v is computed when it is read (`_column`):
+    of a basic variable is a unit vector, not stored, and that of a
+    nonbasic payoff variable v is computed on the rows read (`_column`):
     M's column is m_v + shift, with m_v the sparse integer column cols[v]
     over the slacks, and since q = 1 its tableau column is B^-1 m_v + shift
     beta.  So a row holds 1 + (number of basic payoff variables) slots.
@@ -434,38 +435,32 @@ class _Condensed:
         at a time, keeping only the rows still tied, which picks the row
         that a full-tuple minimum picks.  A ratio does not depend on the
         row's denominator, so on a nonbasic column two rows compare by
-        cross-multiplying their numerators; a payoff column is computed
-        for the rows still tied only (`_tied_column`).  The column of the
-        variable basic in row k is positive in row k only, so there row k
-        drops out whenever other rows are still tied.
+        cross-multiplying the numerators `_column` gives on the rows still
+        tied; a payoff column's shift beta term adds one constant to their
+        ratios, as the rhs is compared first.  The column of the variable
+        basic in row k is positive in row k only, so there row k drops out
+        whenever other rows are still tied.
         """
         rows, where = self.rows, self.where
         s = where[var]
-        col = self._column(var) if s is None else [N[s] for N in rows]
-        tied = [(i, N, f) for i, (N, f) in enumerate(zip(rows, col)) if f > 0]
+        col = self._column(var, range(len(rows)))
+        tied = [i for i, f in enumerate(col) if f > 0]
         if not tied:
             return None
         for v in self.order:
             if len(tied) == 1:
                 break
             j = where[v]
-            if j is None:
-                vals = self._tied_column(v, tied)
-                a, q = vals[0], tied[0][2]
-                for (_, _, q2), a2 in zip(tied, vals):
-                    if a2 * q < a * q2:
-                        a, q = a2, q2
-                tied = [t for t, a2 in zip(tied, vals) if a2 * q == a * t[2]]
-            elif j < 0:
-                tied = [t for t in tied if t[0] != ~j]
-            else:
-                # a stored column, read in place: the rhs or a nonbasic slack's
-                a, q = tied[0][1][j], tied[0][2]
-                for _, N, q2 in tied:
-                    if N[j] * q < a * q2:
-                        a, q = N[j], q2
-                tied = [t for t in tied if t[1][j] * q == a * t[2]]
-        r = tied[0][0]
+            if j is not None and j < 0:
+                tied = [i for i in tied if i != ~j]
+                continue
+            vals = self._column(v, tied)
+            a, q = vals[0], col[tied[0]]
+            for i, a2 in zip(tied, vals):
+                if a2 * q < a * col[i]:
+                    a, q = a2, col[i]
+            tied = [i for i, a2 in zip(tied, vals) if a2 * q == a * col[i]]
+        r = tied[0]
         leaving, slots = self.basis[r], self.slots
         if leaving in self.cols:
             # a payoff variable's column is not stored, and an entering
@@ -492,36 +487,26 @@ class _Condensed:
         self.basis[r], where[var] = var, ~r
         return leaving
 
-    def _column(self, v: int) -> list[int]:
+    def _column(self, v: int, rows: Sequence[int]) -> list[int]:
         """The numerators, over their rows' denominators, of the nonbasic
-        payoff variable v's column B^-1 m_v + shift beta.  The sum runs
-        over the nonzeros of m_v only: a nonbasic slack's adds its stored
-        column, a basic slack's its implicit unit column."""
-        rows, dens, where, shift = self.rows, self.dens, self.where, self.shift
-        out = [shift * N[0] for N in rows]
+        variable v's column on the rows `rows`, in increasing order.  The
+        rhs (v = -1) and a nonbasic slack's column are stored slots, read
+        in place.  A payoff variable's column B^-1 m_v + shift beta is
+        summed over the nonzeros of m_v only: a nonbasic slack's adds its
+        stored column, a basic slack's its implicit unit column, in its own
+        row when that is one of `rows`."""
+        R, dens, where = self.rows, self.dens, self.where
+        j = where[v]
+        if j is not None:
+            return [R[i][j] for i in rows]
+        Ns = [R[i] for i in rows]
+        out = [self.shift * N[0] for N in Ns]
         for k, a in self.cols[v]:
             j = where[k]
-            if j < 0:
-                out[~j] += dens[~j] * a
-            else:
-                out = [o + N[j] * a for o, N in zip(out, rows)]
-        return out
-
-    def _tied_column(self, v: int, tied: list[tuple]) -> list[int]:
-        """B^-1 m_v, the column of the nonbasic payoff variable v without
-        its shift beta term, in the rows (i, N_i, f_i) of `tied`.  Their
-        ratios beta_i / f_i are all equal, so shift beta_i / f_i is one
-        constant, which no comparison of their ratios can see."""
-        dens, where = self.dens, self.where
-        out = [0] * len(tied)
-        for k, a in self.cols[v]:
-            j = where[k]
-            if j < 0:
-                for pos, t in enumerate(tied):
-                    if t[0] == ~j:
-                        out[pos] += dens[~j] * a
-            else:
-                out = [o + t[1][j] * a for o, t in zip(out, tied)]
+            if j >= 0:
+                out = [o + N[j] * a for o, N in zip(out, Ns)]
+            elif (pos := bisect_left(rows, ~j)) < len(rows) and rows[pos] == ~j:
+                out[pos] += dens[~j] * a
         return out
 
     def values(self, lo: int, hi: int) -> list[int]:

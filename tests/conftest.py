@@ -1,11 +1,23 @@
+import importlib
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from nashforge import brouwer, compiler, fixp, lcp, lp
 from nashforge.exactmath import mat_shape, rank, walk
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench's workloads module, read only: the benchmark's modules
+    import each other by name from its directory."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("workloads")
 
 
 def one_minus_circuit():

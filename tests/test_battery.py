@@ -1,14 +1,11 @@
 """The lemma battery in `nashforge.battery`, and `verify` as its formatter."""
 
 import contextlib
-import importlib
 import io
 import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-
-import pytest
 
 from nashforge import battery, brouwer, compiler, fixp, lcp, lp
 from nashforge.cli import SCHEMA, _lemma_inputs, main
@@ -17,19 +14,10 @@ from nashforge.exactmath import rat_from_str
 from conftest import one_minus_circuit, swap_circuit
 from test_cli_digests import MANIFEST, SCRIPT, _write
 
-ROOT = Path(__file__).resolve().parents[1]
-
 
 def entries(records) -> list[dict]:
     return [{"name": c.name, "status": "PASS" if c.ok else "FAIL", "detail": c.detail}
             for c in records]
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    # the benchmark's modules import each other by name from its directory
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    return importlib.import_module("workloads")
 
 
 def test_lemma_battery_fits_the_benchmark_inputs(workloads, tmp_path, capsys):
@@ -102,3 +90,27 @@ def test_verify_reports_and_prints_the_battery_records(tmp_path, monkeypatch):
         modes[report["mode"]] += 1
     # every battery is reached: lemmas twice, on a circuit and on a game
     assert modes == {"lemmas": 2, "roundtrip": 1, "approx": 1}
+
+
+def test_approx_points_evaluate_the_circuit_once_per_point(monkeypatch):
+    # extraction checks the point itself, so the battery reads the verdict
+    # of the approx_fixed_point record off its exception: one evaluation
+    # of the compiled circuit per point, passing or failing
+    cf = compiler.compile_brouwer(brouwer.make_example_coloring(brouwer.Grid(2, 1)))
+    real, calls = compiler.evaluate, []
+
+    def counted(circuit, p):
+        calls.append(p)
+        return real(circuit, p)
+    monkeypatch.setattr(compiler, "evaluate", counted)
+    eps = Fraction(1, cf.params.L)
+    # the k=2, n=1 fixed point passes both checks; the grid point (1, 1)
+    # moves by a full unit
+    cases = [([Fraction(1055, 1536), Fraction(2591, 3072)], [True, True]),
+             ([Fraction(1), Fraction(1)], [False])]
+    for point, want in cases:
+        calls.clear()
+        records = list(battery.approx_points(cf, [("p", point)], eps))
+        assert [c.ok for c in records] == want
+        assert records[0].detail == f"eps=1/{cf.params.L}"
+        assert len(calls) == 1
