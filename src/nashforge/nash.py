@@ -35,23 +35,21 @@ with a unique y solves x, since a singular x-system may set the flag.
 Lemke-Howson serves as an independent second solver and the one that
 scales to compiled games.  It is complementary pivoting, with a
 lexicographic ratio test so degenerate ties cannot cycle, on the game's
-LCP w = 1 - [[0, A1], [B1^T, 0]] z: z = (x, y) and w = (u, v) are the
-variables 0..2n-1 (n = rows + cols), and variable t carries label t mod
-n.  The LCP is two blocks, A1 y + u = 1 and B1^T x + v = 1, each held in
-revised form (`_Condensed`): per row, one reduced integer denominator,
-the rhs and the columns of the nonbasic slacks, which are B^-1's non-unit
-columns.  A row is thus 1 + (number of basic payoff variables) integers
-wide.  Basic columns are implicit unit vectors, and a payoff variable's
-column B^-1 a_j + shift * rhs (q = 1) is computed from the nonzeros of
-its payoff column, on the rows read: all of them when it enters, those
-still tied when a tie reads it.  The lexicographic rule reads a basic
-column as that unit vector, so the row it is basic in drops out of a tie.
+LCP w = 1 - [[0, A1], [B1^T, 0]] z: w = (u, v) and z = (x, y) are the
+variables 0..2n-1 (n = rows + cols), the slacks first, and variable t
+carries label t mod n.  The LCP is two blocks, A1 y + u = 1 and B1^T x +
+v = 1, each held in revised form (`_Condensed`): per row, one reduced
+integer denominator, the rhs and the columns of the nonbasic slacks,
+which are B^-1's non-unit columns.  A row is thus 1 + (number of basic
+payoff variables) integers wide.  Basic columns are implicit unit
+vectors, and a payoff variable's column B^-1 a_j + shift * rhs (q = 1) is
+computed from the nonzeros of its payoff column when it enters; with the
+slacks first, no lexicographic tie reads one.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,7 +76,7 @@ class PivotLimitReached(Exception):
 # enumeration is exponential in the dimension; larger games are refused
 MAX_DIM = 12
 # Lemke-Howson paths can be exponentially long; the default bound sits far
-# above the 1 281 pivots that k=2, n=1's 169x169 game takes from label 0
+# above the 225 pivots that k=2, n=1's 169x169 game takes from label 0
 MAX_PIVOTS = 1_000_000
 
 
@@ -396,10 +394,13 @@ class _Condensed:
     beta = B^-1 1; slot j >= 1 is the column of the nonbasic slack slots[j],
     a column of B^-1 (slots[0] is -1, the rhs's placeholder).  The column
     of a basic variable is a unit vector, not stored, and that of a
-    nonbasic payoff variable v is computed on the rows read (`_column`):
-    M's column is m_v + shift, with m_v the sparse integer column cols[v]
-    over the slacks, and since q = 1 its tableau column is B^-1 m_v + shift
+    nonbasic payoff variable v is computed when it enters (`_column`): M's
+    column is m_v + shift, with m_v the sparse integer column cols[v] over
+    the slacks, and since q = 1 its tableau column is B^-1 m_v + shift
     beta.  So a row holds 1 + (number of basic payoff variables) slots.
+    Every slack is numbered below every payoff variable, and B^-1 is
+    nonsingular, so the ratio test breaks every tie within B^-1's columns,
+    stored or unit, and never reads a payoff column.
     """
 
     __slots__ = ("rows", "dens", "basis", "slots", "where", "order", "cols", "shift")
@@ -411,7 +412,7 @@ class _Condensed:
         basic, one per row, and the slacks `slots` nonbasic, in slot order.
         `cols` maps each payoff variable to its column's nonzeros (slack,
         entry), and `shift` is added to every entry of M.  Variables are
-        integers >= 0, and the ratio test walks them in increasing order."""
+        integers >= 0, every slack below every payoff variable."""
         self.rows, self.dens = rows, dens
         self.basis = list(basis)
         self.slots = [-1, *slots]
@@ -422,7 +423,9 @@ class _Condensed:
         self.where = dict.fromkeys(cols)
         self.where.update(zip(self.slots, itertools.count()))
         self.where.update(zip(self.basis, itertools.count(-1, -1)))
-        self.order = sorted(self.where)
+        self.order = sorted(v for v in self.where if v not in cols)
+        if cols and min(cols) < self.order[-1]:
+            raise ValueError(f"payoff variable {min(cols)} is numbered below a slack")
 
     def enter(self, var: int) -> int | None:
         """Bring the nonbasic `var` into the basis and return the variable
@@ -431,19 +434,16 @@ class _Condensed:
 
         The pivot row has the lexicographically least ratio vector (the
         rhs first, then every variable's column in increasing order, over
-        the entry in var's column).  The vectors are compared one column
-        at a time, keeping only the rows still tied, which picks the row
-        that a full-tuple minimum picks.  A ratio does not depend on the
-        row's denominator, so on a nonbasic column two rows compare by
-        cross-multiplying the numerators `_column` gives on the rows still
-        tied; a payoff column's shift beta term adds one constant to their
-        ratios, as the rhs is compared first.  The column of the variable
-        basic in row k is positive in row k only, so there row k drops out
-        whenever other rows are still tied.
+        the entry in var's column), found one column at a time, the rhs
+        and then the slacks', keeping only the rows still tied.  A ratio
+        does not depend on the row's denominator, so on a stored column
+        two rows compare by cross-multiplying numerators.  The column of
+        the variable basic in row k is positive in row k only, so there
+        row k drops out whenever other rows are still tied.
         """
         rows, where = self.rows, self.where
         s = where[var]
-        col = self._column(var, range(len(rows)))
+        col = self._column(var)
         tied = [i for i, f in enumerate(col) if f > 0]
         if not tied:
             return None
@@ -451,15 +451,17 @@ class _Condensed:
             if len(tied) == 1:
                 break
             j = where[v]
-            if j is not None and j < 0:
+            if j < 0:
                 tied = [i for i in tied if i != ~j]
                 continue
-            vals = self._column(v, tied)
+            vals = [rows[i][j] for i in tied]
             a, q = vals[0], col[tied[0]]
             for i, a2 in zip(tied, vals):
                 if a2 * q < a * col[i]:
                     a, q = a2, col[i]
             tied = [i for i, a2 in zip(tied, vals) if a2 * q == a * col[i]]
+        if len(tied) > 1:
+            raise AssertionError(f"rows {tied} still tie after every column of B^-1")
         r = tied[0]
         leaving, slots = self.basis[r], self.slots
         if leaving in self.cols:
@@ -487,26 +489,23 @@ class _Condensed:
         self.basis[r], where[var] = var, ~r
         return leaving
 
-    def _column(self, v: int, rows: Sequence[int]) -> list[int]:
+    def _column(self, v: int) -> list[int]:
         """The numerators, over their rows' denominators, of the nonbasic
-        variable v's column on the rows `rows`, in increasing order.  The
-        rhs (v = -1) and a nonbasic slack's column are stored slots, read
-        in place.  A payoff variable's column B^-1 m_v + shift beta is
+        variable v's column.  A nonbasic slack's column is a stored slot,
+        read in place.  A payoff variable's column B^-1 m_v + shift beta is
         summed over the nonzeros of m_v only: a nonbasic slack's adds its
-        stored column, a basic slack's its implicit unit column, in its own
-        row when that is one of `rows`."""
+        stored column, a basic slack's its implicit unit column."""
         R, dens, where = self.rows, self.dens, self.where
         j = where[v]
         if j is not None:
-            return [R[i][j] for i in rows]
-        Ns = [R[i] for i in rows]
-        out = [self.shift * N[0] for N in Ns]
+            return [N[j] for N in R]
+        out = [self.shift * N[0] for N in R]
         for k, a in self.cols[v]:
             j = where[k]
             if j >= 0:
-                out = [o + N[j] * a for o, N in zip(out, Ns)]
-            elif (pos := bisect_left(rows, ~j)) < len(rows) and rows[pos] == ~j:
-                out[pos] += dens[~j] * a
+                out = [o + N[j] * a for o, N in zip(out, R)]
+            else:
+                out[~j] += dens[~j] * a
         return out
 
     def values(self, lo: int, hi: int) -> list[int]:
@@ -575,14 +574,14 @@ def _lcp_blocks(a: list[list[int]], la: int, bt: list[list[int]], lb: int
                 ) -> tuple[_Condensed, _Condensed]:
     """The two blocks A1 y + u = 1 and B1^T x + v = 1 of the LCP of the
     r x c game (a / la, (bt / lb)^T), its payoffs as `int_matrix` gives
-    them, and x, y, u, v the variables from 0, r, n and n + r on (n = r +
-    c).  A1 and B1 are the payoffs shifted to positive entries, and a block
-    takes them scaled by its l: m + l - min m for the block of the matrix
-    m / l.  Scaling a block's payoff variables by a positive constant
-    multiplies their columns by it and divides the rows they are basic in
-    by it, which changes neither a pivot nor the normalized profile.  Each
-    block starts at the slack basis B = I, its rows the rhs 1 alone, and
-    keeps the nonzeros of m's columns."""
+    them, and u, v, x, y (slacks first) the variables from 0, r, n and
+    n + r on (n = r + c).  A1 and B1 are the payoffs shifted to positive
+    entries, and a block takes them scaled by its l: m + l - min m for the
+    block of the matrix m / l.  Scaling a block's payoff variables by a
+    positive constant multiplies their columns by it and divides the rows
+    they are basic in by it, which changes neither a pivot nor the
+    normalized profile.  Each block starts at the slack basis B = I, its
+    rows the rhs 1 alone, and keeps the nonzeros of m's columns."""
     r, c = len(a), len(bt)
     n = r + c
 
@@ -591,7 +590,7 @@ def _lcp_blocks(a: list[list[int]], la: int, bt: list[list[int]], lb: int
                 for j, column in enumerate(zip(*m))}
         return _Condensed([[1] for _ in m], [1] * len(m), range(w0, w0 + len(m)), (),
                           cols, l - min(map(min, m)))
-    return block(a, la, r, n), block(bt, lb, 0, n + r)
+    return block(a, la, n + r, 0), block(bt, lb, n, r)
 
 
 def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = None,
@@ -609,14 +608,14 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     if not 0 <= dropped_label < n:
         raise ValueError(f"label must lie in 0..{n - 1}")
 
-    # The game's LCP over z = (x, y), the variables 0..n-1, and w = (u, v),
-    # the variables n..2n-1, in two blocks (see `_lcp_blocks`): y and u lie
-    # in the first, x and v in the second.  Variable t carries label t % n,
+    # The game's LCP over w = (u, v), the variables 0..n-1, and z = (x, y),
+    # the variables n..2n-1, in two blocks (see `_lcp_blocks`): u and y lie
+    # in the first, v and x in the second.  Variable t carries label t % n,
     # so its complement is (t + n) % 2n.
     first, second = _lcp_blocks(a, la, bt, lb)
-    var = dropped_label
+    var = n + dropped_label
     for pivots in range(max_pivots):
-        leaving = (first if r <= var < n + r else second).enter(var)
+        leaving = (first if var < r or var >= n + r else second).enter(var)
         if leaving is None:
             raise RayTermination(f"Lemke-Howson found no positive pivot entry after {pivots}"
                                  f" pivots on the {r}x{c} game from label {dropped_label};"
@@ -631,7 +630,7 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
 
     instance = f"after {pivots + 1} pivots on the {r}x{c} game from label {dropped_label}"
     # x is basic in the second block only, y in the first
-    X, Y = second.values(0, r), first.values(r, n)
+    X, Y = second.values(n, n + r), first.values(n + r, 2 * n)
     sx, sy = sum(X), sum(Y)
     if sx == 0 or sy == 0:
         raise RayTermination(f"Lemke-Howson terminated at the artificial equilibrium {instance}")

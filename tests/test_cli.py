@@ -571,7 +571,7 @@ class TestSolve:
         capsys.readouterr()
         assert main(["solve", game, "--method", "lh"]) == 0
         entries = json.loads(capsys.readouterr().out)
-        assert [e["lambda"] for e in entries] == [["799/1024"]]
+        assert [e["lambda"] for e in entries] == [["3/4"]]
         assert main(["solve", game, "--method", "lh", "--max-pivots", "10"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bound of 10 pivots" in err

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import nashforge
 from nashforge import brouwer, compiler, fixp, lcp, lp, nash
-from nashforge.exactmath import mat_shape
+from nashforge.exactmath import mat_shape, rank
 from nashforge.nash import (
     DimensionTooLarge, EnumerationResult, NeCertificate, PivotLimitReached, RayTermination,
     SymCertificate, check_fixed_point, check_ne, enumerate_ne, enumerate_symmetric_ne,
@@ -324,9 +324,10 @@ def referee_tableaux(A, B):
     Fraction payoffs shifted by `_shift_positive`."""
     r, c = mat_shape(A)
     A1, B1, one, rhs = _shift_positive(A), _shift_positive(B), F(1), r + c
-    rows_p = [_int_row({**{i: B1[i][j] for i in range(r)}, r + j: one, rhs: one})
+    rows_p = [_int_row({j: one, **{c + i: B1[i][j] for i in range(r)}, rhs: one})
               for j in range(c)]
-    rows_q = [_int_row({**dict(enumerate(A1[i])), c + i: one, rhs: one}) for i in range(r)]
+    rows_q = [_int_row({i: one, **{r + j: v for j, v in enumerate(A1[i])}, rhs: one})
+              for i in range(r)]
     return rows_p, rows_q
 
 
@@ -361,14 +362,16 @@ def referee_path(A, B, dropped_label, snapshots=None):
     r, c = mat_shape(A)
     A1 = _shift_positive(A)
     B1 = _shift_positive(B)
-    # Tableau P over x/v: B1^T x + v = 1 (c rows); var t<r is x_t, else v_{t-r}.
-    TP = [[B1[i][j] for i in range(r)] + [F(int(jj == j)) for jj in range(c)] + [F(1)]
+    # The slacks come first on each side, so the full-tuple minimum walks
+    # the rhs, the slacks and then the payoff variables.
+    # Tableau P over v/x: B1^T x + v = 1 (c rows); var t<c is v_t, else x_{t-c}.
+    TP = [[F(int(jj == j)) for jj in range(c)] + [B1[i][j] for i in range(r)] + [F(1)]
           for j in range(c)]
-    basis_p = [r + j for j in range(c)]
-    # Tableau Q over y/u: A1 y + u = 1 (r rows); var t<c is y_t, else u_{t-c}.
-    TQ = [[A1[i][j] for j in range(c)] + [F(int(ii == i)) for ii in range(r)] + [F(1)]
-          for i in range(r)]
-    basis_q = [c + i for i in range(r)]
+    basis_p = list(range(c))
+    # Tableau Q over u/y: A1 y + u = 1 (r rows); var t<r is u_t, else y_{t-r},
+    # so var t carries label t.
+    TQ = [[F(int(ii == i)) for ii in range(r)] + A1[i] + [F(1)] for i in range(r)]
+    basis_q = list(range(r))
 
     def record():
         if snapshots is not None:
@@ -376,24 +379,26 @@ def referee_path(A, B, dropped_label, snapshots=None):
                               basis_q[:]))
     path = []
     in_p = dropped_label < r
-    entering = dropped_label if in_p else dropped_label - r
+    entering = c + dropped_label if in_p else dropped_label
     for _ in range(4 ** (r + c)):
         if in_p:
             leaving = referee_lex_pivot(TP, basis_p, entering)
             path.append((entering, leaving))
             record()
-            if leaving == dropped_label:
+            # x_i carries label i, v_j label r + j; the complement of each
+            # is the Q variable numbered with its label (u_i, y_j)
+            label = leaving - c if leaving >= c else r + leaving
+            if label == dropped_label:
                 break
-            # complement of x_i is u_i (at c+i in Q); of v_j it is y_j (at j)
-            entering = c + leaving if leaving < r else leaving - r
+            entering = label
         else:
             leaving = referee_lex_pivot(TQ, basis_q, entering)
             path.append((entering, leaving))
             record()
-            if (r + leaving if leaving < c else leaving - c) == dropped_label:
+            if leaving == dropped_label:
                 break
-            # complement of y_j is v_j (at r+j in P); of u_i it is x_i (at i)
-            entering = r + leaving if leaving < c else leaving - c
+            # complement of u_i is x_i (at c+i in P); of y_j it is v_j (at j)
+            entering = c + leaving if leaving < r else leaving - r
         in_p = not in_p
     else:
         raise RayTermination("pivoting failed to terminate")
@@ -407,12 +412,12 @@ def referee_lemke_howson(A, B, dropped_label=0):
     _, (TP, basis_p), (TQ, basis_q) = referee_path(A, B, dropped_label)
     x = [F(0)] * r
     for row, var in enumerate(basis_p):
-        if var < r:
-            x[var] = TP[row][-1]
+        if var >= c:
+            x[var - c] = TP[row][-1]
     y = [F(0)] * c
     for row, var in enumerate(basis_q):
-        if var < c:
-            y[var] = TQ[row][-1]
+        if var >= r:
+            y[var - r] = TQ[row][-1]
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise RayTermination("pivoting terminated at the artificial equilibrium")
@@ -453,8 +458,7 @@ def dense_rows(T, variables, scale=1):
     row whose basic variable is a payoff one, over it in a payoff
     variable's column."""
     slot = {v: j for j, v in enumerate(T.slots) if j}
-    computed = {v: T._column(v, range(len(T.rows))) for v in variables
-                if v in T.cols and v not in T.basis}
+    computed = {v: T._column(v) for v in variables if v in T.cols and v not in T.basis}
     out = []
     for i, (N, d, b) in enumerate(zip(T.rows, T.dens, T.basis)):
         up = scale if b in T.cols else 1
@@ -494,19 +498,31 @@ def condensed_block(T, data):
     """A `_Condensed` block over the rows of T, a `tied_tableaux` draw, and
     the dense Fraction tableau it stands for.  Over the variables
     0..k+m+p-1, T's columns are the nonbasic slacks `slots` and each row's
-    basic variable has a unit column, anywhere in the order.  Some basic
-    variables are payoff variables, whose columns the block does not keep
-    once they leave.  The p nonbasic payoff variables have random columns
-    m_v and a shift, and their tableau columns B^-1 m_v + shift * rhs are
-    what the dense tableau holds and the block computes.  Returns the
-    block, the dense rows (rhs last), the basis, the slots, the nonbasic
-    and the basic payoff variables."""
+    basic variable has a unit column.  The slacks are numbered first, in
+    any order among themselves, and the payoff variables after them, as
+    `_Condensed` requires.  Some rows are basic in a payoff variable, whose
+    column the block does not keep once it leaves; a row is made so only
+    while those rows of T stay independent, so that the slack columns,
+    stored and unit, have full row rank, as B^-1's do.  The p nonbasic
+    payoff variables have random columns m_v and a shift, and their
+    tableau columns B^-1 m_v + shift * rhs are what the dense tableau
+    holds and the block computes.  Returns the block, the dense rows (rhs
+    last), the basis, the slots, the nonbasic and the basic payoff
+    variables."""
     m, k = len(T), len(T[0]) - 1
     p = data.draw(st.integers(0, 2))
-    order = data.draw(st.permutations(range(k + m + p)))
-    slots, basis, payoff = order[:k], order[k:k + m], order[k + m:]
-    basic_payoff = [b for b in basis if data.draw(st.booleans())]
-    slacks = [v for v in order[:k + m] if v not in basic_payoff]
+    payoff_rows = []
+    for i in range(m):
+        rows = [T[j][:-1] for j in [*payoff_rows, i]]
+        if data.draw(st.booleans()) and rank(rows) == len(rows):
+            payoff_rows.append(i)
+    q = len(payoff_rows)
+    slacks = data.draw(st.permutations(range(k + m - q)))
+    payoffs = data.draw(st.permutations(range(k + m - q, k + m + p)))
+    slots, basic_slacks = slacks[:k], iter(slacks[k:])
+    basic_payoff, payoff = payoffs[:q], payoffs[q:]
+    basic_payoffs = iter(basic_payoff)
+    basis = [next(basic_payoffs if i in payoff_rows else basic_slacks) for i in range(m)]
     cols = {v: data.draw(payoff_columns(slacks)) for v in payoff}
     cols.update((v, []) for v in basic_payoff)
     shift = data.draw(st.integers(-2, 2))
@@ -546,19 +562,21 @@ class TestLexPivot:
                 == [[row[v] for v in kept] + [row[-1]] for row in want_T])
         assert_stored_form(got)
 
-    @settings(max_examples=200, deadline=None)
-    @given(tied_tableaux(), st.data())
-    def test_column_on_a_row_subset_is_the_full_column_restricted(self, T, data):
-        # the tie rule reads columns on the rows still tied, the entering
-        # column on all of them; a basic slack's unit entry lands in its
-        # own row only when that row is read
-        block, _, _, slots, payoff, _ = condensed_block(T, data)
-        m = len(block.rows)
-        for v in [*slots, *payoff]:
-            rows = sorted(data.draw(st.sets(st.integers(0, m - 1))))
-            full = block._column(v, range(m))
-            assert len(full) == m
-            assert block._column(v, rows) == [full[i] for i in rows]
+    def test_a_payoff_variable_below_a_slack_is_refused(self):
+        # the ratio test walks the slacks only, which is the full-tuple
+        # minimum only when they are numbered first
+        with pytest.raises(ValueError, match="^payoff variable 0 is numbered below a slack$"):
+            _Condensed([[1], [1]], [1, 1], [1, 2], (), {0: [(1, 1)], 3: [(2, 1)]}, 0)
+        _Condensed([[1], [1]], [1, 1], [0, 1], (), {2: [(0, 1)], 3: [(1, 1)]}, 0)
+
+    def test_rows_tied_on_every_slack_column_raise(self):
+        # rows basic in payoff variables 1 and 2 are proportional on slack
+        # 0's column, so B is singular; a Lemke-Howson block never gets there
+        block = _Condensed([[1, 1], [2, 2]], [1, 1], [1, 2], [0],
+                           {1: [], 2: [], 3: [(0, 1)]}, 0)
+        with pytest.raises(AssertionError,
+                           match=r"^rows \[0, 1\] still tie after every column of B\^-1$"):
+            block.enter(3)
 
 
 RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -633,9 +651,9 @@ def assert_blocks_follow_the_referee(A, B):
     variables) slots."""
     r, c = mat_shape(A)
     n = r + c
-    # the referee's P columns x, v and Q columns y, u as LCP variables
-    p_vars = [*range(r), *range(n + r, 2 * n)]
-    q_vars = [*range(r, n + r)]
+    # the referee's P columns v, x and Q columns u, y as LCP variables
+    p_vars = [*range(r, n + r)]
+    q_vars = [*range(r), *range(n + r, 2 * n)]
     a, la, bt, lb = _int_game(A, B)
     for label in range(n):
         snapshots = []
@@ -756,11 +774,11 @@ class TestIntegerTableau:
         r, c = mat_shape(A)
         n = r + c
         rows_p, rows_q = referee_tableaux(A, B)
-        # the referee numbers each side apart: P's x_i at i and v_j at r + j,
-        # Q's y_j at j and u_i at c + i, the rhs at r + c; the LCP numbers
-        # x, y, u, v from 0, r, n, n + r
-        p_vars = [*range(r), *range(n + r, 2 * n)]
-        q_vars = [*range(r, n + r)]
+        # the referee numbers each side apart: P's v_j at j and x_i at c + i,
+        # Q's u_i at i and y_j at r + j, the rhs at r + c; the LCP numbers
+        # u, v, x, y from 0, r, n, n + r
+        p_vars = [*range(r, n + r)]
+        q_vars = [*range(r), *range(n + r, 2 * n)]
         a, la, bt, lb = _int_game(A, B)
         first, second = _lcp_blocks(a, la, bt, lb)
         for block, l, variables, rows in ((first, la, q_vars, rows_q),
@@ -1152,13 +1170,19 @@ class TestEnumerationBeyondDraws:
         assert 0 < x_solves < nonnegative_y
 
 
+def compiled_example(k):
+    """The game of the compiled, shrunk example on Grid(k, 1), and the
+    prepared circuit it reduces."""
+    cb = brouwer.make_example_coloring(brouwer.Grid(k, 1))
+    shrunk = compiler.shrink_range(compiler.compile_brouwer(cb, validate=False))
+    prepared = fixp.normalize_max_zero(fixp.clamp_outputs(shrunk.circuit))
+    return lcp.build_game(lcp.normalize(lp.with_cost(lp.build_constraints(prepared)))), prepared
+
+
 @pytest.fixture(scope="module")
 def compiled_1d_game():
     """The 69x69 game of the compiled, shrunk 1-D example, dense."""
-    cb = brouwer.make_example_coloring(brouwer.Grid(1, 1))
-    shrunk = compiler.shrink_range(compiler.compile_brouwer(cb, validate=False))
-    prepared = fixp.normalize_max_zero(fixp.clamp_outputs(shrunk.circuit))
-    game = lcp.build_game(lcp.normalize(lp.with_cost(lp.build_constraints(prepared))))
+    game, _ = compiled_example(1)
     return game.A, game.B
 
 
@@ -1168,11 +1192,11 @@ def digest(cert):
 
 class TestCompiledGameCertificates:
     # sha256 of repr(lemke_howson(A, B, label)) on the compiled, shrunk 1-D
-    # example (a 69x69 game), recorded from the sparse dict-row tableau that
-    # the condensed one replaced; this game reaches one equilibrium from
+    # example (a 69x69 game), recorded from the kernel that numbers the
+    # slacks first; this game reaches one equilibrium, lambda = 3/4, from
     # every label
     PINNED = dict.fromkeys(
-        (0, 1, 68, 69, 137), "3a04730db3e96ccd45d75a153029e900bb102cde48208a890f4fa586731fb888")
+        (0, 1, 68, 69, 137), "14b091b048c0343464f17a5d6f6b1afe4d691b1191fdc85469bbf3f0644e94b4")
 
     def test_certificates_match_the_recorded_digests(self, compiled_1d_game):
         A, B = compiled_1d_game
@@ -1180,24 +1204,24 @@ class TestCompiledGameCertificates:
         got = {label: digest(lemke_howson(A, B, label)) for label in self.PINNED}
         assert got == self.PINNED
 
-    def test_path_from_label_0_takes_417_pivots(self, compiled_1d_game):
+    def test_path_from_label_0_takes_61_pivots(self, compiled_1d_game):
         # the same path, not just the same endpoint: the last pivot of the
         # recorded path is needed
         A, B = compiled_1d_game
-        assert digest(lemke_howson(A, B, 0, max_pivots=417)) == self.PINNED[0]
-        with pytest.raises(PivotLimitReached, match="bound of 416 pivots on the 69x69 game"
+        assert digest(lemke_howson(A, B, 0, max_pivots=61)) == self.PINNED[0]
+        with pytest.raises(PivotLimitReached, match="bound of 60 pivots on the 69x69 game"
                                                     " from label 0$"):
-            lemke_howson(A, B, 0, max_pivots=416)
+            lemke_howson(A, B, 0, max_pivots=60)
 
 
 class TestConstructionGamePaths:
     # sha256 of the leaving variable of every pivot and the outcome of
     # `lemke_howson` from every label of the 48 games that the benchmark's
     # verify_small workload builds from `verify_setup(1)`, recorded from the
-    # kernel that read tied payoff columns with a routine of their own.
-    # The games are degenerate: 1 104 of their 4 216 pivots tie on the rhs,
-    # so the lexicographic rule past the rhs decides them
-    PINNED = "659e8040505215307185b2be1016ade0b15c535f6bfb149ecddcd4e0c4b17451"
+    # kernel that numbers the slacks first.  The games are degenerate:
+    # 1 044 of their 3 732 pivots tie on the rhs, so the lexicographic rule
+    # past the rhs decides them
+    PINNED = "4016385f75bc79f0684f5cc83ec9ab461d4266fa988d66f7324bfea49d7f5d34"
 
     def test_paths_and_certificates_match_the_recorded_digest(self, workloads):
         h, runs = hashlib.sha256(), 0
@@ -1210,6 +1234,68 @@ class TestConstructionGamePaths:
                 runs += 1
         assert runs == 458
         assert h.hexdigest() == self.PINNED
+
+
+def rhs_tie_counter():
+    """A replacement for `_Condensed.enter` that counts, in the returned
+    one-entry list, the pivots whose least rhs ratio is taken by more than
+    one row, so that the lexicographic rule past the rhs decides them."""
+    ties, real = [0], _Condensed.enter
+
+    def enter(self, var):
+        col = self._column(var)
+        ratios = [F(N[0], f) for N, f in zip(self.rows, col) if f > 0]
+        ties[0] += bool(ratios) and ratios.count(min(ratios)) > 1
+        return real(self, var)
+    return enter, ties
+
+
+class TestSlacksFirstPaths:
+    def test_every_label_of_five_seeds_lands_on_a_fixed_point(self, workloads):
+        # the construction's games of the verify_small workload, seeds 1-5:
+        # from every label, an equilibrium with positive slack weights that
+        # maps to an exact fixed point of the prepared circuit
+        enter, ties = rhs_tie_counter()
+        runs = 0
+        with mock.patch.object(_Condensed, "enter", enter):
+            for seed in range(1, 6):
+                for item in workloads.verify_setup(seed).items:
+                    P, prepared = lp.build_param_lp(item.circuit)
+                    game = lcp.build_game(lcp.normalize(P))
+                    for label in range(2 * len(game.A)):
+                        cert = lemke_howson(game.A, game.B, label)
+                        assert check_ne(game.A, game.B, cert.x, cert.y)
+                        assert cert.x[-1] > 0 and cert.y[-1] > 0
+                        assert check_fixed_point(prepared,
+                                                 lcp.game_to_fixed_point(cert.x, game.meta))
+                        runs += 1
+        assert runs == 2290
+        # the lexicographic rule past the rhs is exercised, not bypassed
+        assert ties[0] > 0
+
+    def test_k2_n1_game_from_label_0_takes_225_pivots(self):
+        game, prepared = compiled_example(2)
+        assert len(game.A) == 169
+        cert = lemke_howson(game.A, game.B, 0, max_pivots=225)
+        assert check_ne(game.A, game.B, cert.x, cert.y)
+        lam = lcp.game_to_fixed_point(cert.x, game.meta)
+        assert lam == [F(1055, 1536), F(2591, 3072)]
+        assert check_fixed_point(prepared, lam)
+        with pytest.raises(PivotLimitReached, match="bound of 224 pivots on the 169x169 game"
+                                                    " from label 0$"):
+            lemke_howson(game.A, game.B, 0, max_pivots=224)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_games(), sparse_games()))
+    def test_no_tie_outlasts_the_slack_columns(self, game):
+        # B^-1's rows are independent, so the rhs and the slack columns
+        # leave one row; `enter` raises AssertionError if they do not
+        A, B = game
+        for label in range(sum(mat_shape(A))):
+            try:
+                lemke_howson(A, B, label)
+            except (RayTermination, PivotLimitReached):
+                pass
 
 
 class TestFixedPointCheck:
