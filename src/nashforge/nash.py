@@ -4,19 +4,20 @@ Everything here is exact rational arithmetic, so "equilibrium" always means
 the complementarity characterization holding with exact equality: row payoffs
 (Ay)_i never exceed the first player's payoff and are equal wherever x_i
 is positive, and symmetrically for columns.  The checkers compare
-integers: payoffs are cleared by `int_matrix` (A and B^T by `_int_game`)
-and a Fraction profile by `int_vec`, each over one denominator, while
-both solvers hand over their profiles as integers; only the nonzero
-weights are multiplied, and payoffs are compared by cross-multiplication.
-Fractions are built only for the text of a violation and for a
-certificate.
+integers.  A payoff matrix has one integer form, its sparse rows
+(`_int_rows`): each dense row is scanned once for its nonzeros, and only
+those are cleared, over the lcm of the matrix's denominators.  A Fraction
+profile is cleared by `int_vec`, while both solvers hand over their
+profiles as integers; the payoffs A y and x^T B are taken over the
+nonzeros, and compared by cross-multiplication.  Fractions are built only
+for the text of a violation and for a certificate.
 
 Support enumeration solves, per equal-sized support pair, the linear
 system pinning the opponent's weights and the payoff, then filters by the
 inequalities; a game whose support systems are consistent but singular is
 flagged degenerate and only the solutions unique on their support pair are
-returned.  It runs on integers: each payoff matrix is scaled by the lcm of
-its denominators, and Fractions are built only for the accepted
+returned.  It runs on integers: each payoff matrix's sparse rows are
+spread into dense ones, and Fractions are built only for the accepted
 equilibria.  The system of a support pair is "sum w = 1, (first - row) . w
 = 0" over the rows of one support and the columns of the other.  All the
 pairs that share a row support share its difference rows, so their minors
@@ -44,7 +45,9 @@ which are B^-1's non-unit columns.  A row is thus 1 + (number of basic
 payoff variables) integers wide.  Basic columns are implicit unit
 vectors, and a payoff variable's column B^-1 a_j + shift * rhs (q = 1) is
 computed from the nonzeros of its payoff column when it enters; with the
-slacks first, no lexicographic tie reads one.
+slacks first, no lexicographic tie reads one.  Those nonzeros come from
+the sparse rows with no transpose: y_j's are A's grouped by column, x_i's
+are B's row i.  The label is checked before the payoffs are cleared.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .exactmath import Mat, Vec, exact_vec, int_matrix, int_vec, mat_shape, rank
+from .exactmath import Mat, Vec, exact_vec, int_vec, mat_shape, rank
 from .fixp import FixpCircuit, evaluate
 
 
@@ -101,10 +104,38 @@ class EnumerationResult:
 
 # --- checkers ------------------------------------------------------------
 
-def _payoffs(m: list[list[int]], w: list[int]) -> list[int]:
-    """The integer products m w, taken over the nonzero entries of w only."""
-    nz = [(j, v) for j, v in enumerate(w) if v]
-    return [sum(row[j] * v for j, v in nz) for row in m]
+IntRows = list[list[tuple[int, int]]]
+
+
+def _int_rows(M: Mat) -> tuple[IntRows, int]:
+    """The nonzeros of M's rows, each row as (column, entry) pairs, times
+    the lcm of their denominators, and that lcm.  Each row is scanned once
+    for its nonzeros, and only those are cleared.  A positive factor on a
+    whole payoff matrix leaves every best response alone."""
+    nz = [[(j, row[j]) for j in itertools.compress(range(len(row)), row)] for row in M]
+    d = lcm(*(v.denominator for row in nz for _, v in row))
+    return [[(j, v.numerator * (d // v.denominator)) for j, v in row] for row in nz], d
+
+
+def _row_payoffs(m: IntRows, w: list[int]) -> list[int]:
+    """The integer products m w, taken over the nonzeros of m."""
+    return [sum([w[j] * v for j, v in row]) for row in m]
+
+
+def _column_payoffs(m: IntRows, w: list[int], c: int) -> list[int]:
+    """The c integer products w^T m, taken over the nonzeros of the rows
+    of m whose weight in w is nonzero."""
+    out = [0] * c
+    for wi, row in zip(w, m):
+        if wi:
+            for j, v in row:
+                out[j] += wi * v
+    return out
+
+
+def _spread(m: IntRows, c: int) -> list[list[int]]:
+    """The dense c-column integer rows of m."""
+    return [[row.get(j, 0) for j in range(c)] for row in map(dict, m)]
 
 
 def _best_response_violations(w: list[int], dw: int, p: list[int], dp: int,
@@ -127,28 +158,27 @@ def _best_response_violations(w: list[int], dw: int, p: list[int], dp: int,
     return out
 
 
-def _profile_violations(a: list[list[int]], la: int, bt: list[list[int]], lb: int,
+def _profile_violations(a: IntRows, la: int, b: IntRows, lb: int,
                         X: list[int], dx: int, Y: list[int], dy: int
                         ) -> tuple[list[str], Fraction, Fraction]:
     """The equilibrium conditions for the profile (X / dx, Y / dy) in the
-    game (a / la, (bt / lb)^T), and the two payoffs x A y and x B y."""
-    ay, bx = _payoffs(a, Y), _payoffs(bt, X)
+    game (a / la, b / lb), and the two payoffs x A y and x B y."""
+    ay, bx = _row_payoffs(a, Y), _column_payoffs(b, X, len(Y))
     bad = (_best_response_violations(X, dx, ay, la * dy, "row")
            + _best_response_violations(Y, dy, bx, lb * dx, "column"))
     return (bad, Fraction(sum(map(mul, X, ay)), dx * la * dy),
             Fraction(sum(map(mul, Y, bx)), dy * lb * dx))
 
 
-def _int_game(A: Mat, B: Mat, cap: int | None = None
-              ) -> tuple[list[list[int]], int, list[list[int]], int]:
-    """A and B^T cleared by `int_matrix`, once A and B are known to share a
-    shape and, given a `cap`, to pass `check_dimension`."""
+def _game_shape(A: Mat, B: Mat, cap: int | None = None) -> tuple[int, int]:
+    """The r x c shape that A and B must share, refused by
+    `check_dimension` against `cap` when one is given."""
     r, c = mat_shape(A)
     if mat_shape(B) != (r, c):
         raise ValueError("payoff matrices must share a shape")
     if cap is not None:
         check_dimension(r, c, cap)
-    return (*int_matrix(A), *int_matrix(list(zip(*B))))
+    return r, c
 
 
 def _weights(support: Iterable[int], w: Iterable[int], n: int) -> list[int]:
@@ -167,10 +197,10 @@ def _fractions(W: list[int], d: int) -> Vec:
 
 def ne_violations(A: Mat, B: Mat, x: Vec, y: Vec) -> list[str]:
     """Exact best-response and complementarity conditions for (x, y)."""
-    a, la, bt, lb = _int_game(A, B)
-    if len(x) != len(a) or len(y) != len(bt):
+    r, c = _game_shape(A, B)
+    if len(x) != r or len(y) != c:
         raise ValueError("profile dimensions do not match the game")
-    return _profile_violations(a, la, bt, lb, *int_vec(x), *int_vec(y))[0]
+    return _profile_violations(*_int_rows(A), *_int_rows(B), *int_vec(x), *int_vec(y))[0]
 
 
 def check_ne(A: Mat, B: Mat, x: Vec, y: Vec) -> bool:
@@ -183,9 +213,9 @@ def symmetric_ne_violations(S: Mat, z: Vec) -> list[str]:
         raise ValueError("matrix must be square")
     if len(z) != r:
         raise ValueError("profile dimension does not match the game")
-    s, ls = int_matrix(S)
+    s, ls = _int_rows(S)
     Z, dz = int_vec(z)
-    return _best_response_violations(Z, dz, _payoffs(s, Z), ls * dz, "strategy")
+    return _best_response_violations(Z, dz, _row_payoffs(s, Z), ls * dz, "strategy")
 
 
 # --- support enumeration --------------------------------------------------
@@ -290,8 +320,10 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
     some support system is consistent but singular, or an equilibrium
     carries extra tight strategies, the result is flagged degenerate.
     """
-    a, la, bt, lb = _int_game(A, B, MAX_DIM)
-    r, c = len(a), len(bt)
+    r, c = _game_shape(A, B, MAX_DIM)
+    (a_nz, la), (b_nz, lb) = _int_rows(A), _int_rows(B)
+    # the getters read dense rows of A and of B^T
+    a, bt = _spread(a_nz, c), list(zip(*_spread(b_nz, c)))
     found: dict[tuple, NeCertificate] = {}
     degenerate = False
     for size in range(1, min(r, c) + 1):
@@ -339,7 +371,7 @@ def enumerate_ne(A: Mat, B: Mat) -> EnumerationResult:
                 xf, yf = _fractions(X, dx), _fractions(Y, dy)
                 key = (tuple(xf), tuple(yf))
                 if key not in found:
-                    _checked(_profile_violations(a, la, bt, lb, X, dx, Y, dy)[0],
+                    _checked(_profile_violations(a_nz, la, b_nz, lb, X, dx, Y, dy)[0],
                              "support-enumeration candidate")
                     found[key] = NeCertificate(xf, yf, Fraction(p1, dy * la),
                                                Fraction(p2, dx * lb))
@@ -352,7 +384,8 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
     if r != c:
         raise ValueError("matrix must be square")
     check_dimension(r, r)
-    s, ls = int_matrix(S)
+    s_nz, ls = _int_rows(S)
+    s = _spread(s_nz, r)
     found: dict[tuple, SymCertificate] = {}
     degenerate = False
     for size in range(1, r + 1):
@@ -374,8 +407,8 @@ def enumerate_symmetric_ne(S: Mat) -> EnumerationResult:
             zf = _fractions(Z, d)
             key = tuple(zf)
             if key not in found:
-                _checked(_best_response_violations(Z, d, _payoffs(s, Z), ls * d, "strategy"),
-                         "symmetric candidate")
+                _checked(_best_response_violations(Z, d, _row_payoffs(s_nz, Z), ls * d,
+                                                   "strategy"), "symmetric candidate")
                 found[key] = SymCertificate(zf)
     return EnumerationResult(tuple(found.values()), degenerate)
 
@@ -570,27 +603,35 @@ class _Condensed:
             rows[i], dens[i] = N, d
 
 
-def _lcp_blocks(a: list[list[int]], la: int, bt: list[list[int]], lb: int
+def _lcp_blocks(a: IntRows, la: int, b: IntRows, lb: int, c: int
                 ) -> tuple[_Condensed, _Condensed]:
     """The two blocks A1 y + u = 1 and B1^T x + v = 1 of the LCP of the
-    r x c game (a / la, (bt / lb)^T), its payoffs as `int_matrix` gives
-    them, and u, v, x, y (slacks first) the variables from 0, r, n and
-    n + r on (n = r + c).  A1 and B1 are the payoffs shifted to positive
-    entries, and a block takes them scaled by its l: m + l - min m for the
-    block of the matrix m / l.  Scaling a block's payoff variables by a
-    positive constant multiplies their columns by it and divides the rows
-    they are basic in by it, which changes neither a pivot nor the
-    normalized profile.  Each block starts at the slack basis B = I, its
-    rows the rhs 1 alone, and keeps the nonzeros of m's columns."""
-    r, c = len(a), len(bt)
+    r x c game (a / la, b / lb), its payoffs as `_int_rows` gives them,
+    and u, v, x, y (slacks first) the variables from 0, r, n and n + r on
+    (n = r + c).  A1 and B1 are the payoffs shifted to positive entries,
+    and a block takes them scaled by its l: m + l - min m for the block
+    of the matrix m / l, where an entry missing from m's nonzeros is a
+    zero.  Scaling a block's payoff variables by a positive constant
+    multiplies their columns by it and divides the rows they are basic in
+    by it, which changes neither a pivot nor the normalized profile.  Each
+    block starts at the slack basis B = I, its rows the rhs 1 alone, and
+    keeps the nonzeros of its payoff columns: y_j's are A's column j, over
+    the u_i, and x_i's are B's row i, over the v_j."""
+    r = len(a)
     n = r + c
 
-    def block(m: list[list[int]], l: int, z0: int, w0: int) -> _Condensed:
-        cols = {z0 + j: [(w0 + i, v) for i, v in enumerate(column) if v]
-                for j, column in enumerate(zip(*m))}
-        return _Condensed([[1] for _ in m], [1] * len(m), range(w0, w0 + len(m)), (),
-                          cols, l - min(map(min, m)))
-    return block(a, la, n + r, 0), block(bt, lb, n, r)
+    def shift(m: IntRows, l: int) -> int:
+        values = [v for row in m for _, v in row]
+        if len(values) < r * c:
+            values.append(0)
+        return l - min(values)
+    y_cols: dict[int, list[tuple[int, int]]] = {n + r + j: [] for j in range(c)}
+    for i, row in enumerate(a):
+        for j, v in row:
+            y_cols[n + r + j].append((i, v))
+    x_cols = {n + i: [(r + j, v) for j, v in row] for i, row in enumerate(b)}
+    return (_Condensed([[1] for _ in range(r)], [1] * r, range(r), (), y_cols, shift(a, la)),
+            _Condensed([[1] for _ in range(c)], [1] * c, range(r, n), (), x_cols, shift(b, lb)))
 
 
 def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = None,
@@ -602,17 +643,17 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     longer than `max_pivots` raises PivotLimitReached.  `max_dim`, when
     given, refuses games with more rows or columns.
     """
-    a, la, bt, lb = _int_game(A, B, max_dim)
-    r, c = len(a), len(bt)
+    r, c = _game_shape(A, B, max_dim)
     n = r + c
     if not 0 <= dropped_label < n:
         raise ValueError(f"label must lie in 0..{n - 1}")
+    (a, la), (b, lb) = _int_rows(A), _int_rows(B)
 
     # The game's LCP over w = (u, v), the variables 0..n-1, and z = (x, y),
     # the variables n..2n-1, in two blocks (see `_lcp_blocks`): u and y lie
     # in the first, v and x in the second.  Variable t carries label t % n,
     # so its complement is (t + n) % 2n.
-    first, second = _lcp_blocks(a, la, bt, lb)
+    first, second = _lcp_blocks(a, la, b, lb, c)
     var = n + dropped_label
     for pivots in range(max_pivots):
         leaving = (first if var < r or var >= n + r else second).enter(var)
@@ -634,7 +675,7 @@ def lemke_howson(A: Mat, B: Mat, dropped_label: int = 0, max_dim: int | None = N
     sx, sy = sum(X), sum(Y)
     if sx == 0 or sy == 0:
         raise RayTermination(f"Lemke-Howson terminated at the artificial equilibrium {instance}")
-    bad, pi1, pi2 = _profile_violations(a, la, bt, lb, X, sx, Y, sy)
+    bad, pi1, pi2 = _profile_violations(a, la, b, lb, X, sx, Y, sy)
     if bad:
         raise RayTermination(f"Lemke-Howson's result fails the equilibrium checker {instance}: "
                              + bad[0])

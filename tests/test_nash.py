@@ -16,14 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashforge
-from nashforge import brouwer, compiler, fixp, lcp, lp, nash
+from nashforge import brouwer, compiler, exactmath, fixp, lcp, lp, nash
 from nashforge.exactmath import mat_shape, rank
 from nashforge.nash import (
     DimensionTooLarge, EnumerationResult, NeCertificate, PivotLimitReached, RayTermination,
     SymCertificate, check_fixed_point, check_ne, enumerate_ne, enumerate_symmetric_ne,
     lemke_howson, ne_violations, symmetric_ne_violations,
 )
-from nashforge.nash import _Condensed, _int_game, _lcp_blocks, _singular
+from nashforge.nash import _Condensed, _int_rows, _lcp_blocks, _singular
 
 from conftest import (
     ne_to_symmetrized, one_minus_circuit, referee_dot, referee_mat_vec, referee_ne_violations,
@@ -654,11 +654,11 @@ def assert_blocks_follow_the_referee(A, B):
     # the referee's P columns v, x and Q columns u, y as LCP variables
     p_vars = [*range(r, n + r)]
     q_vars = [*range(r), *range(n + r, 2 * n)]
-    a, la, bt, lb = _int_game(A, B)
+    (a, la), (b, lb) = _int_rows(A), _int_rows(B)
     for label in range(n):
         snapshots = []
         path, _, _ = referee_path(A, B, label, snapshots)
-        first, second = _lcp_blocks(a, la, bt, lb)
+        first, second = _lcp_blocks(a, la, b, lb, c)
         for pivot, ((entering, leaving), (TP, basis_p, TQ, basis_q)) in enumerate(
                 zip(path, snapshots)):
             # LH alternates sides from the dropped label's own
@@ -705,9 +705,9 @@ class TestPayoffScaling:
         want = [path_and_outcome(A, B, label) for label in labels]
         real = nash._lcp_blocks
 
-        def scaled(a, la, bt, lb):
-            return real([[k1 * v for v in row] for row in a], k1 * la,
-                        [[k2 * v for v in row] for row in bt], k2 * lb)
+        def scaled(a, la, b, lb, c):
+            return real([[(j, k1 * v) for j, v in row] for row in a], k1 * la,
+                        [[(j, k2 * v) for j, v in row] for row in b], k2 * lb, c)
         with mock.patch.object(nash, "_lcp_blocks", scaled):
             assert [path_and_outcome(A, B, label) for label in labels] == want
 
@@ -779,8 +779,8 @@ class TestIntegerTableau:
         # u, v, x, y from 0, r, n, n + r
         p_vars = [*range(r, n + r)]
         q_vars = [*range(r), *range(n + r, 2 * n)]
-        a, la, bt, lb = _int_game(A, B)
-        first, second = _lcp_blocks(a, la, bt, lb)
+        (a, la), (b, lb) = _int_rows(A), _int_rows(B)
+        first, second = _lcp_blocks(a, la, b, lb, c)
         for block, l, variables, rows in ((first, la, q_vars, rows_q),
                                           (second, lb, p_vars, rows_p)):
             # the slack basis: each row is the rhs 1 alone
@@ -796,7 +796,7 @@ class TestIntegerTableau:
         A = frac_mat([[3, 3], [2, 5], [0, 6]])
         B = frac_mat([[3, 2], [2, 6], [3, 1]])
         want = referee_lemke_howson(A, B, 0)
-        calls = {"int_matrix": 0, "_payoffs": 0}
+        calls = {"_int_rows": 0, "_row_payoffs": 0, "_column_payoffs": 0}
 
         def counted(name):
             f = getattr(nash, name)
@@ -808,7 +808,7 @@ class TestIntegerTableau:
         for name in calls:
             monkeypatch.setattr(nash, name, counted(name))
         assert lemke_howson(A, B, 0) == want
-        assert calls == {"int_matrix": 2, "_payoffs": 2}
+        assert calls == {"_int_rows": 2, "_row_payoffs": 1, "_column_payoffs": 1}
 
 
 class TestLemkeHowsonAgreesWithEnumeration:
@@ -1007,6 +1007,140 @@ class TestCheckersMatchFractionReferees:
     def test_symmetric(self, case):
         S, _, z, _ = case
         assert symmetric_ne_violations(S, z) == referee_symmetric_ne_violations(S, z)
+
+
+# the payoffs are cleared to their nonzeros only, so a matrix's least entry
+# may be a zero that its nonzeros leave out
+
+POSITIVE = st.fractions(min_value=F(1, 6), max_value=5, max_denominator=6)
+SIGNED_ENTRIES = [POSITIVE, st.one_of(st.just(F(0)), POSITIVE), POSITIVE.map(lambda v: -v),
+                  st.fractions(min_value=-5, max_value=5, max_denominator=6)]
+
+
+@st.composite
+def zero_pattern_matrices(draw, r, c):
+    """An r x c matrix whose entries are all positive, nonnegative with
+    zeros, all negative or of any sign, over mixed denominators, and which
+    may have an all-zero row, an all-zero column or both."""
+    entries = draw(st.sampled_from(SIGNED_ENTRIES))
+    m = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    if draw(st.booleans()):
+        m[draw(st.integers(0, r - 1))] = [F(0)] * c
+    if draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in m:
+            row[j] = F(0)
+    return m
+
+
+@st.composite
+def zero_pattern_profiles(draw, square=False):
+    """A 1-5 x 1-5 game of `zero_pattern_matrices` and a `weight_vectors`
+    profile."""
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    return (draw(zero_pattern_matrices(r, c)), draw(zero_pattern_matrices(r, c)),
+            draw(weight_vectors(r)), draw(weight_vectors(c)))
+
+
+def zero_pattern_examples(test):
+    """`test` with one square example per sign pattern."""
+    half = [F(1, 2), F(1, 2)]
+    cases = [
+        # no zero entry, every entry positive: the shift comes from the
+        # least nonzero
+        (frac_mat([[2, 3], [1, 5]]), [[F(5, 2), F(1, 3)], [F(4), F(3, 2)]], half, half),
+        # nonnegative with zeros: the least entry is a zero left out
+        (frac_mat([[0, 1], [2, 0]]), frac_mat([[0, 3], [1, 0]]), half, [F(1), F(0)]),
+        # an all-zero row and an all-zero column
+        (frac_mat([[0, 0, 0], [0, 1, 2], [0, 3, -1]]),
+         frac_mat([[0, 2, 1], [0, 0, 0], [0, -1, 4]]),
+         [F(0), F(1, 2), F(1, 2)], [F(0), F(1, 3), F(2, 3)]),
+        # every entry negative
+        ([[F(-1), F(-2)], [F(-3), F(-1, 2)]], frac_mat([[-4, -1], [-2, -3]]), half, half),
+        # mixed denominators
+        ([[F(1, 2), F(-1, 3)], [F(2, 5), F(1, 7)]], [[F(3, 4), F(0)], [F(-5, 6), F(2, 9)]],
+         [F(1, 3), F(2, 3)], half),
+    ]
+    for case in cases:
+        test = example(case)(test)
+    return test
+
+
+class TestSparseClearing:
+    """Lemke-Howson and the checkers read the payoffs' nonzeros only and
+    agree with the dense Fraction referees on every sign pattern."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_pattern_profiles())
+    @zero_pattern_examples
+    def test_lemke_howson_from_every_label(self, case):
+        A, B, _, _ = case
+        for label in range(sum(mat_shape(A))):
+            assert outcome(lemke_howson, A, B, label) == outcome(referee_lemke_howson, A, B, label)
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_pattern_profiles())
+    @zero_pattern_examples
+    def test_ne_violations(self, case):
+        A, B, x, y = case
+        assert ne_violations(A, B, x, y) == referee_ne_violations(A, B, x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_pattern_profiles(square=True))
+    @zero_pattern_examples
+    def test_symmetric_ne_violations(self, case):
+        S, _, z, _ = case
+        assert symmetric_ne_violations(S, z) == referee_symmetric_ne_violations(S, z)
+
+
+class TestNoDenseClear:
+    """The solvers and the checkers never clear a whole dense payoff matrix:
+    with `int_matrix` made to raise, each still gives its result."""
+
+    @pytest.fixture
+    def games(self):
+        P, _ = lp.build_param_lp(one_minus_circuit())
+        game, sym = lcp.build_game(lcp.normalize(P)), lcp.build_symmetric_game(P)
+        rng = random.Random(5)
+
+        def rand(r, c):
+            return [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(c)]
+                    for _ in range(r)]
+        return [(game.A, game.B, sym.S), (rand(4, 5), rand(4, 5), rand(4, 4))]
+
+    def test_solvers_and_checkers_run_without_it(self, monkeypatch, games):
+        def run(A, B, S):
+            certs = [lemke_howson(A, B, label) for label in range(sum(mat_shape(A)))]
+            sym = enumerate_symmetric_ne(S)
+            return (certs, [ne_violations(A, B, c.x, c.y) for c in certs], enumerate_ne(A, B),
+                    sym, [symmetric_ne_violations(S, c.z) for c in sym.equilibria])
+        want = [run(*game) for game in games]
+        real_rank, real_clear = exactmath.rank, exactmath.int_matrix
+
+        def rank(m):
+            # `_singular` tells a singular support system's "none" from
+            # "many" by the dense Bareiss rank, which clears those rows
+            with monkeypatch.context() as inner:
+                inner.setattr(exactmath, "int_matrix", real_clear)
+                return real_rank(m)
+
+        def refused(M):
+            raise AssertionError("a payoff matrix was cleared densely")
+        monkeypatch.setattr(exactmath, "int_matrix", refused)
+        monkeypatch.setattr(nash, "int_matrix", refused, raising=False)
+        monkeypatch.setattr(nash, "rank", rank)
+        assert [run(*game) for game in games] == want
+        assert want[0][0] and want[0][3].equilibria
+
+    def test_an_out_of_range_label_is_refused_before_clearing(self, monkeypatch, games):
+        def refused(M):
+            raise AssertionError("the payoffs were cleared")
+        monkeypatch.setattr(nash, "_int_rows", refused)
+        A, B, _ = games[1]
+        for label in (-1, 9):
+            with pytest.raises(ValueError, match=r"^label must lie in 0\.\.8$"):
+                lemke_howson(A, B, label)
 
 
 # the support solve by shared minors: Cramer's rule on each nonsingular
