@@ -201,7 +201,7 @@ def cmd_compile(args) -> int:
         return EXIT_INVALID_INPUT
     try:
         params = (compiler.default_params(cb) if args.L is None
-                  else compiler.SamplingParams(args.L, max(16, cb.k ** 4)))
+                  else compiler.SamplingParams(args.L, compiler.sample_count_for(cb.k)))
     except ValueError as exc:
         raise InputError(f"{args.input}: no admissible sampling density ({exc})")
     cf = compiler.compile_brouwer(cb, params=params, validate=False)
@@ -419,20 +419,25 @@ def cmd_pipeline(args) -> int:
             raise InputError(f"stage {i}: input {inp!r} does not chain from previous"
                              f" output {prev_output!r}")
         prev_output = stage.get("output", inp)
-        argv = [stage["command"], inp]
+        opts = []
         flags = sorted(stage.get("args", {}).items())
         for flag, value in flags:
+            if type(value) not in (str, int, bool):
+                raise InputError(f"stage {i}: \"{flag}\": {json.dumps(value)} is no flag value")
             if value is True:
-                argv.append(f"--{flag}")
+                opts.append(f"--{flag}")
             elif value is not False:
-                argv.extend([f"--{flag}", str(value)])
-        if "output" in stage:
-            # eval takes no -o, so its parse refuses an output nothing would write
-            argv.extend(["-o", stage["output"]])
+                opts.extend([f"--{flag}", str(value)])
+        # eval takes no -o, so its parse refuses an output nothing would write
+        out = ["-o", stage["output"]] if "output" in stage else []
+        argv = [stage["command"], inp, *opts, *out]
         try:
-            parsed = build_parser().parse_args(argv)
+            # -o first, so an args key that sets the output too wins and is refused
+            parsed = build_parser().parse_args([stage["command"], inp, *out, *opts])
         except SystemExit:
             raise InputError(f"stage {i}: nashforge rejects {' '.join(argv)!r}") from None
+        if getattr(parsed, "output", None) != stage.get("output"):
+            raise InputError(f"stage {i}: args set --output {parsed.output}; set it in \"output\"")
         for flag, value in flags:
             if value is False and getattr(parsed, flag.replace("-", "_"), None) is not False:
                 raise InputError(f"stage {i}: \"{flag}\": false does not turn --{flag} off")

@@ -59,12 +59,15 @@ class SamplingParams:
             raise ValueError("L must exceed the sample count")
 
 
+def sample_count_for(k: int) -> int:
+    """The number of samples per point in dimension k, max(16, k^4)."""
+    return max(16, k ** 4)
+
+
 def default_params(cb: BoolCircuit) -> SamplingParams:
-    """Smallest admissible power of two above max(16, k^4 + 1)."""
-    count = max(16, cb.k ** 4)
-    L = 32
-    while L <= max(16, cb.k ** 4 + 1):
-        L *= 2
+    """`sample_count_for(k)` samples at the least power of two above them."""
+    count = sample_count_for(cb.k)
+    L = 1 << count.bit_length()
     if L > bool_circuit_size(cb) ** 2 * 64:
         raise ValueError("sampling density exceeds the polynomial budget for this circuit")
     return SamplingParams(L, count)

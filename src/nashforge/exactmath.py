@@ -278,14 +278,6 @@ def is_upper_triangular(rows: list[Row]) -> bool:
 
 # --- elimination ---
 
-def int_matrix(M: Mat) -> tuple[list[list[int]], int]:
-    """M times the lcm of its denominators, and that lcm.  A positive
-    factor on a whole matrix leaves its rank, and every best response of a
-    payoff matrix, alone."""
-    d = lcm(*(v.denominator for row in M for v in row))
-    return [[v.numerator * (d // v.denominator) for v in row] for row in M], d
-
-
 def int_vec(v: Vec) -> tuple[list[int], int]:
     """v times the lcm of its denominators, and that lcm.  v is read twice,
     so it may be a list or a sparse row's `values()`, not an iterator."""
@@ -294,20 +286,19 @@ def int_vec(v: Vec) -> tuple[list[int], int]:
 
 
 def rank(m: Mat) -> int:
-    """Exact rank over the rationals, by fraction-free (Bareiss)
-    Gauss-Jordan elimination of m with its denominators cleared.
+    """Exact rank over the rationals, by forward fraction-free (Bareiss)
+    elimination of m times the lcm of its denominators.
 
     Pivots are taken in column order, from the first row at or below the
-    pivot row that is nonzero there.  A step on pivot q rewrites every
-    other row as (q row - f pivot_row) / q_prev, an exact division by
-    Sylvester's identity, so entries stay integral and never blow up into
-    huge fractions.
+    pivot row that is nonzero there.  A step on pivot q rewrites each row
+    below the pivot row as (q row - f pivot_row) / q_prev, an exact division
+    by Sylvester's identity, so entries stay integral and never blow up into
+    huge fractions.  The rank is the number of pivots.
     """
-    _, cols = mat_shape(m)
-    rows = int_matrix(m)[0]
-    n = len(rows)
-    prev = 1
-    pr = 0
+    n, cols = mat_shape(m)
+    d = lcm(*(v.denominator for row in m for v in row))
+    rows = [[v.numerator * (d // v.denominator) for v in row] for row in m]
+    prev, pr = 1, 0
     for col in range(cols):
         piv = next((i for i in range(pr, n) if rows[i][col]), None)
         if piv is None:
@@ -315,16 +306,15 @@ def rank(m: Mat) -> int:
         rows[pr], rows[piv] = rows[piv], rows[pr]
         prow = rows[pr]
         q = prow[col]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != pr and (f or q != prev):
-                new = [q * a - f * b for a, b in zip(row, prow)]
-                if prev != 1:
-                    new = [divmod(v, prev) for v in new]
-                    if any(rem for _, rem in new):
-                        raise AssertionError("fraction-free elimination left a remainder")
-                    new = [v for v, _ in new]
-                rows[i] = new
+        for i in range(pr + 1, n):
+            f = rows[i][col]
+            new = [q * a - f * b for a, b in zip(rows[i], prow)]
+            if prev != 1:
+                new = [divmod(v, prev) for v in new]
+                if any(rem for _, rem in new):
+                    raise AssertionError("fraction-free elimination left a remainder")
+                new = [v for v, _ in new]
+            rows[i] = new
         prev = q
         pr += 1
     return pr

@@ -1090,6 +1090,35 @@ class TestPipeline:
         out, err = capsys.readouterr()
         assert "[stage 0]" in out and "expected kind 'game', got 'circuit'" in err
 
+    # an args value that is no flag's argument would reach the command line
+    # as its Python text, and an args key that sets the output writes the
+    # file away from the stage's "output", where the next stage reads
+    @pytest.mark.parametrize("args,message", [
+        ({"target": "game", "report": None},
+         '"report": null is no flag value'),
+        ({"target": "game", "report": 1.5},
+         '"report": 1.5 is no flag value'),
+        ({"target": "game", "report": ["r.json"]},
+         '"report": ["r.json"] is no flag value'),
+        ({"target": "game", "out": "h.json"}, "args set --output h.json"),
+        ({"target": "game", "output": "h.json"}, "args set --output h.json"),
+    ], ids=["null", "float", "array", "out", "output"])
+    @pytest.mark.parametrize("output", [None, "g.json"], ids=["no-output", "output"])
+    def test_args_refused_before_any_stage(self, args, message, output, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "om.json", "circuit", fixp.circuit_to_json(one_minus_circuit()))
+        stage = {"command": "reduce", "input": "om.json", "args": args}
+        if output:
+            stage["output"] = output
+        write_json(tmp_path / "manifest.json", "manifest", {"stages": [
+            {"command": "eval", "input": "om.json", "args": {"at": "1/2"}}, stage]})
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["pipeline", "manifest.json"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: stage 1: {message}") and "[stage 0]" not in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
     # (stage before, refused stage, message): each refusal needs only the
     # command line, so it stops a command and a whole pipeline before any write
     REFUSALS = [

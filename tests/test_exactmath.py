@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashforge import exactmath as em
@@ -21,6 +21,52 @@ def frac_mat(rows):
 
 def outer(u, v):
     return [[a * b for b in v] for a in u]
+
+
+def gauss_rank(m):
+    """Rank by textbook Fraction elimination, no Bareiss: an independent oracle."""
+    m = [[F(v) for v in row] for row in m]
+    rows_n, cols_n = len(m), len(m[0])
+    rk = 0
+    for col in range(cols_n):
+        piv = next((i for i in range(rk, rows_n) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        pv = m[rk][col]
+        m[rk] = [v / pv for v in m[rk]]
+        for i in range(rows_n):
+            if i != rk and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [v - f * w for v, w in zip(m[i], m[rk])]
+        rk += 1
+    return rk
+
+
+@st.composite
+def rank_inputs(draw):
+    """A 1x1 to 7x7 matrix, usually of 3 or more rows (the forward pass
+    divides from its third row on), with zero rows, zero columns and rows
+    that are sums of two others.  Its rows are Fractions, or the integers
+    `nash._singular` passes."""
+    r = draw(st.integers(3, 7) | st.integers(1, 7))
+    c = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        zero, entry = 0, st.integers(-4, 4)
+    else:
+        zero, entry = F(0), st.fractions(-9, 9, max_denominator=6)
+    m = draw(st.lists(st.lists(st.just(zero) | entry, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        m[i] = [zero] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
+        for row in m:
+            row[j] = zero
+    if r >= 3:
+        for k, i, j in draw(st.lists(st.permutations(range(r)).map(lambda p: p[:3]),
+                                     max_size=2)):
+            m[k] = [a + b for a, b in zip(m[i], m[j])]
+    return m
 
 
 class TestRank:
@@ -55,25 +101,6 @@ class TestRank:
             em.rank([])
 
     def test_against_plain_gaussian_elimination(self):
-        # independent oracle: textbook fraction elimination, no Bareiss
-        def gauss_rank(m):
-            m = [row[:] for row in m]
-            rows_n, cols_n = len(m), len(m[0])
-            rk = 0
-            for col in range(cols_n):
-                piv = next((i for i in range(rk, rows_n) if m[i][col] != 0), None)
-                if piv is None:
-                    continue
-                m[rk], m[piv] = m[piv], m[rk]
-                pv = m[rk][col]
-                m[rk] = [v / pv for v in m[rk]]
-                for i in range(rows_n):
-                    if i != rk and m[i][col] != 0:
-                        f = m[i][col]
-                        m[i] = [v - f * w for v, w in zip(m[i], m[rk])]
-                rk += 1
-            return rk
-
         rng = random.Random(99)
         for _ in range(40):
             r = rng.randint(1, 6)
@@ -88,6 +115,14 @@ class TestRank:
             expected = gauss_rank(m)
             assert em.rank(m) == expected
             assert em.rank(m) <= target
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_inputs())
+    @example([[2, 1, 0], [1, 3, 1], [0, 1, 1]])
+    @example([[F(0), F(1, 2), F(1)], [F(0), F(1, 3), F(2, 3)], [F(0), F(0), F(0)],
+              [F(0), F(5, 6), F(5, 3)]])
+    def test_equals_textbook_fraction_elimination(self, m):
+        assert em.rank(m) == gauss_rank(m)
 
 
 class TestTriangularPredicate:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashforge
-from nashforge import brouwer, compiler, exactmath, fixp, lcp, lp, nash
+from nashforge import brouwer, compiler, fixp, lcp, lp, nash
 from nashforge.exactmath import mat_shape, rank
 from nashforge.nash import (
     DimensionTooLarge, EnumerationResult, NeCertificate, PivotLimitReached, RayTermination,
@@ -1095,49 +1095,15 @@ class TestSparseClearing:
 
 
 class TestNoDenseClear:
-    """The solvers and the checkers never clear a whole dense payoff matrix:
-    with `int_matrix` made to raise, each still gives its result."""
+    """Lemke-Howson clears no payoff until its label is known to be in range."""
 
-    @pytest.fixture
-    def games(self):
-        P, _ = lp.build_param_lp(one_minus_circuit())
-        game, sym = lcp.build_game(lcp.normalize(P)), lcp.build_symmetric_game(P)
-        rng = random.Random(5)
-
-        def rand(r, c):
-            return [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(c)]
-                    for _ in range(r)]
-        return [(game.A, game.B, sym.S), (rand(4, 5), rand(4, 5), rand(4, 4))]
-
-    def test_solvers_and_checkers_run_without_it(self, monkeypatch, games):
-        def run(A, B, S):
-            certs = [lemke_howson(A, B, label) for label in range(sum(mat_shape(A)))]
-            sym = enumerate_symmetric_ne(S)
-            return (certs, [ne_violations(A, B, c.x, c.y) for c in certs], enumerate_ne(A, B),
-                    sym, [symmetric_ne_violations(S, c.z) for c in sym.equilibria])
-        want = [run(*game) for game in games]
-        real_rank, real_clear = exactmath.rank, exactmath.int_matrix
-
-        def rank(m):
-            # `_singular` tells a singular support system's "none" from
-            # "many" by the dense Bareiss rank, which clears those rows
-            with monkeypatch.context() as inner:
-                inner.setattr(exactmath, "int_matrix", real_clear)
-                return real_rank(m)
-
-        def refused(M):
-            raise AssertionError("a payoff matrix was cleared densely")
-        monkeypatch.setattr(exactmath, "int_matrix", refused)
-        monkeypatch.setattr(nash, "int_matrix", refused, raising=False)
-        monkeypatch.setattr(nash, "rank", rank)
-        assert [run(*game) for game in games] == want
-        assert want[0][0] and want[0][3].equilibria
-
-    def test_an_out_of_range_label_is_refused_before_clearing(self, monkeypatch, games):
+    def test_an_out_of_range_label_is_refused_before_clearing(self, monkeypatch):
         def refused(M):
             raise AssertionError("the payoffs were cleared")
         monkeypatch.setattr(nash, "_int_rows", refused)
-        A, B, _ = games[1]
+        rng = random.Random(5)
+        A, B = ([[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)] for _ in range(4)]
+                for _ in range(2))
         for label in (-1, 9):
             with pytest.raises(ValueError, match=r"^label must lie in 0\.\.8$"):
                 lemke_howson(A, B, label)
@@ -1460,9 +1426,12 @@ class TestSymmetrizationInvariant:
 
 # Each guard is forced to fire: the enumerators' checkers report a
 # violation, and divmod leaves a remainder inside Bareiss elimination, both
-# in `rank` and in the classifier of a singular support system.  That
-# system, of the rows below on the support (0, 1, 2), has the difference
-# rows (2, 2, 2) and (1, 3, 0), whose rank divides by the first pivot 2.
+# in `rank` and in the classifier of a singular support system.  The
+# forward pass divides only from its second pivot on, by an earlier pivot
+# other than 1, and only rows below that pivot: `rank`'s 3x3 input has the
+# first pivot 2, and the system of the rows below on the support
+# (0, 1, 2, 3) has the difference rows (2, 2, 2, 0), (1, 3, 0, 0) and
+# (0, 0, 1, 5), whose rank divides by 2.
 FORCED_GUARDS = """
 from fractions import Fraction as F
 from nashforge import exactmath, nash
@@ -1472,8 +1441,9 @@ exactmath.divmod = lambda a, b: (0, 1)
 
 for call in (lambda: nash.enumerate_ne([[F(1)]], [[F(1)]]),
              lambda: nash.enumerate_symmetric_ne([[F(1)]]),
-             lambda: exactmath.rank([[F(2), F(1)], [F(1), F(3)]]),
-             lambda: nash._singular([[0, 0, 0], [-2, -2, -2], [-1, -3, 0]], (0, 1, 2))):
+             lambda: exactmath.rank([[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(1)]]),
+             lambda: nash._singular([[0, 0, 0, 0], [-2, -2, -2, 0], [-1, -3, 0, 0],
+                                     [0, 0, -1, -5]], (0, 1, 2, 3))):
     try:
         call()
         print("silent")
