@@ -31,7 +31,7 @@ def _lp_matches(P: lp.ParamLP, prepared: FixpCircuit, order: list[int], lam: Vec
     _, trace = evaluate_with_trace(prepared, lam)
     if [trace[g] for g in order] != x:
         return False
-    y = lp.construct_dual(P, lam, x)
+    y = lp.construct_dual(P, x)
     return not (lp.kkt_violations(P, lam, x, y) or any(a > b for a, b in zip(y, P.beta)))
 
 

@@ -158,6 +158,9 @@ def _validated(cb: brouwer.BoolCircuit) -> bool:
 def _check_args(args):
     """The refusals that need only the command line: `main` runs them before
     the command, `pipeline` for every stage before the first stage runs."""
+    for flag in ("output", "meta", "report"):
+        if getattr(args, flag, None) == "":
+            raise InputError(f"--{flag} is empty; it names no file")
     # every command writes kinds other than those it reads, and compile
     # --meta and reduce --report name a second file beside -o
     named = {}

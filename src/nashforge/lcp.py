@@ -88,8 +88,8 @@ def normalize(lp: ParamLP) -> LcpInstance:
 
 def _direct_rows(lp: ParamLP) -> list[Row]:
     """A' = A - sum_l u^l e_{r_l}^T, r_l the output rows."""
-    return [row_add(row, {r: -u for r, u in zip(lp.output_rows, L.lam) if u})
-            for row, L in zip(lp.A_rows, lp.rows)]
+    return [row_add(row, {r: -u[i] for r, u in zip(lp.output_rows, lp.U) if u[i]})
+            for i, row in enumerate(lp.A_rows)]
 
 
 def _assert_scaled_structure(two_sided: LcpInstance):
@@ -239,8 +239,7 @@ def _certify_payoff_sum(A: list[Row], B: list[Row], lp: ParamLP):
 
     That matrix is zero outside the k output rows and the slack row, so
     rank(A + B) <= k + 1 follows without an elimination."""
-    want = {r: {j: L.lam[l] for j, L in enumerate(lp.rows) if L.lam[l]}
-            for l, r in enumerate(lp.output_rows)}
+    want = {r: {j: uj for j, uj in enumerate(u) if uj} for r, u in zip(lp.output_rows, lp.U)}
     want[lp.m] = {**{j: bj + 1 for j, bj in enumerate(lp.b) if bj != -1}, lp.m: Fraction(2)}
     for i, (ra, rb) in enumerate(zip(A, B)):
         if row_add(ra, rb) != want.get(i, {}):

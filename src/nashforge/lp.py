@@ -9,10 +9,10 @@ means exactly
 
 Dropping the complementarity line leaves the linear system
 A x >= sum_l lam_l u^l + b with A lower-triangular and unit diagonal.  It
-is stored as its sparse rows x_i >= L_i; A, b and U are dense views, and
-A_rows is A in the sparse row form that the LCP layer and the JSON writer
-read.  The cost vector built here makes the complementarity line hold
-automatically at the optimum of
+is stored as A's sparse rows (A_rows, diagonal included), the k columns
+u^l (U) and b, the form the LCP layer and the JSON writer read; A is a
+dense view.  The cost vector built here makes the complementarity line
+hold automatically at the optimum of
 
     min c.x  s.t.  A x >= sum_l lam_l u^l + b,  x >= 0,
 
@@ -21,12 +21,13 @@ The solver below uses the forward recursion x_i = max{0, L_i}, which is
 that unique optimum; the explicit dual plus the KKT checker provide the
 independent certificate that it is.
 
-The rows come from one walk over the gates on integers: a gate's value
-is one denominator and the integer numerators of its row, parameter and
-constant terms.  The solver reads the rows with their denominators
+A, U and b come from one walk over the gates on integers: a gate's
+value is one denominator and the integer numerators of its row, parameter
+and constant terms.  The solver reads the rows with their denominators
 cleared, kept on the LP after its first call, and builds a Fraction per
 entry of its result only.  Cost, dual and KKT checker stay on Fractions,
-so the certificate shares no arithmetic with the solver it checks.
+so the certificate shares no arithmetic with the solver it checks; they
+take exact x and y only, as the solver takes exact lam.
 """
 
 from __future__ import annotations
@@ -48,62 +49,43 @@ from .fixp import (
 
 
 @dataclass(frozen=True)
-class LinExpr:
-    """Affine expression over earlier max-gate variables and the inputs."""
-
-    xs: dict[int, Fraction]       # keyed by max-gate row index
-    lam: tuple[Fraction, ...]
-    const: Fraction
-
-
-@dataclass(frozen=True)
 class ParamLP:
-    """Constraint rows x_i >= L_i, i.e. A x >= sum_l lam_l U[:,l] + b, with cost data.
+    """The constraints A x >= sum_l lam_l U[l] + b, with cost data.
 
     m is the max-gate count, npre = m - 2k the count before clamping; the
     outer clamp gate of output l sits at row output_rows[l] (0-based).
-    rows[i] is L_i, affine in x_0..x_{i-1} and the parameters.  A_rows, A,
-    b and U (k columns of length m) are built from the rows on each access;
-    the rows with their denominators cleared are built once, on first use
-    by solve_lp, and kept on this LP (a `replace`d LP builds its own).
+    A_rows[i] is row i of A, its diagonal 1 last and its other entries on
+    earlier columns; U holds k columns of length m.  Row i reads
+    x_i >= L_i = sum_l lam_l U[l][i] + b_i - sum_{j<i} a_ij x_j.  The rows
+    with their denominators cleared are built once, on first use by
+    solve_lp, and kept on this LP (a `replace`d LP builds its own).
     """
 
     m: int
     k: int
     npre: int
-    rows: tuple[LinExpr, ...]
+    A_rows: list[Row]
+    U: list[Vec]
+    b: Vec
     output_rows: tuple[int, ...]
     c: Vec | None = None
     beta: Vec | None = None
-
-    @property
-    def A_rows(self) -> list[Row]:
-        """A as sparse rows: row i is e_i minus the x-coefficients of L_i."""
-        return [{**{j: -v for j, v in L.xs.items()}, i: Fraction(1)}
-                for i, L in enumerate(self.rows)]
 
     @property
     def A(self) -> Mat:
         """Dense A, for the KKT referee and the benchmark."""
         return densify(self.A_rows, self.m)
 
-    @property
-    def b(self) -> Vec:
-        return [L.const for L in self.rows]
-
-    @property
-    def U(self) -> list[Vec]:
-        return [[L.lam[l] for L in self.rows] for l in range(self.k)]
-
     @cached_property
     def _int_rows(self) -> list[tuple[list[int], list[int], list[int], int, int]]:
-        """Each row L_i as its columns, then its x-coefficients, parameter
-        coefficients and constant times their lcm l, then l."""
+        """Each row as its columns off the diagonal, then its entries there,
+        parameter coefficients and constant times their lcm l, then l."""
         out = []
-        for L in self.rows:
-            nums, l = int_vec([*L.xs.values(), *L.lam, L.const])
-            n = len(L.xs)
-            out.append((list(L.xs), nums[:n], nums[n:-1], nums[-1], l))
+        for i, row in enumerate(self.A_rows):
+            cols = [j for j in row if j != i]
+            nums, l = int_vec([*map(row.__getitem__, cols), *(u[i] for u in self.U), self.b[i]])
+            n = len(cols)
+            out.append((cols, nums[:n], nums[n:-1], nums[-1], l))
         return out
 
 
@@ -145,17 +127,22 @@ def build_constraints(circ: FixpCircuit) -> ParamLP:
     m = len(order)
     npre = m - 2 * k
     one = m + k
-    rows_L: list[LinExpr] = []
+    A_rows: list[Row] = []
+    U: list[Vec] = [[] for _ in range(k)]
+    b: Vec = []
 
     def max_row(g: Max, v):
         a_zero = circ.gates[g.a] == ZERO
         if not (a_zero or circ.gates[g.b] == ZERO):
             raise ValueError(f"max gate {len(v)} has no zero operand; normalize first")
         d, nums = v[g.b] if a_zero else v[g.a]
-        rows_L.append(LinExpr({j: Fraction(n, d) for j, n in nums.items() if j < m},
-                              tuple(Fraction(nums.get(m + l, 0), d) for l in range(k)),
-                              Fraction(nums.get(one, 0), d)))
-        return 1, {len(rows_L) - 1: 1}     # max gates arrive in row order
+        i = len(A_rows)     # max gates arrive in row order
+        A_rows.append({**{j: Fraction(-n, d) for j, n in nums.items() if j < m},
+                       i: Fraction(1)})
+        for l, u in enumerate(U):
+            u.append(Fraction(nums.get(m + l, 0), d))
+        b.append(Fraction(nums.get(one, 0), d))
+        return 1, {i: 1}
 
     walk(circ.gates, {
         Input: lambda g, v: (1, {m + g.index: 1}),
@@ -166,7 +153,7 @@ def build_constraints(circ: FixpCircuit) -> ParamLP:
     })
 
     output_rows = tuple(order.index(outer) for _, outer in circ.clamp_pairs)
-    lp = ParamLP(m, k, npre, tuple(rows_L), output_rows)
+    lp = ParamLP(m, k, npre, A_rows, U, b, output_rows)
     problems = property_violations(lp)
     if problems:
         raise AssertionError("constructed LP violates structure: " + "; ".join(problems))
@@ -186,20 +173,19 @@ def property_violations(lp: ParamLP) -> list[str]:
     m, k = lp.m, lp.k
     if lp.output_rows != tuple(lp.npre + 2 * l + 1 for l in range(k)):
         out.append(f"output rows {lp.output_rows} are not the outer clamp rows")
-    for i, L in enumerate(lp.rows):
-        for j in L.xs:
-            if j >= i:
-                out.append(f"row {i} reads x_{j}, not an earlier row")
-    read = set().union(*(L.xs for L in lp.rows))
+    for i, row in enumerate(lp.A_rows):
+        if row.get(i) != 1:
+            out.append(f"row {i} reads x_{i}, not an earlier row")
+        out += [f"row {i} reads x_{j}, not an earlier row" for j in row if j > i]
+    read = {j for i, row in enumerate(lp.A_rows) for j in row if j != i}
     for l in range(k):
         o = lp.npre + 2 * l + 1
         inner = o - 1
-        L = lp.rows[o]
-        if L.xs != {inner: -1}:
+        if lp.A_rows[o] != {inner: 1, o: 1}:
             out.append(f"clamp row {o} is not x_{inner} + x_{o}")
-        if L.const != 1:
-            out.append(f"clamp row {o} has threshold {L.const}, not 1")
-        if any(L.lam):
+        if lp.b[o] != 1:
+            out.append(f"clamp row {o} has threshold {lp.b[o]}, not 1")
+        if any(u[o] for u in lp.U):
             out.append(f"clamp row {o} carries a parameter coefficient")
         if o in read:
             out.append(f"column {o} of A is not the unit vector")
@@ -213,27 +199,29 @@ def property_violations(lp: ParamLP) -> list[str]:
     return out
 
 
-def construct_cost(rows: tuple[LinExpr, ...]) -> tuple[Vec, Vec]:
-    """Backward recurrence for the cost vector c and its bound beta.
+def construct_cost(A_rows: list[Row]) -> tuple[Vec, Vec]:
+    """Backward recurrence for the cost vector c and its bound beta of a
+    unit lower-triangular A.
 
     c_m = beta_m = 1;  c_i = sum_{j>i} |a_ji| beta_j + 1;
     beta_i = c_i + sum_{j>i} |a_ji| beta_j.  The sums are pushed down from
-    each row j once beta_j is known, so the cost is O(nnz).
+    each row j once beta_j is known, so the cost is O(nnz); row j's own
+    entry lands in below[j] after its last read.
     """
-    m = len(rows)
+    m = len(A_rows)
     c = zeros_vec(m)
     beta = zeros_vec(m)
     below = zeros_vec(m)      # sum_{j>i} |a_ji| beta_j over the rows j done so far
     for i in range(m - 1, -1, -1):
         c[i] = below[i] + 1
         beta[i] = c[i] + below[i]
-        for j, v in rows[i].xs.items():
+        for j, v in A_rows[i].items():
             below[j] += abs(v) * beta[i]
     return c, beta
 
 
 def with_cost(lp: ParamLP) -> ParamLP:
-    c, beta = construct_cost(lp.rows)
+    c, beta = construct_cost(lp.A_rows)
     return replace(lp, c=c, beta=beta)
 
 
@@ -265,7 +253,7 @@ def _parameters(lp: ParamLP, lam) -> Vec:
 def lam_rhs(lp: ParamLP, lam: Vec) -> Vec:
     """Right-hand side sum_l lam_l u^l + b."""
     lam = _parameters(lp, lam)
-    return [sum(map(mul, lam, L.lam), L.const) for L in lp.rows]
+    return [sum(map(mul, lam, col), bi) for bi, *col in zip(lp.b, *lp.U)]
 
 
 def solve_lp(lp: ParamLP, lam: Vec) -> Vec:
@@ -279,7 +267,7 @@ def solve_lp(lp: ParamLP, lam: Vec) -> Vec:
     X: list[int] = []         # x_i = X[i] / dx[i], in lowest terms
     dx: list[int] = []
     for cols, xs, us, c, l in lp._int_rows:
-        # l L_i = sum_j xs_j X_j / dx_j + sum_l us_l Lam_l / dl + c, and acc
+        # l L_i = sum_l us_l Lam_l / dl + c - sum_j xs_j X_j / dx_j, and acc
         # is that times d, a common multiple of dl and of every dx_j read
         d = dl
         for j in cols:
@@ -288,7 +276,7 @@ def solve_lp(lp: ParamLP, lam: Vec) -> Vec:
         acc = (sum(map(mul, us, lam_nums)) + c * dl) * (d // dl)
         for j, a in zip(cols, xs):
             if X[j]:
-                acc += a * X[j] * (d // dx[j])
+                acc -= a * X[j] * (d // dx[j])
         if acc > 0:
             d *= l
             g = gcd(acc, d)
@@ -300,30 +288,35 @@ def solve_lp(lp: ParamLP, lam: Vec) -> Vec:
     return [Fraction(n, d) for n, d in zip(X, dx)]
 
 
-def construct_dual(lp: ParamLP, lam: Vec, x: Vec) -> Vec:
+def construct_dual(lp: ParamLP, x: Vec) -> Vec:
     """Complementary dual: y_r = 0 when x_r = 0, else the tightening value
     y_r = c_r - sum_{j>r} a_jr y_j, the sum pushed down from each row j
-    once y_j is known."""
+    once y_j is known (row r's own entry lands in below[r] after its read)."""
     if lp.c is None:
         raise ValueError("cost vector missing; call with_cost first")
+    if len(x) != lp.m:
+        raise ValueError("dimension mismatch")
+    x = exact_vec(x)
     y = zeros_vec(lp.m)
     below = zeros_vec(lp.m)   # -sum_{j>r} a_jr y_j over the rows j done so far
     for r in range(lp.m - 1, -1, -1):
         if x[r] == 0:
             continue
         y[r] = lp.c[r] + below[r]
-        for j, v in lp.rows[r].xs.items():
-            below[j] += v * y[r]
+        for j, v in lp.A_rows[r].items():
+            below[j] -= v * y[r]
     return y
 
 
 def kkt_violations(lp: ParamLP, lam: Vec, x: Vec, y: Vec) -> list[str]:
     """Exact primal/dual feasibility plus both complementarity families;
-    Ax and A^T y are taken over the sparse rows of A."""
+    Ax and A^T y are taken over the sparse rows of A.  x and y hold ints
+    and Fractions only (a TypeError names the first other entry)."""
     if lp.c is None:
         raise ValueError("cost vector missing; call with_cost first")
     if len(x) != lp.m or len(y) != lp.m:
         raise ValueError("dimension mismatch")
+    x, y = exact_vec(x), exact_vec(y)
     out = []
     rhs = lam_rhs(lp, lam)
     rows = lp.A_rows

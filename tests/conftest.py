@@ -112,10 +112,19 @@ def is_unit_lower_triangular(m) -> bool:
 # --- the Fraction LP construction and solver, the referees of the integer
 # walk in lp.build_constraints and the integer recursion in lp.solve_lp ---
 
+class Affine(NamedTuple):
+    """sum_j xs[j] x_j + sum_l lam[l] lam_l + const, over Fractions."""
+
+    xs: dict
+    lam: tuple
+    const: F
+
+
 def referee_build_constraints(circ) -> tuple:
-    """The rows L_i of a normalized, clamped circuit, from a gate walk over
-    Fraction LinExprs: add sums them, mulc scales them, and each max gate
-    appends its nonzero operand as a row and stands for x_i."""
+    """(A_rows, U, b) of a normalized, clamped circuit, from a gate walk over
+    Fraction affine values: add sums them, mulc scales them, and each max
+    gate appends its nonzero operand L_i as the row x_i >= L_i and stands
+    for x_i."""
     k = circ.k
     no_lam = (F(0),) * k
     rows = []
@@ -126,33 +135,34 @@ def referee_build_constraints(circ) -> tuple:
             xs[j] = xs.get(j, 0) + v
             if not xs[j]:
                 del xs[j]
-        return lp.LinExpr(xs, tuple(u + w for u, w in zip(a.lam, b.lam)), a.const + b.const)
+        return Affine(xs, tuple(u + w for u, w in zip(a.lam, b.lam)), a.const + b.const)
 
     def scale(s, a):
-        return lp.LinExpr({j: s * v for j, v in a.xs.items() if s * v},
-                          tuple(s * v for v in a.lam), s * a.const)
+        return Affine({j: s * v for j, v in a.xs.items() if s * v},
+                      tuple(s * v for v in a.lam), s * a.const)
 
     def max_row(g, v):
         rows.append(v[g.b] if circ.gates[g.a] == fixp.ZERO else v[g.a])
-        return lp.LinExpr({len(rows) - 1: F(1)}, no_lam, F(0))
+        return Affine({len(rows) - 1: F(1)}, no_lam, F(0))
 
     walk(circ.gates, {
-        fixp.Input: lambda g, v: lp.LinExpr({}, tuple(F(int(l == g.index)) for l in range(k)),
-                                            F(0)),
-        fixp.Const: lambda g, v: lp.LinExpr({}, no_lam, g.value),
+        fixp.Input: lambda g, v: Affine({}, tuple(F(int(l == g.index)) for l in range(k)), F(0)),
+        fixp.Const: lambda g, v: Affine({}, no_lam, g.value),
         fixp.Add: lambda g, v: add(v[g.a], v[g.b]),
         fixp.MulC: lambda g, v: scale(g.coeff, v[g.a]),
         fixp.Max: max_row,
     })
-    return tuple(rows)
+    A_rows = [{**{j: -v for j, v in L.xs.items()}, i: F(1)} for i, L in enumerate(rows)]
+    return A_rows, [[L.lam[l] for L in rows] for l in range(k)], [L.const for L in rows]
 
 
 def referee_solve_lp(P, lam) -> list:
-    """x_i = max{0, L_i} over Fractions, row after row."""
+    """x_i = max{0, b_i + sum_l lam_l U[l][i] - sum_{j<i} a_ij x_j} over
+    Fractions, row after row."""
     x = []
-    for L in P.rows:
-        acc = L.const + sum((F(u) * v for u, v in zip(lam, L.lam)), F(0))
-        acc += sum((v * x[j] for j, v in L.xs.items()), F(0))
+    for i, row in enumerate(P.A_rows):
+        acc = P.b[i] + sum((F(v) * u[i] for v, u in zip(lam, P.U)), F(0))
+        acc -= sum((v * x[j] for j, v in row.items() if j != i), F(0))
         x.append(max(acc, F(0)))
     return x
 

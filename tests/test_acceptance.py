@@ -99,7 +99,7 @@ def test_criterion_2_lp_equals_circuit(capsys):
             x = lp.solve_lp(P, lam)
             _, trace = fixp.evaluate_with_trace(prepared, lam)
             assert x == [trace[g] for g in order]
-            y = lp.construct_dual(P, lam, x)
+            y = lp.construct_dual(P, x)
             assert not lp.kkt_violations(P, lam, x, y)
             assert all(yi <= bi for yi, bi in zip(y, P.beta))
             draws += 1
@@ -283,7 +283,7 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
             assert lcp.lcp_violations(two_sided, zz)
         else:              # corrupt the dual certificate
             xs = lp.solve_lp(P, lam)
-            ys = lp.construct_dual(P, lam, xs)
+            ys = lp.construct_dual(P, xs)
             ys[rng.randrange(len(ys))] += delta
             assert lp.kkt_violations(P, lam, xs, ys)
         rejected += 1

@@ -1233,6 +1233,42 @@ class TestPipeline:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
+class TestEmptyOutputPath:
+    """An empty -o, --meta or --report names no file: it exits 2 naming the
+    flag before any work, as a command and as a pipeline stage."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["compile", "fixture.json", "-o", ""], "--output"),
+        (["compile", "fixture.json", "-o", "c.json", "--meta", ""], "--meta"),
+        (["reduce", "om.json", "--target", "lp", "-o", ""], "--output"),
+        (["reduce", "om.json", "--target", "lp", "-o", "lp.json", "--report", ""], "--report"),
+        (["verify", "om.json", "-o", ""], "--output"),
+        (["solve", "g.json", "-o", ""], "--output"),
+        (["oracle", "fixture.json", "-o", ""], "--output"),
+    ], ids=["compile", "compile-meta", "reduce", "reduce-report", "verify", "solve", "oracle"])
+    @pytest.mark.parametrize("as_stage", [False, True], ids=["command", "stage"])
+    def test_refused_before_any_work(self, argv, flag, as_stage, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "om.json", "circuit", fixp.circuit_to_json(one_minus_circuit()))
+        write_json(tmp_path / "fixture.json", "brouwer", brouwer.bool_to_json(
+            brouwer.make_example_coloring(brouwer.Grid(1, 1))))
+        assert main(["reduce", "om.json", "--target", "game", "-o", "g.json"]) == 0
+        message = f"{flag} is empty; it names no file"
+        if as_stage:
+            flags = iter(argv[2:])
+            args = {"output" if f == "-o" else f[2:]: value for f, value in zip(flags, flags)}
+            stage = {"command": argv[0], "input": argv[1], "output": args.pop("output"),
+                     "args": args}
+            write_json(tmp_path / "manifest.json", "manifest", {"stages": [stage]})
+            argv, message = ["pipeline", "manifest.json"], "stage 0: " + message
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, circuit_file):
         # the child imports this same package, installed or not

@@ -42,6 +42,8 @@ SCRIPT = [
      "--report", "lcpd.rep.json"],
     ["reduce", "oneminus.json", "--target", "game", "-o", "g.json", "--report", "g.rep.json"],
     ["reduce", "cs.json", "--target", "game", "-o", "cg.json", "--report", "cg.rep.json"],
+    ["reduce", "cs.json", "--target", "lp", "-o", "cslp.json"],
+    ["reduce", "cs.json", "--target", "lcp", "--variant", "direct", "-o", "cslcpd.json"],
     ["reduce", "swap.json", "--target", "symmetric", "-o", "sym.json",
      "--report", "sym.rep.json"],
     ["reduce", "oneminus.json", "--target", "imitation", "-o", "imi.json",

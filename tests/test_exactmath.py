@@ -166,14 +166,21 @@ class TestExactInputsOnly:
             em.exact_vec([F(1, 2), bad])
 
     @pytest.mark.parametrize("bad", [0.1, "1/4", True])
-    @pytest.mark.parametrize("reader", ["lam_rhs", "solve_lp", "evaluate_points",
-                                        "evaluate_with_trace", "check_fixed_point"])
+    @pytest.mark.parametrize("reader", ["lam_rhs", "solve_lp", "construct_dual",
+                                        "kkt_violations_x", "kkt_violations_y",
+                                        "evaluate_points", "evaluate_with_trace",
+                                        "check_fixed_point"])
     def test_every_reader_refuses(self, reader, bad):
+        # the LP's x and y have m = 2 entries, so the bad one comes first of two
         circ = one_minus_circuit()
         P, prepared = lp.build_param_lp(circ)
+        half = [F(1, 2)]
         call = {
             "lam_rhs": lambda v: lp.lam_rhs(P, v),
             "solve_lp": lambda v: lp.solve_lp(P, v),
+            "construct_dual": lambda v: lp.construct_dual(P, v + half),
+            "kkt_violations_x": lambda v: lp.kkt_violations(P, half, v + half, [F(1), F(1)]),
+            "kkt_violations_y": lambda v: lp.kkt_violations(P, half, half * 2, v + [F(1)]),
             "evaluate_points": lambda v: fixp.evaluate_points(circ, [[F(1, 2)], v]),
             "evaluate_with_trace": lambda v: fixp.evaluate_with_trace(prepared, v),
             "check_fixed_point": lambda v: nash.check_fixed_point(circ, v),

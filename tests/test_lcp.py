@@ -359,7 +359,7 @@ def test_lcp_layer_never_reads_dense_A(monkeypatch, rng):
         symne_to_lcp(P, nash.lemke_howson(imi.A, imi.B).y)
         lam = [F(1, 3)] * P.k
         x = lp.solve_lp(P, lam)
-        assert not lp.kkt_violations(P, lam, x, lp.construct_dual(P, lam, x))
+        assert not lp.kkt_violations(P, lam, x, lp.construct_dual(P, x))
     assert reads == []
 
 

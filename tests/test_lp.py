@@ -9,26 +9,20 @@ from hypothesis import strategies as st
 from nashforge import brouwer, compiler, fixp, lp
 from nashforge.fixp import clamp_outputs, evaluate_with_trace, normalize_max_zero, order_max_gates
 from nashforge.lp import (
-    LinExpr, build_constraints, build_param_lp, construct_cost, construct_dual,
-    kkt_violations, lam_rhs, lp_to_json, property_violations, solve_lp,
+    build_constraints, build_param_lp, construct_cost, construct_dual, kkt_violations, lam_rhs,
+    lp_to_json, property_violations, solve_lp,
 )
 
 from conftest import (
     false_clamp_claim_circuit, is_unit_lower_triangular, one_minus_circuit, random_lambda,
     random_raw_circuit, referee_build_constraints, referee_kkt_violations, referee_solve_lp,
-    swap_circuit,
+    sparse_rows, swap_circuit,
 )
 from test_fixp import raw_builder_circuits
 
 
 def frac_mat(rows):
     return [[F(v) for v in row] for row in rows]
-
-
-def rows_of(A):
-    """The rows x_i >= L_i of a unit lower-triangular A (no parameters, b = 0)."""
-    return tuple(LinExpr({j: -v for j, v in enumerate(row[:i]) if v}, (), F(0))
-                 for i, row in enumerate(A))
 
 
 # --- dense referees: the recurrences over all m^2 entries of A ---
@@ -104,20 +98,20 @@ class TestClampClaim:
 class TestConstructCost:
     def test_base_case(self):
         a = frac_mat([[1]])
-        c, beta = construct_cost(rows_of(a))
+        c, beta = construct_cost(sparse_rows(a))
         assert c == [F(1)] and beta == [F(1)]
         assert dense_cost(a) == (c, beta)
 
     def test_worked_two_by_two(self):
         a = frac_mat([[1, 0], [1, 1]])
-        c, beta = construct_cost(rows_of(a))
+        c, beta = construct_cost(sparse_rows(a))
         assert c == [F(2), F(1)]
         assert beta == [F(3), F(1)]
         assert dense_cost(a) == (c, beta)
 
     def test_hand_trace_three_by_three(self):
         a = frac_mat([[1, 0, 0], [2, 1, 0], [-1, 3, 1]])
-        c, beta = construct_cost(rows_of(a))
+        c, beta = construct_cost(sparse_rows(a))
         assert c == [F(16), F(4), F(1)]
         assert beta == [F(31), F(7), F(1)]
         assert dense_cost(a) == (c, beta)
@@ -141,7 +135,7 @@ class TestSparseMatchesDense:
         assert lam_rhs(P, lam) == rhs
         x = solve_lp(P, lam)
         assert x == dense_solve(A, rhs)
-        assert construct_dual(P, lam, x) == dense_dual(A, P.c, x)
+        assert construct_dual(P, x) == dense_dual(A, P.c, x)
 
 
 class TestSolveLp:
@@ -195,11 +189,12 @@ class TestIntegerWalkMatchesFractionReferee:
     @given(raw_builder_circuits())
     def test_rows_on_random_circuits(self, c):
         prepared = normalize_max_zero(clamp_outputs(c))
-        assert build_constraints(prepared).rows == referee_build_constraints(prepared)
+        P = build_constraints(prepared)
+        assert (P.A_rows, P.U, P.b) == referee_build_constraints(prepared)
 
     def test_rows_on_compiled_circuits(self, compiled):
         P, prepared = compiled
-        assert P.rows == referee_build_constraints(prepared)
+        assert (P.A_rows, P.U, P.b) == referee_build_constraints(prepared)
 
     @settings(deadline=None)
     @given(raw_builder_circuits(), st.data())
@@ -225,8 +220,8 @@ class TestIntegerWalkMatchesFractionReferee:
         out = b.add(b.mulc(0, m), b.add(m, b.neg(m)))
         prepared = normalize_max_zero(clamp_outputs(b.build([out])))
         P = build_constraints(prepared)
-        assert P.rows == referee_build_constraints(prepared)
-        assert P.rows[1] == LinExpr({}, (F(0),), F(1))
+        assert (P.A_rows, P.U, P.b) == referee_build_constraints(prepared)
+        assert (P.A_rows[1], P.U[0][1], P.b[1]) == ({1: F(1)}, F(0), F(1))
 
     def test_operand_without_zero_keeps_its_gate_index(self):
         c = fixp.FixpCircuit(1, (fixp.Input(0), fixp.Const(F(1)), fixp.Max(0, 1),
@@ -239,8 +234,7 @@ class TestIntegerWalkMatchesFractionReferee:
         P, _ = worked
         lam = [F(1, 2)]
         assert solve_lp(P, lam) == [F(1, 2), F(1, 2)]
-        L = P.rows[0]
-        Q = replace(P, rows=(LinExpr(L.xs, (F(2, 3),), F(-1, 5)),) + P.rows[1:])
+        Q = replace(P, U=[[F(2, 3), *P.U[0][1:]]], b=[F(-1, 5), *P.b[1:]])
         assert Q._int_rows != P._int_rows
         assert Q._int_rows[0] == ([], [], [10], -3, 15)
         assert solve_lp(Q, lam) == referee_solve_lp(Q, lam) == [F(2, 15), F(13, 15)]
@@ -258,14 +252,20 @@ class TestDual:
     def test_worked_dual(self, worked):
         P, _ = worked
         x = solve_lp(P, [F(1, 2)])
-        assert construct_dual(P, [F(1, 2)], x) == [F(1), F(1)]
+        assert construct_dual(P, x) == [F(1), F(1)]
+
+    @pytest.mark.parametrize("x", [[F(1, 2)], [F(1, 2), F(1, 2), F(7)]], ids=["short", "long"])
+    def test_wrong_length_refused(self, worked, x):
+        P, _ = worked
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            construct_dual(P, x)
 
     def test_zero_primal_coordinate_zeroes_dual(self, worked):
         P, _ = worked
         lam = [F(-1)]              # x_1 = max(0, -1) = 0
         x = solve_lp(P, lam)
         assert x[0] == 0
-        y = construct_dual(P, lam, x)
+        y = construct_dual(P, x)
         assert y[0] == 0
 
     def test_dual_bounded_by_beta(self, rng):
@@ -275,7 +275,7 @@ class TestDual:
             for _ in range(4):
                 lam = random_lambda(rng, k)
                 x = solve_lp(P, lam)
-                y = construct_dual(P, lam, x)
+                y = construct_dual(P, x)
                 assert all(F(0) <= yi <= bi for yi, bi in zip(y, P.beta))
 
 
@@ -284,13 +284,13 @@ class TestKkt:
         P, _ = worked
         lam = [F(1, 3)]
         x = solve_lp(P, lam)
-        assert not kkt_violations(P, lam, x, construct_dual(P, lam, x))
+        assert not kkt_violations(P, lam, x, construct_dual(P, x))
 
     def test_perturbed_primal_rejected(self, worked):
         P, _ = worked
         lam = [F(1, 2)]
         x = solve_lp(P, lam)
-        y = construct_dual(P, lam, x)
+        y = construct_dual(P, x)
         x2 = list(x)
         x2[0] += 1
         assert kkt_violations(P, lam, x2, y)
@@ -311,7 +311,7 @@ class TestKktMatchesDenseReferee:
         P, _ = build_param_lp(random_raw_circuit(rng, k, 3))
         lam = random_lambda(rng, k)
         x = solve_lp(P, lam)
-        y = construct_dual(P, lam, x)
+        y = construct_dual(P, x)
         for _ in range(4):
             assert kkt_violations(P, lam, x, y) == referee_kkt_violations(P, lam, x, y)
             v = rng.choice((x, y))
@@ -357,7 +357,7 @@ class TestRandomizedEquivalence:
                 x = solve_lp(P, lam)
                 _, trace = evaluate_with_trace(prepared, lam)
                 assert x == [trace[g] for g in order]
-                y = construct_dual(P, lam, x)
+                y = construct_dual(P, x)
                 assert not kkt_violations(P, lam, x, y)
 
 
@@ -395,43 +395,47 @@ class TestPropertyViolations:
         return build_param_lp(one_minus_circuit())[0], build_param_lp(swap_circuit())[0]
 
     @staticmethod
-    def with_row(P, i, L):
-        rows = list(P.rows)
-        rows[i] = L
-        return replace(P, rows=tuple(rows))
+    def with_row(P, i, row=None, u=None, b=None):
+        """P with row i of A, its U entries or b_i replaced."""
+        A_rows, U, bs = list(P.A_rows), [list(col) for col in P.U], list(P.b)
+        if row is not None:
+            A_rows[i] = row
+        for col, v in zip(U, u or ()):
+            col[i] = v
+        if b is not None:
+            bs[i] = b
+        return replace(P, A_rows=A_rows, U=U, b=bs)
 
     def test_row_reads_itself(self):
+        # a diagonal a_00 other than 1, absent included: x_0 >= L_0 + (1 - a_00) x_0
         P, _ = self.lps()
-        bad = self.with_row(P, 0, LinExpr({0: F(1)}, P.rows[0].lam, P.rows[0].const))
-        assert property_violations(bad) == ["row 0 reads x_0, not an earlier row"]
+        for diagonal in ({0: F(2)}, {}):
+            bad = self.with_row(P, 0, diagonal)
+            assert property_violations(bad) == ["row 0 reads x_0, not an earlier row"]
 
     def test_row_reads_later_row(self):
         _, S = self.lps()
-        bad = self.with_row(S, 0, LinExpr({2: F(1)}, S.rows[0].lam, S.rows[0].const))
+        bad = self.with_row(S, 0, {2: F(-1), 0: F(1)})
         assert property_violations(bad) == ["row 0 reads x_2, not an earlier row"]
 
     def test_clamp_row_shape(self):
         P, _ = self.lps()
-        L = P.rows[1]
-        bad = self.with_row(P, 1, LinExpr({0: F(-2)}, L.lam, L.const))
+        bad = self.with_row(P, 1, {0: F(2), 1: F(1)})
         assert property_violations(bad) == ["clamp row 1 is not x_0 + x_1"]
 
     def test_clamp_threshold(self):
         P, _ = self.lps()
-        L = P.rows[1]
-        bad = self.with_row(P, 1, LinExpr(L.xs, L.lam, F(2)))
+        bad = self.with_row(P, 1, b=F(2))
         assert property_violations(bad) == ["clamp row 1 has threshold 2, not 1"]
 
     def test_clamp_parameter_coefficient(self):
         P, _ = self.lps()
-        L = P.rows[1]
-        bad = self.with_row(P, 1, LinExpr(L.xs, (F(1),), L.const))
+        bad = self.with_row(P, 1, u=[F(1)])
         assert property_violations(bad) == ["clamp row 1 carries a parameter coefficient"]
 
     def test_other_row_reads_output_column(self):
         _, S = self.lps()
-        L = S.rows[2]
-        bad = self.with_row(S, 2, LinExpr({**L.xs, 1: F(1)}, L.lam, L.const))
+        bad = self.with_row(S, 2, {**S.A_rows[2], 1: F(-1)})
         assert property_violations(bad) == ["column 1 of A is not the unit vector"]
 
     def test_output_cost_not_one(self):
